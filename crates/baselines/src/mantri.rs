@@ -30,7 +30,7 @@
 
 use crate::fair::{fair_fill_alive_into, FairFillScratch};
 use mapreduce_sim::{Action, ClusterState, IndexDemands, JobState, Scheduler, Slot};
-use mapreduce_workload::Phase;
+use mapreduce_workload::{JobId, Phase, TaskId};
 
 /// Configuration of the [`Mantri`] baseline.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -94,6 +94,51 @@ pub struct Mantri {
     fill_scratch: FairFillScratch,
     /// Pooled straggler-candidate buffer (`Action` is `Copy`, no borrows).
     candidates: Vec<(Slot, Action)>,
+    /// Which jobs may hold a task past the straggler threshold.
+    may_straggle: JobFlags,
+    /// [`ClusterState::copies_killed_by_fault`] when the flags were last
+    /// brought up to date.
+    seen_fault_kills: u64,
+}
+
+/// One "may hold a straggler" bit per dense job index.
+///
+/// A running task's `t_rem = finish − now` only shrinks as time passes, so a
+/// job whose scan found no task past `threshold · t_new` cannot gain one
+/// until something changes its running set or `t_new`: a launch, a task
+/// finish (new `t_new`, activated waiting reduces), a task falling back to
+/// the unscheduled pool, a job arrival, or a fault killing the earlier copy
+/// of a cloned task. Every such event sets the bit again; the scan clears
+/// it. Indices past the end of the vector read as set, so a fresh scheduler
+/// scans every job once and [`JobFlags::set_all`] is a `clear`.
+#[derive(Debug, Clone, Default)]
+struct JobFlags {
+    words: Vec<u64>,
+}
+
+impl JobFlags {
+    fn get(&self, idx: usize) -> bool {
+        self.words
+            .get(idx / 64)
+            .is_none_or(|word| word & (1 << (idx % 64)) != 0)
+    }
+
+    fn set(&mut self, idx: usize) {
+        if let Some(word) = self.words.get_mut(idx / 64) {
+            *word |= 1 << (idx % 64);
+        }
+    }
+
+    fn clear(&mut self, idx: usize) {
+        if self.words.len() <= idx / 64 {
+            self.words.resize(idx / 64 + 1, u64::MAX);
+        }
+        self.words[idx / 64] &= !(1 << (idx % 64));
+    }
+
+    fn set_all(&mut self) {
+        self.words.clear();
+    }
 }
 
 impl Mantri {
@@ -112,6 +157,8 @@ impl Mantri {
             config,
             fill_scratch: FairFillScratch::default(),
             candidates: Vec::new(),
+            may_straggle: JobFlags::default(),
+            seen_fault_kills: 0,
         }
     }
 
@@ -131,7 +178,9 @@ impl Mantri {
             .unwrap_or_else(|| job.spec().stats(phase).mean)
     }
 
-    /// Collects duplicate launches for running stragglers of one job.
+    /// Collects duplicate launches for running stragglers of one job and
+    /// returns whether any running task is past the threshold (a candidate
+    /// or not yet: too young, or at its copy cap).
     ///
     /// Incremental detection: the engine keys every running task by its
     /// earliest predicted finish slot ([`JobState::running_by_finish`]), and
@@ -147,7 +196,8 @@ impl Mantri {
         copies: &mapreduce_sim::CopyArena,
         now: Slot,
         candidates: &mut Vec<(Slot, Action)>,
-    ) {
+    ) -> bool {
+        let mut past_threshold = false;
         for phase in [Phase::Map, Phase::Reduce] {
             let entries = job.running_by_finish(phase);
             if entries.is_empty() {
@@ -157,6 +207,7 @@ impl Mantri {
             let start = entries.partition_point(|&(finish, _)| {
                 finish.saturating_sub(now) as f64 <= self.config.threshold_factor * t_new
             });
+            past_threshold |= start < entries.len();
             for &(finish, index) in &entries[start..] {
                 let Some(task) = job.task(phase, index) else {
                     continue;
@@ -176,6 +227,45 @@ impl Mantri {
                 ));
             }
         }
+        past_threshold
+    }
+
+    /// Spends `budget` leftover machines on duplicates of detected
+    /// stragglers, worst (largest remaining time) first.
+    fn launch_duplicates(
+        &mut self,
+        state: &ClusterState<'_>,
+        budget: usize,
+        actions: &mut Vec<Action>,
+    ) {
+        // A silent fault kill may have moved a cloned task's earliest finish
+        // later: no job's cleared flag can be trusted any more.
+        if state.copies_killed_by_fault() != self.seen_fault_kills {
+            self.seen_fault_kills = state.copies_killed_by_fault();
+            self.may_straggle.set_all();
+        }
+        // Candidates are gathered in alive (job-id) order and the pooled
+        // buffer's sort is stable, so equal `t_rem` keep job-id order.
+        let mut candidates = std::mem::take(&mut self.candidates);
+        candidates.clear();
+        for job in state.alive_jobs() {
+            let idx = job.id().as_usize();
+            if !self.may_straggle.get(idx) {
+                continue;
+            }
+            if !self.straggler_candidates(job, state.copies(), state.now(), &mut candidates) {
+                self.may_straggle.clear(idx);
+            }
+        }
+        candidates.sort_by_key(|(t_rem, _)| std::cmp::Reverse(*t_rem));
+        for &(_, action) in candidates.iter().take(budget) {
+            actions.push(action);
+        }
+        self.candidates = candidates;
+    }
+
+    fn note_job_changed(&mut self, job: JobId) {
+        self.may_straggle.set(job.as_usize());
     }
 }
 
@@ -208,6 +298,18 @@ impl Scheduler for Mantri {
         actions
     }
 
+    fn on_job_arrival(&mut self, job: JobId, _state: &ClusterState<'_>) {
+        self.note_job_changed(job);
+    }
+
+    fn on_task_finished(&mut self, task: TaskId, _state: &ClusterState<'_>) {
+        self.note_job_changed(task.job);
+    }
+
+    fn on_task_unlaunched(&mut self, task: TaskId, _state: &ClusterState<'_>) {
+        self.note_job_changed(task.job);
+    }
+
     fn schedule_into(&mut self, state: &ClusterState<'_>, actions: &mut Vec<Action>) {
         let mut budget = state.available_machines();
         if budget == 0 {
@@ -217,32 +319,27 @@ impl Scheduler for Mantri {
         //    duplicates): equal-share fair scheduling across alive jobs —
         //    Mantri sits on the cluster's stock job scheduler, which knows
         //    nothing about the trace's priority weights. The fill is skipped
-        //    via the O(1) aggregate when nothing is launchable (it could not
-        //    have produced an action).
+        //    when nothing is launchable (it could not have produced an
+        //    action); unscheduled reduces still gated behind their job's map
+        //    phase keep the unscheduled total positive but launch nothing.
         let start = actions.len();
-        if state.total_unscheduled_tasks() > 0 {
+        if state.total_launchable_tasks() > 0 {
             fair_fill_alive_into(state, budget, false, &mut self.fill_scratch, actions);
         }
         let launched = actions.len() - start;
         budget -= launched.min(budget);
-        if budget == 0 {
-            return;
+
+        // 2. Spend leftover machines on duplicates of detected stragglers.
+        if budget > 0 {
+            self.launch_duplicates(state, budget, actions);
         }
 
-        // 2. Spend leftover machines on duplicates of detected stragglers,
-        //    worst (largest remaining time) first. The candidate buffer is
-        //    pooled in `self`; the sort must stay stable so equal `t_rem`
-        //    candidates keep job-id order.
-        let mut candidates = std::mem::take(&mut self.candidates);
-        candidates.clear();
-        for job in state.alive_jobs() {
-            self.straggler_candidates(job, state.copies(), state.now(), &mut candidates);
+        // Every job launched into gains running work the next scan must see.
+        for action in &actions[start..] {
+            if let Action::Launch { task, .. } = *action {
+                self.note_job_changed(task.job);
+            }
         }
-        candidates.sort_by_key(|(t_rem, _)| std::cmp::Reverse(*t_rem));
-        for &(_, action) in candidates.iter().take(budget) {
-            actions.push(action);
-        }
-        self.candidates = candidates;
     }
 }
 

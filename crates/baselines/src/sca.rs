@@ -21,8 +21,8 @@
 //! substitution (greedy water-filling instead of an external convex solver)
 //! is recorded in DESIGN.md.
 
-use mapreduce_sim::{Action, ClusterState, JobState, ParetoSpeedup, Scheduler, SpeedupFunction};
-use mapreduce_workload::Phase;
+use mapreduce_sim::{Action, ClusterState, ParetoSpeedup, Scheduler, SpeedupFunction};
+use mapreduce_workload::{Phase, TaskId};
 
 /// Configuration of the [`Sca`] baseline.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -62,10 +62,16 @@ impl ScaConfig {
 }
 
 /// The Smart Cloning Algorithm baseline.
+///
+/// The job order comes from the engine's maintained `w/U` ranking
+/// ([`Scheduler::priority_r`]), walked only as far as the machine budget
+/// lasts; nothing is collected or sorted per decision.
 #[derive(Debug, Clone)]
 pub struct Sca {
     config: ScaConfig,
     speedup: ParetoSpeedup,
+    /// Pooled per-decision allocation buffer.
+    allocations: Vec<Allocation>,
 }
 
 impl Sca {
@@ -83,6 +89,7 @@ impl Sca {
         Sca {
             speedup: ParetoSpeedup::new(config.speedup_alpha),
             config,
+            allocations: Vec::new(),
         }
     }
 
@@ -108,16 +115,23 @@ impl Default for Sca {
 }
 
 /// Per-job working state used while the greedy allocation runs.
-struct Allocation<'a> {
-    job: &'a JobState,
+#[derive(Debug, Clone, Copy)]
+struct Allocation {
+    /// Dense job index (resolved through [`ClusterState::job_at`]).
+    job: usize,
     phase: Phase,
-    tasks: Vec<mapreduce_workload::TaskId>,
+    /// The job's first `tasks` unscheduled tasks of `phase` get copies.
+    tasks: usize,
     copies_per_task: usize,
 }
 
 impl Scheduler for Sca {
     fn name(&self) -> &str {
         "sca"
+    }
+
+    fn priority_r(&self) -> Option<f64> {
+        Some(self.config.r)
     }
 
     fn schedule(&mut self, state: &ClusterState<'_>) -> Vec<Action> {
@@ -132,27 +146,18 @@ impl Scheduler for Sca {
             return;
         }
 
-        // Jobs with launchable work, ordered by w / U (small jobs first).
-        let mut jobs: Vec<&JobState> = state
-            .alive_jobs()
-            .filter(|j| j.total_unscheduled() > 0)
-            .collect();
-        jobs.sort_by(|a, b| {
-            let pa = a.weight()
-                / a.remaining_effective_workload(self.config.r)
-                    .max(f64::MIN_POSITIVE);
-            let pb = b.weight()
-                / b.remaining_effective_workload(self.config.r)
-                    .max(f64::MIN_POSITIVE);
-            pb.total_cmp(&pa).then_with(|| a.id().cmp(&b.id()))
-        });
-
-        // Pass 1: one copy per launchable task, in priority order.
-        let mut allocations: Vec<Allocation<'_>> = Vec::new();
-        for job in jobs {
+        // Pass 1: one copy per launchable task, jobs in w / U order (small
+        // jobs first), until the machines run out.
+        let ranked = state.ranked_entries(self.config.r);
+        let mut allocations = std::mem::take(&mut self.allocations);
+        allocations.clear();
+        let mut consumed = 0;
+        for (_, idx) in ranked.iter() {
             if budget == 0 {
                 break;
             }
+            consumed += 1;
+            let job = state.job_at(idx);
             let phase = if job.num_unscheduled(Phase::Map) > 0 {
                 Phase::Map
             } else if job.map_phase_complete() && job.num_unscheduled(Phase::Reduce) > 0 {
@@ -160,25 +165,16 @@ impl Scheduler for Sca {
             } else {
                 continue;
             };
-            // The unscheduled free-list gives the launchable tasks directly;
-            // no scan over the full task vector.
-            let tasks: Vec<_> = job
-                .unscheduled_indices(phase)
-                .iter()
-                .map(|&i| mapreduce_workload::TaskId::new(job.id(), phase, i))
-                .take(budget)
-                .collect();
-            if tasks.is_empty() {
-                continue;
-            }
-            budget -= tasks.len();
+            let tasks = job.num_unscheduled(phase).min(budget);
+            budget -= tasks;
             allocations.push(Allocation {
-                job,
+                job: idx,
                 phase,
                 tasks,
                 copies_per_task: 1,
             });
         }
+        state.note_ranked_prefix(consumed);
 
         // Pass 2: greedy water-filling of the leftover machines, one clone
         // level at a time, to the allocation with the best marginal gain per
@@ -192,13 +188,14 @@ impl Scheduler for Sca {
                 if alloc.copies_per_task >= self.config.max_copies_per_task {
                     continue;
                 }
-                let cost = alloc.tasks.len();
-                if cost == 0 || cost > budget {
+                let cost = alloc.tasks;
+                if cost > budget {
                     continue;
                 }
-                let mean = alloc.job.spec().stats(alloc.phase).mean;
-                let gain = self.marginal_gain(alloc.job.weight(), mean, alloc.copies_per_task)
-                    / cost as f64;
+                let job = state.job_at(alloc.job);
+                let mean = job.spec().stats(alloc.phase).mean;
+                let gain =
+                    self.marginal_gain(job.weight(), mean, alloc.copies_per_task) / cost as f64;
                 if gain <= 0.0 {
                     continue;
                 }
@@ -208,16 +205,22 @@ impl Scheduler for Sca {
                 }
             }
             let Some((_, idx)) = best else { break };
-            budget -= allocations[idx].tasks.len();
+            budget -= allocations[idx].tasks;
             allocations[idx].copies_per_task += 1;
         }
 
-        actions.extend(allocations.into_iter().flat_map(|alloc| {
-            alloc.tasks.into_iter().map(move |task| Action::Launch {
-                task,
-                copies: alloc.copies_per_task,
-            })
-        }));
+        // The launched tasks are a prefix of each job's unscheduled
+        // free-list.
+        for alloc in &allocations {
+            let job = state.job_at(alloc.job);
+            for &index in &job.unscheduled_indices(alloc.phase)[..alloc.tasks] {
+                actions.push(Action::Launch {
+                    task: TaskId::new(job.id(), alloc.phase, index),
+                    copies: alloc.copies_per_task,
+                });
+            }
+        }
+        self.allocations = allocations;
     }
 }
 

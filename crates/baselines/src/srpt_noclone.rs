@@ -49,6 +49,10 @@ impl Scheduler for SrptNoClone {
         &self.name
     }
 
+    fn priority_r(&self) -> Option<f64> {
+        Some(self.r)
+    }
+
     fn schedule(&mut self, state: &ClusterState<'_>) -> Vec<Action> {
         let mut actions = Vec::new();
         self.schedule_into(state, &mut actions);
@@ -60,27 +64,20 @@ impl Scheduler for SrptNoClone {
         if budget == 0 {
             return;
         }
-        let mut jobs: Vec<_> = state
-            .alive_jobs()
-            .filter(|j| j.total_unscheduled() > 0)
-            .collect();
-        jobs.sort_by(|a, b| {
-            let pa = a.weight()
-                / a.remaining_effective_workload(self.r)
-                    .max(f64::MIN_POSITIVE);
-            let pb = b.weight()
-                / b.remaining_effective_workload(self.r)
-                    .max(f64::MIN_POSITIVE);
-            pb.total_cmp(&pa).then_with(|| a.id().cmp(&b.id()))
-        });
-        for job in jobs {
+        // Jobs in w / U order from the engine's maintained ranking, walked
+        // only until the machines run out.
+        let ranked = state.ranked_entries(self.r);
+        let mut consumed = 0;
+        'jobs: for (_, idx) in ranked.iter() {
+            consumed += 1;
+            let job = state.job_at(idx);
             for phase in [Phase::Map, Phase::Reduce] {
                 if phase == Phase::Reduce && !job.map_phase_complete() {
                     continue;
                 }
                 for task in job.unscheduled_tasks(phase) {
                     if budget == 0 {
-                        return;
+                        break 'jobs;
                     }
                     actions.push(Action::Launch {
                         task: task.id(),
@@ -90,6 +87,7 @@ impl Scheduler for SrptNoClone {
                 }
             }
         }
+        state.note_ranked_prefix(consumed);
     }
 }
 

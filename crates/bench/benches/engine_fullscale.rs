@@ -3,17 +3,21 @@
 //! `BENCH_engine.json`.
 //!
 //! Besides the optimized schedulers, the bench runs the frozen
-//! pre-optimization SRPTMS+C (`mapreduce_sched::ReferenceSrptMsC`) under the
-//! id `engine_fullscale/srptmsc_reference`, so the report records the
-//! pre-change baseline measured by the same binary on the same machine —
-//! the optimized/reference ratio is the incremental-state speedup at full
-//! scale.
+//! pre-optimization SRPTMS+C (`mapreduce_sched::ReferenceSrptMsC`) and SCA
+//! (`mapreduce_baselines::ReferenceSca`) under the ids
+//! `engine_fullscale/srptmsc_reference` and `engine_fullscale/sca_reference`,
+//! so the report records the pre-change baselines measured by the same
+//! binary on the same machine — each optimized/reference ratio is the
+//! incremental-state speedup at full scale, and together they are the
+//! bench-guard's host speedometer for this entry.
 //!
 //! Run with `cargo bench -p mapreduce-bench --bench engine_fullscale`
 //! (about a minute; `MAPREDUCE_BENCH_SAMPLES=1` for a quick pass).
 
+use mapreduce_baselines::ReferenceSca;
 use mapreduce_experiments::{run_scheduler, Scenario, SchedulerKind};
 use mapreduce_sched::ReferenceSrptMsC;
+use mapreduce_sim::Scheduler;
 use mapreduce_support::criterion::{BenchmarkId, Criterion};
 use mapreduce_support::json::ToJson;
 use mapreduce_support::{criterion_group, criterion_main};
@@ -48,6 +52,7 @@ fn bench_fullscale(c: &mut Criterion) {
         ("srptmsc", SchedulerKind::paper_default()),
         ("fifo", SchedulerKind::Fifo),
         ("mantri", SchedulerKind::Mantri),
+        ("sca", SchedulerKind::Sca),
     ];
     for (label, kind) in variants {
         group.bench_with_input(BenchmarkId::from_parameter(label), &kind, |b, &kind| {
@@ -57,24 +62,28 @@ fn bench_fullscale(c: &mut Criterion) {
             })
         });
     }
-    // The recorded pre-change baseline: SRPTMS+C exactly as it was before the
-    // incremental-state optimization.
-    group.bench_with_input(
-        BenchmarkId::from_parameter("srptmsc_reference"),
-        &seed,
-        |b, &seed| {
+    // The recorded pre-change baselines: SRPTMS+C and SCA exactly as they
+    // were before they read the engine's maintained ranking.
+    type MakeScheduler = fn() -> Box<dyn Scheduler>;
+    let references: [(&str, MakeScheduler); 2] = [
+        ("srptmsc_reference", || {
+            Box::new(ReferenceSrptMsC::new(0.6, 3.0))
+        }),
+        ("sca_reference", || Box::new(ReferenceSca::new())),
+    ];
+    for (label, make) in references {
+        group.bench_with_input(BenchmarkId::from_parameter(label), &seed, |b, &seed| {
             b.iter(|| {
-                let mut scheduler = ReferenceSrptMsC::new(0.6, 3.0);
                 let outcome = mapreduce_bench::run_reference(
-                    &mut scheduler,
+                    make().as_mut(),
                     black_box(&trace),
                     scenario.machines,
                     seed,
                 );
                 black_box(outcome.mean_flowtime())
             })
-        },
-    );
+        });
+    }
     group.finish();
 
     mapreduce_bench::merge_bench_report_with(

@@ -37,8 +37,5 @@ pub use offline::OfflineSrpt;
 pub use potential::PotentialFunction;
 pub use priority::{offline_priority, online_priority, rank_jobs_by_priority};
 pub use reference::ReferenceSrptMsC;
-pub use sharing::{
-    epsilon_fraction_shares, epsilon_fraction_shares_into, epsilon_fraction_shares_prefix_into,
-    epsilon_fraction_shares_scratch, MachineShare,
-};
+pub use sharing::{epsilon_fraction_shares, epsilon_fraction_shares_prefix_into, MachineShare};
 pub use srptms::{SrptMsC, SrptMsCConfig};

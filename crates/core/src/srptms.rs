@@ -24,12 +24,9 @@
 //! scheduler, `ε → 0` approaches pure SRPT; `ε ≈ 0.6` is the sweet spot in
 //! the paper's evaluation (Fig. 1). Cloning can be disabled for ablations.
 
-use crate::priority::online_priority;
-use crate::sharing::{
-    epsilon_fraction_shares_prefix_into, epsilon_fraction_shares_scratch, MachineShare,
-};
+use crate::sharing::{epsilon_fraction_shares_prefix_into, MachineShare};
 use mapreduce_sim::{Action, ClusterState, JobState, Scheduler};
-use mapreduce_workload::{JobId, Phase, TaskId};
+use mapreduce_workload::{Phase, TaskId};
 
 /// Configuration of the SRPTMS+C scheduler.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -135,8 +132,6 @@ impl Default for SrptMsCConfig {
 pub struct SrptMsC {
     config: SrptMsCConfig,
     name: String,
-    /// Scratch: `(id, weight)` of the candidates in priority order.
-    ranked: Vec<(JobId, f64)>,
     /// Scratch: the ε-fraction shares, one per candidate.
     shares: Vec<MachineShare>,
     /// Scratch: the rounding's eligible-remainder working set.
@@ -167,7 +162,6 @@ impl SrptMsC {
         SrptMsC {
             config,
             name,
-            ranked: Vec::new(),
             shares: Vec::new(),
             round_scratch: Vec::new(),
             launched_prefix: Vec::new(),
@@ -274,71 +268,34 @@ impl Scheduler for SrptMsC {
 
         // ψ^s(l): alive jobs that still have unscheduled tasks, ranked by
         // decreasing w_i / U_i(l), ties by id. Engine-built snapshots carry
-        // the order as a demand-gated view (only the prefix the passes below
-        // actually read gets sorted); hand-built snapshots fall back to
-        // collecting and sorting.
+        // the order as a demand-gated view, so only the prefix the passes
+        // below actually read is walked.
         let entries = state.ranked_entries(self.config.r);
-        let fallback: Vec<&JobState> = match entries {
-            Some(_) => Vec::new(),
-            None => {
-                let mut c: Vec<&JobState> = state
-                    .alive_jobs()
-                    .filter(|j| j.total_unscheduled() > 0)
-                    .collect();
-                c.sort_by(|a, b| {
-                    let pa = online_priority(a, self.config.r);
-                    let pb = online_priority(b, self.config.r);
-                    pb.total_cmp(&pa).then_with(|| a.id().cmp(&b.id()))
-                });
-                c
-            }
-        };
-        let candidate = |i: usize| match entries {
-            Some(e) => state.job_at(e.entry(i).1),
-            None => fallback[i],
-        };
-        let num_candidates = entries.map_or(fallback.len(), |e| e.len());
+        let candidate = |i: usize| state.job_at(entries.entry(i).1);
+        let num_candidates = entries.len();
         if num_candidates == 0 {
             return;
         }
 
+        // Prefix-truncated walk: the ε-fraction rule zeroes every share past
+        // the `(1−ε)·W(l)` cumulative-weight boundary, so only the jobs
+        // inside the boundary are pulled from the ranked order — `O(prefix)`
+        // job derefs instead of `O(alive)`. `W(l)` is the engine's
+        // incrementally maintained unscheduled-weight aggregate (exact for
+        // the integer-valued job weights every committed workload uses,
+        // hence bit-identical to the full walk's fold).
         let config = self.config;
-        match entries {
-            // Prefix-truncated walk: the ε-fraction rule zeroes every share
-            // past the `(1−ε)·W(l)` cumulative-weight boundary, so only the
-            // jobs inside the boundary are pulled from the ranked order —
-            // `O(prefix)` job derefs instead of `O(alive)`. `W(l)` is the
-            // engine's incrementally maintained unscheduled-weight aggregate
-            // (exact for the integer-valued job weights every committed
-            // workload uses, hence bit-identical to the full walk's fold).
-            Some(e) => epsilon_fraction_shares_prefix_into(
-                e.iter().map(|(_, idx)| {
-                    let job = state.job_at(idx);
-                    (job.id(), job.weight())
-                }),
-                state.total_unscheduled_weight(),
-                state.total_machines(),
-                config.epsilon,
-                &mut self.shares,
-                &mut self.round_scratch,
-            ),
-            // Hand-built snapshots carry no aggregate: materialise the whole
-            // candidate list and run the full walk.
-            None => {
-                self.ranked.clear();
-                self.ranked.extend((0..num_candidates).map(|i| {
-                    let job = candidate(i);
-                    (job.id(), job.weight())
-                }));
-                epsilon_fraction_shares_scratch(
-                    &self.ranked,
-                    state.total_machines(),
-                    config.epsilon,
-                    &mut self.shares,
-                    &mut self.round_scratch,
-                );
-            }
-        }
+        epsilon_fraction_shares_prefix_into(
+            entries.iter().map(|(_, idx)| {
+                let job = state.job_at(idx);
+                (job.id(), job.weight())
+            }),
+            state.total_unscheduled_weight(),
+            state.total_machines(),
+            config.epsilon,
+            &mut self.shares,
+            &mut self.round_scratch,
+        );
         state.note_ranked_prefix(self.shares.len());
 
         // Launchable tasks not yet launched this decision: the ε-pass and
@@ -425,7 +382,7 @@ mod tests {
     use super::*;
     use mapreduce_sim::{SimConfig, Simulation};
     use mapreduce_workload::{
-        DurationDistribution, JobSpecBuilder, PhaseStats, Trace, WorkloadBuilder,
+        DurationDistribution, JobId, JobSpecBuilder, PhaseStats, Trace, WorkloadBuilder,
     };
 
     fn run(trace: &Trace, machines: usize, scheduler: &mut SrptMsC) -> mapreduce_sim::SimOutcome {

@@ -857,6 +857,7 @@ impl Simulation {
                     &self.jobs,
                     &ctx.arena,
                     &alive,
+                    ctx.pool.as_ref().map_or(0, |p| p.copies_killed),
                 );
                 for job in &newly_arrived {
                     scheduler.on_job_arrival(*job, &state);

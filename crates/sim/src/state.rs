@@ -866,17 +866,13 @@ impl PriorityIndex {
     }
 
     /// The online priority `w_i / U_i(l)` from the cached per-phase effective
-    /// task workloads; bit-identical to
-    /// `priority::online_priority(job, r)` computed from scratch.
+    /// task workloads; bit-identical to [`priority_key`] over
+    /// [`JobState::remaining_effective_workload`] computed from scratch.
     fn key_for(&self, idx: usize, job: &JobState) -> f64 {
         let (eff_map, eff_reduce) = self.eff[idx];
         let u = job.num_unscheduled(Phase::Map) as f64 * eff_map
             + job.num_unscheduled(Phase::Reduce) as f64 * eff_reduce;
-        if u > 0.0 {
-            job.weight() / u
-        } else {
-            f64::INFINITY
-        }
+        priority_key(job.weight(), u)
     }
 
     fn insert(&mut self, idx: usize, job: &JobState) {
@@ -984,24 +980,53 @@ impl PriorityIndex {
     }
 }
 
-/// Demand-gated view over an enabled priority order: the `(priority, idx)`
-/// entries of the alive jobs with unscheduled tasks, in decreasing
-/// `w_i / U_i(l)` order (ties by ascending idx).
+/// The online priority `w_i / U_i(l)` of a job with weight `w_i` and
+/// remaining effective workload `U_i(l)` (Equation (4)); `+∞` when nothing
+/// is left to schedule. The one key every ranked order is sorted by.
 ///
-/// Reads are lazy — [`RankedEntries::entry`] pops the underlying stamp heap
-/// only as far into the order as is actually consumed, which is what makes
-/// SRPTMS+C's decision path pay-for-what-you-read at million-job scale. The
-/// visible order is entry-for-entry identical to a full sort; indices
-/// resolve through [`ClusterState::job_at`].
-#[derive(Clone, Copy, Debug)]
+/// Validated workloads make `U_i(l) ≥ E^c_i ≥ f64::MIN_POSITIVE` for every
+/// job with an unscheduled task (phase means are positive normal numbers,
+/// see [`mapreduce_workload::PhaseStats::new`]), so the `+∞` branch is never
+/// taken for a ranked job and a `U.max(f64::MIN_POSITIVE)` floor would be a
+/// no-op.
+fn priority_key(weight: f64, u: f64) -> f64 {
+    if u > 0.0 {
+        weight / u
+    } else {
+        f64::INFINITY
+    }
+}
+
+/// The `(priority, idx)` entries of the alive jobs that still have
+/// unscheduled tasks, in decreasing `w_i / U_i(l)` order (ties by ascending
+/// idx), as handed out by [`ClusterState::ranked_entries`].
+///
+/// For engine-built snapshots the view reads the engine's maintained order
+/// lazily — [`RankedEntries::entry`] walks it only as far as is actually
+/// consumed, which is what makes the ranked schedulers' decision paths
+/// pay-for-what-you-read at million-job scale. Hand-built snapshots carry
+/// the same order, sorted once when requested. Indices resolve through
+/// [`ClusterState::job_at`].
+#[derive(Clone, Debug)]
 pub struct RankedEntries<'a> {
-    index: &'a PriorityIndex,
+    order: RankedOrder<'a>,
+}
+
+#[derive(Clone, Debug)]
+enum RankedOrder<'a> {
+    /// The engine's maintained order, walked on demand.
+    Indexed(&'a PriorityIndex),
+    /// A hand-built snapshot's order, sorted eagerly.
+    Sorted(Vec<(f64, usize)>),
 }
 
 impl<'a> RankedEntries<'a> {
     /// Number of entries in the (virtual) full order.
     pub fn len(&self) -> usize {
-        self.index.live_len()
+        match &self.order {
+            RankedOrder::Indexed(index) => index.live_len(),
+            RankedOrder::Sorted(order) => order.len(),
+        }
     }
 
     /// Whether the order is empty.
@@ -1019,14 +1044,16 @@ impl<'a> RankedEntries<'a> {
             "ranked entry {i} out of bounds (len {})",
             self.len()
         );
-        self.index.entry(i)
+        match &self.order {
+            RankedOrder::Indexed(index) => index.entry(i),
+            RankedOrder::Sorted(order) => order[i],
+        }
     }
 
-    /// Iterates the order front to back, extending the sorted region as it
-    /// goes — stop early and the tail is never sorted.
-    pub fn iter(&self) -> impl Iterator<Item = (f64, usize)> + 'a {
-        let this = *self;
-        (0..this.len()).map(move |i| this.entry(i))
+    /// Iterates the order front to back, extending the walked region as it
+    /// goes — stop early and the tail is never visited.
+    pub fn iter(&self) -> impl Iterator<Item = (f64, usize)> + '_ {
+        (0..self.len()).map(move |i| self.entry(i))
     }
 }
 
@@ -1230,9 +1257,14 @@ impl AliveIndex {
     /// idx), if priority maintenance is enabled; `None` otherwise. Call
     /// [`AliveIndex::flush_priority`] first after mutations.
     pub fn ranked_by_priority(&self) -> Option<(f64, RankedEntries<'_>)> {
-        self.priority
-            .as_ref()
-            .map(|p| (p.r, RankedEntries { index: p }))
+        self.priority.as_ref().map(|p| {
+            (
+                p.r,
+                RankedEntries {
+                    order: RankedOrder::Indexed(p),
+                },
+            )
+        })
     }
 
     /// Number of alive jobs.
@@ -1300,6 +1332,8 @@ pub struct ClusterState<'a> {
     /// Demand-gated `(priority, idx)` order (decreasing `w_i / U_i(l)`) for
     /// the pessimism factor the scheduler declared, when index-backed.
     ranked: Option<(f64, RankedEntries<'a>)>,
+    /// Copies killed by machine faults so far this run.
+    copies_killed_by_fault: u64,
 }
 
 impl<'a> ClusterState<'a> {
@@ -1329,11 +1363,13 @@ impl<'a> ClusterState<'a> {
             ranked_prefix_consumed: std::cell::Cell::new(0),
             arrival_order: None,
             ranked: None,
+            copies_killed_by_fault: 0,
         }
     }
 
     /// Builds a snapshot from the engine's incrementally maintained index —
     /// `O(1)`, no per-wakeup rescan of the job table.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_index(
         now: Slot,
         total_machines: usize,
@@ -1341,6 +1377,7 @@ impl<'a> ClusterState<'a> {
         jobs: &'a [JobState],
         copies: &'a CopyArena,
         index: &'a AliveIndex,
+        copies_killed_by_fault: u64,
     ) -> Self {
         ClusterState {
             now,
@@ -1356,6 +1393,7 @@ impl<'a> ClusterState<'a> {
             ranked_prefix_consumed: std::cell::Cell::new(0),
             arrival_order: Some(index.alive_by_arrival()),
             ranked: index.ranked_by_priority(),
+            copies_killed_by_fault,
         }
     }
 
@@ -1428,21 +1466,36 @@ impl<'a> ClusterState<'a> {
 
     /// The `(priority, job index)` entries of the alive jobs that still have
     /// unscheduled tasks, in decreasing `w_i / U_i(l)` priority order for
-    /// pessimism factor `r` (ties broken by job index), if the snapshot
-    /// carries a pre-ranked order for exactly that `r`. Indices are resolved
+    /// pessimism factor `r` (ties broken by job index). Indices are resolved
     /// with [`ClusterState::job_at`].
     ///
     /// Engine-built snapshots carry the order when the scheduler declared `r`
     /// through [`Scheduler::priority_r`]. The returned [`RankedEntries`] view
-    /// is **demand-gated**: only the prefix actually read gets sorted, so a
-    /// decision costs `O(prefix consumed)` instead of `O(alive · log)`, and
+    /// is then **demand-gated**: only the prefix actually read is walked, so
+    /// a decision costs `O(prefix consumed)` instead of `O(alive · log)`, and
     /// the view can be walked several times (share pass, backfill pass)
-    /// without collecting. Returns `None` (caller sorts itself) for
-    /// hand-built snapshots or a mismatching `r`.
-    pub fn ranked_entries(&self, r: f64) -> Option<RankedEntries<'a>> {
-        match self.ranked {
-            Some((indexed_r, entries)) if indexed_r == r => Some(entries),
-            _ => None,
+    /// without collecting. Hand-built snapshots (or a mismatching `r`) fall
+    /// back to collecting and sorting the same order, entry for entry.
+    pub fn ranked_entries(&self, r: f64) -> RankedEntries<'a> {
+        if let Some((indexed_r, entries)) = &self.ranked {
+            if *indexed_r == r {
+                return entries.clone();
+            }
+        }
+        let mut order: Vec<(f64, usize)> = self
+            .alive
+            .iter()
+            .map(|&idx| (&self.jobs[idx], idx))
+            .filter(|(job, _)| job.total_unscheduled() > 0)
+            .map(|(job, idx)| {
+                let key = priority_key(job.weight(), job.remaining_effective_workload(r));
+                (key, idx)
+            })
+            .filter(|(key, _)| !key.is_nan())
+            .collect();
+        order.sort_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
+        RankedEntries {
+            order: RankedOrder::Sorted(order),
         }
     }
 
@@ -1531,6 +1584,18 @@ impl<'a> ClusterState<'a> {
     /// The largest ranked-candidate prefix reported this decision.
     pub fn ranked_prefix_consumed(&self) -> usize {
         self.ranked_prefix_consumed.get()
+    }
+
+    /// Copies killed by machine faults so far this run (0 without a fault
+    /// plan, and for hand-built snapshots).
+    ///
+    /// A fault kill reaches a scheduler's hooks only when it takes a task's
+    /// *last* copy ([`Scheduler::on_task_unlaunched`]). Killing one copy of
+    /// a cloned task is silent, yet it can move the task's earliest finish
+    /// later; schedulers that cache conclusions about running tasks across
+    /// decisions watch this count and re-derive them when it moves.
+    pub fn copies_killed_by_fault(&self) -> u64 {
+        self.copies_killed_by_fault
     }
 }
 
@@ -1950,6 +2015,42 @@ mod tests {
         assert_eq!(order, vec![1, 3]);
     }
 
+    /// Hand-built snapshots rank through the same accessor: the sorted
+    /// fallback reproduces the engine-maintained order entry for entry,
+    /// keys included, and also serves a pessimism factor the index was not
+    /// built for.
+    #[test]
+    fn ranked_entries_fallback_matches_the_maintained_order() {
+        let mut jobs = job_bank(&[3, 1, 4, 2, 2], &[1.0, 1.0, 5.0, 2.0, 2.0], &[0; 5]);
+        jobs[2].note_first_launch(Phase::Map, 0);
+        let mut index = AliveIndex::new();
+        index.enable_priority(0.0);
+        for (i, job) in jobs.iter().enumerate() {
+            index.insert(i, job);
+        }
+        index.flush_priority();
+        let copies = CopyArena::new();
+        let engine = ClusterState::from_index(0, 8, 8, &jobs, &copies, &index, 0);
+        let alive: Vec<usize> = (0..jobs.len()).collect();
+        let hand = ClusterState::new(0, 8, 8, &jobs, &alive, &copies);
+        let maintained: Vec<(f64, usize)> = engine.ranked_entries(0.0).iter().collect();
+        assert_eq!(maintained.len(), 5);
+        assert_eq!(
+            maintained,
+            hand.ranked_entries(0.0).iter().collect::<Vec<_>>()
+        );
+        assert_eq!(
+            engine.ranked_entries(1.0).iter().collect::<Vec<_>>(),
+            hand.ranked_entries(1.0).iter().collect::<Vec<_>>()
+        );
+        for (key, idx) in maintained {
+            assert_eq!(
+                key,
+                jobs[idx].weight() / jobs[idx].remaining_effective_workload(0.0)
+            );
+        }
+    }
+
     /// Satellite pin for the incremental `W(l)` counter: the
     /// unscheduled-weight aggregate must track arrivals, per-task launches
     /// (the job leaves `ψ^s` exactly when its last unscheduled task starts),
@@ -2034,7 +2135,7 @@ mod tests {
         let copies = CopyArena::new();
         let mut index = AliveIndex::new();
         index.insert(0, &jobs[0]);
-        let state = ClusterState::from_index(5, 8, 8, &jobs, &copies, &index);
+        let state = ClusterState::from_index(5, 8, 8, &jobs, &copies, &index, 0);
         assert_eq!(state.num_alive_jobs(), 1);
         assert!((state.total_alive_weight() - jobs[0].weight()).abs() < 1e-12);
         assert_eq!(state.total_unscheduled_tasks(), 3);

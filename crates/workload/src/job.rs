@@ -72,17 +72,34 @@ impl PhaseStats {
     /// Creates phase statistics.
     ///
     /// # Panics
-    /// Panics if `mean` is not positive/finite or `std_dev` is negative.
+    /// Panics if `mean` is not a positive normal finite number (at least
+    /// `f64::MIN_POSITIVE`) or `std_dev` is negative or not finite.
     pub fn new(mean: f64, std_dev: f64) -> Self {
-        assert!(
-            mean.is_finite() && mean > 0.0,
-            "phase mean must be positive and finite, got {mean}"
-        );
-        assert!(
-            std_dev.is_finite() && std_dev >= 0.0,
-            "phase std_dev must be non-negative and finite, got {std_dev}"
-        );
-        PhaseStats { mean, std_dev }
+        let stats = PhaseStats { mean, std_dev };
+        if let Err(message) = stats.validate() {
+            panic!("{message}");
+        }
+        stats
+    }
+
+    /// Checks the invariants [`PhaseStats::new`] enforces. A normal positive
+    /// mean keeps every effective workload `U_i(l) ≥ E^c_i` of a job with an
+    /// unscheduled task at or above `f64::MIN_POSITIVE`, so ranking by
+    /// `w_i / U_i(l)` needs no `U.max(f64::MIN_POSITIVE)` floor.
+    pub fn validate(&self) -> Result<(), String> {
+        if !(self.mean.is_normal() && self.mean > 0.0) {
+            return Err(format!(
+                "phase mean must be positive, normal and finite, got {}",
+                self.mean
+            ));
+        }
+        if !(self.std_dev.is_finite() && self.std_dev >= 0.0) {
+            return Err(format!(
+                "phase std_dev must be non-negative and finite, got {}",
+                self.std_dev
+            ));
+        }
+        Ok(())
     }
 
     /// The *effective* per-task workload `E + r·σ` used throughout the paper
@@ -124,10 +141,12 @@ impl ToJson for PhaseStats {
 
 impl FromJson for PhaseStats {
     fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        Ok(PhaseStats {
+        let stats = PhaseStats {
             mean: f64::from_json(value.field("mean")?)?,
             std_dev: f64::from_json(value.field("std_dev")?)?,
-        })
+        };
+        stats.validate().map_err(JsonError::new)?;
+        Ok(stats)
     }
 }
 
@@ -238,6 +257,11 @@ impl JobSpec {
         }
         if self.weight.is_nan() || self.weight <= 0.0 {
             return Err(format!("{}: weight must be positive", self.id));
+        }
+        for stats in [self.map_stats, self.reduce_stats] {
+            stats
+                .validate()
+                .map_err(|message| format!("{}: {message}", self.id))?;
         }
         for (phase, tasks) in [
             (Phase::Map, &self.map_tasks),
@@ -579,5 +603,24 @@ mod tests {
         let json = job.to_json().to_pretty_string();
         let back = JobSpec::from_json(&JsonValue::parse(&json).unwrap()).unwrap();
         assert_eq!(back, job);
+    }
+
+    /// Ranked orders divide by `U_i(l) ≥ E^c_i` without a floor; a zero or
+    /// subnormal phase mean would let `U_i(l)` drop below
+    /// `f64::MIN_POSITIVE`, so no constructor, loader or validator accepts
+    /// one.
+    #[test]
+    fn phase_means_below_min_positive_are_rejected() {
+        assert!(PhaseStats::new(f64::MIN_POSITIVE, 0.0).validate().is_ok());
+        let subnormal = f64::MIN_POSITIVE / 2.0;
+        assert!(std::panic::catch_unwind(|| PhaseStats::new(subnormal, 0.0)).is_err());
+        let zero = JsonValue::parse(r#"{"mean": 0, "std_dev": 1}"#).unwrap();
+        assert!(PhaseStats::from_json(&zero).is_err());
+        let mut job = sample_job();
+        job.reduce_stats = PhaseStats {
+            mean: subnormal,
+            std_dev: 0.0,
+        };
+        assert!(job.validate().is_err());
     }
 }

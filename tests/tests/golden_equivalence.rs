@@ -1,22 +1,114 @@
 //! Golden-equivalence tests for the incremental-state optimization.
 //!
-//! Every optimized scheduler (SRPTMS+C, Mantri, LATE, Fair, FIFO, SCA) must
-//! produce a **bit-identical** [`SimOutcome`] to its frozen pre-optimization
-//! reference implementation (`mapreduce_sched::reference`,
-//! `mapreduce_baselines::reference`) on randomized multi-seed workloads. The
-//! references re-scan and re-sort everything per decision and touch none of
-//! the engine's incremental indices, so any divergence in the free-lists, the
-//! priority/arrival orders, the running-by-finish index or the
-//! completed-duration aggregates shows up as an outcome mismatch.
+//! Every optimized scheduler (SRPTMS+C, Mantri, LATE, Fair, FIFO, SCA,
+//! Restart) must produce a **bit-identical** [`SimOutcome`] to its frozen
+//! pre-optimization reference implementation (`mapreduce_sched::reference`,
+//! `mapreduce_baselines::reference`) on randomized multi-seed workloads, with
+//! and without machine faults. The references re-scan and re-sort everything
+//! per decision and touch none of the engine's incremental indices, so any
+//! divergence in the free-lists, the priority/arrival orders, the
+//! running-by-finish index, the completed-duration aggregates or a
+//! scheduler's cached conclusions shows up as an outcome mismatch.
+//! SRPT-noclone has no library reference; it is pinned against the frozen
+//! sort-based copy [`FrozenSrptNoClone`] kept in this file.
 
 use mapreduce_baselines::{
     FairScheduler, Fifo, Late, Mantri, ReferenceFair, ReferenceFifo, ReferenceLate,
-    ReferenceMantri, ReferenceRestart, ReferenceSca, Restart, Sca,
+    ReferenceMantri, ReferenceRestart, ReferenceSca, Restart, Sca, SrptNoClone,
 };
 use mapreduce_sched::{ReferenceSrptMsC, SrptMsC};
-use mapreduce_sim::{Scheduler, SimConfig, SimOutcome, Simulation, StragglerModel};
+use mapreduce_sim::{
+    Action, ClusterState, FaultClass, FaultPlan, Scheduler, SimConfig, SimOutcome, Simulation,
+    StragglerModel,
+};
 use mapreduce_support::proptest::prelude::*;
-use mapreduce_workload::{ArrivalProcess, DurationDistribution, Trace, WorkloadBuilder};
+use mapreduce_workload::{ArrivalProcess, DurationDistribution, Phase, Trace, WorkloadBuilder};
+
+/// The sort-based SRPT-noclone policy as it was before it read the engine's
+/// ranked order: collect the alive jobs with unscheduled tasks, sort them by
+/// `w / max(U, MIN_POSITIVE)` (ties by id) on every decision, and hand out
+/// one copy per task in that order.
+struct FrozenSrptNoClone {
+    r: f64,
+    name: String,
+}
+
+impl FrozenSrptNoClone {
+    fn new(r: f64) -> Self {
+        FrozenSrptNoClone {
+            r,
+            name: SrptNoClone::new(r).name().to_string(),
+        }
+    }
+}
+
+impl Scheduler for FrozenSrptNoClone {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn schedule(&mut self, state: &ClusterState<'_>) -> Vec<Action> {
+        let mut actions = Vec::new();
+        let mut budget = state.available_machines();
+        if budget == 0 {
+            return actions;
+        }
+        let mut jobs: Vec<_> = state
+            .alive_jobs()
+            .filter(|j| j.total_unscheduled() > 0)
+            .collect();
+        jobs.sort_by(|a, b| {
+            let pa = a.weight()
+                / a.remaining_effective_workload(self.r)
+                    .max(f64::MIN_POSITIVE);
+            let pb = b.weight()
+                / b.remaining_effective_workload(self.r)
+                    .max(f64::MIN_POSITIVE);
+            pb.total_cmp(&pa).then_with(|| a.id().cmp(&b.id()))
+        });
+        for job in jobs {
+            for phase in [Phase::Map, Phase::Reduce] {
+                if phase == Phase::Reduce && !job.map_phase_complete() {
+                    continue;
+                }
+                for task in job.unscheduled_tasks(phase) {
+                    if budget == 0 {
+                        return actions;
+                    }
+                    actions.push(Action::Launch {
+                        task: task.id(),
+                        copies: 1,
+                    });
+                    budget -= 1;
+                }
+            }
+        }
+        actions
+    }
+}
+
+/// Every optimized scheduler paired with its frozen reference.
+fn reference_pairs() -> Vec<(Box<dyn Scheduler>, Box<dyn Scheduler>)> {
+    vec![
+        (
+            Box::new(SrptMsC::new(0.6, 3.0)),
+            Box::new(ReferenceSrptMsC::new(0.6, 3.0)),
+        ),
+        (Box::new(Mantri::new()), Box::new(ReferenceMantri::new())),
+        (Box::new(Late::new()), Box::new(ReferenceLate::new())),
+        (Box::new(Restart::new()), Box::new(ReferenceRestart::new())),
+        (
+            Box::new(FairScheduler::new()),
+            Box::new(ReferenceFair::new()),
+        ),
+        (Box::new(Fifo::new()), Box::new(ReferenceFifo::new())),
+        (Box::new(Sca::new()), Box::new(ReferenceSca::new())),
+        (
+            Box::new(SrptNoClone::new(3.0)),
+            Box::new(FrozenSrptNoClone::new(3.0)),
+        ),
+    ]
+}
 
 /// A randomized workload with both phases, heavy-tailed durations and mixed
 /// weights, so every code path (cloning, backfill, detection, precedence) is
@@ -36,13 +128,26 @@ fn random_trace(jobs: usize, seed: u64, mean_interarrival: f64, map_mean: f64) -
 }
 
 fn run(scheduler: &mut dyn Scheduler, trace: &Trace, machines: usize, seed: u64) -> SimOutcome {
+    run_with_plan(scheduler, trace, machines, seed, FaultPlan::none())
+}
+
+fn run_with_plan(
+    scheduler: &mut dyn Scheduler,
+    trace: &Trace,
+    machines: usize,
+    seed: u64,
+    plan: FaultPlan,
+) -> SimOutcome {
     // Machine stragglers make detection-based schedulers actually speculate.
-    let config = SimConfig::new(machines)
+    let mut config = SimConfig::new(machines)
         .with_seed(seed)
         .with_straggler_model(StragglerModel::MachineSlowdown {
             probability: 0.15,
             factor: 5.0,
         });
+    if !plan.is_empty() {
+        config = config.with_fault_plan(plan);
+    }
     Simulation::new(config, trace)
         .run(scheduler)
         .expect("simulation must complete")
@@ -174,6 +279,84 @@ proptest! {
         assert_equivalent("fifo", &mut Fifo::new(), &mut ReferenceFifo::new(), &trace, machines, seed)?;
         assert_equivalent("sca", &mut Sca::new(), &mut ReferenceSca::new(), &trace, machines, seed)?;
     }
+
+    #[test]
+    fn golden_srpt_noclone_matches_frozen_sort(
+        jobs in 5usize..30,
+        machines in 4usize..48,
+        seed in 0u64..1000,
+        interarrival in 1.0f64..60.0,
+        r in 0.0f64..4.0,
+    ) {
+        let trace = random_trace(jobs, seed, interarrival, 60.0);
+        assert_equivalent(
+            "srpt-noclone",
+            &mut SrptNoClone::new(r),
+            &mut FrozenSrptNoClone::new(r),
+            &trace,
+            machines,
+            seed,
+        )?;
+    }
+
+}
+
+proptest! {
+    // Cheap cases (each run is a few hundred slots) and a rare divergence
+    // class (a silent kill must land on the earlier copy of a cloned task
+    // and move it past a detector's threshold): more cases than above.
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Every pair again under a random crash plan, optionally with a
+    /// brown-out class on the remaining machines. Fault kills are the one
+    /// engine event a scheduler's hooks do not all see (killing one copy of
+    /// a cloned task is silent), so schedulers that cache conclusions about
+    /// running tasks across decisions must still match the rescanning
+    /// references here.
+    #[test]
+    fn golden_pairs_match_references_under_fault_plans(
+        jobs in 10usize..30,
+        machines in 6usize..32,
+        seed in 0u64..1000,
+        crash_fraction in 0.5f64..1.0,
+        mean_up in 100.0f64..600.0,
+        down_fraction in 0.05f64..0.4,
+        brownouts in 0u64..2,
+    ) {
+        let trace = random_trace(jobs, seed, 20.0, 60.0);
+        let crashed = ((machines as f64 * crash_fraction) as usize).max(1);
+        let mut classes = vec![FaultClass::crashes(
+            crashed,
+            mean_up,
+            (mean_up * down_fraction).max(1.0),
+        )];
+        if brownouts == 1 && crashed < machines {
+            classes.push(FaultClass::brownouts(
+                machines - crashed,
+                mean_up / 2.0,
+                mean_up * down_fraction,
+                3.0,
+            ));
+        }
+        let plan = FaultPlan::new(classes);
+        plan.validate(machines);
+        for (mut optimized, mut reference) in reference_pairs() {
+            let a = run_with_plan(optimized.as_mut(), &trace, machines, seed, plan.clone());
+            let b = run_with_plan(reference.as_mut(), &trace, machines, seed, plan.clone());
+            prop_assert!(
+                a == b,
+                "{}: optimized and reference outcomes diverge under faults \
+                 (machines {machines}, seed {seed}, {} copies killed): \
+                 mean flowtime {} vs {}, copies {} vs {}",
+                a.scheduler,
+                a.copies_killed_by_fault,
+                a.mean_flowtime(),
+                b.mean_flowtime(),
+                a.total_copies,
+                b.total_copies
+            );
+        }
+    }
 }
 
 /// The committed benchmark scenario itself must also be equivalence-clean:
@@ -185,22 +368,7 @@ fn golden_bench_scenario_matches_reference() {
     let trace = scenario.trace(seed);
     let machines = scenario.machines;
 
-    let cases: Vec<(Box<dyn Scheduler>, Box<dyn Scheduler>)> = vec![
-        (
-            Box::new(SrptMsC::new(0.6, 3.0)),
-            Box::new(ReferenceSrptMsC::new(0.6, 3.0)),
-        ),
-        (Box::new(Mantri::new()), Box::new(ReferenceMantri::new())),
-        (Box::new(Late::new()), Box::new(ReferenceLate::new())),
-        (Box::new(Restart::new()), Box::new(ReferenceRestart::new())),
-        (
-            Box::new(FairScheduler::new()),
-            Box::new(ReferenceFair::new()),
-        ),
-        (Box::new(Fifo::new()), Box::new(ReferenceFifo::new())),
-        (Box::new(Sca::new()), Box::new(ReferenceSca::new())),
-    ];
-    for (mut optimized, mut reference) in cases {
+    for (mut optimized, mut reference) in reference_pairs() {
         let config = SimConfig::new(machines).with_seed(seed);
         let a = Simulation::new(config.clone(), &trace)
             .run(optimized.as_mut())
