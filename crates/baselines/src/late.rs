@@ -1,4 +1,4 @@
-//! LATE — Longest Approximate Time to End ([28] in the paper).
+//! LATE — Longest Approximate Time to End (\[28\] in the paper).
 //!
 //! LATE speculates on the running task whose *estimated time to completion*
 //! is the longest, but only if its progress rate is below a slow-task

@@ -3,10 +3,10 @@
 //!
 //! * [`Mantri`] — Microsoft Mantri's resource-aware speculative execution:
 //!   straggler *detection* based on the remaining-vs-restart comparison
-//!   `t_rem > 2·t_new` ([4] in the paper). This is the main baseline of the
+//!   `t_rem > 2·t_new` (\[4\] in the paper). This is the main baseline of the
 //!   evaluation section.
 //! * [`Sca`] — the Smart Cloning Algorithm of the authors' earlier work
-//!   ([26]): decides clone counts per job at launch time by (a greedy
+//!   (\[26\]): decides clone counts per job at launch time by (a greedy
 //!   water-filling equivalent of) a convex program over the concave speedup
 //!   function.
 //! * [`FairScheduler`] — Hadoop's weighted fair scheduler, the `ε = 1`
@@ -24,9 +24,9 @@
 //! All of them implement [`mapreduce_sim::Scheduler`] and can be swapped into
 //! any experiment or example.
 //!
-//! The [`reference`] module holds frozen pre-optimization copies of the
-//! schedulers, used by the golden-equivalence tests and the benchmark
-//! baselines.
+//! The [`reference`](mod@reference) module holds frozen pre-optimization
+//! copies of the schedulers, used by the golden-equivalence tests and the
+//! benchmark baselines.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

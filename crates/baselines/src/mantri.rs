@@ -1,4 +1,4 @@
-//! Microsoft Mantri's resource-aware speculative execution ([4] in the
+//! Microsoft Mantri's resource-aware speculative execution (\[4\] in the
 //! paper).
 //!
 //! Mantri monitors the progress of every running task, estimates its
@@ -18,7 +18,7 @@
 //!   the job's completed tasks, falling back to the phase mean from the job's
 //!   statistics when nothing has completed yet,
 //! * `δ` is folded into a configurable slack factor on the `2×` threshold,
-//! * at most one backup copy per task ([4] caps outstanding duplicates), and
+//! * at most one backup copy per task (\[4\] caps outstanding duplicates), and
 //!   backups are only launched when machines are idle (resource awareness).
 //!
 //! Job-level allocation (which job's tasks get free machines first) uses the

@@ -1,4 +1,4 @@
-//! SCA — the Smart Cloning Algorithm ([26], "Optimization for speculative
+//! SCA — the Smart Cloning Algorithm (\[26\], "Optimization for speculative
 //! execution in a MapReduce-like cluster").
 //!
 //! SCA decides, for every arriving job, how many clones each of its tasks

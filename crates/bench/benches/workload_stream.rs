@@ -112,28 +112,13 @@ fn bench_workload_stream(c: &mut Criterion) {
     );
     group.finish();
 
-    // Pipeline gate (release mode, every CI run): the pipelined engine —
-    // producer thread feeding admissions, consumer thread folding records —
-    // must be bit-identical to the serial oracle at the 100k-job scale the
-    // proptests can't reach.
-    let serial = run_streaming(
+    // Serial oracle for the telemetry gate below: one fresh run of the
+    // 100k-job stream that the bare and observed reruns must reproduce.
+    let oracle = run_streaming(
         fullscale.job_source(fullscale_seed),
         fullscale.machines,
         fullscale_seed,
     );
-    let piped = Simulation::from_source(
-        SimConfig::new(fullscale.machines)
-            .with_seed(fullscale_seed)
-            .with_pipeline(true),
-        fullscale.job_source(fullscale_seed),
-    )
-    .run(&mut Fifo::new())
-    .expect("pipelined run must complete");
-    assert_eq!(
-        serial, piped,
-        "pipelined and serial engines diverged at 100k-job scale"
-    );
-    println!("workload stream: pipelined 100k-job run is bit-identical to the serial oracle");
 
     // Telemetry gate (release mode, every CI run): the same 100k-job stream
     // with the full observer stack attached — counter/histogram fold, the
@@ -157,7 +142,7 @@ fn bench_workload_stream(c: &mut Criterion) {
             fullscale_seed,
         );
         bare_ns = bare_ns.min(bare_start.elapsed().as_nanos().max(1) as u64);
-        assert_eq!(serial, bare, "bare rerun diverged from the serial oracle");
+        assert_eq!(oracle, bare, "bare rerun diverged from the serial oracle");
         telemetry = mapreduce_metrics::SimTelemetry::new();
         recorder = mapreduce_metrics::TraceRecorder::new(200_000);
         let observed_start = std::time::Instant::now();
@@ -169,7 +154,7 @@ fn bench_workload_stream(c: &mut Criterion) {
         .expect("observed run must complete");
         observed_ns = observed_ns.min(observed_start.elapsed().as_nanos().max(1) as u64);
         assert_eq!(
-            serial, observed,
+            oracle, observed,
             "attaching observers changed the 100k-job outcome"
         );
     }

@@ -13,8 +13,7 @@
 //! gprofng display text -functions /tmp/prof.er | head -40
 //! ```
 //!
-//! Arguments: `[jobs] [fifo|srptmsc] [serial|pipeline]` (defaults:
-//! `200000 srptmsc serial`).
+//! Arguments: `[jobs] [fifo|srptmsc]` (defaults: `200000 srptmsc`).
 
 use mapreduce_baselines::Fifo;
 use mapreduce_experiments::{Scenario, WorkloadSource};
@@ -29,7 +28,6 @@ fn main() {
         .map(|s| s.parse().expect("jobs must be a number"))
         .unwrap_or(200_000);
     let which = args.next().unwrap_or_else(|| "srptmsc".into());
-    let mode = args.next().unwrap_or_else(|| "serial".into());
 
     // The stream1m/stream10m construction at the requested scale: 10 jobs
     // per machine, arrival window stretched to hold the paper's ≈45 % load.
@@ -51,12 +49,7 @@ fn main() {
     };
     let config = SimConfig::new(scenario.machines)
         .with_seed(seed)
-        .with_profile_stages(true)
-        .with_pipeline(match mode.as_str() {
-            "serial" => false,
-            "pipeline" => true,
-            other => panic!("unknown mode {other:?} (use serial|pipeline)"),
-        });
+        .with_profile_stages(true);
 
     let start = std::time::Instant::now();
     let outcome = Simulation::from_source(config, scenario.job_source(seed))

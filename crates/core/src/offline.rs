@@ -5,7 +5,7 @@
 //! free, hands it a task from the highest-priority job that still has
 //! unscheduled tasks — map tasks first, then reduce tasks. No clones are made
 //! (with more tasks than machines, cloning cannot help when `s(x) ≤ x`, as
-//! argued in Section IV via [3]).
+//! argued in Section IV via \[3\]).
 //!
 //! Reduce tasks may be launched before their job's Map phase completes; they
 //! then occupy their machine without progressing, exactly as the algorithm

@@ -7,8 +7,9 @@
 //!
 //! * [`cell_fingerprint`] — the canonical [`Fingerprint`] of a cell: the
 //!   FNV-1a-128 hash of a canonical JSON document covering the
-//!   [`SimConfig`](mapreduce_sim::SimConfig) the runner builds (machines, seed, speed, straggler
-//!   model, …), the workload description ([`GoogleTraceProfile`] +
+//!   [`SimConfig`](mapreduce_sim::SimConfig) the runner builds (machines,
+//!   seed, speed, straggler model, …), the workload description
+//!   ([`GoogleTraceProfile`](mapreduce_workload::GoogleTraceProfile) +
 //!   [`WorkloadSource`]) and the scheduler id with its parameters. Two cells
 //!   agree on their fingerprint iff they agree on everything that can
 //!   influence the outcome. Golden tests pin concrete hashes so the

@@ -6,8 +6,8 @@
 //! plain integers so snapshots are bit-reproducible across hosts. Like
 //! [`crate::StreamingFlowtime`], every piece is **shard-mergeable** —
 //! [`MetricsRegistry::merge`] folds another snapshot in associatively and
-//! commutatively, so the pipeline's metrics thread (or future event-loop
-//! shards) can each fold their own registry and combine at the end.
+//! commutatively, so independent runs (or future event-loop shards) can
+//! each fold their own registry and combine at the end.
 //!
 //! Storage is `BTreeMap`-backed, so iteration and JSON serialisation are in
 //! deterministic name order.

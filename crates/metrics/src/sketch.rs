@@ -32,8 +32,8 @@
 //!
 //! Like [`crate::StreamingFlowtime`] and [`crate::MetricsRegistry`], the
 //! sketch is **shard-mergeable**: [`QuantileSketch::merge`] is associative
-//! and commutative, so per-shard sketches folded by a pipelined engine (or
-//! per-cell sketches of a sweep) combine in any tree order into the sketch
+//! and commutative, so per-shard sketches (for example the per-cell
+//! sketches of a sweep) combine in any tree order into the sketch
 //! a single-pass fold would have produced — bit-identically, since every
 //! field is an integer.
 //!

@@ -146,7 +146,7 @@ impl FlowtimeSummary {
 
 /// Single-pass, `O(1)`-memory flowtime accumulator for runs too large to
 /// hold a per-job flowtime vector comfortably — the `stream10m` tier's ten
-/// million records, or a pipelined engine folding records as they complete.
+/// million records, folded as they complete.
 ///
 /// Tracks exactly the moments that don't need the full sample: job count,
 /// unweighted/weighted flowtime sums and the maximum. Quantiles (median,

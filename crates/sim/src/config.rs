@@ -308,19 +308,12 @@ pub struct SimConfig {
     /// the overflow map. A pure performance knob — any width produces the
     /// bit-identical trajectory. See [`crate::events::EventQueue`].
     pub event_ring_bits: u8,
-    /// Run the [`crate::Simulation`]'s source-pull and record-folding stages
-    /// on pipeline threads around the event loop (bounded SPSC channels)
-    /// instead of inline. A pure performance knob — the trajectory and the
-    /// resulting [`crate::SimOutcome`] are bit-identical either way, which
-    /// is why the flag is deliberately **excluded** from the JSON encoding
-    /// (it must not change experiment-cache fingerprints). Default `false`:
-    /// the serial path stays the oracle.
-    pub pipeline: bool,
     /// Record per-stage wall-clock totals (source pull, event delivery,
     /// scheduler decisions, metrics folding) into the outcome's
     /// `stage_*_ns` fields. Profiling-only: costs two `Instant` reads per
-    /// stage slice, never affects the trajectory, and — like `pipeline` —
-    /// is excluded from the JSON encoding. Default `false`.
+    /// stage slice, never affects the trajectory, and is therefore
+    /// excluded from the JSON encoding (it must not change
+    /// experiment-cache fingerprints). Default `false`.
     pub profile_stages: bool,
     /// Machine crash/recovery and brown-out dynamics. The default (empty)
     /// plan injects nothing and is bit-identical to a run without fault
@@ -347,7 +340,6 @@ impl SimConfig {
             straggler: StragglerModel::None,
             periodic_wakeup: None,
             event_ring_bits: crate::events::DEFAULT_RING_BITS,
-            pipeline: false,
             profile_stages: false,
             fault_plan: FaultPlan::none(),
         }
@@ -404,12 +396,6 @@ impl SimConfig {
     /// Sets a periodic scheduler wakeup interval.
     pub fn with_periodic_wakeup(mut self, every: u64) -> Self {
         self.periodic_wakeup = Some(every.max(1));
-        self
-    }
-
-    /// Enables (or disables) the pipeline-parallel run stages.
-    pub fn with_pipeline(mut self, pipeline: bool) -> Self {
-        self.pipeline = pipeline;
         self
     }
 
@@ -491,9 +477,8 @@ impl FromJson for SimConfig {
                 }
                 None => crate::events::DEFAULT_RING_BITS,
             },
-            // Execution-strategy knobs: deliberately not serialised (they
-            // cannot change results, so they must not change fingerprints).
-            pipeline: false,
+            // Execution-strategy knob: deliberately not serialised (it
+            // cannot change results, so it must not change fingerprints).
             profile_stages: false,
             // Absent means empty: configs serialised before fault injection
             // existed (and all no-fault configs since) parse identically.
@@ -595,22 +580,19 @@ mod tests {
 
     #[test]
     fn execution_knobs_are_fingerprint_neutral() {
-        // `pipeline`/`profile_stages` change how a run executes, never what
-        // it produces; serialising them would cold every content-addressed
-        // cache cell for no semantic reason.
-        let cfg = SimConfig::new(3)
-            .with_pipeline(true)
-            .with_profile_stages(true);
-        assert!(cfg.pipeline && cfg.profile_stages);
+        // `profile_stages` changes how a run executes, never what it
+        // produces; serialising it would cold every content-addressed cache
+        // cell for no semantic reason.
+        let cfg = SimConfig::new(3).with_profile_stages(true);
+        assert!(cfg.profile_stages);
         let json = cfg.to_json();
-        assert!(json.get("pipeline").is_none());
         assert!(json.get("profile_stages").is_none());
         assert_eq!(
             json.to_compact_string(),
             SimConfig::new(3).to_json().to_compact_string()
         );
         let back = SimConfig::from_json(&json).unwrap();
-        assert!(!back.pipeline && !back.profile_stages);
+        assert!(!back.profile_stages);
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! Copies are stored struct-of-arrays: the fields the per-decision scans
 //! touch (phase, start, duration, sequence — everything behind
 //! [`CopyRef::progress`], [`CopyRef::remaining`] and the event liveness
-//! check) live in one dense [`HotCopy`] table, while the fields only read on
-//! task completion or in tests ([`ColdCopy`]: owning task, launch slot, end
+//! check) live in one dense `HotCopy` table, while the fields only read on
+//! task completion or in tests (`ColdCopy`: owning task, launch slot, end
 //! slot) live in a parallel table the hot scans never pull into cache.
 
 use crate::state::Slot;
@@ -247,7 +247,7 @@ impl CopyList {
 ///
 /// The arena used to grow monotonically — `O(total copies)` memory, the last
 /// whole-workload memory term of a streaming run. The engine now
-/// [frees](CopyArena::free) every copy slot of a job the moment the job
+/// frees every copy slot of a job the moment the job
 /// completes (its records are captured first), and the allocators reuse
 /// freed slots LIFO, so the slot table is bounded by the **peak alive
 /// window** ([`CopyArena::peak_slots`]) rather than the run length. Two

@@ -63,7 +63,6 @@ use crate::telemetry::{
     CancelReason, CopyCancelled, CopyFinished, CopyLaunched, DecisionInstant, NoopObserver,
     SimObserver,
 };
-use mapreduce_support::channel::{spsc_channel, SpscSender};
 use mapreduce_support::rng::{Rng, SimRng};
 use mapreduce_workload::{JobSource, MaterializedSource, Phase, TaskId, Trace};
 use std::fmt;
@@ -83,8 +82,8 @@ use std::time::Instant;
 pub struct Simulation {
     config: SimConfig,
     /// `Some` until [`Simulation::run`] consumes it — the source is taken
-    /// out up front so it can move onto the pipeline's producer thread (or
-    /// into the serial feed) without borrowing the engine.
+    /// out up front so the event loop can pull from it while mutably
+    /// borrowing the engine.
     source: Option<Box<dyn JobSource>>,
     /// Runtime state of the admitted jobs, indexed by dense job id. Grows as
     /// the source is consumed; completed jobs stay (records and scalar state
@@ -364,65 +363,6 @@ fn pull_next(
     Ok(Some(job))
 }
 
-/// Where the event loop gets its next validated job from: the source
-/// directly (serial mode, the default oracle) or a bounded channel fed by a
-/// producer thread (pipeline mode). Both yield the identical job stream —
-/// validation errors included, since the producer sends them in-order after
-/// every preceding job.
-enum JobFeed {
-    /// Pull + validate inline on the event-loop thread.
-    Serial {
-        source: Box<dyn JobSource>,
-        demands: IndexDemands,
-        next_index: usize,
-        last_arrival: Slot,
-    },
-    /// Receive pre-validated jobs from the pipeline's producer thread.
-    Piped {
-        rx: mapreduce_support::channel::SpscReceiver<Result<JobState, SimError>>,
-    },
-}
-
-impl JobFeed {
-    fn serial(source: Box<dyn JobSource>, demands: IndexDemands) -> Self {
-        JobFeed::Serial {
-            source,
-            demands,
-            next_index: 0,
-            last_arrival: 0,
-        }
-    }
-
-    /// The next job of the stream, or `None` once the source is exhausted.
-    fn next(&mut self) -> Result<Option<JobState>, SimError> {
-        match self {
-            JobFeed::Serial {
-                source,
-                demands,
-                next_index,
-                last_arrival,
-            } => {
-                let job = pull_next(source.as_mut(), *next_index, *last_arrival, *demands)?;
-                if let Some(job) = &job {
-                    *next_index += 1;
-                    *last_arrival = job.arrival();
-                }
-                Ok(job)
-            }
-            JobFeed::Piped { rx } => match rx.recv() {
-                None => Ok(None),
-                Some(Ok(job)) => Ok(Some(job)),
-                Some(Err(e)) => Err(e),
-            },
-        }
-    }
-}
-
-/// In-flight bound of the pipeline channels: deep enough to decouple the
-/// stages' burst patterns, small enough that backpressure (not memory) is
-/// what holds back a ten-million-job source.
-const PIPELINE_BUFFER: usize = 256;
-
 /// Per-stage wall-clock accumulator ([`SimConfig::profile_stages`]). When
 /// disabled, `begin` returns `None` and every lap is 0 — the hot loop pays a
 /// branch, not a clock read.
@@ -481,6 +421,8 @@ impl Simulation {
     /// * [`SimError::HorizonExceeded`] if [`SimConfig::max_slots`] is reached.
     /// * [`SimError::UnknownTask`] if the scheduler references a task outside
     ///   the trace.
+    /// * [`SimError::InvalidSourceJob`] if the source yields a job with a
+    ///   non-dense id or an arrival behind its predecessor's.
     pub fn run(self, scheduler: &mut dyn Scheduler) -> Result<SimOutcome, SimError> {
         self.run_with_observer(scheduler, &mut NoopObserver)
     }
@@ -488,10 +430,13 @@ impl Simulation {
     /// Runs the simulation to completion with the given scheduler, streaming
     /// lifecycle events to `observer` (see [`crate::telemetry`]).
     ///
-    /// The run loop is monomorphized over the observer type: [`NoopObserver`]
-    /// compiles to the observer-free engine, and any observer receives facts
-    /// strictly after the engine applied them, so the trajectory — and the
-    /// returned [`SimOutcome`] — is bit-identical with or without one.
+    /// One serial event loop on the caller's thread pulls, validates and
+    /// admits jobs, delivers each decision instant's events, asks the
+    /// scheduler and folds completion records. The loop is monomorphized
+    /// over the observer type: [`NoopObserver`] compiles to the
+    /// observer-free engine, and any observer receives facts strictly after
+    /// the engine applied them, so the trajectory — and the returned
+    /// [`SimOutcome`] — is bit-identical with or without one.
     ///
     /// # Errors
     ///
@@ -504,105 +449,13 @@ impl Simulation {
         if self.config.num_machines == 0 {
             return Err(SimError::NoMachines);
         }
-        let source = self.source.take().expect("a simulation runs exactly once");
+        let mut source = self.source.take().expect("a simulation runs exactly once");
         let total_jobs = source.total_jobs();
         // Maintain only the per-job indices this scheduler consumes; keeping
         // a sorted index current costs O(running width) per launch/finish,
         // which wide jobs turn into a real tax under schedulers that never
         // read it.
         let demands = scheduler.index_demands();
-        if self.config.pipeline {
-            self.run_pipelined(scheduler, source, demands, total_jobs, observer)
-        } else {
-            let mut feed = JobFeed::serial(source, demands);
-            self.run_loop(scheduler, &mut feed, None, total_jobs, observer)
-        }
-    }
-
-    /// Pipeline mode: the job producer and the record consumer run on their
-    /// own scoped threads, talking to the event loop through bounded SPSC
-    /// channels, so source synthesis/parsing and record folding overlap the
-    /// decision path on multi-core hosts. The trajectory — and therefore the
-    /// [`SimOutcome`] — is bit-identical to the serial path: the producer
-    /// ships the exact in-order job stream `pull_next` yields (validation
-    /// errors included), and the consumer re-establishes the job-id record
-    /// order the serial path sorts into.
-    ///
-    /// Shutdown relies on the channels' disconnect semantics: an engine
-    /// error drops the receiving feed, which fails the producer's next
-    /// `send` and lets it exit instead of deadlocking on a full channel;
-    /// dropping the record sender ends the consumer's stream.
-    fn run_pipelined<O: SimObserver>(
-        &mut self,
-        scheduler: &mut dyn Scheduler,
-        source: Box<dyn JobSource>,
-        demands: IndexDemands,
-        total_jobs: usize,
-        observer: &mut O,
-    ) -> Result<SimOutcome, SimError> {
-        std::thread::scope(|scope| {
-            let (job_tx, job_rx) = spsc_channel::<Result<JobState, SimError>>(PIPELINE_BUFFER);
-            scope.spawn(move || {
-                let mut feed = JobFeed::serial(source, demands);
-                loop {
-                    match feed.next() {
-                        Ok(Some(job)) => {
-                            if job_tx.send(Ok(job)).is_err() {
-                                return; // engine stopped consuming (error path)
-                            }
-                        }
-                        // Dropping the sender ends the stream; an error is
-                        // delivered in-order and ends it too, exactly where
-                        // the serial feed would have surfaced it.
-                        Ok(None) => return,
-                        Err(e) => {
-                            let _ = job_tx.send(Err(e));
-                            return;
-                        }
-                    }
-                }
-            });
-
-            let (record_tx, record_rx) = spsc_channel::<JobRecord>(PIPELINE_BUFFER);
-            let consumer = scope.spawn(move || {
-                let mut records: Vec<JobRecord> = Vec::new();
-                while let Some(record) = record_rx.recv() {
-                    records.push(record);
-                }
-                // Records stream in completion order; outcomes report job-id
-                // order (same sort the serial path runs).
-                records.sort_by_key(|r| r.job);
-                records
-            });
-
-            let mut feed = JobFeed::Piped { rx: job_rx };
-            let result =
-                self.run_loop(scheduler, &mut feed, Some(&record_tx), total_jobs, observer);
-            // Wake both stages regardless of how the loop ended: the
-            // consumer sees end-of-stream, a still-blocked producer sees a
-            // gone receiver.
-            drop(record_tx);
-            drop(feed);
-            let records = consumer.join().expect("record consumer panicked");
-            result.map(|mut outcome| {
-                outcome.replace_records(records);
-                outcome
-            })
-        })
-    }
-
-    /// The event loop itself, shared verbatim by the serial and pipelined
-    /// modes: jobs come from `feed`, completion records go to `record_tx`
-    /// when given (pipeline mode) and into the locally sorted record vector
-    /// otherwise.
-    fn run_loop<O: SimObserver>(
-        &mut self,
-        scheduler: &mut dyn Scheduler,
-        feed: &mut JobFeed,
-        record_tx: Option<&SpscSender<JobRecord>>,
-        total_jobs: usize,
-        observer: &mut O,
-    ) -> Result<SimOutcome, SimError> {
         let total_machines = self.config.num_machines;
         let mut rng = SimRng::seed_from_u64(self.config.seed);
 
@@ -635,14 +488,18 @@ impl Simulation {
             pool.seed_events(&mut queue);
             ctx.pool = Some(pool);
         }
-        // Pull-ahead cursor on the feed: exactly one not-yet-admitted job
+        // Pull-ahead cursor on the source: exactly one not-yet-admitted job
         // is held in `pending`; its arrival competes with the queue head for
         // the next decision instant, and once that instant is chosen every
         // pending job arriving at it is admitted (jobs vector + arrival
         // event) before the batch is drained — so same-slot arrivals land in
         // one batch, exactly as when all arrivals were queued up front.
+        // `next_index` is the dense id the next pulled job must carry and
+        // `last_arrival` the arrival of the last admitted one.
         let t0 = clock.begin();
-        let mut pending = feed.next()?;
+        let mut next_index = 0;
+        let mut last_arrival: Slot = 0;
+        let mut pending = pull_next(source.as_mut(), next_index, last_arrival, demands)?;
         clock.source_ns += StageClock::lap(t0);
         let mut now: Slot = 0;
         // Reused across decision instants so the hot loop never allocates for
@@ -714,7 +571,9 @@ impl Simulation {
                 ctx.stats.resident_jobs += 1;
                 ctx.stats.peak_resident_jobs =
                     ctx.stats.peak_resident_jobs.max(ctx.stats.resident_jobs);
-                pending = feed.next()?;
+                next_index += 1;
+                last_arrival = arrival;
+                pending = pull_next(source.as_mut(), next_index, last_arrival, demands)?;
             }
             clock.source_ns += StageClock::lap(t0);
 
@@ -784,13 +643,7 @@ impl Simulation {
                                     true_workload: job.spec().true_total_workload(),
                                 };
                                 observer.on_job_completed(&record);
-                                if let Some(tx) = record_tx {
-                                    // A dead consumer only happens if it
-                                    // panicked; the join below surfaces that.
-                                    let _ = tx.send(record);
-                                } else {
-                                    ctx.records.push(record);
-                                }
+                                ctx.records.push(record);
                                 clock.metrics_ns += StageClock::lap(tm);
                                 // Recycle the job's copy slots before the
                                 // id lists are dropped: the arena, like the
@@ -920,9 +773,7 @@ impl Simulation {
 
         // ---- collect records ----
         // Records were captured at completion time (completion order);
-        // outcomes report them in job-id order. In pipelined mode the
-        // consumer thread holds them instead — `run_pipelined` splices its
-        // sorted batch in after the join.
+        // outcomes report them in job-id order.
         let t0 = clock.begin();
         let mut records = ctx.records;
         records.sort_by_key(|r| r.job);
@@ -1942,5 +1793,61 @@ mod tests {
         .run(&mut MaxCloneScheduler::new(3))
         .unwrap();
         assert_eq!(base, with_empty_plan);
+    }
+
+    /// A source that yields hand-written specs verbatim, contract or not.
+    struct ScriptedSource(std::vec::IntoIter<mapreduce_workload::JobSpec>);
+
+    impl JobSource for ScriptedSource {
+        fn name(&self) -> &str {
+            "scripted"
+        }
+
+        fn total_jobs(&self) -> usize {
+            3
+        }
+
+        fn next_job(&mut self) -> Option<mapreduce_workload::JobSpec> {
+            self.0.next()
+        }
+
+        fn resident_jobs(&self) -> usize {
+            self.0.len()
+        }
+    }
+
+    /// Runs two valid jobs followed by `(id, arrival)` as the third and
+    /// returns the run's result.
+    fn run_with_third_job(id: u64, arrival: Slot) -> Result<SimOutcome, SimError> {
+        let spec = |id: u64, arrival: Slot| {
+            JobSpecBuilder::new(JobId::new(id))
+                .arrival(arrival)
+                .map_tasks_from_workloads(&[3.0])
+                .build()
+        };
+        let specs = vec![spec(0, 0), spec(1, 5), spec(id, arrival)];
+        Simulation::from_source(
+            SimConfig::new(2),
+            Box::new(ScriptedSource(specs.into_iter())),
+        )
+        .run(&mut GreedyFifo::new())
+    }
+
+    #[test]
+    fn source_skipping_a_dense_id_is_rejected_at_its_index() {
+        let err = run_with_third_job(3, 8).unwrap_err();
+        assert!(
+            matches!(err, SimError::InvalidSourceJob { index: 2, .. }),
+            "unexpected error: {err}"
+        );
+    }
+
+    #[test]
+    fn source_with_backwards_arrival_is_rejected_at_its_index() {
+        let err = run_with_third_job(2, 4).unwrap_err();
+        assert!(
+            matches!(err, SimError::InvalidSourceJob { index: 2, .. }),
+            "unexpected error: {err}"
+        );
     }
 }

@@ -17,7 +17,7 @@
 //! engine pulls jobs in arrival order ([`Simulation::from_source`]) and
 //! releases each job's task storage at completion, so runs are bounded by
 //! the alive window rather than the workload size — see
-//! [`engine`](crate::engine) for the admission/trajectory guarantees.
+//! [`engine`] for the admission/trajectory guarantees.
 //!
 //! # Event path
 //!

@@ -279,13 +279,6 @@ impl SimOutcome {
         &self.records
     }
 
-    /// Replaces the record set wholesale. The engine's pipelined mode folds
-    /// records on a consumer thread and splices the sorted batch in here
-    /// after the join; callers must hand over job-id order.
-    pub(crate) fn replace_records(&mut self, records: Vec<JobRecord>) {
-        self.records = records;
-    }
-
     /// The record of one job, if it exists.
     pub fn record(&self, job: JobId) -> Option<&JobRecord> {
         self.records.iter().find(|r| r.job == job)

@@ -1188,7 +1188,7 @@ impl AliveIndex {
 
     /// Reverse of [`AliveIndex::note_first_launch`]: a fault returned one
     /// task of job `idx` to the unscheduled pool. Call *after*
-    /// [`JobState::note_task_unlaunched`] updated the job's own counters.
+    /// `JobState::note_task_unlaunched` updated the job's own counters.
     /// The job re-enters `ψ^s(l)` (the unscheduled-weight aggregate and, if
     /// enabled, the priority order) if this was its first unscheduled task.
     pub fn note_task_unlaunched(&mut self, idx: usize, job: &JobState) {
@@ -1338,7 +1338,7 @@ pub struct ClusterState<'a> {
 
 impl<'a> ClusterState<'a> {
     /// Builds a snapshot from explicit parts. Aggregates are computed on
-    /// demand by scanning; the engine uses [`ClusterState::from_index`]
+    /// demand by scanning; the engine uses `ClusterState::from_index`
     /// instead. Public so scheduler crates can unit-test their policies
     /// against hand-crafted states without running a full simulation.
     pub fn new(
@@ -1573,7 +1573,7 @@ impl<'a> ClusterState<'a> {
 
     /// Reports how many ranked candidates the scheduler materialised this
     /// decision; the engine folds the per-decision maximum into
-    /// [`crate::SimOutcome::ranked_prefix_len_max`]. Schedulers that do not
+    /// [`crate::RunTelemetry::ranked_prefix_len_max`]. Schedulers that do not
     /// consume the ranked order simply never call this.
     pub fn note_ranked_prefix(&self, len: usize) {
         if len > self.ranked_prefix_consumed.get() {

@@ -3,7 +3,7 @@
 //! The benches under `crates/bench` were written against Criterion's API;
 //! with no crates.io access this module supplies the subset they use:
 //! [`Criterion`], benchmark groups, [`BenchmarkId`], `Bencher::iter`, and the
-//! [`criterion_group!`]/[`criterion_main!`] macros. Each benchmark runs a
+//! [`criterion_group!`](crate::criterion_group)/[`criterion_main!`](crate::criterion_main) macros. Each benchmark runs a
 //! short warm-up followed by `sample_size` timed iterations and prints
 //! `name … mean [min .. max]`. Results are retained on the [`Criterion`]
 //! value so benches can export them (e.g. `BENCH_engine.json`).

@@ -15,10 +15,7 @@
 //!   keyed by (stands in for `sha2`/`siphasher`-style crates).
 //! * [`parallel`] — order-preserving fork-join map over scoped threads,
 //!   honouring `RAYON_NUM_THREADS` (stands in for `rayon`/`crossbeam`).
-//! * [`channel`] — bounded SPSC channel on `Mutex`+`Condvar` with
-//!   disconnect-aware blocking send/recv, backing the engine's
-//!   pipeline-parallel run stages (stands in for `crossbeam-channel`).
-//! * [`proptest`] — a miniature property-testing harness with a
+//! * [`proptest`](mod@proptest) — a miniature property-testing harness with a
 //!   `proptest`-flavoured macro surface.
 //! * [`criterion`] — a miniature benchmark harness with a
 //!   Criterion-flavoured API.
@@ -30,7 +27,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod channel;
 pub mod criterion;
 pub mod hash;
 pub mod json;
@@ -38,7 +34,6 @@ pub mod parallel;
 pub mod proptest;
 pub mod rng;
 
-pub use channel::{spsc_channel, SpscReceiver, SpscSender};
 pub use hash::{Fingerprint, Fnv1a128};
 pub use json::{FromJson, JsonError, JsonValue, ToJson};
 pub use parallel::par_map;

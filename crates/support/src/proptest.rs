@@ -1,7 +1,7 @@
 //! A miniature property-testing harness with a `proptest`-flavoured surface.
 //!
 //! The real `proptest` crate is not available offline, so this module
-//! provides the small subset the workspace's tests use: the [`proptest!`]
+//! provides the small subset the workspace's tests use: the [`proptest!`](crate::proptest!)
 //! macro wrapping `fn name(arg in strategy, …) { … }` test bodies, range and
 //! collection strategies, `prop_assert!`/`prop_assert_eq!`, and a
 //! [`ProptestConfig`] with a configurable case count. Inputs are drawn from a

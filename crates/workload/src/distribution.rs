@@ -3,7 +3,7 @@
 //! The paper models straggling through the *workload* of a task: every task of
 //! a phase draws its workload i.i.d. from a phase-specific distribution with
 //! known mean `E` and standard deviation `σ`, and measurement studies cited in
-//! the paper ([4], [26]) report heavy-tailed (Pareto-like) task durations.
+//! the paper (\[4\], \[26\]) report heavy-tailed (Pareto-like) task durations.
 //!
 //! [`DurationDistribution`] is the single enum the rest of the workspace uses:
 //! the trace generator samples ground-truth workloads from it, the simulator

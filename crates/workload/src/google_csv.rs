@@ -4,9 +4,9 @@
 //! The paper's evaluation extracts its workload from the Google cluster
 //! trace (clusterdata-2011): the `task_events` table records one row per
 //! task state transition. This module turns that row stream into the
-//! [`JobSpec`]s the simulator consumes, **parsing incrementally** — rows are
-//! read line by line and folded into per-task aggregates, so the file is
-//! never loaded into memory as a whole.
+//! [`JobSpec`](crate::JobSpec)s the simulator consumes, **parsing
+//! incrementally** — rows are read line by line and folded into per-task
+//! aggregates, so the file is never loaded into memory as a whole.
 //!
 //! # Field mapping
 //!

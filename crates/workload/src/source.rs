@@ -40,12 +40,7 @@ use mapreduce_support::rng::SimRng;
 /// A pull-based stream of jobs in arrival order.
 ///
 /// See the [module documentation](self) for the ordering/id contract.
-///
-/// `Send` is a supertrait so the simulation engine's pipeline mode can run
-/// the producer on its own thread; every source here is a plain owned value
-/// (materialised specs, an RNG cursor, a converted trace), so the bound
-/// costs implementors nothing.
-pub trait JobSource: Send {
+pub trait JobSource {
     /// Short stable label for reports and benchmark ids.
     fn name(&self) -> &str;
 

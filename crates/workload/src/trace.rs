@@ -329,8 +329,9 @@ impl TraceStats {
         acc.finish()
     }
 
-    /// Computes the statistics by folding over a [`JobSource`] — the
-    /// streaming counterpart of [`TraceStats::from_trace`]: jobs are pulled
+    /// Computes the statistics by folding over a
+    /// [`JobSource`](crate::JobSource) — the streaming counterpart of
+    /// [`TraceStats::from_trace`]: jobs are pulled
     /// in arrival order, folded, and dropped, so the full workload is never
     /// resident. Feeding the materialised twin of a stream through
     /// [`TraceStats::from_trace`] produces **bit-identical** statistics (the

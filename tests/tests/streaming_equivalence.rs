@@ -83,44 +83,6 @@ proptest! {
         }
     }
 
-    /// Pipelined engine vs serial oracle, bit-identical for every golden
-    /// scheduler: moving the source pull onto a producer thread and the
-    /// record fold onto a consumer thread is an execution strategy, not a
-    /// semantic change.
-    #[test]
-    fn pipelined_and_serial_outcomes_are_bit_identical(
-        jobs in 8usize..40,
-        machines in 4usize..64,
-        seed in 0u64..1000,
-    ) {
-        let profile = GoogleTraceProfile::scaled(jobs);
-        let stream = StreamingGenerator::new(profile, seed);
-        for (serial_side, piped_side) in golden_suite().iter_mut().zip(golden_suite().iter_mut()) {
-            let serial = run_from_source(
-                serial_side.as_mut(),
-                Box::new(stream.clone()),
-                machines,
-                seed,
-            );
-            let piped = Simulation::from_source(
-                SimConfig::new(machines).with_seed(seed).with_pipeline(true),
-                Box::new(stream.clone()),
-            )
-            .run(piped_side.as_mut())
-            .expect("pipelined run must complete");
-            prop_assert!(
-                serial == piped,
-                "{}: pipelined and serial outcomes diverge (jobs {jobs}, machines {machines}, \
-                 seed {seed}): mean flowtime {} vs {}, copies {} vs {}",
-                serial.scheduler,
-                serial.mean_flowtime(),
-                piped.mean_flowtime(),
-                serial.total_copies,
-                piped.total_copies
-            );
-        }
-    }
-
     /// A MaterializedSource feed is equivalent to handing the trace over
     /// directly — the adapter introduces nothing of its own.
     #[test]

@@ -4,7 +4,7 @@
 //! run with the full observer stack attached (counter/histogram fold plus
 //! Chrome-trace recorder) must produce a **bit-identical**
 //! [`SimOutcome`] to the same run without it, across the whole golden
-//! scheduler suite, with and without fault plans, and in pipelined mode.
+//! scheduler suite, with and without fault plans.
 //! These proptests pin that, plus the consistency laws tying the folded
 //! registry back to the outcome's own conservation counters, plus the
 //! self-validation of the exported trace against the registry.
@@ -197,34 +197,5 @@ proptest! {
                 config(machines, seed, Some(plan.clone())),
             )?;
         }
-    }
-
-    /// Pipelined mode: the producer/consumer engine with observers attached
-    /// still matches the bare serial oracle bit for bit.
-    #[test]
-    fn observers_are_invisible_in_pipelined_mode(
-        jobs in 5usize..20,
-        machines in 4usize..24,
-        seed in 0u64..500,
-    ) {
-        let trace = random_trace(jobs, seed, 40.0);
-        let serial = run_bare(
-            &mut SrptMsC::new(0.6, 3.0),
-            &trace,
-            config(machines, seed, None),
-        );
-        let (piped, registry, _recorder) = run_observed(
-            &mut SrptMsC::new(0.6, 3.0),
-            &trace,
-            config(machines, seed, None).with_pipeline(true),
-        );
-        prop_assert!(
-            serial == piped,
-            "pipelined observed run diverged from the serial bare oracle"
-        );
-        prop_assert_eq!(
-            registry.counter(names::JOBS_COMPLETED) as usize,
-            piped.records().len()
-        );
     }
 }
