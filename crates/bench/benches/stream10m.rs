@@ -13,9 +13,11 @@
 //!   counter shows how little of the alive set a decision touches even after
 //!   ten million admissions.
 //!
-//! Peak-resident counters (jobs, copy slots) land in the report extras and
-//! are enforced by the CI bench-guard's memory check; the per-stage
-//! wall-clock split (source/events/decision/metrics) rides along for
+//! [`mapreduce_bench::bench_stream_tier`] runs both and records the report
+//! extras: peak-resident counters (jobs, copy slots), enforced by the CI
+//! bench-guard's memory check, mean flowtimes, and the wall-clock layer
+//! split measured from outside
+//! (`stream10m_<sched>_{source,schedule,hook,engine_self}_ns`) for
 //! localising regressions.
 //!
 //! Run with `MAPREDUCE_BENCH_WARMUP=0 cargo bench -p mapreduce-bench
@@ -24,164 +26,12 @@
 //! tens of minutes of wall clock. `sample_size(1)` — the run is its own
 //! population — and skipping the untimed warm-up halves the cost.
 
-use mapreduce_baselines::Fifo;
 use mapreduce_experiments::Scenario;
-use mapreduce_metrics::StreamingFlowtime;
-use mapreduce_sched::SrptMsC;
-use mapreduce_sim::{Scheduler, SimConfig, SimOutcome, Simulation};
-use mapreduce_support::criterion::{BenchmarkId, Criterion};
-use mapreduce_support::json::ToJson;
+use mapreduce_support::criterion::Criterion;
 use mapreduce_support::{criterion_group, criterion_main};
-use std::hint::black_box;
-
-const TOTAL_JOBS: usize = 10_000_000;
-
-/// One streaming run of the ten-million-job scenario, stage profiling on.
-fn run_ten_million(scheduler: &mut dyn Scheduler, scenario: &Scenario, seed: u64) -> SimOutcome {
-    let outcome = Simulation::from_source(
-        SimConfig::new(scenario.machines)
-            .with_seed(seed)
-            .with_profile_stages(true),
-        scenario.job_source(seed),
-    )
-    .run(scheduler)
-    .expect("ten-million-job streaming run must complete");
-    assert_eq!(
-        outcome.records().len(),
-        TOTAL_JOBS,
-        "{} completed only {} of {TOTAL_JOBS} jobs",
-        outcome.scheduler,
-        outcome.records().len()
-    );
-    outcome
-}
-
-/// Human-readable per-stage split of one outcome, for the bench log.
-fn stage_split(outcome: &SimOutcome) -> String {
-    format!(
-        "source {:.2}s, events {:.2}s, decision {:.2}s, metrics {:.2}s",
-        outcome.telemetry.stage_source_ns as f64 / 1e9,
-        outcome.telemetry.stage_events_ns as f64 / 1e9,
-        outcome.telemetry.stage_decision_ns as f64 / 1e9,
-        outcome.telemetry.stage_metrics_ns as f64 / 1e9,
-    )
-}
 
 fn bench_stream10m(c: &mut Criterion) {
-    let scenario = Scenario::ten_million();
-    let seed = scenario.seeds[0];
-
-    let mut group = c.benchmark_group("stream10m");
-    let mut fifo_peak_jobs = 0usize;
-    let mut fifo_peak_slots = 0usize;
-    let mut fifo_copies = 0usize;
-    let mut fifo_stages = (0u64, 0u64, 0u64, 0u64);
-    let mut fifo_flow = StreamingFlowtime::new();
-    group.bench_with_input(BenchmarkId::from_parameter("fifo"), &seed, |b, &seed| {
-        b.iter(|| {
-            let outcome = run_ten_million(&mut Fifo::new(), &scenario, seed);
-            fifo_peak_jobs = outcome.peak_resident_jobs;
-            fifo_peak_slots = outcome.peak_copy_slots;
-            fifo_copies = outcome.total_copies;
-            fifo_stages = (
-                outcome.telemetry.stage_source_ns,
-                outcome.telemetry.stage_events_ns,
-                outcome.telemetry.stage_decision_ns,
-                outcome.telemetry.stage_metrics_ns,
-            );
-            fifo_flow = StreamingFlowtime::from_records(outcome.records());
-            println!("stream10m/fifo stages: {}", stage_split(&outcome));
-            black_box(outcome.mean_flowtime())
-        })
-    });
-    println!(
-        "stream10m/fifo: peak resident {fifo_peak_jobs} jobs, {fifo_peak_slots} copy slots \
-         for {fifo_copies} copies; mean flowtime {:.3}",
-        fifo_flow.mean()
-    );
-
-    let mut srpt_peak_jobs = 0usize;
-    let mut srpt_peak_slots = 0usize;
-    let mut srpt_copies = 0usize;
-    let mut srpt_prefix_max = 0usize;
-    let mut srpt_decisions = 0u64;
-    let mut srpt_stages = (0u64, 0u64, 0u64, 0u64);
-    let mut srpt_flow = StreamingFlowtime::new();
-    group.bench_with_input(BenchmarkId::from_parameter("srptmsc"), &seed, |b, &seed| {
-        b.iter(|| {
-            let outcome = run_ten_million(&mut SrptMsC::new(0.6, 3.0), &scenario, seed);
-            srpt_peak_jobs = outcome.peak_resident_jobs;
-            srpt_peak_slots = outcome.peak_copy_slots;
-            srpt_copies = outcome.total_copies;
-            srpt_prefix_max = outcome.telemetry.ranked_prefix_len_max;
-            srpt_decisions = outcome.telemetry.decision_instants;
-            srpt_stages = (
-                outcome.telemetry.stage_source_ns,
-                outcome.telemetry.stage_events_ns,
-                outcome.telemetry.stage_decision_ns,
-                outcome.telemetry.stage_metrics_ns,
-            );
-            srpt_flow = StreamingFlowtime::from_records(outcome.records());
-            println!("stream10m/srptmsc stages: {}", stage_split(&outcome));
-            black_box(outcome.mean_flowtime())
-        })
-    });
-    println!(
-        "stream10m/srptmsc: peak resident {srpt_peak_jobs} jobs, {srpt_peak_slots} copy slots \
-         for {srpt_copies} copies; {srpt_decisions} decision instants, ranked prefix max \
-         {srpt_prefix_max}; mean flowtime {:.3}",
-        srpt_flow.mean()
-    );
-    group.finish();
-
-    mapreduce_bench::merge_bench_report_with(
-        "stream10m",
-        TOTAL_JOBS,
-        scenario.machines,
-        c.results(),
-        &[
-            ("stream10m_total_jobs", TOTAL_JOBS.to_json()),
-            ("stream10m_peak_resident_jobs", fifo_peak_jobs.to_json()),
-            ("stream10m_peak_copy_slots", fifo_peak_slots.to_json()),
-            ("stream10m_total_copies", fifo_copies.to_json()),
-            (
-                "stream10m_srptmsc_peak_resident_jobs",
-                srpt_peak_jobs.to_json(),
-            ),
-            (
-                "stream10m_srptmsc_peak_copy_slots",
-                srpt_peak_slots.to_json(),
-            ),
-            ("stream10m_srptmsc_total_copies", srpt_copies.to_json()),
-            (
-                "stream10m_srptmsc_decision_instants",
-                srpt_decisions.to_json(),
-            ),
-            (
-                "stream10m_srptmsc_ranked_prefix_len_max",
-                srpt_prefix_max.to_json(),
-            ),
-            ("stream10m_fifo_mean_flowtime", fifo_flow.mean().to_json()),
-            (
-                "stream10m_srptmsc_mean_flowtime",
-                srpt_flow.mean().to_json(),
-            ),
-            ("stream10m_fifo_stage_source_ns", fifo_stages.0.to_json()),
-            ("stream10m_fifo_stage_events_ns", fifo_stages.1.to_json()),
-            ("stream10m_fifo_stage_decision_ns", fifo_stages.2.to_json()),
-            ("stream10m_fifo_stage_metrics_ns", fifo_stages.3.to_json()),
-            ("stream10m_srptmsc_stage_source_ns", srpt_stages.0.to_json()),
-            ("stream10m_srptmsc_stage_events_ns", srpt_stages.1.to_json()),
-            (
-                "stream10m_srptmsc_stage_decision_ns",
-                srpt_stages.2.to_json(),
-            ),
-            (
-                "stream10m_srptmsc_stage_metrics_ns",
-                srpt_stages.3.to_json(),
-            ),
-        ],
-    );
+    mapreduce_bench::bench_stream_tier(c, "stream10m", &Scenario::ten_million());
 }
 
 criterion_group! {

@@ -14,178 +14,25 @@
 //!   tractable (the ranked-prefix counter recorded below shows how little of
 //!   the alive set a decision actually touches).
 //!
-//! Peak-resident counters (jobs, copy slots) are recorded as report extras
-//! and enforced by the CI bench-guard's memory check alongside the timings.
+//! [`mapreduce_bench::bench_stream_tier`] runs both and records the report
+//! extras: peak-resident counters (jobs, copy slots) and the process's peak
+//! RSS (`stream1m_peak_rss_kb`, the `VmHWM` high-water mark after both
+//! runs), which the CI bench-guard's memory check enforces alongside the
+//! timings, plus the wall-clock layer split measured from outside
+//! (`stream1m_<sched>_{source,schedule,hook,engine_self}_ns`, summing to the
+//! last sample's wall clock).
 //!
 //! Run with `cargo bench -p mapreduce-bench --bench stream1m`
 //! (`MAPREDUCE_BENCH_SAMPLES=1` for the CI smoke pass). A real sample takes
 //! minutes: one iteration simulates ≈8 days of cluster time for a million
 //! jobs.
 
-use mapreduce_baselines::Fifo;
 use mapreduce_experiments::Scenario;
-use mapreduce_metrics::QuantileSketch;
-use mapreduce_sched::SrptMsC;
-use mapreduce_sim::{Scheduler, SimConfig, SimOutcome, Simulation};
-use mapreduce_support::criterion::{BenchmarkId, Criterion};
-use mapreduce_support::json::ToJson;
+use mapreduce_support::criterion::Criterion;
 use mapreduce_support::{criterion_group, criterion_main};
-use std::hint::black_box;
-
-const TOTAL_JOBS: usize = 1_000_000;
-
-/// Human-readable per-stage split of one outcome, for the bench log.
-fn stage_split(outcome: &SimOutcome) -> String {
-    format!(
-        "source {:.2}s, events {:.2}s, decision {:.2}s, metrics {:.2}s",
-        outcome.telemetry.stage_source_ns as f64 / 1e9,
-        outcome.telemetry.stage_events_ns as f64 / 1e9,
-        outcome.telemetry.stage_decision_ns as f64 / 1e9,
-        outcome.telemetry.stage_metrics_ns as f64 / 1e9,
-    )
-}
-
-/// One streaming run of the million-job scenario. Stage profiling is on:
-/// the per-stage wall-clock split (source/events/decision/metrics) lands in
-/// the report extras so regressions can be localised without a re-run.
-fn run_million(scheduler: &mut dyn Scheduler, scenario: &Scenario, seed: u64) -> SimOutcome {
-    let outcome = Simulation::from_source(
-        SimConfig::new(scenario.machines)
-            .with_seed(seed)
-            .with_profile_stages(true),
-        scenario.job_source(seed),
-    )
-    .run(scheduler)
-    .expect("million-job streaming run must complete");
-    assert_eq!(
-        outcome.records().len(),
-        TOTAL_JOBS,
-        "{} completed only {} of {TOTAL_JOBS} jobs",
-        outcome.scheduler,
-        outcome.records().len()
-    );
-    outcome
-}
 
 fn bench_stream1m(c: &mut Criterion) {
-    let scenario = Scenario::million();
-    let seed = scenario.seeds[0];
-
-    let mut group = c.benchmark_group("stream1m");
-    let mut fifo_peak_jobs = 0usize;
-    let mut fifo_peak_slots = 0usize;
-    let mut fifo_copies = 0usize;
-    let mut fifo_stages = (0u64, 0u64, 0u64, 0u64);
-    let mut fifo_quantiles = (0u64, 0u64, 0u64);
-    group.bench_with_input(BenchmarkId::from_parameter("fifo"), &seed, |b, &seed| {
-        b.iter(|| {
-            let outcome = run_million(&mut Fifo::new(), &scenario, seed);
-            fifo_peak_jobs = outcome.peak_resident_jobs;
-            fifo_peak_slots = outcome.peak_copy_slots;
-            fifo_copies = outcome.total_copies;
-            fifo_stages = (
-                outcome.telemetry.stage_source_ns,
-                outcome.telemetry.stage_events_ns,
-                outcome.telemetry.stage_decision_ns,
-                outcome.telemetry.stage_metrics_ns,
-            );
-            // The streaming quantile sketch is the only way to report tail
-            // percentiles at this scale without sorting a million-record
-            // vector in the timed path — 3 776 fixed buckets, ≤1/64
-            // relative error (see `mapreduce_metrics::sketch`).
-            let mut sketch = QuantileSketch::new();
-            for record in outcome.records() {
-                sketch.record(record.flowtime());
-            }
-            fifo_quantiles = (
-                sketch.quantile(0.50).expect("million-job sketch non-empty"),
-                sketch.quantile(0.95).expect("million-job sketch non-empty"),
-                sketch.quantile(0.99).expect("million-job sketch non-empty"),
-            );
-            println!("stream1m/fifo stages: {}", stage_split(&outcome));
-            black_box(outcome.mean_flowtime())
-        })
-    });
-    println!(
-        "stream1m/fifo: peak resident {fifo_peak_jobs} jobs, {fifo_peak_slots} copy slots \
-         for {fifo_copies} copies; sketch p50/p95/p99 = {}/{}/{}",
-        fifo_quantiles.0, fifo_quantiles.1, fifo_quantiles.2
-    );
-
-    let mut srpt_peak_jobs = 0usize;
-    let mut srpt_peak_slots = 0usize;
-    let mut srpt_copies = 0usize;
-    let mut srpt_prefix_max = 0usize;
-    let mut srpt_decisions = 0u64;
-    let mut srpt_stages = (0u64, 0u64, 0u64, 0u64);
-    group.bench_with_input(BenchmarkId::from_parameter("srptmsc"), &seed, |b, &seed| {
-        b.iter(|| {
-            let outcome = run_million(&mut SrptMsC::new(0.6, 3.0), &scenario, seed);
-            srpt_peak_jobs = outcome.peak_resident_jobs;
-            srpt_peak_slots = outcome.peak_copy_slots;
-            srpt_copies = outcome.total_copies;
-            srpt_prefix_max = outcome.telemetry.ranked_prefix_len_max;
-            srpt_decisions = outcome.telemetry.decision_instants;
-            srpt_stages = (
-                outcome.telemetry.stage_source_ns,
-                outcome.telemetry.stage_events_ns,
-                outcome.telemetry.stage_decision_ns,
-                outcome.telemetry.stage_metrics_ns,
-            );
-            println!("stream1m/srptmsc stages: {}", stage_split(&outcome));
-            black_box(outcome.mean_flowtime())
-        })
-    });
-    println!(
-        "stream1m/srptmsc: peak resident {srpt_peak_jobs} jobs, {srpt_peak_slots} copy slots \
-         for {srpt_copies} copies; {srpt_decisions} decision instants, ranked prefix max \
-         {srpt_prefix_max}"
-    );
-    group.finish();
-
-    mapreduce_bench::merge_bench_report_with(
-        "stream1m",
-        TOTAL_JOBS,
-        scenario.machines,
-        c.results(),
-        &[
-            ("stream1m_total_jobs", TOTAL_JOBS.to_json()),
-            ("stream1m_sketch_p50", fifo_quantiles.0.to_json()),
-            ("stream1m_sketch_p95", fifo_quantiles.1.to_json()),
-            ("stream1m_sketch_p99", fifo_quantiles.2.to_json()),
-            ("stream1m_peak_resident_jobs", fifo_peak_jobs.to_json()),
-            ("stream1m_peak_copy_slots", fifo_peak_slots.to_json()),
-            ("stream1m_total_copies", fifo_copies.to_json()),
-            (
-                "stream1m_srptmsc_peak_resident_jobs",
-                srpt_peak_jobs.to_json(),
-            ),
-            (
-                "stream1m_srptmsc_peak_copy_slots",
-                srpt_peak_slots.to_json(),
-            ),
-            ("stream1m_srptmsc_total_copies", srpt_copies.to_json()),
-            (
-                "stream1m_srptmsc_decision_instants",
-                srpt_decisions.to_json(),
-            ),
-            (
-                "stream1m_srptmsc_ranked_prefix_len_max",
-                srpt_prefix_max.to_json(),
-            ),
-            ("stream1m_fifo_stage_source_ns", fifo_stages.0.to_json()),
-            ("stream1m_fifo_stage_events_ns", fifo_stages.1.to_json()),
-            ("stream1m_fifo_stage_decision_ns", fifo_stages.2.to_json()),
-            ("stream1m_fifo_stage_metrics_ns", fifo_stages.3.to_json()),
-            ("stream1m_srptmsc_stage_source_ns", srpt_stages.0.to_json()),
-            ("stream1m_srptmsc_stage_events_ns", srpt_stages.1.to_json()),
-            (
-                "stream1m_srptmsc_stage_decision_ns",
-                srpt_stages.2.to_json(),
-            ),
-            ("stream1m_srptmsc_stage_metrics_ns", srpt_stages.3.to_json()),
-        ],
-    );
+    mapreduce_bench::bench_stream_tier(c, "stream1m", &Scenario::million());
 }
 
 criterion_group! {

@@ -12,7 +12,10 @@
 //!   full cost of a run that never materialises its trace.
 //! * `stream100k/fifo` — the 100 000-job fullscale regime the streaming
 //!   subsystem exists for, in bounded memory (peak resident jobs ≪ total;
-//!   both counts are recorded in the report entry).
+//!   both counts are recorded in the report entry, next to
+//!   `stream100k_peak_rss_kb`, the process's `VmHWM` high-water mark read
+//!   right after this variant — it covers every run of the process so far,
+//!   not this variant alone).
 //!
 //! Before any timing, the bench asserts that the streaming feed's outcome is
 //! **bit-identical** to running its materialised twin — the same invariant
@@ -111,6 +114,8 @@ fn bench_workload_stream(c: &mut Criterion) {
         fullscale.machines
     );
     group.finish();
+    let peak_rss_kb = mapreduce_bench::peak_rss_kb().unwrap_or(0);
+    println!("workload stream: process peak RSS {peak_rss_kb} KiB after the 100k-job runs");
 
     // Serial oracle for the telemetry gate below: one fresh run of the
     // 100k-job stream that the bare and observed reruns must reproduce.
@@ -210,6 +215,7 @@ fn bench_workload_stream(c: &mut Criterion) {
             ("stream100k_peak_resident_jobs", peak_100k.to_json()),
             ("stream100k_total_copies", copies_100k.to_json()),
             ("stream100k_peak_copy_slots", peak_slots_100k.to_json()),
+            ("stream100k_peak_rss_kb", peak_rss_kb.to_json()),
             ("stream100k_sketch_p50", sketch_p50.to_json()),
             ("stream100k_sketch_p95", sketch_p95.to_json()),
             ("stream100k_sketch_p99", sketch_p99.to_json()),

@@ -1,6 +1,7 @@
 //! Developer harness: one streaming run in the `stream1m` regime (10 jobs
-//! per machine, offered load ≈45 %) at an arbitrary scale, with the engine's
-//! per-stage wall-clock split printed at the end.
+//! per machine, offered load ≈45 %) at an arbitrary scale, with the
+//! wall-clock layer split ([`mapreduce_bench::timed`]: source, schedule,
+//! hook, engine) printed at the end.
 //!
 //! Useful for iterating on engine/decision-path performance without paying
 //! for a full million-job bench sample, and as the target for a sampling
@@ -13,12 +14,15 @@
 //! gprofng display text -functions /tmp/prof.er | head -40
 //! ```
 //!
-//! Arguments: `[jobs] [fifo|srptmsc]` (defaults: `200000 srptmsc`).
+//! Arguments: `[jobs] [fifo|srptmsc]` (defaults: `200000 srptmsc`). The run
+//! panics unless every job completed and the engine's own share of the wall
+//! clock is non-zero, so CI runs it as a smoke test.
 
 use mapreduce_baselines::Fifo;
+use mapreduce_bench::timed::run_timed;
 use mapreduce_experiments::{Scenario, WorkloadSource};
 use mapreduce_sched::SrptMsC;
-use mapreduce_sim::{Scheduler, SimConfig, Simulation};
+use mapreduce_sim::{Scheduler, SimConfig};
 use mapreduce_workload::GoogleTraceProfile;
 
 fn main() {
@@ -47,32 +51,24 @@ fn main() {
         "srptmsc" => Box::new(SrptMsC::new(0.6, 3.0)),
         other => panic!("unknown scheduler {other:?} (use fifo|srptmsc)"),
     };
-    let config = SimConfig::new(scenario.machines)
-        .with_seed(seed)
-        .with_profile_stages(true);
+    let config = SimConfig::new(scenario.machines).with_seed(seed);
 
-    let start = std::time::Instant::now();
-    let outcome = Simulation::from_source(config, scenario.job_source(seed))
-        .run(scheduler.as_mut())
+    let (outcome, split) = run_timed(config, scenario.job_source(seed), scheduler.as_mut())
         .expect("profile run must complete");
-    let wall = start.elapsed();
 
-    assert_eq!(outcome.records().len(), jobs);
+    assert_eq!(outcome.records().len(), jobs, "not every job completed");
+    assert!(
+        split.engine_self_ns() > 0,
+        "engine share not measured: {split}"
+    );
     println!(
-        "{} jobs / {} machines / {}: {:.3}s wall, mean flowtime {:.3}",
+        "{} jobs / {} machines / {}: mean flowtime {:.3}",
         jobs,
         scenario.machines,
         outcome.scheduler,
-        wall.as_secs_f64(),
         outcome.mean_flowtime()
     );
-    println!(
-        "stages: source {:.3}s, events {:.3}s, decision {:.3}s, metrics {:.3}s",
-        outcome.telemetry.stage_source_ns as f64 / 1e9,
-        outcome.telemetry.stage_events_ns as f64 / 1e9,
-        outcome.telemetry.stage_decision_ns as f64 / 1e9,
-        outcome.telemetry.stage_metrics_ns as f64 / 1e9,
-    );
+    println!("layers: {split}");
     println!(
         "counters: {} copies, {} decision instants, peak resident {}, ranked prefix max {}",
         outcome.total_copies,

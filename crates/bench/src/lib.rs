@@ -8,13 +8,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use mapreduce_experiments::Scenario;
+use mapreduce_experiments::{Scenario, SchedulerKind};
+use mapreduce_metrics::QuantileSketch;
 use mapreduce_sim::{Scheduler, SimConfig, SimOutcome, Simulation};
-use mapreduce_support::criterion::BenchResult;
+use mapreduce_support::criterion::{BenchResult, BenchmarkId, Criterion};
 use mapreduce_support::json::{JsonValue, ToJson};
 use mapreduce_workload::Trace;
 use std::collections::HashMap;
 use std::path::Path;
+
+pub mod timed;
 
 /// The scenario every benchmark runs: a scaled-down Google-like trace
 /// (300 jobs, ~590 machines, single seed) that preserves the paper's
@@ -49,6 +52,103 @@ pub fn run_reference(
     Simulation::new(config, trace)
         .run(scheduler)
         .unwrap_or_else(|e| panic!("reference run with {} failed: {e}", scheduler.name()))
+}
+
+/// Benches one streaming tier (`stream1m`, `stream10m`): FIFO, the engine
+/// and feed floor, then SRPTMS+C, each over `scenario`'s first seed wrapped
+/// in the [`timed`] delegates, and merges one report entry named `tier`.
+///
+/// Per scheduler the entry records the alive-window peaks, copies, decision
+/// counters and flowtime sketch p50/p95/p99 (under `<tier>_…` for FIFO and
+/// `<tier>_srptmsc_…` for SRPTMS+C, the names the tiers always used), the
+/// mean flowtime and the last sample's layer split under
+/// `<tier>_<sched>_{mean_flowtime,source_ns,schedule_ns,hook_ns,engine_self_ns}`,
+/// and once the process's peak RSS as `<tier>_peak_rss_kb`.
+///
+/// # Panics
+/// Panics if a run fails or completes fewer jobs than the scenario holds.
+pub fn bench_stream_tier(c: &mut Criterion, tier: &str, scenario: &Scenario) {
+    let seed = scenario.seeds[0];
+    let total_jobs = scenario.profile.num_jobs;
+    let schedulers = [
+        ("fifo", SchedulerKind::Fifo),
+        ("srptmsc", SchedulerKind::paper_default()),
+    ];
+    let mut extras = vec![(format!("{tier}_total_jobs"), total_jobs.to_json())];
+    let mut group = c.benchmark_group(tier);
+    for (name, kind) in schedulers {
+        // FIFO's counters predate the per-scheduler names.
+        let counters_prefix = match name {
+            "fifo" => tier.to_string(),
+            _ => format!("{tier}_{name}"),
+        };
+        let mut last = Vec::new();
+        group.bench_with_input(BenchmarkId::from_parameter(name), &seed, |b, &seed| {
+            b.iter(|| {
+                let config = SimConfig::new(scenario.machines).with_seed(seed);
+                let (outcome, split) =
+                    timed::run_timed(config, scenario.job_source(seed), kind.build().as_mut())
+                        .unwrap_or_else(|e| panic!("{tier}/{name} failed: {e}"));
+                let done = outcome.records().len();
+                assert_eq!(done, total_jobs, "{tier}/{name} completed {done} jobs");
+                println!("{tier}/{name}: {split}");
+                // The sketch reports tail percentiles without sorting the
+                // records: fixed buckets, ≤1/64 relative error.
+                let mut sketch = QuantileSketch::new();
+                outcome
+                    .records()
+                    .iter()
+                    .for_each(|r| sketch.record(r.flowtime()));
+                let quantile = |q| sketch.quantile(q).expect("the tier completed jobs");
+                let counters = [
+                    ("peak_resident_jobs", outcome.peak_resident_jobs as u64),
+                    ("peak_copy_slots", outcome.peak_copy_slots as u64),
+                    ("total_copies", outcome.total_copies as u64),
+                    ("decision_instants", outcome.telemetry.decision_instants),
+                    (
+                        "ranked_prefix_len_max",
+                        outcome.telemetry.ranked_prefix_len_max as u64,
+                    ),
+                    ("sketch_p50", quantile(0.50)),
+                    ("sketch_p95", quantile(0.95)),
+                    ("sketch_p99", quantile(0.99)),
+                ];
+                let layers = [
+                    ("mean_flowtime", outcome.mean_flowtime().to_json()),
+                    ("source_ns", split.source_ns.to_json()),
+                    ("schedule_ns", split.schedule_ns.to_json()),
+                    ("hook_ns", split.hook_ns.to_json()),
+                    ("engine_self_ns", split.engine_self_ns().to_json()),
+                ];
+                last = counters
+                    .map(|(key, n)| (format!("{counters_prefix}_{key}"), n.to_json()))
+                    .into_iter()
+                    .chain(layers.map(|(key, v)| (format!("{tier}_{name}_{key}"), v)))
+                    .collect();
+                std::hint::black_box(outcome.mean_flowtime())
+            })
+        });
+        extras.append(&mut last);
+    }
+    group.finish();
+    extras.push((
+        format!("{tier}_peak_rss_kb"),
+        peak_rss_kb().unwrap_or(0).to_json(),
+    ));
+    let extras: Vec<(&str, JsonValue)> = extras
+        .iter()
+        .map(|(k, v)| (k.as_str(), v.clone()))
+        .collect();
+    merge_bench_report_with(tier, total_jobs, scenario.machines, c.results(), &extras);
+}
+
+/// The process's peak resident set size in KiB (`VmHWM` in
+/// `/proc/self/status`): the high-water mark of the whole process so far,
+/// not of one run. `None` where procfs is unavailable.
+pub fn peak_rss_kb() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    line.split_whitespace().nth(1)?.parse().ok()
 }
 
 /// Path of the tracked engine-performance report at the workspace root.
@@ -91,7 +191,7 @@ pub fn merge_bench_report_with(
     jobs: usize,
     machines: usize,
     results: &[BenchResult],
-    extras: &[(&'static str, JsonValue)],
+    extras: &[(&str, JsonValue)],
 ) {
     if mapreduce_support::criterion::env_sample_override().is_some() {
         println!(
@@ -208,6 +308,8 @@ pub fn find_regressions(report: &JsonValue, factor: f64) -> Vec<(String, f64, f6
 /// simulation state, not wall clock), so unlike the timing guard there is no
 /// noise allowance to design around — the factor exists only to let
 /// legitimate workload growth land together with its re-baselined report.
+/// The `*_peak_rss_kb` extras (process `VmHWM`) also depend on the
+/// allocator and host; the same factor applies to them.
 /// Extras without a recorded baseline (first run, new key) are skipped.
 pub fn find_memory_regressions(report: &JsonValue, factor: f64) -> Vec<(String, f64, f64)> {
     let mut regressions = Vec::new();
@@ -294,7 +396,7 @@ pub fn merge_bench_report_at_with(
     jobs: usize,
     machines: usize,
     results: &[BenchResult],
-    extras: &[(&'static str, JsonValue)],
+    extras: &[(&str, JsonValue)],
 ) {
     let existing = std::fs::read_to_string(path)
         .ok()
@@ -354,19 +456,20 @@ pub fn merge_bench_report_at_with(
             JsonValue::object(fields)
         })
         .collect();
-    let mut entry_fields: Vec<(&'static str, JsonValue)> = vec![
+    let mut entry = JsonValue::object([
         ("benchmark", JsonValue::String(benchmark.to_string())),
         ("jobs", jobs.to_json()),
         ("machines", machines.to_json()),
         ("results", JsonValue::Array(result_values)),
-    ];
-    for (key, value) in extras {
-        entry_fields.push((key, value.clone()));
+    ]);
+    if let JsonValue::Object(fields) = &mut entry {
+        for (key, value) in extras {
+            fields.insert(key.to_string(), value.clone());
+        }
+        if !prev_extras.is_empty() {
+            fields.insert("prev_extras".into(), JsonValue::Object(prev_extras));
+        }
     }
-    if !prev_extras.is_empty() {
-        entry_fields.push(("prev_extras", JsonValue::Object(prev_extras)));
-    }
-    let entry = JsonValue::object(entry_fields);
 
     match entries
         .iter()
@@ -392,6 +495,14 @@ mod tests {
         assert_eq!(bench_scenario().profile.num_jobs, 300);
         assert_eq!(sweep_scenario().profile.num_jobs, 150);
         assert_eq!(bench_scenario().seeds.len(), 1);
+    }
+
+    #[test]
+    fn reads_own_peak_rss() {
+        if std::path::Path::new("/proc/self/status").exists() {
+            let kb = peak_rss_kb().expect("VmHWM present on procfs");
+            assert!(kb > 0);
+        }
     }
 
     fn result(id: &str, mean: f64) -> BenchResult {

@@ -300,7 +300,7 @@ pub fn run_cell_observed<O: mapreduce_sim::telemetry::SimObserver>(
 /// same `(kind, scenario, seed)` — the observer seam is read-only — which
 /// `reproduce --trace-out` re-asserts on every invocation. The returned
 /// registry includes the engine-side [`mapreduce_sim::RunTelemetry`] fold,
-/// so it carries both event counts and stage timings.
+/// so it carries both observer event counts and engine decision counters.
 pub fn run_cell_traced(
     kind: SchedulerKind,
     scenario: &Scenario,

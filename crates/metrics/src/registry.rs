@@ -386,12 +386,12 @@ mod tests {
         r.inc("copies_launched", 3);
         r.inc("copies_launched", 2);
         r.inc("noop", 0);
-        r.record("decision_cost_ns", 100);
-        r.record("decision_cost_ns", 900);
+        r.record("job_flowtime", 100);
+        r.record("job_flowtime", 900);
         assert_eq!(r.counter("copies_launched"), 5);
         assert_eq!(r.counter("never_touched"), 0);
         assert_eq!(r.counter("noop"), 0, "inc by 0 does not create a counter");
-        assert_eq!(r.histogram("decision_cost_ns").unwrap().count(), 2);
+        assert_eq!(r.histogram("job_flowtime").unwrap().count(), 2);
         assert!(r.histogram("missing").is_none());
     }
 

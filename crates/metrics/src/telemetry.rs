@@ -5,10 +5,7 @@
 //! attach it via [`mapreduce_sim::Simulation::run_with_observer`] and every
 //! event folds into a [`MetricsRegistry`] at counter cost. All folded
 //! quantities are simulation facts (slots, counts), so two runs of the same
-//! configuration produce byte-identical registries — with the single
-//! documented exception of the `decision_cost_ns` histogram, which is fed by
-//! [`DecisionInstant::wall_ns`] and therefore only non-zero (and only
-//! host-dependent) when `SimConfig::with_profile_stages` is on.
+//! configuration produce byte-identical registries.
 //!
 //! Counter and histogram names are published as constants in [`names`] so
 //! exporters ([`crate::TraceRecorder`]) and tests compare against the same
@@ -70,37 +67,21 @@ pub mod names {
     pub const JOB_FLOWTIME: &str = "job_flowtime";
     /// Histogram: ranked-candidate prefix consumed per decision instant.
     pub const RANKED_PREFIX: &str = "ranked_prefix";
-    /// Histogram: wall-clock nanoseconds per decision instant (all-zero
-    /// unless `SimConfig::with_profile_stages` is on).
-    pub const DECISION_COST_NS: &str = "decision_cost_ns";
 
     /// Counters [`super::fold_run_telemetry`] adds from a run's
     /// [`mapreduce_sim::RunTelemetry`], prefixed to keep engine-side numbers
     /// apart from observer-side ones.
     pub const ENGINE_DECISION_INSTANTS: &str = "engine_decision_instants";
-    /// Engine-side stage timing counter (see [`super::fold_run_telemetry`]).
-    pub const STAGE_SOURCE_NS: &str = "stage_source_ns";
-    /// Engine-side stage timing counter (see [`super::fold_run_telemetry`]).
-    pub const STAGE_EVENTS_NS: &str = "stage_events_ns";
-    /// Engine-side stage timing counter (see [`super::fold_run_telemetry`]).
-    pub const STAGE_DECISION_NS: &str = "stage_decision_ns";
-    /// Engine-side stage timing counter (see [`super::fold_run_telemetry`]).
-    pub const STAGE_METRICS_NS: &str = "stage_metrics_ns";
     /// Histogram fed one sample per folded run: the run's largest
     /// ranked-candidate prefix.
     pub const RANKED_PREFIX_LEN_MAX: &str = "ranked_prefix_len_max";
 }
 
-/// Folds a run's engine-side [`RunTelemetry`] into a registry: stage
-/// nanoseconds and decision counts add as counters (shard-mergeable across
-/// cells of a sweep), the per-run ranked-prefix maximum lands as one
-/// histogram sample.
+/// Folds a run's engine-side [`RunTelemetry`] into a registry: decision
+/// counts add as a counter (shard-mergeable across cells of a sweep), the
+/// per-run ranked-prefix maximum lands as one histogram sample.
 pub fn fold_run_telemetry(registry: &mut MetricsRegistry, telemetry: &RunTelemetry) {
     registry.inc(names::ENGINE_DECISION_INSTANTS, telemetry.decision_instants);
-    registry.inc(names::STAGE_SOURCE_NS, telemetry.stage_source_ns);
-    registry.inc(names::STAGE_EVENTS_NS, telemetry.stage_events_ns);
-    registry.inc(names::STAGE_DECISION_NS, telemetry.stage_decision_ns);
-    registry.inc(names::STAGE_METRICS_NS, telemetry.stage_metrics_ns);
     registry.record(
         names::RANKED_PREFIX_LEN_MAX,
         telemetry.ranked_prefix_len_max as u64,
@@ -189,7 +170,6 @@ pub struct SimTelemetry {
     cancel_latency: Log2Histogram,
     job_flowtime: Log2Histogram,
     ranked_prefix: Log2Histogram,
-    decision_cost_ns: Log2Histogram,
     /// Streaming flowtime quantile sketches (all jobs + the paper's
     /// small/big figure windows), folded one `JobCompleted` at a time.
     sketches: FlowtimeSketches,
@@ -222,7 +202,6 @@ impl SimTelemetry {
         registry.merge_histogram(names::CANCEL_LATENCY, &self.cancel_latency);
         registry.merge_histogram(names::JOB_FLOWTIME, &self.job_flowtime);
         registry.merge_histogram(names::RANKED_PREFIX, &self.ranked_prefix);
-        registry.merge_histogram(names::DECISION_COST_NS, &self.decision_cost_ns);
         registry
     }
 
@@ -323,7 +302,6 @@ impl SimObserver for SimTelemetry {
         self.cancel_actions += event.cancel_actions as u64;
         self.copies_requested += event.copies_requested as u64;
         self.ranked_prefix.record(event.ranked_prefix as u64);
-        self.decision_cost_ns.record(event.wall_ns);
     }
 }
 
@@ -380,9 +358,6 @@ mod tests {
         let h = registry.histogram(names::JOB_FLOWTIME).unwrap();
         assert_eq!(h.count(), outcome.records().len() as u64);
         assert!((h.mean() - outcome.mean_flowtime()).abs() < 1e-9);
-        // Profiling was off: every decision cost sample is 0.
-        let cost = registry.histogram(names::DECISION_COST_NS).unwrap();
-        assert_eq!(cost.bucket(0), cost.count());
         // The flowtime sketches folded every completed job, with exact
         // extremes and the small/big windows partitioning below 4000.
         let sketches = telemetry.sketches();
@@ -411,20 +386,14 @@ mod tests {
         let a = RunTelemetry {
             decision_instants: 10,
             ranked_prefix_len_max: 4,
-            stage_source_ns: 100,
-            stage_events_ns: 200,
-            stage_decision_ns: 300,
-            stage_metrics_ns: 400,
         };
         let b = RunTelemetry {
             decision_instants: 5,
             ranked_prefix_len_max: 9,
-            ..RunTelemetry::default()
         };
         fold_run_telemetry(&mut registry, &a);
         fold_run_telemetry(&mut registry, &b);
         assert_eq!(registry.counter(names::ENGINE_DECISION_INSTANTS), 15);
-        assert_eq!(registry.counter(names::STAGE_DECISION_NS), 300);
         let h = registry.histogram(names::RANKED_PREFIX_LEN_MAX).unwrap();
         assert_eq!(h.count(), 2);
         assert_eq!(h.max(), 9);

@@ -308,13 +308,6 @@ pub struct SimConfig {
     /// the overflow map. A pure performance knob — any width produces the
     /// bit-identical trajectory. See [`crate::events::EventQueue`].
     pub event_ring_bits: u8,
-    /// Record per-stage wall-clock totals (source pull, event delivery,
-    /// scheduler decisions, metrics folding) into the outcome's
-    /// `stage_*_ns` fields. Profiling-only: costs two `Instant` reads per
-    /// stage slice, never affects the trajectory, and is therefore
-    /// excluded from the JSON encoding (it must not change
-    /// experiment-cache fingerprints). Default `false`.
-    pub profile_stages: bool,
     /// Machine crash/recovery and brown-out dynamics. The default (empty)
     /// plan injects nothing and is bit-identical to a run without fault
     /// injection; it is serialised **only when non-empty**, so existing
@@ -340,7 +333,6 @@ impl SimConfig {
             straggler: StragglerModel::None,
             periodic_wakeup: None,
             event_ring_bits: crate::events::DEFAULT_RING_BITS,
-            profile_stages: false,
             fault_plan: FaultPlan::none(),
         }
     }
@@ -396,12 +388,6 @@ impl SimConfig {
     /// Sets a periodic scheduler wakeup interval.
     pub fn with_periodic_wakeup(mut self, every: u64) -> Self {
         self.periodic_wakeup = Some(every.max(1));
-        self
-    }
-
-    /// Enables (or disables) per-stage wall-clock profiling.
-    pub fn with_profile_stages(mut self, profile: bool) -> Self {
-        self.profile_stages = profile;
         self
     }
 
@@ -477,9 +463,6 @@ impl FromJson for SimConfig {
                 }
                 None => crate::events::DEFAULT_RING_BITS,
             },
-            // Execution-strategy knob: deliberately not serialised (it
-            // cannot change results, so it must not change fingerprints).
-            profile_stages: false,
             // Absent means empty: configs serialised before fault injection
             // existed (and all no-fault configs since) parse identically.
             fault_plan: match value.get("fault_plan") {
@@ -576,23 +559,6 @@ mod tests {
             }
             assert!(SimConfig::from_json(&json).is_err(), "bits {bad} accepted");
         }
-    }
-
-    #[test]
-    fn execution_knobs_are_fingerprint_neutral() {
-        // `profile_stages` changes how a run executes, never what it
-        // produces; serialising it would cold every content-addressed cache
-        // cell for no semantic reason.
-        let cfg = SimConfig::new(3).with_profile_stages(true);
-        assert!(cfg.profile_stages);
-        let json = cfg.to_json();
-        assert!(json.get("profile_stages").is_none());
-        assert_eq!(
-            json.to_compact_string(),
-            SimConfig::new(3).to_json().to_compact_string()
-        );
-        let back = SimConfig::from_json(&json).unwrap();
-        assert!(!back.profile_stages);
     }
 
     #[test]

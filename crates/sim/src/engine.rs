@@ -66,7 +66,6 @@ use crate::telemetry::{
 use mapreduce_support::rng::{Rng, SimRng};
 use mapreduce_workload::{JobSource, MaterializedSource, Phase, TaskId, Trace};
 use std::fmt;
-use std::time::Instant;
 
 /// A single simulation run: one job source, one configuration, one
 /// scheduler.
@@ -363,28 +362,6 @@ fn pull_next(
     Ok(Some(job))
 }
 
-/// Per-stage wall-clock accumulator ([`SimConfig::profile_stages`]). When
-/// disabled, `begin` returns `None` and every lap is 0 — the hot loop pays a
-/// branch, not a clock read.
-#[derive(Debug, Default)]
-struct StageClock {
-    enabled: bool,
-    source_ns: u64,
-    events_ns: u64,
-    decision_ns: u64,
-    metrics_ns: u64,
-}
-
-impl StageClock {
-    fn begin(&self) -> Option<Instant> {
-        self.enabled.then(Instant::now)
-    }
-
-    fn lap(t0: Option<Instant>) -> u64 {
-        t0.map_or(0, |t| t.elapsed().as_nanos() as u64)
-    }
-}
-
 impl Simulation {
     /// Creates a simulation over the given trace.
     ///
@@ -465,10 +442,6 @@ impl Simulation {
         if let Some(r) = scheduler.priority_r() {
             alive.enable_priority(r);
         }
-        let mut clock = StageClock {
-            enabled: self.config.profile_stages,
-            ..StageClock::default()
-        };
         let mut ctx = RunCtx {
             stats: RunStats {
                 available: total_machines,
@@ -496,11 +469,9 @@ impl Simulation {
         // one batch, exactly as when all arrivals were queued up front.
         // `next_index` is the dense id the next pulled job must carry and
         // `last_arrival` the arrival of the last admitted one.
-        let t0 = clock.begin();
         let mut next_index = 0;
         let mut last_arrival: Slot = 0;
         let mut pending = pull_next(source.as_mut(), next_index, last_arrival, demands)?;
-        clock.source_ns += StageClock::lap(t0);
         let mut now: Slot = 0;
         // Reused across decision instants so the hot loop never allocates for
         // event delivery or scheduler decisions.
@@ -558,7 +529,6 @@ impl Simulation {
             // The source yields non-decreasing arrivals, so the admission
             // frontier is exactly the pending jobs with arrival == now; their
             // arrival events join the batch drained below.
-            let t0 = clock.begin();
             while pending.as_ref().is_some_and(|j| j.arrival() <= now) {
                 let job = pending.take().expect("checked above");
                 let idx = self.jobs.len();
@@ -575,7 +545,6 @@ impl Simulation {
                 last_arrival = arrival;
                 pending = pull_next(source.as_mut(), next_index, last_arrival, demands)?;
             }
-            clock.source_ns += StageClock::lap(t0);
 
             ctx.stats.decision_instants += 1;
 
@@ -584,8 +553,6 @@ impl Simulation {
             // (arrivals before completions, then sequence order) and handed
             // over wholesale. Same-slot clone ties cost one O(1) liveness
             // check each instead of re-running the finalization.
-            let t0 = clock.begin();
-            let metrics_before = clock.metrics_ns;
             newly_arrived.clear();
             newly_finished.clear();
             newly_unlaunched.clear();
@@ -631,7 +598,6 @@ impl Simulation {
                                 // job's task storage: memory stays bounded
                                 // by the alive window, not the workload.
                                 let job = &self.jobs[job_idx];
-                                let tm = clock.begin();
                                 let record = JobRecord {
                                     job: job.id(),
                                     weight: job.weight(),
@@ -644,7 +610,6 @@ impl Simulation {
                                 };
                                 observer.on_job_completed(&record);
                                 ctx.records.push(record);
-                                clock.metrics_ns += StageClock::lap(tm);
                                 // Recycle the job's copy slots before the
                                 // id lists are dropped: the arena, like the
                                 // job table, stays bounded by the alive
@@ -683,17 +648,12 @@ impl Simulation {
                     Event::Wakeup { .. } => unreachable!("wakeups are never queued"),
                 }
             }
-            // Record capture runs inside the event loop but bills to the
-            // metrics stage; subtract the nested laps so stages stay disjoint.
-            clock.events_ns +=
-                StageClock::lap(t0).saturating_sub(clock.metrics_ns - metrics_before);
 
             if ctx.stats.completed_jobs == total_jobs {
                 break;
             }
 
             // ---- invoke the scheduler ----
-            let t0 = clock.begin();
             ctx.stats.scheduler_invocations += 1;
             alive.flush_priority();
             actions.clear();
@@ -732,8 +692,6 @@ impl Simulation {
             self.apply_actions(
                 &actions, now, &mut ctx, &mut alive, &mut queue, &mut rng, observer,
             )?;
-            let decision_lap = StageClock::lap(t0);
-            clock.decision_ns += decision_lap;
             if O::ENABLED {
                 let mut launch_actions = 0usize;
                 let mut cancel_actions = 0usize;
@@ -753,7 +711,6 @@ impl Simulation {
                     cancel_actions,
                     copies_requested,
                     ranked_prefix,
-                    wall_ns: decision_lap,
                 });
             }
 
@@ -774,10 +731,8 @@ impl Simulation {
         // ---- collect records ----
         // Records were captured at completion time (completion order);
         // outcomes report them in job-id order.
-        let t0 = clock.begin();
         let mut records = ctx.records;
         records.sort_by_key(|r| r.job);
-        clock.metrics_ns += StageClock::lap(t0);
 
         let mut outcome = SimOutcome::new(
             scheduler.name().to_string(),
@@ -793,10 +748,6 @@ impl Simulation {
         outcome.telemetry = RunTelemetry {
             decision_instants: ctx.stats.decision_instants,
             ranked_prefix_len_max: ctx.stats.ranked_prefix_len_max,
-            stage_source_ns: clock.source_ns,
-            stage_events_ns: clock.events_ns,
-            stage_decision_ns: clock.decision_ns,
-            stage_metrics_ns: clock.metrics_ns,
         };
         if let Some(pool) = &ctx.pool {
             outcome.wasted_work = pool.wasted_work;

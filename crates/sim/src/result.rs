@@ -79,21 +79,20 @@ impl FromJson for JobRecord {
     }
 }
 
-/// Run instrumentation: decision-path work counters and per-stage wall-clock
-/// timings.
+/// Run instrumentation: decision-path work counters.
 ///
-/// These fields describe how much work the *scheduler implementation* did
-/// (or how long the host took), not the trajectory — the golden-equivalence
-/// suite compares optimized schedulers against frozen references that do
-/// strictly more work per decision, and stage timings are host noise by
-/// definition. They are therefore carved out of [`SimOutcome`]'s equality in
-/// one place: `SimOutcome == SimOutcome` compares every field *except*
-/// [`SimOutcome::telemetry`].
+/// These fields are deterministic, but they describe how much work the
+/// *scheduler implementation* did, not the trajectory — the
+/// golden-equivalence suite compares optimized schedulers against frozen
+/// references that do strictly more work per decision. They are therefore
+/// carved out of [`SimOutcome`]'s equality in one place: `SimOutcome ==
+/// SimOutcome` compares every field *except* [`SimOutcome::telemetry`].
 ///
 /// Serialisation stays flat for back-compat: the fields are emitted as
 /// top-level keys of the outcome JSON (`decision_instants`,
-/// `stage_source_ns`, …), exactly where pre-consolidation documents carried
-/// them, and absent keys parse as 0.
+/// `ranked_prefix_len_max`), exactly where pre-consolidation documents
+/// carried them, and absent keys parse as 0. Keys of retired fields (the
+/// old wall-clock `stage_*_ns` timings) are ignored on read.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunTelemetry {
     /// Number of decision instants the engine processed (event batches that
@@ -104,42 +103,18 @@ pub struct RunTelemetry {
     /// [`crate::ClusterState::note_ranked_prefix`]; 0 for schedulers that
     /// never consume the ranked order).
     pub ranked_prefix_len_max: usize,
-    /// Wall-clock nanoseconds spent pulling/admitting jobs from the source,
-    /// when the run profiled stages (`SimConfig::profile_stages`); 0
-    /// otherwise.
-    pub stage_source_ns: u64,
-    /// Wall-clock nanoseconds spent delivering/applying the event batches;
-    /// 0 unless stages were profiled.
-    pub stage_events_ns: u64,
-    /// Wall-clock nanoseconds spent in scheduler hooks + decisions + action
-    /// application; 0 unless stages were profiled.
-    pub stage_decision_ns: u64,
-    /// Wall-clock nanoseconds spent capturing/folding completion records;
-    /// 0 unless stages were profiled.
-    pub stage_metrics_ns: u64,
 }
 
 impl RunTelemetry {
     /// The flat JSON keys of the telemetry fields, in emission order.
-    const KEYS: [&'static str; 6] = [
-        "decision_instants",
-        "ranked_prefix_len_max",
-        "stage_source_ns",
-        "stage_events_ns",
-        "stage_decision_ns",
-        "stage_metrics_ns",
-    ];
+    const KEYS: [&'static str; 2] = ["decision_instants", "ranked_prefix_len_max"];
 
     /// The telemetry as flat `(key, value)` JSON fields — the same top-level
     /// keys outcomes carried before the consolidation.
-    fn json_fields(&self) -> [(&'static str, JsonValue); 6] {
+    fn json_fields(&self) -> [(&'static str, JsonValue); 2] {
         let values = [
             self.decision_instants.to_json(),
             self.ranked_prefix_len_max.to_json(),
-            self.stage_source_ns.to_json(),
-            self.stage_events_ns.to_json(),
-            self.stage_decision_ns.to_json(),
-            self.stage_metrics_ns.to_json(),
         ];
         let mut iter = Self::KEYS.iter().zip(values);
         std::array::from_fn(|_| {
@@ -151,22 +126,15 @@ impl RunTelemetry {
     /// Reads the flat keys back; any absent key (documents serialised before
     /// the corresponding instrumentation existed) parses as 0.
     fn from_flat_json(value: &JsonValue) -> Result<Self, JsonError> {
-        let u64_or_zero = |key: &str| -> Result<u64, JsonError> {
-            match value.get(key) {
-                Some(v) => u64::from_json(v),
-                None => Ok(0),
-            }
-        };
         Ok(RunTelemetry {
-            decision_instants: u64_or_zero("decision_instants")?,
+            decision_instants: match value.get("decision_instants") {
+                Some(v) => u64::from_json(v)?,
+                None => 0,
+            },
             ranked_prefix_len_max: match value.get("ranked_prefix_len_max") {
                 Some(v) => usize::from_json(v)?,
                 None => 0,
             },
-            stage_source_ns: u64_or_zero("stage_source_ns")?,
-            stage_events_ns: u64_or_zero("stage_events_ns")?,
-            stage_decision_ns: u64_or_zero("stage_decision_ns")?,
-            stage_metrics_ns: u64_or_zero("stage_metrics_ns")?,
         })
     }
 }
@@ -268,8 +236,7 @@ impl SimOutcome {
             copies_killed_by_fault: 0,
             machine_downtime: 0,
             // Instrumentation defaults to "not measured"; the engine fills
-            // it in post-construction from its run counters and (when
-            // `SimConfig::profile_stages` is set) the stage clock.
+            // it in post-construction from its run counters.
             telemetry: RunTelemetry::default(),
         }
     }
@@ -496,10 +463,6 @@ mod tests {
         b.telemetry = RunTelemetry {
             decision_instants: 9_999,
             ranked_prefix_len_max: 1_234,
-            stage_source_ns: 1,
-            stage_events_ns: 2,
-            stage_decision_ns: 3,
-            stage_metrics_ns: 4,
         };
         assert_eq!(a, b, "instrumentation must not affect equality");
         b.makespan += 1;
@@ -540,18 +503,36 @@ mod tests {
     }
 
     #[test]
-    fn stage_timings_roundtrip_and_default() {
+    fn telemetry_roundtrip_and_legacy_stage_keys() {
         let mut o = outcome();
-        o.telemetry.stage_source_ns = 11;
-        o.telemetry.stage_events_ns = 22;
-        o.telemetry.stage_decision_ns = 33;
-        o.telemetry.stage_metrics_ns = 44;
+        o.telemetry = RunTelemetry {
+            decision_instants: 11,
+            ranked_prefix_len_max: 22,
+        };
         let json = o.to_json().to_compact_string();
         let back = SimOutcome::from_json(&JsonValue::parse(&json).unwrap()).unwrap();
-        assert_eq!(back.telemetry.stage_source_ns, 11);
-        assert_eq!(back.telemetry.stage_events_ns, 22);
-        assert_eq!(back.telemetry.stage_decision_ns, 33);
-        assert_eq!(back.telemetry.stage_metrics_ns, 44);
+        assert_eq!(back.telemetry, o.telemetry);
+
+        // Cache lines written while the engine had a stage clock carry four
+        // retired wall-clock keys. They still parse to an equal outcome with
+        // the same telemetry, and re-serialising drops them.
+        let retired = ["source", "events", "decision", "metrics"].map(|s| format!("stage_{s}_ns"));
+        let mut old = o.to_json();
+        if let JsonValue::Object(map) = &mut old {
+            for (i, key) in retired.iter().enumerate() {
+                map.insert(key.clone(), (i as u64 * 1_000 + 7).to_json());
+            }
+        }
+        let back =
+            SimOutcome::from_json(&JsonValue::parse(&old.to_compact_string()).unwrap()).unwrap();
+        assert_eq!(back, o);
+        assert_eq!(back.telemetry, o.telemetry);
+        let rewritten = back.to_json();
+        for key in &retired {
+            assert!(rewritten.get(key).is_none(), "{key} re-emitted");
+        }
+        assert_eq!(rewritten.to_compact_string(), json);
+
         // Outcomes serialised before the corresponding instrumentation
         // existed parse as 0 — the keys stay flat, so pre-consolidation
         // documents remain readable.

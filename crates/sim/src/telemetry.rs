@@ -20,11 +20,10 @@
 //! Observers compose through the tuple impl: `(&mut a, &mut b)` dispatches
 //! every event to both.
 //!
-//! All quantities are deterministic simulation facts (slots, ids, counts)
-//! with one deliberate exception: [`DecisionInstant::wall_ns`] carries the
-//! host wall-clock cost of the decision when — and only when —
-//! [`crate::SimConfig::with_profile_stages`] is enabled; it reads 0
-//! otherwise, so observed runs stay reproducible by default.
+//! All quantities are deterministic simulation facts (slots, ids, counts);
+//! no event carries a host clock reading, so an observed run reproduces bit
+//! for bit. Wall-clock cost is measured from outside, by wrapping the
+//! scheduler and the job source.
 
 use crate::copy::CopyId;
 use crate::result::JobRecord;
@@ -108,10 +107,6 @@ pub struct DecisionInstant {
     /// ([`crate::ClusterState::ranked_prefix_consumed`]; 0 for schedulers
     /// that never read the ranked order).
     pub ranked_prefix: usize,
-    /// Wall-clock cost of the decision (hooks + `schedule` + action
-    /// application) in nanoseconds when
-    /// [`crate::SimConfig::with_profile_stages`] is on; 0 otherwise.
-    pub wall_ns: u64,
 }
 
 /// Receiver of the engine's lifecycle events.
@@ -329,7 +324,6 @@ mod tests {
             cancel_actions: 0,
             copies_requested: 2,
             ranked_prefix: 4,
-            wall_ns: 0,
         });
         observer.on_job_completed(&JobRecord {
             job: JobId::new(0),

@@ -5,7 +5,8 @@
 //! Chrome-trace recorder) must produce a **bit-identical**
 //! [`SimOutcome`] to the same run without it, across the whole golden
 //! scheduler suite, with and without fault plans.
-//! These proptests pin that, plus the consistency laws tying the folded
+//! These proptests pin that, plus the byte-identity of the folded registry
+//! across repeated observed runs, plus the consistency laws tying the
 //! registry back to the outcome's own conservation counters, plus the
 //! self-validation of the exported trace against the registry.
 
@@ -16,6 +17,7 @@ use mapreduce_sched::SrptMsC;
 use mapreduce_sim::{
     FaultClass, FaultPlan, Scheduler, SimConfig, SimOutcome, Simulation, StragglerModel,
 };
+use mapreduce_support::json::ToJson;
 use mapreduce_support::proptest::prelude::*;
 use mapreduce_workload::{ArrivalProcess, DurationDistribution, Trace, WorkloadBuilder};
 
@@ -84,31 +86,42 @@ fn run_observed(
     (outcome, telemetry.into_registry(), recorder)
 }
 
+/// Three fresh instances of the same scheduler: one bare run and two
+/// observed ones.
+type SchedulerTriple<'a> = (
+    &'a mut dyn Scheduler,
+    &'a mut dyn Scheduler,
+    &'a mut dyn Scheduler,
+);
+
 /// The full invariant bundle for one (scheduler, trace, config) cell.
 fn assert_observer_invisible(
     label: &str,
-    scheduler_pair: (&mut dyn Scheduler, &mut dyn Scheduler),
+    schedulers: SchedulerTriple<'_>,
     trace: &Trace,
     cfg: SimConfig,
 ) -> Result<(), String> {
-    let (bare_scheduler, observed_scheduler) = scheduler_pair;
+    let (bare_scheduler, observed_scheduler, again_scheduler) = schedulers;
     let bare = run_bare(bare_scheduler, trace, cfg.clone());
-    let (observed, registry, recorder) = run_observed(observed_scheduler, trace, cfg);
+    let (observed, registry, recorder) = run_observed(observed_scheduler, trace, cfg.clone());
 
-    // Bit-identity of the outcome, including the deterministic halves of the
-    // telemetry block (the stage_*_ns wall clocks are excluded from
-    // equality by design).
+    // Bit-identity of the outcome and of the telemetry block, which `==`
+    // leaves out but which holds only deterministic counters.
     prop_assert!(
         bare == observed,
         "{label}: attaching observers changed the outcome"
     );
-    prop_assert_eq!(
-        bare.telemetry.decision_instants,
-        observed.telemetry.decision_instants
+    prop_assert!(
+        bare.telemetry == observed.telemetry,
+        "{label}: attaching observers changed the run telemetry"
     );
-    prop_assert_eq!(
-        bare.telemetry.ranked_prefix_len_max,
-        observed.telemetry.ranked_prefix_len_max
+
+    // The folded registry is a deterministic fact of the run: observing the
+    // same cell again serialises to the same bytes.
+    let (_, again, _) = run_observed(again_scheduler, trace, cfg);
+    prop_assert!(
+        registry.to_json().to_compact_string() == again.to_json().to_compact_string(),
+        "{label}: two observed runs folded different registries"
     );
 
     // Conservation laws tying the folded registry to the outcome.
@@ -160,11 +173,12 @@ proptest! {
         map_mean in 20.0f64..120.0,
     ) {
         let trace = random_trace(jobs, seed, map_mean);
-        for (mut bare, mut observed) in golden_suite().into_iter().zip(golden_suite()) {
+        let suites = golden_suite().into_iter().zip(golden_suite()).zip(golden_suite());
+        for ((mut bare, mut observed), mut again) in suites {
             let label = format!("plain/{}", bare.name());
             assert_observer_invisible(
                 &label,
-                (bare.as_mut(), observed.as_mut()),
+                (bare.as_mut(), observed.as_mut(), again.as_mut()),
                 &trace,
                 config(machines, seed, None),
             )?;
@@ -188,11 +202,12 @@ proptest! {
             mean_up,
             (mean_up * 0.2).max(1.0),
         )]);
-        for (mut bare, mut observed) in golden_suite().into_iter().zip(golden_suite()) {
+        let suites = golden_suite().into_iter().zip(golden_suite()).zip(golden_suite());
+        for ((mut bare, mut observed), mut again) in suites {
             let label = format!("faulty/{}", bare.name());
             assert_observer_invisible(
                 &label,
-                (bare.as_mut(), observed.as_mut()),
+                (bare.as_mut(), observed.as_mut(), again.as_mut()),
                 &trace,
                 config(machines, seed, Some(plan.clone())),
             )?;
