@@ -1,9 +1,10 @@
 //! Benchmark support crate.
 //!
-//! The actual Criterion benchmarks live in `benches/`, one file per table or
-//! figure of the paper (see DESIGN.md §4 and EXPERIMENTS.md). This library
-//! only hosts the shared scenario used by every bench so that all benchmarks
-//! measure the same workload.
+//! The actual Criterion benchmarks live in `benches/`: one file per table or
+//! figure of the paper, each timing the `mapreduce_experiments` module of
+//! the same name, plus engine, stream-tier, server and metrics benches. This
+//! library hosts what they share: the bench scenarios, the report merge
+//! into `BENCH_engine.json`, and the outside-the-engine [`timed`] delegates.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

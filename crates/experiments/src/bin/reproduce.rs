@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! reproduce [EXPERIMENT] [--scale full|<num_jobs>] [--seeds N]
-//!           [--sketch] [--trace-out FILE]
+//!           [--trace-out FILE]
 //!
 //! EXPERIMENT: all (default) | table2 | fig1 | fig2 | fig3 | fig4 | fig5 |
 //!             fig6 | fig7 | theorem1 | ablation
@@ -12,12 +12,6 @@
 //!             that many jobs (default 600).
 //! --seeds     number of repetitions to average over (default 3 at reduced
 //!             scale, 10 at full scale).
-//! --sketch    renders Fig. 4 / Fig. 5 from the streaming quantile sketches
-//!             (`fig4::run_sketched` / `fig5::run_sketched`): each cell runs
-//!             with the `SimTelemetry` observer folding flowtimes as jobs
-//!             complete, so the curves come out in O(1) memory — no per-job
-//!             flowtime vector, within the sketch's documented 1/64
-//!             relative-error bound of the exact path.
 //! --trace-out additionally re-runs one representative cell (the paper
 //!             scheduler on the scenario's first seed) with the telemetry
 //!             observers attached, asserts the observed run is bit-identical
@@ -77,7 +71,6 @@ struct Options {
     scale: Option<usize>,
     full: bool,
     seeds: Option<usize>,
-    sketch: bool,
     trace_out: Option<String>,
 }
 
@@ -87,7 +80,6 @@ fn parse_args() -> Options {
         scale: None,
         full: false,
         seeds: None,
-        sketch: false,
         trace_out: None,
     };
     let mut args = std::env::args().skip(1);
@@ -122,7 +114,6 @@ fn parse_args() -> Options {
                 }
                 options.seeds = Some(seeds);
             }
-            "--sketch" => options.sketch = true,
             "--trace-out" => {
                 let value = args.next().unwrap_or_else(|| {
                     eprintln!("--trace-out needs a file path");
@@ -133,7 +124,7 @@ fn parse_args() -> Options {
             "--help" | "-h" => {
                 println!(
                     "usage: reproduce [all|table2|fig1|fig2|fig3|fig4|fig5|fig6|fig7|theorem1|ablation] \
-                     [--scale full|<num_jobs>] [--seeds N] [--sketch] [--trace-out FILE]"
+                     [--scale full|<num_jobs>] [--seeds N] [--trace-out FILE]"
                 );
                 std::process::exit(0);
             }
@@ -212,25 +203,16 @@ fn main() {
         println!("{}", fig3::render(&rows));
     }
     if run_all || experiment == "fig4" {
-        let comparison = if options.sketch {
-            fig4::run_sketched(&scenario)
-        } else {
-            fig4::run(&scenario)
-        };
-        let title = if options.sketch {
-            "Fig. 4 — cumulative fraction of jobs vs flowtime (0–300 s window, streaming sketch)"
-        } else {
-            "Fig. 4 — cumulative fraction of jobs vs flowtime (0–300 s window)"
-        };
-        println!("{}", fig4::render(&comparison, title));
+        println!(
+            "{}",
+            fig4::render(
+                &fig4::run(&scenario),
+                "Fig. 4 — cumulative fraction of jobs vs flowtime (0–300 s window)"
+            )
+        );
     }
     if run_all || experiment == "fig5" {
-        let comparison = if options.sketch {
-            fig5::run_sketched(&scenario)
-        } else {
-            fig5::run(&scenario)
-        };
-        println!("{}", fig5::render(&comparison));
+        println!("{}", fig5::render(&fig5::run(&scenario)));
     }
     if run_all || experiment == "fig6" {
         let result = fig6::run(&scenario);

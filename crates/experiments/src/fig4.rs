@@ -1,9 +1,9 @@
 //! Fig. 4 — CDF of job flowtime for small jobs (0–300 s) under SRPTMS+C, SCA
 //! and Mantri.
 
-use crate::runner::{run_cell_observed, run_scheduler_averaged, SchedulerKind};
+use crate::runner::{run_scheduler_averaged, SchedulerKind};
 use crate::scenario::Scenario;
-use mapreduce_metrics::{Ecdf, QuantileSketch, SimTelemetry};
+use mapreduce_metrics::Ecdf;
 
 /// The CDF series of one scheduler.
 #[derive(Debug, Clone, PartialEq)]
@@ -12,27 +12,6 @@ pub struct CdfSeries {
     pub scheduler: String,
     /// `(flowtime, cumulative fraction of all jobs)` points.
     pub points: Vec<(f64, f64)>,
-}
-
-impl CdfSeries {
-    /// Reads a Fig. 4/5-shaped series straight off a streaming
-    /// [`QuantileSketch`] — no per-job flowtime vector anywhere. The curve
-    /// matches the exact [`Ecdf`] series up to the sketch's documented
-    /// bounded rightward nudge of each evaluation point
-    /// ([`QuantileSketch::RELATIVE_ERROR`]).
-    pub fn from_sketch(
-        scheduler: impl Into<String>,
-        sketch: &QuantileSketch,
-        lo: f64,
-        hi: f64,
-        points: usize,
-        denominator: Option<u64>,
-    ) -> Self {
-        CdfSeries {
-            scheduler: scheduler.into(),
-            points: sketch.series(lo, hi, points, denominator),
-        }
-    }
 }
 
 /// Output of the Fig. 4 / Fig. 5 experiments: one CDF series per scheduler
@@ -91,49 +70,10 @@ pub fn run_window(
     CdfComparison { lo, hi, series }
 }
 
-/// Sketch-backed counterpart of [`run_window`]: every cell runs with the
-/// [`SimTelemetry`] observer attached, folding each completed job's flowtime
-/// into a streaming [`QuantileSketch`] as it happens; seeds merge
-/// associatively and the series is read off the merged sketch. No flowtime
-/// vector is ever materialised and nothing is sorted, so the memory cost of
-/// the curve is a fixed ~30 KiB regardless of job count. The result matches
-/// [`run_window`]'s exact-[`Ecdf`] curve within the sketch's documented
-/// error model (each fraction equals the exact fraction at an `x′` with
-/// `x ≤ x′ ≤ x · (1 + RELATIVE_ERROR)`).
-pub fn run_window_sketched(
-    scenario: &Scenario,
-    kinds: &[SchedulerKind],
-    lo: f64,
-    hi: f64,
-    points: usize,
-) -> CdfComparison {
-    let series = kinds
-        .iter()
-        .map(|&kind| {
-            let mut sketch = QuantileSketch::new();
-            for &seed in &scenario.seeds {
-                let mut telemetry = SimTelemetry::new();
-                run_cell_observed(kind, scenario, seed, &mut telemetry);
-                sketch.merge(&telemetry.sketches().all);
-            }
-            // Normalising by the sketch's own count mirrors `run_window`'s
-            // `Some(total_jobs)`: both are the pooled all-jobs total.
-            CdfSeries::from_sketch(kind.label(), &sketch, lo, hi, points, None)
-        })
-        .collect();
-    CdfComparison { lo, hi, series }
-}
-
 /// Runs the paper's Fig. 4: small jobs, flowtime window 0–300 s, SRPTMS+C vs
 /// SCA vs Mantri.
 pub fn run(scenario: &Scenario) -> CdfComparison {
     run_window(scenario, &SchedulerKind::paper_comparison(), 0.0, 300.0, 13)
-}
-
-/// The streaming-sketch rendition of Fig. 4 (same window and line-up as
-/// [`run`], series built by [`run_window_sketched`]).
-pub fn run_sketched(scenario: &Scenario) -> CdfComparison {
-    run_window_sketched(scenario, &SchedulerKind::paper_comparison(), 0.0, 300.0, 13)
 }
 
 /// Renders a CDF comparison as a text table (one column per scheduler).
@@ -182,31 +122,6 @@ mod tests {
         }
         assert!(cmp.fraction_at("Fair", 300.0).is_some());
         assert!(cmp.fraction_at("missing", 300.0).is_none());
-    }
-
-    #[test]
-    fn sketched_window_tracks_the_exact_one() {
-        let scenario = Scenario::scaled(60, 1);
-        let kinds = [SchedulerKind::Fifo];
-        let sketched = run_window_sketched(&scenario, &kinds, 0.0, 300.0, 7);
-        // The exact pooled CDF, same denominator (all jobs).
-        let outcomes = run_scheduler_averaged(SchedulerKind::Fifo, &scenario);
-        let flowtimes: Vec<f64> = outcomes
-            .iter()
-            .flat_map(|o| o.records().iter().map(|r| r.flowtime() as f64))
-            .collect();
-        let exact = Ecdf::from_values(&flowtimes);
-        // Each sketched fraction is the exact fraction at a point nudged
-        // right by at most the sketch's relative error.
-        for &(x, y) in &sketched.series[0].points {
-            let lower = exact.fraction_at_or_below(x);
-            let upper =
-                exact.fraction_at_or_below(x * (1.0 + QuantileSketch::RELATIVE_ERROR) + 1e-9);
-            assert!(
-                y >= lower - 1e-12 && y <= upper + 1e-12,
-                "x={x}: sketched {y} outside exact envelope [{lower}, {upper}]"
-            );
-        }
     }
 
     #[test]

@@ -17,20 +17,6 @@ pub fn run(scenario: &Scenario) -> CdfComparison {
     )
 }
 
-/// The streaming-sketch rendition of Fig. 5: the same window and line-up as
-/// [`run`], with every series read off a merged [`mapreduce_metrics::QuantileSketch`]
-/// instead of a sorted flowtime vector (see
-/// [`crate::fig4::run_window_sketched`]).
-pub fn run_sketched(scenario: &Scenario) -> CdfComparison {
-    crate::fig4::run_window_sketched(
-        scenario,
-        &SchedulerKind::paper_comparison(),
-        300.0,
-        4000.0,
-        16,
-    )
-}
-
 /// Renders the comparison (delegates to the Fig. 4 renderer).
 pub fn render(comparison: &CdfComparison) -> String {
     crate::fig4::render(

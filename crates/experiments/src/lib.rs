@@ -51,7 +51,7 @@ pub use cache::{
     MemoryCache, OutcomeCache,
 };
 pub use runner::{
-    run_cell, run_cell_observed, run_cell_traced, run_cells, run_scheduler, run_scheduler_averaged,
+    run_cell, run_cell_traced, run_cells, run_scheduler, run_scheduler_averaged,
     run_scheduler_averaged_with, run_scheduler_from_source, SchedulerKind,
 };
 pub use scenario::{Scenario, WorkloadSource};

@@ -271,27 +271,6 @@ pub fn run_cell(kind: SchedulerKind, scenario: &Scenario, seed: u64) -> SimOutco
         .unwrap_or_else(|e| panic!("simulation with {} failed: {e}", kind.label()))
 }
 
-/// [`run_cell`] with an arbitrary [`mapreduce_sim::SimObserver`] attached —
-/// the generic seam the sketch-backed CDF path ([`crate::fig4`]) uses to
-/// fold flowtimes as jobs complete instead of post-processing the record
-/// vector. Bit-identical to the unobserved [`run_cell`] of the same
-/// `(kind, scenario, seed)`.
-///
-/// # Panics
-/// Panics if the simulation fails.
-pub fn run_cell_observed<O: mapreduce_sim::telemetry::SimObserver>(
-    kind: SchedulerKind,
-    scenario: &Scenario,
-    seed: u64,
-    observer: &mut O,
-) -> SimOutcome {
-    let config = scenario.sim_config(seed);
-    let mut scheduler = kind.build();
-    Simulation::from_source(config, scenario.job_source(seed))
-        .run_with_observer(scheduler.as_mut(), observer)
-        .unwrap_or_else(|e| panic!("observed simulation with {} failed: {e}", kind.label()))
-}
-
 /// [`run_cell`] with the telemetry consumers attached: a [`SimTelemetry`]
 /// counter/histogram fold and a bounded Chrome-trace [`TraceRecorder`]
 /// capped at `trace_cap` events.

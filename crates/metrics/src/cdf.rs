@@ -27,30 +27,14 @@ impl Ecdf {
 
     /// Builds the CDF of the flowtimes of all jobs of a simulation outcome.
     pub fn from_outcome(outcome: &SimOutcome) -> Self {
-        let values: Vec<f64> = outcome
+        // Flowtimes are integers, so there is nothing non-finite to drop.
+        let mut sorted: Vec<f64> = outcome
             .records()
             .iter()
             .map(|r| r.flowtime() as f64)
             .collect();
-        Self::from_values(&values)
-    }
-
-    /// Builds the CDF of the flowtimes restricted to `[lo, hi)` — the form
-    /// used by Figs. 4 and 5 of the paper. Note that (as in the figures) the
-    /// cumulative fraction is still taken over *all* jobs, so the curve does
-    /// not necessarily reach 1 within the window.
-    pub fn from_outcome_window(outcome: &SimOutcome, lo: f64, hi: f64) -> (Self, usize) {
-        // Single pass: only the windowed values are collected and sorted,
-        // instead of materialising (and sorting) the full CDF first.
-        let total = outcome.records().len();
-        let mut windowed: Vec<f64> = outcome
-            .records()
-            .iter()
-            .map(|r| r.flowtime() as f64)
-            .filter(|&v| v >= lo && v < hi)
-            .collect();
-        windowed.sort_by(f64::total_cmp);
-        (Ecdf { sorted: windowed }, total)
+        sorted.sort_by(f64::total_cmp);
+        Ecdf { sorted }
     }
 
     /// Number of samples.

@@ -29,9 +29,9 @@ pub mod telemetry;
 pub mod trace_export;
 
 pub use cdf::Ecdf;
-pub use registry::{Log2Histogram, MetricsRegistry, HISTOGRAM_BUCKETS};
+pub use registry::MetricsRegistry;
 pub use report::ComparisonReport;
 pub use sketch::{FlowtimeSketches, QuantileSketch};
-pub use summary::{FlowtimeBucket, FlowtimeSummary, StreamingFlowtime};
+pub use summary::{FlowtimeBucket, FlowtimeSummary};
 pub use telemetry::{fold_run_telemetry, SimTelemetry};
 pub use trace_export::{validate_trace, TraceRecorder};

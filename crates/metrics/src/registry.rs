@@ -2,9 +2,9 @@
 //!
 //! The registry is the folding target of the telemetry observers
 //! ([`crate::SimTelemetry`]) and of the sweep server's per-request
-//! accounting: named monotonic counters plus log2-bucketed histograms, all
-//! plain integers so snapshots are bit-reproducible across hosts. Like
-//! [`crate::StreamingFlowtime`], every piece is **shard-mergeable** —
+//! accounting: named monotonic counters plus [`QuantileSketch`] histograms,
+//! all plain integers so snapshots are bit-reproducible across hosts. Every
+//! piece is **shard-mergeable** —
 //! [`MetricsRegistry::merge`] folds another snapshot in associatively and
 //! commutatively, so independent runs (or future event-loop shards) can
 //! each fold their own registry and combine at the end.
@@ -12,163 +12,11 @@
 //! Storage is `BTreeMap`-backed, so iteration and JSON serialisation are in
 //! deterministic name order.
 
+use crate::sketch::QuantileSketch;
 use mapreduce_support::json::{FromJson, JsonError, JsonValue, ToJson};
 use std::collections::BTreeMap;
 
-/// Number of buckets of a [`Log2Histogram`]: one for 0, one per power of two
-/// of the `u64` range.
-pub const HISTOGRAM_BUCKETS: usize = 65;
-
-/// A log2-bucketed histogram of `u64` samples.
-///
-/// Bucket 0 holds the value 0; bucket `i ≥ 1` holds values in
-/// `[2^(i-1), 2^i)` — i.e. the bucket index of `v > 0` is the position of
-/// its highest set bit plus one. Exact count, sum and max ride along, so
-/// means stay precise even though individual samples are bucketed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Log2Histogram {
-    buckets: [u64; HISTOGRAM_BUCKETS],
-    count: u64,
-    sum: u128,
-    max: u64,
-}
-
-impl Default for Log2Histogram {
-    fn default() -> Self {
-        Log2Histogram {
-            buckets: [0; HISTOGRAM_BUCKETS],
-            count: 0,
-            sum: 0,
-            max: 0,
-        }
-    }
-}
-
-impl Log2Histogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The bucket index of a sample.
-    pub fn bucket_of(value: u64) -> usize {
-        (64 - value.leading_zeros()) as usize
-    }
-
-    /// The smallest value a bucket admits (0 for bucket 0, `2^(i-1)`
-    /// otherwise).
-    pub fn bucket_floor(index: usize) -> u64 {
-        match index {
-            0 => 0,
-            i => 1u64 << (i - 1),
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, value: u64) {
-        self.buckets[Self::bucket_of(value)] += 1;
-        self.count += 1;
-        self.sum += value as u128;
-        self.max = self.max.max(value);
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Exact sum of all recorded samples.
-    pub fn sum(&self) -> u128 {
-        self.sum
-    }
-
-    /// Largest recorded sample (0 when empty).
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Exact mean of the recorded samples (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        self.sum as f64 / self.count as f64
-    }
-
-    /// Count in one bucket.
-    pub fn bucket(&self, index: usize) -> u64 {
-        self.buckets[index]
-    }
-
-    /// Folds another histogram in. Associative and commutative: any merge
-    /// tree over the same shards yields the identical histogram.
-    pub fn merge(&mut self, other: &Log2Histogram) {
-        for (mine, theirs) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *mine += theirs;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
-    }
-}
-
-impl ToJson for Log2Histogram {
-    fn to_json(&self) -> JsonValue {
-        // Sparse bucket encoding: `[floor, count]` pairs for the non-empty
-        // buckets, ascending.
-        let buckets: Vec<JsonValue> = self
-            .buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| JsonValue::Array(vec![Self::bucket_floor(i).to_json(), c.to_json()]))
-            .collect();
-        JsonValue::object([
-            ("count", self.count.to_json()),
-            // u128 exceeds the JSON number model of the parser; a decimal
-            // string keeps the exact value.
-            ("sum", self.sum.to_string().to_json()),
-            ("max", self.max.to_json()),
-            ("buckets", JsonValue::Array(buckets)),
-        ])
-    }
-}
-
-impl FromJson for Log2Histogram {
-    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        let mut histogram = Log2Histogram {
-            count: u64::from_json(value.field("count")?)?,
-            sum: String::from_json(value.field("sum")?)?
-                .parse::<u128>()
-                .map_err(|_| JsonError::new("histogram sum is not a decimal u128".to_string()))?,
-            max: u64::from_json(value.field("max")?)?,
-            ..Log2Histogram::default()
-        };
-        let JsonValue::Array(pairs) = value.field("buckets")? else {
-            return Err(JsonError::new(
-                "histogram buckets must be an array".to_string(),
-            ));
-        };
-        for pair in pairs {
-            let JsonValue::Array(pair) = pair else {
-                return Err(JsonError::new(
-                    "histogram bucket must be a pair".to_string(),
-                ));
-            };
-            if pair.len() != 2 {
-                return Err(JsonError::new(
-                    "histogram bucket must be a pair".to_string(),
-                ));
-            }
-            let floor = u64::from_json(&pair[0])?;
-            let count = u64::from_json(&pair[1])?;
-            histogram.buckets[Log2Histogram::bucket_of(floor)] += count;
-        }
-        Ok(histogram)
-    }
-}
-
-/// A named collection of counters and [`Log2Histogram`]s.
+/// A named collection of counters and [`QuantileSketch`] histograms.
 ///
 /// `BTreeMap`-backed: iteration, equality and JSON output are in name order,
 /// so two registries that folded the same events are identical byte for
@@ -176,7 +24,7 @@ impl FromJson for Log2Histogram {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsRegistry {
     counters: BTreeMap<String, u64>,
-    histograms: BTreeMap<String, Log2Histogram>,
+    histograms: BTreeMap<String, QuantileSketch>,
 }
 
 impl MetricsRegistry {
@@ -208,7 +56,7 @@ impl MetricsRegistry {
         match self.histograms.get_mut(name) {
             Some(h) => h.record(value),
             None => {
-                let mut h = Log2Histogram::new();
+                let mut h = QuantileSketch::new();
                 h.record(value);
                 self.histograms.insert(name.to_string(), h);
             }
@@ -216,7 +64,7 @@ impl MetricsRegistry {
     }
 
     /// A named histogram, if any sample was ever recorded into it.
-    pub fn histogram(&self, name: &str) -> Option<&Log2Histogram> {
+    pub fn histogram(&self, name: &str) -> Option<&QuantileSketch> {
         self.histograms.get(name)
     }
 
@@ -226,7 +74,7 @@ impl MetricsRegistry {
     }
 
     /// The histograms in name order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &Log2Histogram)> {
+    pub fn histograms(&self) -> impl Iterator<Item = (&str, &QuantileSketch)> {
         self.histograms.iter().map(|(k, v)| (k.as_str(), v))
     }
 
@@ -241,7 +89,7 @@ impl MetricsRegistry {
     /// this is how observers that accumulate in plain fields (the hot-path
     /// discipline of [`crate::SimTelemetry`]) materialize a registry without
     /// per-event name lookups.
-    pub fn merge_histogram(&mut self, name: &str, histogram: &Log2Histogram) {
+    pub fn merge_histogram(&mut self, name: &str, histogram: &QuantileSketch) {
         if histogram.count() == 0 {
             return;
         }
@@ -255,18 +103,13 @@ impl MetricsRegistry {
 
     /// Folds another registry in: counters add, histograms merge. Associative
     /// and commutative, so shards can be combined in any tree order —
-    /// the same discipline as [`crate::StreamingFlowtime::merge`].
+    /// the same discipline as [`QuantileSketch::merge`].
     pub fn merge(&mut self, other: &MetricsRegistry) {
         for (name, &value) in &other.counters {
             self.inc(name, value);
         }
         for (name, histogram) in &other.histograms {
-            match self.histograms.get_mut(name) {
-                Some(mine) => mine.merge(histogram),
-                None => {
-                    self.histograms.insert(name.clone(), histogram.clone());
-                }
-            }
+            self.merge_histogram(name, histogram);
         }
     }
 }
@@ -304,7 +147,7 @@ impl FromJson for MetricsRegistry {
         for (name, v) in histograms {
             registry
                 .histograms
-                .insert(name.clone(), Log2Histogram::from_json(v)?);
+                .insert(name.clone(), QuantileSketch::from_json(v)?);
         }
         Ok(registry)
     }
@@ -313,72 +156,6 @@ impl FromJson for MetricsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bucket_boundaries() {
-        assert_eq!(Log2Histogram::bucket_of(0), 0);
-        assert_eq!(Log2Histogram::bucket_of(1), 1);
-        assert_eq!(Log2Histogram::bucket_of(2), 2);
-        assert_eq!(Log2Histogram::bucket_of(3), 2);
-        assert_eq!(Log2Histogram::bucket_of(4), 3);
-        assert_eq!(Log2Histogram::bucket_of(u64::MAX), 64);
-        for i in 0..HISTOGRAM_BUCKETS {
-            let floor = Log2Histogram::bucket_floor(i);
-            assert_eq!(Log2Histogram::bucket_of(floor), i, "floor of bucket {i}");
-        }
-    }
-
-    #[test]
-    fn record_and_stats() {
-        let mut h = Log2Histogram::new();
-        for v in [0, 1, 1, 5, 1000] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.sum(), 1007);
-        assert_eq!(h.max(), 1000);
-        assert!((h.mean() - 201.4).abs() < 1e-12);
-        assert_eq!(h.bucket(0), 1);
-        assert_eq!(h.bucket(1), 2);
-        assert_eq!(h.bucket(3), 1); // 5 ∈ [4, 8)
-        assert_eq!(h.bucket(10), 1); // 1000 ∈ [512, 1024)
-    }
-
-    #[test]
-    fn histogram_merge_is_associative_and_commutative() {
-        // Three shards with overlapping buckets.
-        let shard = |values: &[u64]| {
-            let mut h = Log2Histogram::new();
-            for &v in values {
-                h.record(v);
-            }
-            h
-        };
-        let a = shard(&[0, 3, 900, u64::MAX]);
-        let b = shard(&[1, 3, 3, 17]);
-        let c = shard(&[256, 255, 254]);
-
-        // (a ⊕ b) ⊕ c
-        let mut left = a.clone();
-        left.merge(&b);
-        left.merge(&c);
-        // a ⊕ (b ⊕ c)
-        let mut right_inner = b.clone();
-        right_inner.merge(&c);
-        let mut right = a.clone();
-        right.merge(&right_inner);
-        assert_eq!(left, right, "merge must be associative");
-
-        // c ⊕ b ⊕ a
-        let mut reversed = c.clone();
-        reversed.merge(&b);
-        reversed.merge(&a);
-        assert_eq!(left, reversed, "merge must be commutative");
-
-        // And the merged histogram equals the single-shard fold.
-        let whole = shard(&[0, 3, 900, u64::MAX, 1, 3, 3, 17, 256, 255, 254]);
-        assert_eq!(left, whole);
-    }
 
     #[test]
     fn registry_counters_and_histograms() {

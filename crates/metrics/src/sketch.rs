@@ -4,11 +4,12 @@
 //! [`QuantileSketch`] is the O(1)-memory answer to the question the exact
 //! [`crate::Ecdf`] answers by sorting every sample: "what is the p95, and
 //! what does the CDF look like?". It is HDR-histogram shaped: values are
-//! classified by the position of their highest set bit (the *major* bucket,
-//! exactly like [`crate::Log2Histogram`]) and then by the next
-//! [`SUB_BITS`] bits below it (the *linear sub-bucket*), so every bucket
-//! spans at most a `2^-SUB_BITS` relative slice of the value axis. Values
-//! below [`SUB_BUCKETS`] get a bucket each and are represented exactly.
+//! classified by the position of their highest set bit (the *major* bucket)
+//! and then by the next [`SUB_BITS`] bits below it (the *linear
+//! sub-bucket*), so every bucket spans at most a `2^-SUB_BITS` relative
+//! slice of the value axis. Values below [`SUB_BUCKETS`] get a bucket each
+//! and are represented exactly. It is also the one histogram type of
+//! [`crate::MetricsRegistry`].
 //!
 //! # Error model
 //!
@@ -30,12 +31,11 @@
 //!
 //! # Merge discipline
 //!
-//! Like [`crate::StreamingFlowtime`] and [`crate::MetricsRegistry`], the
-//! sketch is **shard-mergeable**: [`QuantileSketch::merge`] is associative
-//! and commutative, so per-shard sketches (for example the per-cell
-//! sketches of a sweep) combine in any tree order into the sketch
-//! a single-pass fold would have produced — bit-identically, since every
-//! field is an integer.
+//! Like [`crate::MetricsRegistry`], the sketch is **shard-mergeable**:
+//! [`QuantileSketch::merge`] is associative and commutative, so per-shard
+//! sketches (for example the per-cell sketches of a sweep) combine in any
+//! tree order into the sketch a single-pass fold would have produced —
+//! bit-identically, since every field is an integer.
 //!
 //! Memory is a fixed `NUM_BUCKETS` (= 3 776) `u64` array — independent of
 //! the number of samples, which is the whole point: the `stream10m` tier's
@@ -94,15 +94,16 @@ impl QuantileSketch {
     }
 
     /// The bucket index of a value.
+    #[inline]
     pub fn bucket_of(value: u64) -> usize {
-        if value < SUB_BUCKETS as u64 {
-            return value as usize;
-        }
-        // Position of the highest set bit (≥ SUB_BITS here).
-        let high = 63 - value.leading_zeros();
-        let major = (high - SUB_BITS + 1) as usize;
-        let sub = ((value >> (high - SUB_BITS)) as usize) - SUB_BUCKETS;
-        major * SUB_BUCKETS + sub
+        // With `high` the highest set bit, `shift = max(high − SUB_BITS, 0)`
+        // keeps the top SUB_BITS + 1 bits. Values below 2·SUB_BUCKETS keep
+        // shift 0 and index themselves; each further power of two adds
+        // SUB_BUCKETS. Branch-free, because small and large flowtimes
+        // interleave unpredictably and a mispredicted branch costs more
+        // than the rest of `record`.
+        let shift = (63 - (value | 1).leading_zeros()).saturating_sub(SUB_BITS);
+        ((shift as usize) << SUB_BITS) + (value >> shift) as usize
     }
 
     /// The smallest value a bucket admits. Floors roundtrip:
@@ -127,6 +128,7 @@ impl QuantileSketch {
     }
 
     /// Records one sample.
+    #[inline]
     pub fn record(&mut self, value: u64) {
         self.record_n(value, 1);
     }

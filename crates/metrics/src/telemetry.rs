@@ -1,5 +1,5 @@
 //! Registry-folding [`SimObserver`]: turns lifecycle events into counters
-//! and log2 histograms.
+//! and [`QuantileSketch`] histograms.
 //!
 //! [`SimTelemetry`] is the standard consumer of the engine's telemetry seam:
 //! attach it via [`mapreduce_sim::Simulation::run_with_observer`] and every
@@ -11,8 +11,8 @@
 //! exporters ([`crate::TraceRecorder`]) and tests compare against the same
 //! strings the observer writes.
 
-use crate::registry::{Log2Histogram, MetricsRegistry};
-use crate::sketch::FlowtimeSketches;
+use crate::registry::MetricsRegistry;
+use crate::sketch::{FlowtimeSketches, QuantileSketch};
 use mapreduce_sim::telemetry::{
     CopyCancelled, CopyFinished, CopyLaunched, DecisionInstant, SimObserver,
 };
@@ -63,7 +63,8 @@ pub mod names {
     pub const CLONE_LIFETIME: &str = "clone_lifetime";
     /// Histogram: machine time (slots) reclaimed per cancelled copy.
     pub const CANCEL_LATENCY: &str = "cancel_latency";
-    /// Histogram: job flowtimes (slots).
+    /// Histogram: job flowtimes (slots), the `all` sketch of
+    /// [`super::SimTelemetry::sketches`].
     pub const JOB_FLOWTIME: &str = "job_flowtime";
     /// Histogram: ranked-candidate prefix consumed per decision instant.
     pub const RANKED_PREFIX: &str = "ranked_prefix";
@@ -150,7 +151,7 @@ impl LifecycleCounts {
 /// # Hot-path discipline
 ///
 /// Every per-event quantity accumulates in a plain struct field
-/// ([`LifecycleCounts`], bare `u64`s, fixed-array [`Log2Histogram`]s, the
+/// ([`LifecycleCounts`], bare `u64`s, [`QuantileSketch`]es, the
 /// [`FlowtimeSketches`]) — the observer never touches a name-keyed map
 /// while the engine runs. The [`MetricsRegistry`] is materialized on
 /// demand by [`SimTelemetry::registry`] under the canonical [`names`],
@@ -164,14 +165,14 @@ pub struct SimTelemetry {
     launch_actions: u64,
     cancel_actions: u64,
     copies_requested: u64,
-    copies_per_task: Log2Histogram,
-    copy_lifetime: Log2Histogram,
-    clone_lifetime: Log2Histogram,
-    cancel_latency: Log2Histogram,
-    job_flowtime: Log2Histogram,
-    ranked_prefix: Log2Histogram,
+    copies_per_task: QuantileSketch,
+    copy_lifetime: QuantileSketch,
+    clone_lifetime: QuantileSketch,
+    cancel_latency: QuantileSketch,
+    ranked_prefix: QuantileSketch,
     /// Streaming flowtime quantile sketches (all jobs + the paper's
-    /// small/big figure windows), folded one `JobCompleted` at a time.
+    /// small/big figure windows), folded one `JobCompleted` at a time. The
+    /// `all` sketch is the registry's [`names::JOB_FLOWTIME`] histogram.
     sketches: FlowtimeSketches,
     /// Bitset over arena slot ids: bit set while the slot holds a
     /// clone/backup copy. Slot ids are reused, so the vector stays bounded
@@ -200,7 +201,7 @@ impl SimTelemetry {
         registry.merge_histogram(names::COPY_LIFETIME, &self.copy_lifetime);
         registry.merge_histogram(names::CLONE_LIFETIME, &self.clone_lifetime);
         registry.merge_histogram(names::CANCEL_LATENCY, &self.cancel_latency);
-        registry.merge_histogram(names::JOB_FLOWTIME, &self.job_flowtime);
+        registry.merge_histogram(names::JOB_FLOWTIME, &self.sketches.all);
         registry.merge_histogram(names::RANKED_PREFIX, &self.ranked_prefix);
         registry
     }
@@ -253,7 +254,6 @@ impl SimObserver for SimTelemetry {
 
     fn on_job_completed(&mut self, record: &JobRecord) {
         self.counts.jobs_completed += 1;
-        self.job_flowtime.record(record.flowtime());
         self.sketches.fold(record.flowtime());
     }
 

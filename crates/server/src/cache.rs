@@ -367,6 +367,27 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_lines_are_skipped_not_fatal() {
+        let path = temp_path("deep");
+        let _ = std::fs::remove_file(&path);
+        let good = Fingerprint::of_bytes(b"good");
+        {
+            let cache = ResultCache::open(&path).unwrap();
+            cache.store(good, &outcome("fifo", 5));
+        }
+        // Deep enough to overflow a recursive parser's stack.
+        let mut text = std::fs::read_to_string(&path).unwrap();
+        text.push_str(&"[".repeat(200_000));
+        text.push('\n');
+        std::fs::write(&path, text).unwrap();
+
+        let cache = ResultCache::open(&path).unwrap();
+        assert_eq!(cache.skipped_lines(), 1);
+        assert_eq!(cache.lookup(good), Some(outcome("fifo", 5)));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
     fn restores_update_in_place_and_latest_line_wins() {
         let path = temp_path("restore");
         let _ = std::fs::remove_file(&path);

@@ -694,6 +694,24 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_lines_get_an_error_and_serving_continues() {
+        let server = server();
+        let input = format!("{}\n{{\"cmd\":\"stats\"}}\n", "[".repeat(200_000));
+        let (lines, stats) = session(&server, &input);
+        assert_eq!(lines.len(), 2);
+        assert_eq!(stats.errors, 1);
+        assert_eq!(lines[0].field("ok").unwrap().as_bool(), Some(false));
+        assert!(lines[0]
+            .field("error")
+            .unwrap()
+            .as_str()
+            .unwrap()
+            .contains("nesting"));
+        assert_eq!(lines[1].field("ok").unwrap().as_bool(), Some(true));
+        assert_eq!(lines[1].field("cmd").unwrap().as_str(), Some("stats"));
+    }
+
+    #[test]
     fn degenerate_sweeps_get_error_lines_not_crashes() {
         let server = server();
         // Empty seeds, empty scheduler list, zero machines: all well-formed

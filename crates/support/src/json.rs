@@ -82,6 +82,7 @@ impl JsonValue {
         let mut parser = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         parser.skip_ws();
         let value = parser.parse_value()?;
@@ -279,9 +280,16 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`JsonValue::parse`] accepts. The parser
+/// recurses once per level, so an unbounded depth lets one hostile line
+/// overflow the stack; the repo's own documents nest fewer than 10 deep.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -314,8 +322,8 @@ impl<'a> Parser<'a> {
     fn parse_value(&mut self) -> Result<JsonValue, JsonError> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(b'{') => self.nested(Self::parse_object),
+            Some(b'[') => self.nested(Self::parse_array),
             Some(b'"') => Ok(JsonValue::String(self.parse_string()?)),
             Some(b't') => self.parse_keyword("true", JsonValue::Bool(true)),
             Some(b'f') => self.parse_keyword("false", JsonValue::Bool(false)),
@@ -327,6 +335,24 @@ impl<'a> Parser<'a> {
             ))),
             None => Err(JsonError::new("unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object one nesting level down, failing past
+    /// [`MAX_DEPTH`] instead of recursing further.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, JsonError>,
+    ) -> Result<JsonValue, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(JsonError::new(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_keyword(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, JsonError> {
@@ -669,6 +695,21 @@ mod tests {
         for text in ["", "{", "[1,", "{\"a\"}", "tru", "1 2", "not json", "\"abc"] {
             assert!(JsonValue::parse(text).is_err(), "accepted {text:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        // Each level is one recursion; 100 000 would overflow the stack.
+        let deep = "[".repeat(100_000);
+        let err = JsonValue::parse(&deep).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper than"), "{err}");
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1);
+        assert!(JsonValue::parse(&objects).is_err());
+        // Exactly MAX_DEPTH levels still parse.
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(JsonValue::parse(&at_limit).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(JsonValue::parse(&over).is_err());
     }
 
     #[test]

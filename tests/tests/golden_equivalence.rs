@@ -11,11 +11,15 @@
 //! scheduler's cached conclusions shows up as an outcome mismatch.
 //! SRPT-noclone has no library reference; it is pinned against the frozen
 //! sort-based copy [`FrozenSrptNoClone`] kept in this file.
+//!
+//! The same outcomes also pin [`FlowtimeSummary::from_outcome`] bit for bit
+//! against [`frozen_summary`], the sort-and-sum summary it replaced.
 
 use mapreduce_baselines::{
     FairScheduler, Fifo, Late, Mantri, ReferenceFair, ReferenceFifo, ReferenceLate,
     ReferenceMantri, ReferenceRestart, ReferenceSca, Restart, Sca, SrptNoClone,
 };
+use mapreduce_metrics::FlowtimeSummary;
 use mapreduce_sched::{ReferenceSrptMsC, SrptMsC};
 use mapreduce_sim::{
     Action, ClusterState, FaultClass, FaultPlan, Scheduler, SimConfig, SimOutcome, Simulation,
@@ -177,6 +181,69 @@ fn assert_equivalent(
         a.makespan,
         b.makespan
     );
+    Ok(())
+}
+
+/// The flowtime summary as it was computed before [`FlowtimeSummary`] read
+/// [`SimOutcome`]'s moments and the `Ecdf` rank rule: sort the flowtimes,
+/// sum them in sorted order, sum weights and weighted flowtimes in job-id
+/// order, and index quantiles at `round((n−1)·q)`.
+fn frozen_summary(outcome: &SimOutcome) -> FlowtimeSummary {
+    let records = outcome.records();
+    let mean_copies = outcome.mean_copies_per_task();
+    let mut flowtimes: Vec<f64> = records.iter().map(|r| r.flowtime() as f64).collect();
+    flowtimes.sort_by(f64::total_cmp);
+    let n = flowtimes.len();
+    let mean = flowtimes.iter().sum::<f64>() / n as f64;
+    let total_weight: f64 = records.iter().map(|r| r.weight).sum();
+    let weighted_sum: f64 = records.iter().map(|r| r.weighted_flowtime()).sum();
+    let quantile = |q: f64| -> f64 {
+        let idx = ((n as f64 - 1.0) * q).round() as usize;
+        flowtimes[idx.min(n - 1)]
+    };
+    FlowtimeSummary {
+        scheduler: outcome.scheduler.clone(),
+        jobs: n,
+        mean,
+        weighted_mean: if total_weight > 0.0 {
+            weighted_sum / total_weight
+        } else {
+            0.0
+        },
+        weighted_sum,
+        median: quantile(0.5),
+        p95: quantile(0.95),
+        max: flowtimes[n - 1],
+        mean_copies_per_task: mean_copies,
+    }
+}
+
+/// Asserts [`FlowtimeSummary::from_outcome`] equals [`frozen_summary`]
+/// field for field, floats compared by their bits.
+fn assert_summary_matches_oracle(outcome: &SimOutcome) -> Result<(), String> {
+    let got = FlowtimeSummary::from_outcome(outcome);
+    let want = frozen_summary(outcome);
+    prop_assert_eq!(&got.scheduler, &want.scheduler);
+    prop_assert_eq!(got.jobs, want.jobs);
+    for (field, a, b) in [
+        ("mean", got.mean, want.mean),
+        ("weighted_mean", got.weighted_mean, want.weighted_mean),
+        ("weighted_sum", got.weighted_sum, want.weighted_sum),
+        ("median", got.median, want.median),
+        ("p95", got.p95, want.p95),
+        ("max", got.max, want.max),
+        (
+            "mean_copies_per_task",
+            got.mean_copies_per_task,
+            want.mean_copies_per_task,
+        ),
+    ] {
+        prop_assert!(
+            a.to_bits() == b.to_bits(),
+            "{}: summary field {field} is {a:?}, the frozen oracle says {b:?}",
+            outcome.scheduler
+        );
+    }
     Ok(())
 }
 
@@ -359,6 +426,34 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Every golden scheduler and its reference, with and without a crash
+    /// plan: the summary of each outcome is bit-identical to the frozen
+    /// sort-and-sum oracle.
+    #[test]
+    fn summary_matches_the_frozen_oracle(
+        jobs in 5usize..30,
+        machines in 4usize..32,
+        seed in 0u64..1000,
+        crashes in 0usize..2,
+    ) {
+        let trace = random_trace(jobs, seed, 20.0, 60.0);
+        let plan = if crashes == 1 {
+            FaultPlan::new(vec![FaultClass::crashes(machines.div_ceil(2), 100.0, 20.0)])
+        } else {
+            FaultPlan::none()
+        };
+        for (mut optimized, mut reference) in reference_pairs() {
+            for scheduler in [optimized.as_mut(), reference.as_mut()] {
+                let outcome = run_with_plan(scheduler, &trace, machines, seed, plan.clone());
+                assert_summary_matches_oracle(&outcome)?;
+            }
+        }
+    }
+}
+
 /// The committed benchmark scenario itself must also be equivalence-clean:
 /// this is the exact workload whose timings land in `BENCH_engine.json`.
 #[test]
@@ -377,5 +472,6 @@ fn golden_bench_scenario_matches_reference() {
             .run(reference.as_mut())
             .unwrap();
         assert_eq!(a, b, "{} diverges on the bench scenario", a.scheduler);
+        assert_summary_matches_oracle(&a).unwrap();
     }
 }

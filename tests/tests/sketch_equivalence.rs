@@ -2,14 +2,14 @@
 //!
 //! The streaming flowtime sketch ([`mapreduce_metrics::QuantileSketch`])
 //! underwrites every "CDF without per-job records" path in the repo — the
-//! server's `cdf` sweeps, the `metrics` exposition, the sketched Fig. 4/5
-//! series. These proptests pin the two contracts everything downstream
-//! leans on:
+//! server's `cdf` sweeps, the `metrics` exposition, the stream tiers'
+//! percentiles — and is the histogram type of every `MetricsRegistry`.
+//! These proptests pin the two contracts everything downstream leans on:
 //!
 //! 1. **Shard discipline** — folding a value set shard-by-shard and merging,
 //!    under any split and any merge tree, is bit-identical to folding the
-//!    whole set into one sketch (the same law `StreamingFlowtime` and
-//!    `MetricsRegistry` obey), and the JSON form roundtrips losslessly.
+//!    whole set into one sketch (the law `MetricsRegistry::merge` inherits),
+//!    and the JSON form roundtrips losslessly.
 //! 2. **Error bound** — against the exact [`Ecdf`] over the same samples,
 //!    every sketch quantile is within `RELATIVE_ERROR` (1/64) of the true
 //!    rank-selected sample, and every CDF fraction is bracketed by the exact
