@@ -1,44 +1,37 @@
 //! Metrics micro-benchmarks: the one histogram type and the cache-line
-//! parser, each on an input shaped like the real thing.
+//! parser, each fed what a real run produces.
 //!
-//! * `sketch/record` — 1M flowtime-like values (heavy-tailed, spanning
-//!   seconds to hours) recorded into a fresh [`QuantileSketch`];
-//! * `sketch/merge` — 64 such per-cell sketches merged into one, the fold a
-//!   sweep does across its cells;
-//! * `registry/merge` — 64 copies of the [`SimTelemetry`] registry of one
-//!   observed run (counters plus its histogram set) merged into one, the
-//!   fold the sweep server does per simulated cell;
+//! * `sketch/record` — the job flowtimes of one 600-job `Scenario::scaled`
+//!   FIFO cell, repeated to 1M values, recorded into a fresh
+//!   [`QuantileSketch`];
+//! * `sketch/merge` — 64 sketches, each holding a 1/64 slice of those
+//!   values, merged into one, the fold a sweep does across its cells;
+//! * `registry/snapshot` — [`SweepServer::metrics_snapshot`] after one
+//!   sweep, the clone of the lifetime registry (telemetry counters and
+//!   histograms plus the request-latency sketches) that every `stats` and
+//!   `metrics` request takes;
 //! * `json/parse_outcome_line` — one result-cache line (fingerprint plus
-//!   the outcome of a 600-job `Scenario::scaled` FIFO cell) parsed and
-//!   decoded back into a [`SimOutcome`].
+//!   the outcome of the FIFO cell above) parsed and decoded back into a
+//!   [`SimOutcome`].
 //!
 //! Run with `cargo bench -p mapreduce-bench --bench metrics_hot`. Results
 //! merge into `BENCH_engine.json` under `metrics_hot`.
 
 use mapreduce_experiments::{run_cell, Scenario, SchedulerKind};
-use mapreduce_metrics::{MetricsRegistry, QuantileSketch, SimTelemetry};
-use mapreduce_sim::{SimOutcome, Simulation};
+use mapreduce_metrics::QuantileSketch;
+use mapreduce_server::{ResultCache, SweepRequest, SweepServer};
+use mapreduce_sim::SimOutcome;
 use mapreduce_support::criterion::{BenchmarkId, Criterion};
 use mapreduce_support::hash::Fingerprint;
 use mapreduce_support::json::{FromJson, JsonValue, ToJson};
-use mapreduce_support::rng::{Rng, SimRng};
 use mapreduce_support::{criterion_group, criterion_main};
 use std::hint::black_box;
 
 /// Values recorded per `sketch/record` iteration.
 const VALUES: usize = 1_000_000;
 
-/// Sketches (and registries) folded per merge iteration.
+/// Sketches folded per `sketch/merge` iteration.
 const SHARDS: usize = 64;
-
-/// Heavy-tailed flowtime-like values: a log-uniform spread from 1 s to
-/// about 11 hours, so every major bucket a real run touches is exercised.
-fn flowtimes(n: usize, seed: u64) -> Vec<u64> {
-    let mut rng = SimRng::seed_from_u64(seed);
-    (0..n)
-        .map(|_| (rng.gen_range(0.0..10.6f64)).exp() as u64)
-        .collect()
-}
 
 fn filled_sketch(values: &[u64]) -> QuantileSketch {
     let mut sketch = QuantileSketch::new();
@@ -48,29 +41,25 @@ fn filled_sketch(values: &[u64]) -> QuantileSketch {
     sketch
 }
 
-/// The registry of one observed 600-job SRPTMS+C cell.
-fn telemetry_registry(scenario: &Scenario) -> MetricsRegistry {
-    let seed = scenario.seeds[0];
-    let mut scheduler = SchedulerKind::paper_default().build();
-    let mut telemetry = SimTelemetry::new();
-    Simulation::from_source(scenario.sim_config(seed), scenario.job_source(seed))
-        .run_with_observer(scheduler.as_mut(), &mut telemetry)
-        .expect("the observed cell completes");
-    telemetry.into_registry()
-}
-
 fn bench_metrics_hot(c: &mut Criterion) {
-    let values = flowtimes(VALUES, 7);
-    let shards: Vec<QuantileSketch> = (0..SHARDS as u64)
-        .map(|seed| filled_sketch(&flowtimes(VALUES / SHARDS, seed)))
-        .collect();
     let scenario = Scenario::scaled(600, 1);
-    let registry = telemetry_registry(&scenario);
-    assert!(
-        registry.histograms().count() >= 5,
-        "the telemetry registry carries its histogram set"
-    );
     let outcome = run_cell(SchedulerKind::Fifo, &scenario, scenario.seeds[0]);
+    let values: Vec<u64> = outcome
+        .flowtimes()
+        .into_iter()
+        .cycle()
+        .take(VALUES)
+        .collect();
+    let shards: Vec<QuantileSketch> = values.chunks(VALUES / SHARDS).map(filled_sketch).collect();
+
+    let server = SweepServer::new(ResultCache::in_memory());
+    let response = server.submit(&SweepRequest::new(
+        scenario.clone(),
+        vec![SchedulerKind::Fifo, SchedulerKind::paper_default()],
+    ));
+    assert_eq!(response.simulated, 2);
+    let histograms = server.metrics_snapshot().histograms().count();
+
     let line = JsonValue::object([
         (
             "fingerprint",
@@ -103,14 +92,8 @@ fn bench_metrics_hot(c: &mut Criterion) {
     group.finish();
 
     let mut group = c.benchmark_group("registry");
-    group.bench_with_input(BenchmarkId::from_parameter("merge"), &(), |b, _| {
-        b.iter(|| {
-            let mut merged = MetricsRegistry::new();
-            for _ in 0..SHARDS {
-                merged.merge(&registry);
-            }
-            black_box(merged)
-        })
+    group.bench_with_input(BenchmarkId::from_parameter("snapshot"), &(), |b, _| {
+        b.iter(|| black_box(server.metrics_snapshot()))
     });
     group.finish();
 
@@ -123,9 +106,8 @@ fn bench_metrics_hot(c: &mut Criterion) {
     group.finish();
 
     println!(
-        "metrics_hot: {VALUES} values, {SHARDS} shards, {} registry histograms, \
+        "metrics_hot: {VALUES} values, {SHARDS} shards, {histograms} registry histograms, \
          cache line {} bytes",
-        registry.histograms().count(),
         line.len()
     );
     mapreduce_bench::merge_bench_report_with(

@@ -18,23 +18,27 @@ pub struct Ecdf {
 impl Ecdf {
     /// Builds the CDF from raw values (order does not matter).
     pub fn from_values(values: &[f64]) -> Self {
-        let mut sorted: Vec<f64> = values.iter().copied().filter(|v| v.is_finite()).collect();
-        // `total_cmp` per the repo-wide NaN-determinism rule: a total order
-        // never depends on how `partial_cmp` ties are broken.
-        sorted.sort_by(f64::total_cmp);
-        Ecdf { sorted }
+        Self::from_vec(values.to_vec())
     }
 
     /// Builds the CDF of the flowtimes of all jobs of a simulation outcome.
     pub fn from_outcome(outcome: &SimOutcome) -> Self {
-        // Flowtimes are integers, so there is nothing non-finite to drop.
-        let mut sorted: Vec<f64> = outcome
-            .records()
-            .iter()
-            .map(|r| r.flowtime() as f64)
-            .collect();
-        sorted.sort_by(f64::total_cmp);
-        Ecdf { sorted }
+        Self::from_vec(
+            outcome
+                .records()
+                .iter()
+                .map(|r| r.flowtime() as f64)
+                .collect(),
+        )
+    }
+
+    /// Sorts owned values in place into a CDF, dropping non-finite ones.
+    fn from_vec(mut values: Vec<f64>) -> Self {
+        values.retain(|v| v.is_finite());
+        // `total_cmp` per the repo-wide NaN-determinism rule: a total order
+        // never depends on how `partial_cmp` ties are broken.
+        values.sort_by(f64::total_cmp);
+        Ecdf { sorted: values }
     }
 
     /// Number of samples.

@@ -94,16 +94,15 @@ impl QuantileSketch {
     }
 
     /// The bucket index of a value.
-    #[inline]
     pub fn bucket_of(value: u64) -> usize {
-        // With `high` the highest set bit, `shift = max(high − SUB_BITS, 0)`
-        // keeps the top SUB_BITS + 1 bits. Values below 2·SUB_BUCKETS keep
-        // shift 0 and index themselves; each further power of two adds
-        // SUB_BUCKETS. Branch-free, because small and large flowtimes
-        // interleave unpredictably and a mispredicted branch costs more
-        // than the rest of `record`.
-        let shift = (63 - (value | 1).leading_zeros()).saturating_sub(SUB_BITS);
-        ((shift as usize) << SUB_BITS) + (value >> shift) as usize
+        if value < SUB_BUCKETS as u64 {
+            return value as usize;
+        }
+        // Position of the highest set bit (≥ SUB_BITS here).
+        let high = 63 - value.leading_zeros();
+        let major = (high - SUB_BITS + 1) as usize;
+        let sub = ((value >> (high - SUB_BITS)) as usize) - SUB_BUCKETS;
+        major * SUB_BUCKETS + sub
     }
 
     /// The smallest value a bucket admits. Floors roundtrip:
@@ -128,7 +127,6 @@ impl QuantileSketch {
     }
 
     /// Records one sample.
-    #[inline]
     pub fn record(&mut self, value: u64) {
         self.record_n(value, 1);
     }
