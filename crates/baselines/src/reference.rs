@@ -415,7 +415,7 @@ impl Scheduler for ReferenceLate {
 /// every running task of every alive job — no running-by-finish index, no
 /// completed-duration aggregates. The golden-equivalence suite pins
 /// [`crate::Restart`] against this implementation bit-for-bit, which gives
-/// the engine's cancellation path (event retraction, scratch-buffer
+/// the engine's cancellation path (stale finish events, scratch-buffer
 /// cancellation, running-finish re-keying) adversarial randomized coverage.
 #[derive(Debug, Clone)]
 pub struct ReferenceRestart {

@@ -10,10 +10,10 @@
 //! [`Action::Launch`] that reuses the machine the cancellation freed.
 //!
 //! In this codebase the scheduler doubles as the adversarial workout for the
-//! engine's cancellation path: every restart exercises
-//! [`mapreduce_sim::EventQueue::retract`] (the queued finish event of the
-//! killed copy), the running-by-finish re-keying and the scratch-buffer
-//! cancellation pass — under randomized workloads via the golden-equivalence
+//! engine's cancellation path: every restart leaves a stale finish event in
+//! the [`mapreduce_sim::EventQueue`] (the killed copy's, skipped when it
+//! fires), and exercises the running-by-finish re-keying and the
+//! scratch-buffer cancellation pass — under randomized workloads via the golden-equivalence
 //! suite, which pins [`Restart`] against the scan-based
 //! [`crate::reference::ReferenceRestart`] bit-for-bit.
 

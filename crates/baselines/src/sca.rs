@@ -142,7 +142,10 @@ impl Scheduler for Sca {
 
     fn schedule_into(&mut self, state: &ClusterState<'_>, actions: &mut Vec<Action>) {
         let mut budget = state.available_machines();
-        if budget == 0 {
+        // Both passes grant machines only to launchable unscheduled tasks,
+        // so with none anywhere no action can follow (`O(1)` on engine
+        // snapshots).
+        if budget == 0 || state.total_launchable_tasks() == 0 {
             return;
         }
 

@@ -61,7 +61,9 @@ impl Scheduler for SrptNoClone {
 
     fn schedule_into(&mut self, state: &ClusterState<'_>, actions: &mut Vec<Action>) {
         let mut budget = state.available_machines();
-        if budget == 0 {
+        // Only launchable unscheduled tasks are ever launched, so with none
+        // anywhere no action can follow (`O(1)` on engine snapshots).
+        if budget == 0 || state.total_launchable_tasks() == 0 {
             return;
         }
         // Jobs in w / U order from the engine's maintained ranking, walked

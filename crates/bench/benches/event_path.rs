@@ -6,11 +6,12 @@
 //!
 //! * **churn** — steady-state push/drain traffic shaped like an engine run
 //!   (a standing population of pending finishes, bursty same-slot ties, a
-//!   heavy tail of far-future slots exercising the overflow map);
-//! * **cancel** — a clone-heavy schedule where half of all queued finishes
-//!   are retracted before firing. The calendar retracts and compacts
-//!   (tombstoned instants); the heap pays the historical lazy-deletion cost
-//!   of popping and skipping every stale entry.
+//!   heavy tail of far-future slots exercising the overflow heap);
+//! * **cancel** — a clone-heavy schedule where the losing clones' queued
+//!   finishes (three in four events) go stale before firing. Both queues
+//!   delete lazily, as the engine does: every stale entry is delivered and
+//!   skipped by the same `O(1)` liveness check (a flag per allocation
+//!   sequence, standing in for the engine's arena lookup).
 //!
 //! Results are merged into `BENCH_engine.json` under `event_path`.
 //!
@@ -108,80 +109,64 @@ fn churn_heap() -> u64 {
 }
 
 /// Clone-heavy cancellation: every task queues `CLONES` finish events, the
-/// earliest wins, the siblings are killed. The calendar retracts them; the
-/// heap leaves them for pop-time skipping (the engine's historical cost).
-fn cancel_calendar() -> u64 {
+/// earliest wins, the siblings are killed. Their entries stay queued and are
+/// skipped on delivery by the same liveness check for either queue. Returns
+/// the number of live events delivered.
+fn cancel<Q>(
+    queue: &mut Q,
+    push: impl Fn(&mut Q, Event),
+    mut drain: impl FnMut(&mut Q, u64, &mut Vec<Event>),
+) -> u64 {
     const CLONES: u64 = 4;
     let mut rng = SimRng::seed_from_u64(11);
-    let mut queue = EventQueue::new();
+    let mut stale = vec![false; EVENTS];
     let mut buf = Vec::new();
     let mut now = 0u64;
     let mut next = 0u64;
     let mut live = 0u64;
-    for _ in 0..(EVENTS as u64 / CLONES) {
-        let mut finishes = [0u64; CLONES as usize];
-        for f in finishes.iter_mut() {
-            *f = now + offset(&mut rng);
-            queue.push(finish_event(*f, next));
-            next += 1;
-        }
-        // First copy wins: retract the other clones' finish events.
-        let winner = *finishes.iter().min().expect("clones");
-        for (i, &f) in finishes.iter().enumerate() {
-            let id = next - CLONES + i as u64;
-            if f > winner {
-                queue.retract(f, id);
-            }
-        }
-        if rng.gen_range(0u32..4) == 0 {
-            now += rng.gen_range(1u64..48);
-            buf.clear();
-            queue.drain_due(now, &mut buf);
-            live += buf.len() as u64;
-        }
-    }
-    buf.clear();
-    queue.drain_due(u64::MAX, &mut buf);
-    live + buf.len() as u64
-}
-
-fn cancel_heap() -> u64 {
-    const CLONES: u64 = 4;
-    let mut rng = SimRng::seed_from_u64(11);
-    let mut queue = HeapEventQueue::new();
-    let mut stale = std::collections::HashSet::new();
-    let mut now = 0u64;
-    let mut next = 0u64;
-    let mut live = 0u64;
-    let drain = |q: &mut HeapEventQueue, stale: &std::collections::HashSet<u64>, now: u64| {
-        let mut n = 0u64;
-        while let Some(event) = q.pop_due(now) {
-            if !matches!(event, Event::CopyFinish { copy, .. } if stale.contains(&copy.0)) {
-                n += 1;
-            }
-        }
-        n
+    let mut deliver = |queue: &mut Q, stale: &[bool], now: u64| {
+        buf.clear();
+        drain(queue, now, &mut buf);
+        buf.iter()
+            .filter(|e| !matches!(e, Event::CopyFinish { seq, .. } if stale[*seq as usize]))
+            .count() as u64
     };
     for _ in 0..(EVENTS as u64 / CLONES) {
         let mut finishes = [0u64; CLONES as usize];
         for f in finishes.iter_mut() {
             *f = now + offset(&mut rng);
-            queue.push(finish_event(*f, next));
+            push(queue, finish_event(*f, next));
             next += 1;
         }
+        // First copy wins: the other clones' finish events go stale.
         let winner = *finishes.iter().min().expect("clones");
         for (i, &f) in finishes.iter().enumerate() {
-            let id = next - CLONES + i as u64;
             if f > winner {
-                stale.insert(id);
+                stale[(next - CLONES) as usize + i] = true;
             }
         }
         if rng.gen_range(0u32..4) == 0 {
             now += rng.gen_range(1u64..48);
-            live += drain(&mut queue, &stale, now);
+            live += deliver(queue, &stale, now);
         }
     }
-    live + drain(&mut queue, &stale, u64::MAX)
+    live + deliver(queue, &stale, u64::MAX)
+}
+
+fn cancel_calendar() -> u64 {
+    cancel(
+        &mut EventQueue::new(),
+        |q, e| q.push(e),
+        |q, now, out| q.drain_due(now, out),
+    )
+}
+
+fn cancel_heap() -> u64 {
+    cancel(
+        &mut HeapEventQueue::new(),
+        |q, e| q.push(e),
+        |q, now, out| out.extend(std::iter::from_fn(|| q.pop_due(now))),
+    )
 }
 
 fn bench_event_path(c: &mut Criterion) {

@@ -1,5 +1,5 @@
 //! Fault-injection smoke benchmark: times the kill path — crash-heavy runs
-//! where machines die under their copies, finish events retract, and tasks
+//! where machines die under their copies, finish events go stale, and tasks
 //! re-execute — and records the fault counters next to the timings so a
 //! regression in the kill/recovery path is visible in the report.
 //!

@@ -265,6 +265,15 @@ impl Scheduler for SrptMsC {
         if available == 0 {
             return;
         }
+        // Launchable tasks not yet launched this decision. The ε-pass and
+        // the backfill only ever launch launchable unscheduled tasks, so with
+        // none anywhere no action can follow: return before ranking anything
+        // (`O(1)` on engine snapshots). Counting launches against the
+        // aggregate below tells both passes when nothing launchable remains.
+        let mut launchable_left = state.total_launchable_tasks();
+        if launchable_left == 0 {
+            return;
+        }
 
         // ψ^s(l): alive jobs that still have unscheduled tasks, ranked by
         // decreasing w_i / U_i(l), ties by id. Engine-built snapshots carry
@@ -297,12 +306,6 @@ impl Scheduler for SrptMsC {
             &mut self.round_scratch,
         );
         state.note_ranked_prefix(self.shares.len());
-
-        // Launchable tasks not yet launched this decision: the ε-pass and
-        // the backfill only ever launch launchable unscheduled tasks, so
-        // counting launches against the O(1) aggregate tells both passes
-        // when nothing launchable remains anywhere.
-        let mut launchable_left = state.total_launchable_tasks();
 
         self.launched_prefix.clear();
         self.launched_prefix.resize(self.shares.len(), 0);

@@ -11,7 +11,7 @@
 //!
 //! On top of the paper-figure metrics, the crate hosts the telemetry
 //! consumers of the engine's [`mapreduce_sim::SimObserver`] seam: a
-//! shard-mergeable counter/histogram [`MetricsRegistry`] with its folding
+//! counter/histogram [`MetricsRegistry`] with its folding
 //! observer [`SimTelemetry`], the streaming [`QuantileSketch`] that yields
 //! Fig. 4/5-shaped CDFs and percentiles in O(1) memory (see [`sketch`]),
 //! and the bounded Chrome-trace exporter [`TraceRecorder`] (see

@@ -3,11 +3,10 @@
 //! The registry is the folding target of the telemetry observers
 //! ([`crate::SimTelemetry`]) and of the sweep server's per-request
 //! accounting: named monotonic counters plus [`QuantileSketch`] histograms,
-//! all plain integers so snapshots are bit-reproducible across hosts. Every
-//! piece is **shard-mergeable** —
-//! [`MetricsRegistry::merge`] folds another snapshot in associatively and
-//! commutatively, so independent runs (or future event-loop shards) can
-//! each fold their own registry and combine at the end.
+//! all plain integers so snapshots are bit-reproducible across hosts.
+//! [`MetricsRegistry::merge_histogram`] folds a whole sketch into a named
+//! slot with [`QuantileSketch::merge`], which is associative and
+//! commutative.
 //!
 //! Storage is `BTreeMap`-backed, so iteration and JSON serialisation are in
 //! deterministic name order.
@@ -100,18 +99,6 @@ impl MetricsRegistry {
             }
         }
     }
-
-    /// Folds another registry in: counters add, histograms merge. Associative
-    /// and commutative, so shards can be combined in any tree order —
-    /// the same discipline as [`QuantileSketch::merge`].
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (name, &value) in &other.counters {
-            self.inc(name, value);
-        }
-        for (name, histogram) in &other.histograms {
-            self.merge_histogram(name, histogram);
-        }
-    }
 }
 
 impl ToJson for MetricsRegistry {
@@ -170,33 +157,6 @@ mod tests {
         assert_eq!(r.counter("noop"), 0, "inc by 0 does not create a counter");
         assert_eq!(r.histogram("job_flowtime").unwrap().count(), 2);
         assert!(r.histogram("missing").is_none());
-    }
-
-    #[test]
-    fn registry_merge_matches_single_fold() {
-        let mut a = MetricsRegistry::new();
-        a.inc("x", 2);
-        a.record("h", 7);
-        let mut b = MetricsRegistry::new();
-        b.inc("x", 3);
-        b.inc("y", 1);
-        b.record("h", 700);
-        b.record("g", 1);
-
-        let mut merged = a.clone();
-        merged.merge(&b);
-        let mut whole = MetricsRegistry::new();
-        whole.inc("x", 5);
-        whole.inc("y", 1);
-        whole.record("h", 7);
-        whole.record("h", 700);
-        whole.record("g", 1);
-        assert_eq!(merged, whole);
-
-        // Merge order is immaterial.
-        let mut reversed = b.clone();
-        reversed.merge(&a);
-        assert_eq!(merged, reversed);
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //!
 //! # Merge discipline
 //!
-//! Like [`crate::MetricsRegistry`], the sketch is **shard-mergeable**:
+//! The sketch is **shard-mergeable**:
 //! [`QuantileSketch::merge`] is associative and commutative, so per-shard
 //! sketches (for example the per-cell sketches of a sweep) combine in any
 //! tree order into the sketch a single-pass fold would have produced —

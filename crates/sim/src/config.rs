@@ -305,7 +305,7 @@ pub struct SimConfig {
     pub periodic_wakeup: Option<u64>,
     /// Width exponent of the engine's calendar event queue: the ring holds
     /// `2^event_ring_bits` slot-granular buckets; events further out go to
-    /// the overflow map. A pure performance knob — any width produces the
+    /// the overflow heap. A pure performance knob — any width produces the
     /// bit-identical trajectory. See [`crate::events::EventQueue`].
     pub event_ring_bits: u8,
     /// Machine crash/recovery and brown-out dynamics. The default (empty)

@@ -30,16 +30,17 @@
 //! # Event path
 //!
 //! The arrival/finish plumbing lives in [`crate::events`]: a slot-granular
-//! calendar queue with `O(1)` amortized push/pop. Each decision instant is
+//! calendar queue with `O(1)` amortized push. Each decision instant is
 //! delivered as one **batch** ([`EventQueue::drain_due`]) — the instant's
 //! bucket is sorted once and handed over wholesale instead of a heap pop per
 //! event, and a task whose clones tie at one slot is finalized exactly once
 //! (the first completion in `(kind, allocation-sequence)` order wins; its
 //! siblings fail the `O(1)` liveness check). Copy records live in a
 //! run-level [`CopyArena`] indexed by [`CopyId`], so resolving a completion
-//! is a single slice index, and cancelled copies *retract* their queued
-//! finish events ([`EventQueue::retract`]) instead of leaving stale heap
-//! entries behind. Completed jobs hand their copy slots back to the arena's
+//! is a single slice index. A cancelled or killed copy's finish event stays
+//! queued: it fires its instant and fails the same liveness check, so
+//! cancellation costs nothing in the queue. Completed jobs hand their copy
+//! slots back to the arena's
 //! free-list, so — like the job table — copy memory is bounded by the peak
 //! alive window ([`SimOutcome::peak_copy_slots`]) rather than the run's
 //! total copy count.
@@ -574,8 +575,8 @@ impl Simulation {
                         task,
                         seq,
                     } => {
-                        if let Some(finished) = self
-                            .handle_copy_finish(task, copy, seq, at, &mut ctx, &mut queue, observer)
+                        if let Some(finished) =
+                            self.handle_copy_finish(task, copy, seq, at, &mut ctx, observer)
                         {
                             newly_finished.push(finished);
                             let job_idx = task.job.as_usize();
@@ -758,9 +759,9 @@ impl Simulation {
     }
 
     /// Processes the completion of one copy. Returns `Some(task_id)` if the
-    /// event was live and the task finished, `None` for stale events (the
-    /// liveness check is `O(1)`: one arena index).
-    #[allow(clippy::too_many_arguments)]
+    /// event was live and the task finished, `None` for stale events: the
+    /// finish events of cancelled and killed copies stay queued and end here
+    /// (the liveness check is `O(1)`: one arena index).
     fn handle_copy_finish<O: SimObserver>(
         &mut self,
         task_id: TaskId,
@@ -768,7 +769,6 @@ impl Simulation {
         seq: u64,
         slot: Slot,
         ctx: &mut RunCtx,
-        queue: &mut EventQueue,
         observer: &mut O,
     ) -> Option<TaskId> {
         let job = self.jobs.get_mut(task_id.job.as_usize())?;
@@ -791,8 +791,8 @@ impl Simulation {
             }
         }
         // First-copy-wins: the winner finishes; every sibling still holding a
-        // machine is cancelled, and running siblings retract their queued
-        // finish events so the calendar queue can drop them wholesale.
+        // machine is cancelled. A running sibling's finish event stays queued
+        // and fails the check above when it fires.
         let mut released = 0usize;
         let mut busy = 0u64;
         let mut waiting_cancelled = 0usize;
@@ -815,16 +815,11 @@ impl Simulation {
                     });
                 }
                 CopyPhase::Running => {
-                    let finish = copy.finish_slot();
-                    let copy_seq = copy.seq();
                     let launched_at = copy.launched_at();
                     busy += slot.saturating_sub(launched_at);
                     released += 1;
                     ctx.arena.cancel(cid, slot);
                     ctx.release_machine(cid);
-                    if let Some(finish) = finish {
-                        queue.retract(finish, copy_seq);
-                    }
                     observer.on_copy_cancelled(CopyCancelled {
                         at: slot,
                         copy: cid,
@@ -913,7 +908,7 @@ impl Simulation {
         match victim {
             // Work lost, not jobs lost: the resident copy dies and its task
             // re-enters the unscheduled pool if no sibling survives.
-            Some(cid) => self.kill_copy(cid, now, ctx, alive, queue, observer),
+            Some(cid) => self.kill_copy(cid, now, ctx, alive, observer),
             None => {
                 // Idle machine: its free-list entry goes stale (lazy
                 // deletion) and the cluster loses one available slot.
@@ -967,7 +962,7 @@ impl Simulation {
     }
 
     /// Kills the copy resident on a crashing machine: progress is wasted, the
-    /// queued finish event is retracted, and if no sibling copy survives the
+    /// queued finish event goes stale, and if no sibling copy survives the
     /// task returns to the unscheduled pool so a later decision instant
     /// re-executes it. The machine is *not* returned to the available count —
     /// it goes straight from busy to down. Returns the task's id when its
@@ -978,26 +973,14 @@ impl Simulation {
         now: Slot,
         ctx: &mut RunCtx,
         alive: &mut AliveIndex,
-        queue: &mut EventQueue,
         observer: &mut O,
     ) -> Option<TaskId> {
-        let (task_id, phase_was, finish, seq, launched_at) = {
+        let (task_id, phase_was, launched_at) = {
             let copy = ctx.arena.get(cid);
-            (
-                copy.task(),
-                copy.phase(),
-                copy.finish_slot(),
-                copy.seq(),
-                copy.launched_at(),
-            )
+            (copy.task(), copy.phase(), copy.launched_at())
         };
         let elapsed = now.saturating_sub(launched_at);
         ctx.arena.cancel(cid, now);
-        if phase_was == CopyPhase::Running {
-            if let Some(finish) = finish {
-                queue.retract(finish, seq);
-            }
-        }
         {
             let pool = ctx
                 .pool
@@ -1115,7 +1098,7 @@ impl Simulation {
                     self.launch_copies(task, copies, now, ctx, alive, queue, rng, observer)?;
                 }
                 Action::CancelCopies { task, keep } => {
-                    self.cancel_copies(task, keep, now, ctx, queue, observer)?;
+                    self.cancel_copies(task, keep, now, ctx, observer)?;
                 }
             }
         }
@@ -1277,7 +1260,6 @@ impl Simulation {
         keep: usize,
         now: Slot,
         ctx: &mut RunCtx,
-        queue: &mut EventQueue,
         observer: &mut O,
     ) -> Result<(), SimError> {
         let job_idx = task_id.job.as_usize();
@@ -1329,21 +1311,18 @@ impl Simulation {
                 }
                 continue;
             }
-            let (finish, copy_seq, launched_at) = {
+            let launched_at = {
                 let copy = arena.get(cid);
                 if copy.phase() == CopyPhase::WaitingForMapPhase {
                     waiting_cancelled += 1;
                 }
                 busy += now.saturating_sub(copy.launched_at());
-                (copy.finish_slot(), copy.seq(), copy.launched_at())
+                copy.launched_at()
             };
             arena.cancel(cid, now);
             released += 1;
             if let Some(pool) = pool.as_mut() {
                 pool.release(cid);
-            }
-            if let Some(finish) = finish {
-                queue.retract(finish, copy_seq);
             }
             observer.on_copy_cancelled(CopyCancelled {
                 at: now,
@@ -1609,7 +1588,7 @@ mod tests {
         // Launch 3 clones of one long task, then cancel down to 1: the
         // survivor must be the earliest-launched (most progressed) copy, the
         // two cancelled copies must release their machines immediately, and
-        // the retracted finish events must not linger.
+        // their still-queued finish events must be skipped when they fire.
         struct CancelAfter {
             cancelled: bool,
         }

@@ -6,43 +6,36 @@
 //!
 //! * [`Event`] is the typed vocabulary of things that can happen at a slot.
 //! * [`EventQueue`] is a slot-granular **calendar queue**: a ring of per-slot
-//!   buckets plus an overflow map for far-future slots, with `O(1)` amortized
-//!   push and pop. It delivers events in the same total, deterministic order
-//!   as a binary heap over `(slot, kind, sequence)` would: earlier slots
-//!   first, arrivals before copy completions at the same slot, and same-kind
-//!   ties broken by sequence (arrival order / copy allocation order — copy
-//!   *slots* are recycled across a run, allocation sequences never are).
+//!   buckets plus a flat overflow heap for far-future slots, with `O(1)`
+//!   amortized push and one sort per drained instant. It delivers events in
+//!   the same total, deterministic order as a binary heap over
+//!   `(slot, kind, sequence)` would: earlier slots first, arrivals before
+//!   copy completions at the same slot, and same-kind ties broken by
+//!   sequence (arrival order / copy allocation order — copy *slots* are
+//!   recycled across a run, allocation sequences never are).
 //! * [`HeapEventQueue`] is the frozen pre-calendar implementation (a
 //!   `BinaryHeap` min-heap). It is kept verbatim as the ordering oracle for
 //!   the side-by-side equivalence proptests and the `event_path` benchmark.
 //!
-//! # Staleness, retraction and tombstones
+//! # Stale events
 //!
 //! Completion events can become stale before they fire: first-copy-wins kills
-//! sibling copies and `CancelCopies` actions kill speculative ones. The heap
-//! design left stale entries in place ("lazy deletion") and the engine
-//! validated every popped completion against live task state. The calendar
-//! queue instead supports **retraction**: when the engine cancels a running
-//! copy it calls [`EventQueue::retract`] with the copy's scheduled finish
-//! slot. The queue appends the copy's allocation sequence to the bucket's
-//! retracted list and,
-//! once retracted entries reach half the bucket, **compacts** the bucket —
-//! removing the stale entries in one pass. Compaction converts removed
-//! entries into per-bucket **tombstones**: the slot still *fires* (it shows
-//! up in [`EventQueue::peek_slot`] and wakes the engine exactly like popping
-//! and skipping a stale entry used to) but carries no payload. This keeps the
-//! simulated trajectory bit-identical to the lazy-deletion engine while
-//! cancellation-heavy schedules stop paying per-stale-entry ordering costs.
-//!
-//! A retraction at or before the drained position is ignored (the entry is
-//! already in flight for the current instant); the engine's pop-time
-//! validation remains as the backstop for exactly that same-slot tie case.
+//! sibling copies, `CancelCopies` actions kill speculative ones and machine
+//! crashes kill resident ones. Both queues delete lazily: a dead copy's
+//! finish event stays queued, its instant still fires (it shows up in
+//! [`EventQueue::peek_slot`] and wakes the engine), and the engine rejects
+//! the delivered entry with an `O(1)` check of the copy's allocation
+//! sequence, phase and finish slot. Removing the entry instead would cost
+//! more than skipping it and would still have to leave its instant firing,
+//! because the decision-instant sequence is part of the trajectory. So the
+//! calendar queue and the heap deliver the same raw sequence, stale entries
+//! included.
 
 use crate::copy::CopyId;
 use crate::state::Slot;
 use mapreduce_workload::TaskId;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 
 /// Something that happens at a simulation slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,7 +61,7 @@ pub enum Event {
         /// The copy's run-unique allocation sequence
         /// ([`crate::copy::CopyRef::seq`]). Orders same-slot completions
         /// deterministically (copy slots are recycled; sequences never are)
-        /// and lets retraction and pop-time validation tell a stale entry
+        /// and lets the engine's delivery-time validation tell a stale entry
         /// from a reused slot.
         seq: u64,
     },
@@ -140,109 +133,45 @@ impl Event {
 /// Default ring width exponent: `2^11 = 2048` slot-granular buckets. Copy
 /// durations overwhelmingly land within a couple of thousand slots of the
 /// current instant in the paper's traces, so the ring absorbs nearly all
-/// pushes; anything further out (job arrivals seeded up front, heavy-tail
-/// durations) goes to the overflow map and is pulled in as the window slides.
+/// pushes; anything further out (heavy-tail durations, machine epochs) goes
+/// to the overflow heap and is pulled in as the window slides.
 pub const DEFAULT_RING_BITS: u8 = 11;
 
-/// One calendar bucket: every pending event of a single slot.
-#[derive(Debug, Default)]
-struct Bucket {
-    /// Pending events of this slot. Unsorted until the bucket starts
-    /// draining, then sorted by `(kind, sequence)`.
-    entries: Vec<Event>,
-    /// Allocation sequences whose `CopyFinish` entries in this bucket were
-    /// retracted but not yet compacted away. Sequences (not copy slots)
-    /// identify entries uniquely even after slot recycling.
-    retracted: Vec<u64>,
-    /// Entries removed by compaction. The slot still fires while any remain.
-    tombstones: u32,
-    /// Whether `entries` is sorted (set when draining begins).
-    sorted: bool,
-    /// Drain position within `entries` (only non-zero mid-`pop_due`).
-    cursor: usize,
-}
+/// An overflow entry: an [`Event`] ordered by its `(slot, kind, sequence)`
+/// key, smallest first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ByKey(Event);
 
-impl Bucket {
-    /// Whether nothing in this bucket remains to fire.
-    fn is_unoccupied(&self) -> bool {
-        self.cursor >= self.entries.len() && self.tombstones == 0
-    }
-
-    /// Live (not yet drained) entries.
-    fn live(&self) -> usize {
-        self.entries.len() - self.cursor
-    }
-
-    /// Removes retracted `CopyFinish` entries from the undrained tail in one
-    /// pass, converting them into tombstones. Returns how many were removed.
-    fn compact(&mut self) -> usize {
-        if self.retracted.is_empty() {
-            return 0;
-        }
-        self.retracted.sort_unstable();
-        let retracted = std::mem::take(&mut self.retracted);
-        let before = self.entries.len();
-        let cursor = self.cursor;
-        let mut kept = cursor;
-        for i in cursor..before {
-            let stale = match self.entries[i] {
-                Event::CopyFinish { seq, .. } => retracted.binary_search(&seq).is_ok(),
-                _ => false,
-            };
-            if !stale {
-                self.entries.swap(kept, i);
-                kept += 1;
-            }
-        }
-        self.entries.truncate(kept);
-        let removed = before - kept;
-        self.tombstones += removed as u32;
-        // A swap-based retain perturbs the tail order; re-sort on drain.
-        if removed > 0 {
-            self.sorted = false;
-        }
-        removed
-    }
-
-    /// Resets the bucket for reuse, keeping allocations.
-    fn reset(&mut self) {
-        self.entries.clear();
-        self.retracted.clear();
-        self.tombstones = 0;
-        self.sorted = false;
-        self.cursor = 0;
+impl PartialOrd for ByKey {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
     }
 }
 
-/// Running totals of the queue's stale-entry handling, exposed for tests and
-/// the `event_path` benchmark.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StaleStats {
-    /// Retractions accepted (recorded against a future bucket).
-    pub retracted: u64,
-    /// Retractions ignored because the target slot was already draining or
-    /// drained (the engine's pop-time validation covers those).
-    pub late_retractions: u64,
-    /// Stale entries physically removed by bucket compaction.
-    pub compacted: u64,
+impl Ord for ByKey {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        other.0.key().cmp(&self.0.key())
+    }
 }
 
 /// Slot-granular calendar queue of pending [`Event`]s with the same
 /// deterministic total order as a `(slot, kind, sequence)` min-heap.
 ///
 /// The queue is a ring of `2^ring_bits` per-slot buckets anchored at the
-/// drained position plus a `BTreeMap` overflow for slots beyond the ring
-/// window. `push` is `O(1)` (amortized; far-future events pay one map insert
-/// and one move back into the ring as the window slides over them), and
-/// draining an instant costs one sort of that slot's (typically tiny) bucket
-/// instead of a heap pop per event.
+/// drained position plus one flat min-heap for slots beyond the ring window.
+/// `push` is `O(1)` into the ring (far-future events pay one heap push and
+/// one heap pop as the window slides over them), and draining an instant
+/// costs one sort of that slot's (typically tiny) bucket instead of a heap
+/// pop per event.
 ///
 /// Events must not be scheduled at slots the queue has already drained past
 /// ([`EventQueue::drained_to`]); the engine never does (a copy's duration is
 /// at least one slot), and the constraint is asserted in `push`.
 #[derive(Debug)]
 pub struct EventQueue {
-    ring: Box<[Bucket]>,
+    /// One bucket per ring slot: the pending events of that slot, unsorted
+    /// until the slot is drained.
+    ring: Box<[Vec<Event>]>,
     /// Occupancy bitmap over ring indices, one bit per bucket.
     occupancy: Box<[u64]>,
     mask: u64,
@@ -251,14 +180,10 @@ pub struct EventQueue {
     base: Slot,
     /// Number of occupied ring buckets.
     ring_occupied: usize,
-    /// Far-future buckets (slot >= base + ring_len).
-    overflow: BTreeMap<Slot, Bucket>,
-    /// Stored (not yet popped or compacted) entries, including stale ones
-    /// that have not been compacted yet.
+    /// Far-future events (slot >= base + ring_len).
+    overflow: BinaryHeap<ByKey>,
+    /// Stored (not yet drained) events, stale ones included.
     len: usize,
-    /// Sum of tombstones across buckets (instants that must still fire).
-    tombstones: u64,
-    stats: StaleStats,
 }
 
 impl Default for EventQueue {
@@ -284,15 +209,13 @@ impl EventQueue {
         );
         let ring_len = 1usize << ring_bits;
         EventQueue {
-            ring: (0..ring_len).map(|_| Bucket::default()).collect(),
+            ring: (0..ring_len).map(|_| Vec::new()).collect(),
             occupancy: vec![0u64; ring_len.div_ceil(64)].into_boxed_slice(),
             mask: (ring_len - 1) as u64,
             base: 0,
             ring_occupied: 0,
-            overflow: BTreeMap::new(),
+            overflow: BinaryHeap::new(),
             len: 0,
-            tombstones: 0,
-            stats: StaleStats::default(),
         }
     }
 
@@ -300,26 +223,20 @@ impl EventQueue {
         self.mask + 1
     }
 
-    /// Number of pending events (including entries that may be stale but are
-    /// not yet compacted).
+    /// Number of pending events, stale ones included.
     pub fn len(&self) -> usize {
         self.len
     }
 
-    /// Whether nothing is pending: no events and no tombstoned instants.
+    /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0 && self.tombstones == 0
+        self.len == 0
     }
 
     /// The slot before which everything has been drained. Pushes must target
     /// this slot or later.
     pub fn drained_to(&self) -> Slot {
         self.base
-    }
-
-    /// Stale-entry accounting totals.
-    pub fn stale_stats(&self) -> StaleStats {
-        self.stats
     }
 
     fn occ_set(&mut self, idx: usize) {
@@ -387,164 +304,63 @@ impl EventQueue {
         self.len += 1;
         if slot.wrapping_sub(self.base) < self.ring_len() {
             let idx = (slot & self.mask) as usize;
-            let bucket = &mut self.ring[idx];
-            if bucket.sorted {
-                // Same-slot push while the bucket drains: keep the undrained
-                // tail sorted so pop order stays correct.
-                let key = event.bucket_key();
-                let pos = bucket.entries[bucket.cursor..].partition_point(|e| e.bucket_key() < key)
-                    + bucket.cursor;
-                bucket.entries.insert(pos, event);
-            } else {
-                bucket.entries.push(event);
-            }
+            self.ring[idx].push(event);
             self.occ_set(idx);
         } else {
-            self.overflow.entry(slot).or_default().entries.push(event);
+            self.overflow.push(ByKey(event));
         }
     }
 
-    /// Retracts the `CopyFinish` entry with allocation sequence `seq`
-    /// scheduled at `at` (the engine calls this when it cancels a running
-    /// copy). Entries at or before the drained position are left for
-    /// pop-time validation; future entries are marked stale and compacted
-    /// away in bulk once they make up half of their bucket.
-    pub fn retract(&mut self, at: Slot, seq: u64) {
-        if at <= self.base {
-            self.stats.late_retractions += 1;
-            return;
-        }
-        let in_ring = at.wrapping_sub(self.base) < self.ring_len();
-        let bucket = if in_ring {
-            &mut self.ring[(at & self.mask) as usize]
-        } else {
-            match self.overflow.get_mut(&at) {
-                Some(bucket) => bucket,
-                None => {
-                    self.stats.late_retractions += 1;
-                    return;
-                }
-            }
-        };
-        if bucket.live() == 0 {
-            self.stats.late_retractions += 1;
-            return;
-        }
-        bucket.retracted.push(seq);
-        self.stats.retracted += 1;
-        if bucket.retracted.len() * 2 >= bucket.live() {
-            let removed = bucket.compact();
-            self.len -= removed;
-            self.tombstones += removed as u64;
-            self.stats.compacted += removed as u64;
-        }
-    }
-
-    /// The slot of the earliest pending instant, if any. Includes tombstoned
-    /// instants: a slot whose events were all retracted still fires (and
-    /// delivers nothing), exactly like popping and skipping a stale entry.
+    /// The slot of the earliest pending event, if any. Every ring slot lies
+    /// before every overflow slot, so the heap is consulted only when the
+    /// ring is empty.
     pub fn peek_slot(&self) -> Option<Slot> {
         let start = (self.base & self.mask) as usize;
         if let Some(idx) = self.occ_scan_from(start) {
             let delta = (idx as u64).wrapping_sub(self.base & self.mask) & self.mask;
             return Some(self.base + delta);
         }
-        self.overflow.keys().next().copied()
+        self.overflow.peek().map(|ByKey(event)| event.at())
     }
 
-    /// Moves the window anchor forward to `slot`, pulling overflow buckets
-    /// that now fall inside the ring window. Requires every bucket before
-    /// `slot` to be drained.
+    /// Moves the window anchor forward to `slot`, pulling every overflow
+    /// event that now falls inside the ring window into its bucket.
+    /// Requires every bucket before `slot` to be drained.
     fn advance_to(&mut self, slot: Slot) {
         if slot <= self.base {
             return;
         }
         self.base = slot;
         let window_end = self.base.saturating_add(self.ring_len());
-        while let Some((&first, _)) = self.overflow.first_key_value() {
-            if first >= window_end {
+        while let Some(&ByKey(event)) = self.overflow.peek() {
+            let at = event.at();
+            if at >= window_end {
                 break;
             }
-            let from = self.overflow.remove(&first).expect("peeked key");
-            let idx = (first & self.mask) as usize;
-            let into = &mut self.ring[idx];
-            debug_assert!(into.is_unoccupied() && into.entries.is_empty());
-            into.entries.extend_from_slice(&from.entries);
-            into.retracted.extend_from_slice(&from.retracted);
-            into.tombstones += from.tombstones;
+            self.overflow.pop();
+            let idx = (at & self.mask) as usize;
+            debug_assert!(self.ring[idx].iter().all(|e| e.at() == at));
+            self.ring[idx].push(event);
             self.occ_set(idx);
         }
     }
 
-    /// Prepares the bucket of `slot` (which must be the earliest occupied
-    /// instant) for draining: window advance, compaction, sort. Returns the
-    /// ring index.
-    fn open_bucket(&mut self, slot: Slot) -> usize {
-        self.advance_to(slot);
-        let idx = (slot & self.mask) as usize;
-        let bucket = &mut self.ring[idx];
-        if !bucket.sorted {
-            let removed = bucket.compact();
-            self.len -= removed;
-            self.stats.compacted += removed as u64;
-            // Tombstones created at drain time have already "fired" — the
-            // instant is being delivered right now — so they are consumed
-            // immediately rather than added to the pending total.
-            bucket.tombstones = bucket.tombstones.saturating_sub(removed as u32);
-            bucket.entries[bucket.cursor..].sort_unstable_by_key(Event::bucket_key);
-            bucket.sorted = true;
-        }
-        idx
-    }
-
-    /// Releases a fully drained bucket.
-    fn close_bucket(&mut self, idx: usize) {
-        let bucket = &mut self.ring[idx];
-        debug_assert!(bucket.cursor >= bucket.entries.len());
-        self.tombstones -= u64::from(bucket.tombstones);
-        bucket.reset();
-        self.occ_clear(idx);
-    }
-
-    /// Pops the earliest event if it fires at or before `now`. Tombstoned
-    /// instants at or before `now` are consumed silently.
-    pub fn pop_due(&mut self, now: Slot) -> Option<Event> {
-        loop {
-            let slot = self.peek_slot()?;
-            if slot > now {
-                return None;
-            }
-            let idx = self.open_bucket(slot);
-            let bucket = &mut self.ring[idx];
-            if bucket.cursor < bucket.entries.len() {
-                let event = bucket.entries[bucket.cursor];
-                bucket.cursor += 1;
-                self.len -= 1;
-                if self.ring[idx].is_unoccupied() {
-                    self.close_bucket(idx);
-                }
-                return Some(event);
-            }
-            // Tombstones only: the instant fires with no payload.
-            self.close_bucket(idx);
-        }
-    }
-
     /// Drains every event due at or before `now` into `out`, in full
-    /// deterministic order, consuming tombstoned instants along the way. The
-    /// engine delivers one decision instant per call, so this typically
-    /// empties exactly one bucket with a single sort.
+    /// deterministic order, stale entries included. The engine delivers one
+    /// decision instant per call, so this typically empties exactly one
+    /// bucket with a single sort.
     pub fn drain_due(&mut self, now: Slot, out: &mut Vec<Event>) {
         while let Some(slot) = self.peek_slot() {
             if slot > now {
                 break;
             }
-            let idx = self.open_bucket(slot);
+            self.advance_to(slot);
+            let idx = (slot & self.mask) as usize;
             let bucket = &mut self.ring[idx];
-            out.extend_from_slice(&bucket.entries[bucket.cursor..]);
-            self.len -= bucket.live();
-            bucket.cursor = bucket.entries.len();
-            self.close_bucket(idx);
+            bucket.sort_unstable_by_key(Event::bucket_key);
+            self.len -= bucket.len();
+            out.append(bucket);
+            self.occ_clear(idx);
         }
         // Anchor the window at the delivered instant so far-future pushes
         // from the handlers land in the freshest possible ring window.
@@ -669,6 +485,23 @@ mod tests {
         }
     }
 
+    /// Everything due at or before `now`, in delivery order.
+    fn drain(q: &mut EventQueue, now: Slot) -> Vec<Event> {
+        let mut out = Vec::new();
+        q.drain_due(now, &mut out);
+        out
+    }
+
+    fn copies(events: &[Event]) -> Vec<u64> {
+        events
+            .iter()
+            .map(|e| match e {
+                Event::CopyFinish { copy, .. } => copy.0,
+                _ => unreachable!(),
+            })
+            .collect()
+    }
+
     #[test]
     fn events_pop_in_slot_order() {
         let mut q = EventQueue::new();
@@ -690,8 +523,7 @@ mod tests {
         });
         assert_eq!(q.len(), 3);
         assert_eq!(q.peek_slot(), Some(10));
-        let slots: Vec<Slot> =
-            std::iter::from_fn(|| q.pop_due(Slot::MAX).map(|e| e.at())).collect();
+        let slots: Vec<Slot> = drain(&mut q, Slot::MAX).iter().map(Event::at).collect();
         assert_eq!(slots, vec![10, 20, 30]);
         assert!(q.is_empty());
     }
@@ -709,11 +541,9 @@ mod tests {
             at: 5,
             job_index: 9,
         });
-        assert!(matches!(
-            q.pop_due(5),
-            Some(Event::JobArrival { job_index: 9, .. })
-        ));
-        assert!(matches!(q.pop_due(5), Some(Event::CopyFinish { .. })));
+        let out = drain(&mut q, 5);
+        assert!(matches!(out[0], Event::JobArrival { job_index: 9, .. }));
+        assert!(matches!(out[1], Event::CopyFinish { .. }));
     }
 
     #[test]
@@ -730,14 +560,7 @@ mod tests {
                 seq: copy,
             });
         }
-        let copies: Vec<u64> = std::iter::from_fn(|| {
-            q.pop_due(7).map(|e| match e {
-                Event::CopyFinish { copy, .. } => copy.0,
-                _ => unreachable!(),
-            })
-        })
-        .collect();
-        assert_eq!(copies, vec![1, 2, 3]);
+        assert_eq!(copies(&drain(&mut q, 7)), vec![1, 2, 3]);
     }
 
     #[test]
@@ -768,33 +591,21 @@ mod tests {
             at: 5,
             job_index: 4,
         });
-        let keys: Vec<(u8, u64)> = std::iter::from_fn(|| {
-            q.pop_due(5).map(|e| {
+        let keys: Vec<(u8, u64)> = drain(&mut q, 5)
+            .iter()
+            .map(|e| {
                 let (slot, kind, seq) = e.key();
                 assert_eq!(slot, 5);
                 assert_eq!(e.at(), 5);
                 (kind, seq)
             })
-        })
-        .collect();
+            .collect();
         assert_eq!(keys, vec![(0, 4), (1, 0), (2, 9), (3, 1), (3, 3)]);
     }
 
     #[test]
-    fn pop_due_respects_now() {
-        let mut q = EventQueue::new();
-        q.push(Event::JobArrival {
-            at: 50,
-            job_index: 0,
-        });
-        assert_eq!(q.pop_due(49), None);
-        assert_eq!(q.len(), 1);
-        assert!(q.pop_due(50).is_some());
-    }
-
-    #[test]
     fn far_future_events_overflow_and_return() {
-        // Slots far beyond the ring window live in the overflow map and are
+        // Slots far beyond the ring window live in the overflow heap and are
         // pulled back in as the window slides, preserving global order.
         let mut q = EventQueue::with_ring_bits(4); // 16-slot ring
         q.push(finish(1_000_000, 3));
@@ -805,13 +616,13 @@ mod tests {
             job_index: 7,
         });
         assert_eq!(q.peek_slot(), Some(5));
-        let order: Vec<(Slot, u8)> = std::iter::from_fn(|| {
-            q.pop_due(Slot::MAX).map(|e| {
+        let order: Vec<(Slot, u8)> = drain(&mut q, Slot::MAX)
+            .iter()
+            .map(|e| {
                 let (slot, kind, _) = e.key();
                 (slot, kind)
             })
-        })
-        .collect();
+            .collect();
         assert_eq!(
             order,
             vec![(5, 1), (40_000, 1), (1_000_000, 0), (1_000_000, 1)]
@@ -821,8 +632,8 @@ mod tests {
 
     #[test]
     fn window_wraps_without_mixing_slots() {
-        // Repeated push/pop cycles march the window far past the ring length;
-        // bucket indices wrap but slots never alias.
+        // Repeated push/drain cycles march the window far past the ring
+        // length; bucket indices wrap but slots never alias.
         let mut q = EventQueue::with_ring_bits(4);
         let mut expected = Vec::new();
         let mut slot = 0;
@@ -831,82 +642,68 @@ mod tests {
             q.push(finish(slot, copy));
             expected.push(slot);
             if copy % 3 == 0 {
-                let popped = q.pop_due(Slot::MAX).unwrap();
-                assert_eq!(popped.at(), expected.remove(0));
+                let next = q.peek_slot().unwrap();
+                let popped = drain(&mut q, next);
+                assert_eq!(popped.len(), 1);
+                assert_eq!(popped[0].at(), expected.remove(0));
             }
         }
-        let rest: Vec<Slot> = std::iter::from_fn(|| q.pop_due(Slot::MAX).map(|e| e.at())).collect();
+        let rest: Vec<Slot> = drain(&mut q, Slot::MAX).iter().map(Event::at).collect();
         assert_eq!(rest, expected);
     }
 
     #[test]
-    fn retracted_entries_still_fire_their_instant() {
-        // Retract both entries of slot 20: the entries are compacted away but
-        // the instant still fires (peek reports it, pop consumes it silently)
-        // — exactly the trajectory the lazy-deletion engine produced.
-        let mut q = EventQueue::new();
-        q.push(finish(20, 1));
-        q.push(finish(20, 2));
-        q.push(finish(30, 3));
-        q.retract(20, 1);
-        q.retract(20, 2);
-        let stats = q.stale_stats();
-        assert_eq!(stats.retracted, 2);
-        assert!(stats.compacted >= 1, "half-full bucket must compact");
-        assert_eq!(q.peek_slot(), Some(20), "tombstoned instant must fire");
-        assert!(!q.is_empty());
-        // Popping at the tombstoned instant delivers nothing...
-        assert_eq!(q.pop_due(20), None);
-        // ...and consumes it: the next instant is the live one.
-        assert_eq!(q.peek_slot(), Some(30));
-        assert!(matches!(
-            q.pop_due(30),
-            Some(Event::CopyFinish {
-                copy: CopyId(3),
-                ..
-            })
-        ));
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn retraction_below_threshold_is_lazy() {
-        // One retraction out of three entries stays lazy (no compaction);
-        // the stale entry is removed when the bucket drains and never
-        // delivered.
-        let mut q = EventQueue::new();
-        for copy in 1..=5u64 {
-            q.push(finish(10, copy));
-        }
-        q.retract(10, 2);
-        assert_eq!(q.stale_stats().compacted, 0);
-        let mut out = Vec::new();
-        q.drain_due(10, &mut out);
-        let copies: Vec<u64> = out
-            .iter()
-            .map(|e| match e {
-                Event::CopyFinish { copy, .. } => copy.0,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(copies, vec![1, 3, 4, 5]);
-        assert_eq!(q.stale_stats().compacted, 1);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn retraction_of_overflow_and_drained_slots() {
+    fn stale_entries_still_fire_their_instant() {
+        // A dead copy's finish entry is never removed: its instant still
+        // fires (peek reports it, the drain delivers it) and the engine's
+        // delivery-time check skips it. This holds in the ring and in the
+        // overflow heap alike.
         let mut q = EventQueue::with_ring_bits(4);
-        q.push(finish(100_000, 9)); // overflow
-        q.retract(100_000, 9);
-        assert_eq!(q.stale_stats().retracted, 1);
-        // The overflow instant fires as a tombstone.
+        q.push(finish(10, 1));
+        q.push(finish(100_000, 2)); // overflow
+        assert_eq!(q.peek_slot(), Some(10));
+        assert_eq!(copies(&drain(&mut q, 10)), vec![1]);
         assert_eq!(q.peek_slot(), Some(100_000));
-        assert_eq!(q.pop_due(Slot::MAX), None);
+        assert_eq!(copies(&drain(&mut q, 100_000)), vec![2]);
         assert!(q.is_empty());
-        // Retracting behind the drained position is counted and ignored.
-        q.retract(5, 1);
-        assert_eq!(q.stale_stats().late_retractions, 1);
+        assert_eq!(q.peek_slot(), None);
+    }
+
+    #[test]
+    fn pop_due_respects_now() {
+        // Neither the calendar's drain nor the heap oracle's pop delivers an
+        // event before its slot.
+        let arrival = Event::JobArrival {
+            at: 50,
+            job_index: 0,
+        };
+        let mut q = EventQueue::new();
+        let mut heap = HeapEventQueue::new();
+        q.push(arrival);
+        heap.push(arrival);
+        assert!(drain(&mut q, 49).is_empty());
+        assert_eq!(heap.pop_due(49), None);
+        assert_eq!(q.len(), 1);
+        assert_eq!(heap.len(), 1);
+        assert_eq!(drain(&mut q, 50), vec![arrival]);
+        assert_eq!(heap.pop_due(50), Some(arrival));
+    }
+
+    #[test]
+    fn same_slot_push_while_draining_keeps_order() {
+        // A push at the instant just drained is legal (`drained_to`) and is
+        // delivered, sorted, by the next drain of that instant.
+        let mut q = EventQueue::new();
+        q.push(finish(6, 1));
+        q.push(finish(7, 9));
+        assert_eq!(copies(&drain(&mut q, 6)), vec![1]);
+        assert_eq!(q.drained_to(), 6);
+        q.push(finish(6, 5));
+        q.push(finish(6, 3));
+        assert_eq!(q.peek_slot(), Some(6));
+        assert_eq!(copies(&drain(&mut q, 6)), vec![3, 5]);
+        assert_eq!(copies(&drain(&mut q, 7)), vec![9]);
+        assert!(q.is_empty());
     }
 
     #[test]
@@ -919,60 +716,13 @@ mod tests {
             job_index: 0,
         });
         q.push(finish(9, 3));
-        let mut out = Vec::new();
-        q.drain_due(4, &mut out);
+        let out = drain(&mut q, 4);
         assert_eq!(out.len(), 3);
         assert!(matches!(out[0], Event::JobArrival { .. }));
-        assert!(matches!(
-            out[1],
-            Event::CopyFinish {
-                copy: CopyId(1),
-                ..
-            }
-        ));
-        assert!(matches!(
-            out[2],
-            Event::CopyFinish {
-                copy: CopyId(2),
-                ..
-            }
-        ));
+        assert_eq!(copies(&out[1..]), vec![1, 2]);
         assert_eq!(q.len(), 1);
         assert_eq!(q.drained_to(), 4);
-        out.clear();
-        q.drain_due(100, &mut out);
-        assert_eq!(out.len(), 1);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn same_slot_push_while_draining_keeps_order() {
-        let mut q = EventQueue::new();
-        q.push(finish(6, 1));
-        q.push(finish(6, 5));
-        assert!(matches!(
-            q.pop_due(6),
-            Some(Event::CopyFinish {
-                copy: CopyId(1),
-                ..
-            })
-        ));
-        // Push into the bucket currently being drained.
-        q.push(finish(6, 3));
-        assert!(matches!(
-            q.pop_due(6),
-            Some(Event::CopyFinish {
-                copy: CopyId(3),
-                ..
-            })
-        ));
-        assert!(matches!(
-            q.pop_due(6),
-            Some(Event::CopyFinish {
-                copy: CopyId(5),
-                ..
-            })
-        ));
+        assert_eq!(drain(&mut q, 100).len(), 1);
         assert!(q.is_empty());
     }
 
@@ -980,7 +730,7 @@ mod tests {
     fn calendar_matches_heap_on_a_mixed_stream() {
         // Deterministic cross-check (the randomized version lives in the
         // integration proptests): interleave pushes and drains and compare
-        // pop order against the frozen heap.
+        // delivery order against the frozen heap.
         let mut calendar = EventQueue::with_ring_bits(5);
         let mut heap = HeapEventQueue::new();
         let slots = [3u64, 3, 17, 90, 4, 17, 4096, 3, 64, 91, 4097, 5000];
@@ -990,14 +740,9 @@ mod tests {
             heap.push(e);
         }
         for now in [3, 4, 17, 100, 6000] {
-            loop {
-                assert_eq!(calendar.peek_slot(), heap.peek_slot());
-                let (a, b) = (calendar.pop_due(now), heap.pop_due(now));
-                assert_eq!(a, b);
-                if a.is_none() {
-                    break;
-                }
-            }
+            assert_eq!(calendar.peek_slot(), heap.peek_slot());
+            let from_heap: Vec<Event> = std::iter::from_fn(|| heap.pop_due(now)).collect();
+            assert_eq!(drain(&mut calendar, now), from_heap);
         }
         assert!(calendar.is_empty() && heap.is_empty());
     }
@@ -1006,9 +751,9 @@ mod tests {
     fn stale_sibling_finish_events_are_skipped() {
         // One 50-slot task whose clones resample a deterministic 10-slot
         // workload: the clone wins at slot 10, cancelling the original. The
-        // original's finish event at slot 50 is retracted from the queue and
-        // the run ends at makespan 10 with exactly one completion and
-        // consistent machine accounting.
+        // original's finish event at slot 50 stays queued and fails the
+        // engine's liveness check when it fires; the run ends at makespan 10
+        // with exactly one completion and consistent machine accounting.
         use crate::config::SimConfig;
         use crate::engine::Simulation;
         use crate::schedulers::MaxCloneScheduler;

@@ -23,17 +23,16 @@
 //!
 //! Event delivery is a slot-granular **calendar queue**
 //! ([`events::EventQueue`]): a ring of `2^`[`SimConfig::event_ring_bits`]
-//! per-slot buckets (default 2048) with a `BTreeMap` overflow for far-future
-//! slots, giving `O(1)` amortized push/pop while reproducing the
+//! per-slot buckets (default 2048) with a flat min-heap overflow for
+//! far-future slots, giving `O(1)` amortized push while reproducing the
 //! `(slot, kind, sequence)` heap order bit-for-bit. Each decision instant is
 //! drained as one batch (the bucket is sorted once), copy records live in a
 //! run-level [`CopyArena`] indexed by [`CopyId`] so completions resolve in
-//! `O(1)`, and cancelled copies **retract** their queued finish events —
-//! buckets compact once half their entries are stale, leaving tombstoned
-//! instants that still wake the engine exactly like the old lazily-deleted
-//! entries did. The frozen pre-calendar heap ([`events::HeapEventQueue`]) is
-//! kept as the ordering oracle for the side-by-side equivalence proptests
-//! and the `event_path` benchmark.
+//! `O(1)`, and stale entries are deleted lazily: a cancelled or killed
+//! copy's finish event stays queued, wakes the engine at its instant and
+//! fails an `O(1)` liveness check. The frozen pre-calendar heap
+//! ([`events::HeapEventQueue`]) is kept as the ordering oracle for the
+//! side-by-side equivalence proptests and the `event_path` benchmark.
 //!
 //! # Incremental scheduler state
 //!
@@ -102,7 +101,7 @@ pub use config::{FaultClass, FaultPlan, SimConfig, StragglerModel};
 pub use copy::{CopyArena, CopyId, CopyPhase, CopyRef};
 pub use engine::Simulation;
 pub use error::SimError;
-pub use events::{Event, EventQueue, HeapEventQueue, StaleStats};
+pub use events::{Event, EventQueue, HeapEventQueue};
 pub use result::{JobRecord, RunTelemetry, SimOutcome};
 pub use speedup::{LinearCappedSpeedup, NoSpeedup, ParetoSpeedup, SpeedupFunction};
 pub use state::{

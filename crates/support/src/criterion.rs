@@ -159,6 +159,26 @@ impl Bencher {
             self.samples_ns.push(start.elapsed().as_nanos() as f64);
         }
     }
+
+    /// Times `routine` on a fresh input from `setup`, once per configured
+    /// sample after one untimed warm-up. Only `routine` is timed: neither
+    /// building its input nor dropping its output is.
+    pub fn iter_with_setup<I, O, S, R>(&mut self, mut setup: S, mut routine: R)
+    where
+        S: FnMut() -> I,
+        R: FnMut(I) -> O,
+    {
+        if env_warmup_enabled() {
+            std::hint::black_box(routine(setup()));
+        }
+        for _ in 0..self.rounds {
+            let input = setup();
+            let start = Instant::now();
+            let output = std::hint::black_box(routine(input));
+            self.samples_ns.push(start.elapsed().as_nanos() as f64);
+            drop(output);
+        }
+    }
 }
 
 fn run_bench(id: &str, sample_size: usize, f: &mut dyn FnMut(&mut Bencher)) -> BenchResult {
@@ -248,6 +268,23 @@ mod tests {
         assert_eq!(r.id, "smoke");
         assert_eq!(r.samples, 3);
         assert!(r.min_ns <= r.mean_ns && r.mean_ns <= r.max_ns);
+    }
+
+    #[test]
+    fn iter_with_setup_builds_one_input_per_run() {
+        let mut c = Criterion::default().sample_size(4);
+        let mut setups = 0;
+        c.bench_function("setup", |b| {
+            b.iter_with_setup(
+                || {
+                    setups += 1;
+                    vec![1u64; 8]
+                },
+                |v| v.iter().sum::<u64>(),
+            )
+        });
+        let samples = c.results()[0].samples;
+        assert_eq!(setups, samples + usize::from(env_warmup_enabled()));
     }
 
     #[test]

@@ -5,15 +5,15 @@
 //! events and the sequence of decision instants. These properties drive the
 //! new [`EventQueue`] (calendar/bucket) and the frozen [`HeapEventQueue`]
 //! over identical randomized streams — arrivals and finishes, same-slot
-//! ties, far-future overflow slots, and retractions of queued finishes — and
-//! assert that
+//! ties, far-future overflow slots, and cancellations of queued finishes —
+//! and assert that
 //!
-//! * both queues report the **same next instant** at every step (the
-//!   calendar's tombstoned instants stand in for the heap's lazily deleted
-//!   stale entries), and
-//! * both deliver the **same live events in the same order**, where the heap
-//!   side models the engine's historical pop-time staleness check by
-//!   filtering retracted copies after popping.
+//! * both queues report the **same next instant** at every step, and
+//! * both deliver the **same raw events in the same order**, stale entries
+//!   included: a cancelled copy's finish stays queued in either queue, and
+//!   the same liveness filter (standing in for the engine's delivery-time
+//!   check) drops it on both sides. Every cancelled entry is delivered
+//!   exactly once.
 
 use mapreduce_sim::{CopyId, Event, EventQueue, HeapEventQueue};
 use mapreduce_support::proptest::prelude::*;
@@ -33,6 +33,16 @@ fn finish_event(at: u64, copy: u64) -> Event {
     }
 }
 
+/// The delivered events that survive the liveness filter: everything except
+/// the finishes of cancelled copies.
+fn live(events: &[Event], cancelled: &HashSet<u64>) -> Vec<Event> {
+    events
+        .iter()
+        .copied()
+        .filter(|e| !matches!(e, Event::CopyFinish { copy, .. } if cancelled.contains(&copy.0)))
+        .collect()
+}
+
 /// Drives both queues with one randomized stream and checks peek and pop
 /// parity throughout. Returns an error string on divergence (proptest style).
 fn drive(seed: u64, ops: usize, ring_bits: u8) -> Result<(), String> {
@@ -43,15 +53,16 @@ fn drive(seed: u64, ops: usize, ring_bits: u8) -> Result<(), String> {
     let mut now: u64 = 0;
     let mut next_copy: u64 = 0;
     let mut next_job: usize = 0;
-    // Queued (slot, copy) finish entries that are still retractable.
-    let mut retractable: Vec<(u64, u64)> = Vec::new();
-    let mut retracted: HashSet<u64> = HashSet::new();
+    // Queued (slot, copy) finish entries that can still be cancelled.
+    let mut cancellable: Vec<(u64, u64)> = Vec::new();
+    let mut cancelled: HashSet<u64> = HashSet::new();
+    let mut stale_delivered = 0usize;
     let mut drained = Vec::new();
 
     for _ in 0..ops {
         match rng.gen_range(0u32..10) {
             // Push a burst of events; small offsets force same-slot ties,
-            // huge offsets land in the calendar's overflow map.
+            // huge offsets land in the calendar's overflow heap.
             0..=5 => {
                 let burst = rng.gen_range(1usize..4);
                 for _ in 0..burst {
@@ -71,23 +82,22 @@ fn drive(seed: u64, ops: usize, ring_bits: u8) -> Result<(), String> {
                         heap.push(event);
                     } else {
                         let event = finish_event(slot, next_copy);
-                        retractable.push((slot, next_copy));
+                        cancellable.push((slot, next_copy));
                         next_copy += 1;
                         calendar.push(event);
                         heap.push(event);
                     }
                 }
             }
-            // Retract a random still-future finish (as first-copy-wins and
-            // CancelCopies do). The heap models the engine's historical
-            // behaviour: the entry stays queued and is skipped at pop time.
+            // Cancel a random still-future finish (as first-copy-wins,
+            // CancelCopies and machine crashes do). Neither queue is told:
+            // the entry stays queued and goes stale.
             6..=7 => {
-                retractable.retain(|&(slot, _)| slot > now);
-                if !retractable.is_empty() {
-                    let pick = rng.gen_range(0usize..retractable.len());
-                    let (slot, copy) = retractable.swap_remove(pick);
-                    calendar.retract(slot, copy);
-                    retracted.insert(copy);
+                cancellable.retain(|&(slot, _)| slot > now);
+                if !cancellable.is_empty() {
+                    let pick = rng.gen_range(0usize..cancellable.len());
+                    let (_, copy) = cancellable.swap_remove(pick);
+                    cancelled.insert(copy);
                 }
             }
             // Advance to the next instant (occasionally past it) and drain.
@@ -104,15 +114,10 @@ fn drive(seed: u64, ops: usize, ring_bits: u8) -> Result<(), String> {
                     };
                 drained.clear();
                 calendar.drain_due(now, &mut drained);
-                let mut heap_live = Vec::new();
-                while let Some(event) = heap.pop_due(now) {
-                    let stale = matches!(event, Event::CopyFinish { copy, .. }
-                        if retracted.contains(&copy.0));
-                    if !stale {
-                        heap_live.push(event);
-                    }
-                }
-                prop_assert_eq!(&drained, &heap_live);
+                let from_heap: Vec<Event> = std::iter::from_fn(|| heap.pop_due(now)).collect();
+                prop_assert_eq!(&drained, &from_heap);
+                prop_assert_eq!(live(&drained, &cancelled), live(&from_heap, &cancelled));
+                stale_delivered += drained.len() - live(&drained, &cancelled).len();
             }
         }
     }
@@ -121,15 +126,10 @@ fn drive(seed: u64, ops: usize, ring_bits: u8) -> Result<(), String> {
     prop_assert_eq!(calendar.peek_slot(), heap.peek_slot());
     drained.clear();
     calendar.drain_due(u64::MAX, &mut drained);
-    let mut heap_live = Vec::new();
-    while let Some(event) = heap.pop_due(u64::MAX) {
-        let stale = matches!(event, Event::CopyFinish { copy, .. }
-            if retracted.contains(&copy.0));
-        if !stale {
-            heap_live.push(event);
-        }
-    }
-    prop_assert_eq!(&drained, &heap_live);
+    let from_heap: Vec<Event> = std::iter::from_fn(|| heap.pop_due(u64::MAX)).collect();
+    prop_assert_eq!(&drained, &from_heap);
+    stale_delivered += drained.len() - live(&drained, &cancelled).len();
+    prop_assert_eq!(stale_delivered, cancelled.len());
     prop_assert!(calendar.is_empty(), "calendar not empty after full drain");
     Ok(())
 }

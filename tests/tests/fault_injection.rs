@@ -1,8 +1,8 @@
 //! Adversarial fault-injection tests: random machine-dynamics plans against
 //! the full golden scheduler line-up.
 //!
-//! The kill storm stresses every retraction/cancellation path at once —
-//! crashes retract queued finish events, kill running and waiting clones,
+//! The kill storm stresses every cancellation path at once — crashes leave
+//! stale queued finish events, kill running and waiting clones,
 //! return tasks to the unscheduled pool, and take capacity away mid-batch —
 //! while the assertions pin the engine's conservation laws:
 //!

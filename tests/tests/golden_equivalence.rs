@@ -314,7 +314,7 @@ proptest! {
         map_mean in 20.0f64..200.0,
     ) {
         // The cancellation-heavy path: every detected straggler is killed
-        // (CancelCopies, exercising event retraction and the running-finish
+        // (CancelCopies, exercising stale finish events and the running-finish
         // re-keying) and relaunched. The heavy-tailed workload plus machine
         // stragglers guarantees restarts actually fire.
         let trace = random_trace(jobs, seed, 25.0, map_mean);

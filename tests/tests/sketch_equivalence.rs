@@ -8,8 +8,8 @@
 //!
 //! 1. **Shard discipline** — folding a value set shard-by-shard and merging,
 //!    under any split and any merge tree, is bit-identical to folding the
-//!    whole set into one sketch (the law `MetricsRegistry::merge` inherits),
-//!    and the JSON form roundtrips losslessly.
+//!    whole set into one sketch (the law `MetricsRegistry::merge_histogram`
+//!    inherits), and the JSON form roundtrips losslessly.
 //! 2. **Error bound** — against the exact [`Ecdf`] over the same samples,
 //!    every sketch quantile is within `RELATIVE_ERROR` (1/64) of the true
 //!    rank-selected sample, and every CDF fraction is bracketed by the exact
