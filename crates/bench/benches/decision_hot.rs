@@ -24,6 +24,9 @@
 //! * `shares/prefix_walk` — [`epsilon_fraction_shares_prefix_into`] over the
 //!   widest instant's ranking, `W(l)` and cluster size.
 //!
+//! Each timed sample repeats its operation `REPS` (64) times on fresh
+//! copies; divide a reported time by 64 for one decision's cost.
+//!
 //! Before timing, the bench asserts that each rebuilt index reproduces its
 //! recorded ranking and `W(l)`, and that the share walk stops where the
 //! recorded decision stopped.
@@ -33,19 +36,17 @@
 
 use mapreduce_experiments::{Scenario, WorkloadSource};
 use mapreduce_sched::{epsilon_fraction_shares_prefix_into, SrptMsC};
-use mapreduce_sim::{
-    Action, AliveIndex, ClusterState, FaultPlan, IndexDemands, JobState, Scheduler, Simulation,
-    Slot,
-};
+use mapreduce_sim::{Action, AliveIndex, ClusterState, FaultPlan, JobState, Scheduler, Simulation};
 use mapreduce_support::criterion::{BenchmarkId, Criterion};
 use mapreduce_support::json::ToJson;
 use mapreduce_support::{criterion_group, criterion_main};
-use mapreduce_workload::{GoogleTraceProfile, JobId, TaskId};
-use std::hint::black_box;
+use mapreduce_workload::{GoogleTraceProfile, JobId};
 
 const JOBS: usize = 10_000;
 const EPSILON: f64 = 0.6;
 const R: f64 = 3.0;
+/// Recorded decisions replayed per timed sample.
+const REPS: usize = 64;
 
 /// One recorded decision instant.
 #[derive(Default)]
@@ -118,7 +119,8 @@ impl Capture {
     }
 }
 
-/// [`SrptMsC`] plus a recorder of its widest and busiest decisions.
+/// [`SrptMsC`] plus a recorder of its widest and busiest decisions. Only
+/// the methods `SrptMsC` implements are forwarded.
 struct Recorder {
     inner: SrptMsC,
     widest: Capture,
@@ -131,28 +133,8 @@ impl Scheduler for Recorder {
         self.inner.name()
     }
 
-    fn wakeup_interval(&self) -> Option<Slot> {
-        self.inner.wakeup_interval()
-    }
-
-    fn index_demands(&self) -> IndexDemands {
-        self.inner.index_demands()
-    }
-
     fn priority_r(&self) -> Option<f64> {
         self.inner.priority_r()
-    }
-
-    fn on_job_arrival(&mut self, job: JobId, state: &ClusterState<'_>) {
-        self.inner.on_job_arrival(job, state);
-    }
-
-    fn on_task_finished(&mut self, task: TaskId, state: &ClusterState<'_>) {
-        self.inner.on_task_finished(task, state);
-    }
-
-    fn on_task_unlaunched(&mut self, task: TaskId, state: &ClusterState<'_>) {
-        self.inner.on_task_unlaunched(task, state);
     }
 
     fn schedule(&mut self, state: &ClusterState<'_>) -> Vec<Action> {
@@ -274,28 +256,35 @@ fn bench_decision_hot(c: &mut Criterion) {
         busiest.order.len(),
     );
 
+    // One recorded decision takes well under a microsecond, so every sample
+    // repeats it on `REPS` fresh copies to stay clear of timer resolution.
     let mut group = c.benchmark_group("priority");
     group.bench_with_input(BenchmarkId::from_parameter("rekey"), &(), |b, _| {
         b.iter_with_setup(
-            || rekey_base.clone(),
-            |mut alive| {
-                for &(idx, job) in &launch_posts {
-                    alive.note_first_launch(idx, job);
+            || vec![rekey_base.clone(); REPS],
+            |mut copies| {
+                for alive in &mut copies {
+                    for &(idx, job) in &launch_posts {
+                        alive.note_first_launch(idx, job);
+                    }
+                    alive.flush_priority();
                 }
-                alive.flush_priority();
-                alive
+                copies
             },
         )
     });
     group.bench_with_input(BenchmarkId::from_parameter("walk"), &(), |b, _| {
         b.iter_with_setup(
-            || walk_base.clone(),
-            |alive| {
-                let walked = {
-                    let (_, ranked) = alive.ranked_by_priority().expect("enabled");
-                    (0..widest.prefix).map(|i| ranked.entry(i).1).sum::<usize>()
-                };
-                (alive, walked)
+            || vec![walk_base.clone(); REPS],
+            |copies| {
+                let walked: usize = copies
+                    .iter()
+                    .map(|alive| {
+                        let (_, ranked) = alive.ranked_by_priority().expect("enabled");
+                        (0..widest.prefix).map(|i| ranked.entry(i).1).sum::<usize>()
+                    })
+                    .sum();
+                (copies, walked)
             },
         )
     });
@@ -303,7 +292,7 @@ fn bench_decision_hot(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("shares");
     group.bench_with_input(BenchmarkId::from_parameter("prefix_walk"), &(), |b, _| {
-        b.iter(|| black_box(share_walk(&mut shares)))
+        b.iter(|| (0..REPS).map(|_| share_walk(&mut shares)).sum::<usize>())
     });
     group.finish();
 

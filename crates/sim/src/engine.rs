@@ -40,10 +40,9 @@
 //! is a single slice index. A cancelled or killed copy's finish event stays
 //! queued: it fires its instant and fails the same liveness check, so
 //! cancellation costs nothing in the queue. Completed jobs hand their copy
-//! slots back to the arena's
-//! free-list, so — like the job table — copy memory is bounded by the peak
-//! alive window ([`SimOutcome::peak_copy_slots`]) rather than the run's
-//! total copy count.
+//! slots back to the arena's free-list, so — like the job table — copy
+//! memory is bounded by the peak alive window
+//! ([`SimOutcome::peak_copy_slots`]) rather than the run's total copy count.
 //! Early-launched reduce copies are tracked on a per-job waiting list
 //! ([`crate::state::JobState::waiting_copies`]), so Map-phase completion
 //! activates exactly the waiting copies instead of rescanning every reduce
@@ -1311,14 +1310,12 @@ impl Simulation {
                 }
                 continue;
             }
-            let launched_at = {
-                let copy = arena.get(cid);
-                if copy.phase() == CopyPhase::WaitingForMapPhase {
-                    waiting_cancelled += 1;
-                }
-                busy += now.saturating_sub(copy.launched_at());
-                copy.launched_at()
-            };
+            let copy = arena.get(cid);
+            if copy.phase() == CopyPhase::WaitingForMapPhase {
+                waiting_cancelled += 1;
+            }
+            let launched_at = copy.launched_at();
+            busy += now.saturating_sub(launched_at);
             arena.cancel(cid, now);
             released += 1;
             if let Some(pool) = pool.as_mut() {
