@@ -12,50 +12,21 @@ use mapreduce_workload::{Phase, TaskId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Launches up to `budget` copies of unscheduled tasks, spreading machines
-/// across the given jobs in weighted max-min fashion.
+/// Launches up to `budget` copies of unscheduled tasks of the snapshot's
+/// alive jobs, spreading machines in weighted max-min fashion.
 ///
 /// Jobs repeatedly receive one machine each, picked as the job with the
 /// smallest `occupied / weight` ratio among those that still have a
 /// launchable task (map tasks first; reduce tasks only once the job's Map
 /// phase completed). Work-conserving: if some jobs cannot use their share the
-/// machines go to the others.
+/// machines go to the others. With `weighted = false` every job counts with
+/// weight 1, which is how Hadoop/Dryad schedule jobs underneath the
+/// detection-based baselines ([`Mantri`](crate::Mantri),
+/// [`Late`](crate::Late)); [`FairScheduler`] passes `true`.
 ///
-/// Returns the launch actions; used by [`FairScheduler`]. The detection-based
-/// baselines ([`Mantri`](crate::Mantri), [`Late`](crate::Late)) use
-/// [`fair_fill_unweighted`] instead, because those systems have no notion of
-/// per-job weights.
-pub fn fair_fill(jobs: &[&JobState], budget: usize) -> Vec<Action> {
-    let mut actions = Vec::new();
-    fill(jobs, budget, true, &mut actions);
-    actions
-}
-
-/// Same as [`fair_fill`] but ignoring job weights (every alive job gets an
-/// equal share), which is how Hadoop/Dryad schedule jobs underneath Mantri
-/// and LATE.
-pub fn fair_fill_unweighted(jobs: &[&JobState], budget: usize) -> Vec<Action> {
-    let mut actions = Vec::new();
-    fill(jobs, budget, false, &mut actions);
-    actions
-}
-
-/// Allocation-free variant of [`fair_fill`]: appends into a caller-owned
-/// buffer (the scheduler-owned action buffer the engine recycles).
-pub fn fair_fill_into(jobs: &[&JobState], budget: usize, actions: &mut Vec<Action>) {
-    fill(jobs, budget, true, actions);
-}
-
-/// Allocation-free variant of [`fair_fill_unweighted`].
-pub fn fair_fill_unweighted_into(jobs: &[&JobState], budget: usize, actions: &mut Vec<Action>) {
-    fill(jobs, budget, false, actions);
-}
-
-/// Fully pooled fill over the snapshot's alive set: no `Vec<&JobState>`
-/// collection and no per-call slot/heap allocation — every buffer lives in
-/// the caller-owned [`FairFillScratch`] and is reused across decisions.
-/// Produces bit-identical actions to [`fair_fill_into`] /
-/// [`fair_fill_unweighted_into`] over `state.alive_jobs()`.
+/// Fully pooled: no `Vec<&JobState>` collection and no per-call slot/heap
+/// allocation — every buffer lives in the caller-owned [`FairFillScratch`]
+/// and is reused across decisions.
 pub fn fair_fill_alive_into(
     state: &ClusterState<'_>,
     budget: usize,
@@ -130,18 +101,6 @@ impl JobFill {
 pub struct FairFillScratch {
     slots: Vec<JobFill>,
     heap: Vec<Reverse<(Ratio, usize)>>,
-}
-
-fn fill(jobs: &[&JobState], budget: usize, weighted: bool, actions: &mut Vec<Action>) {
-    let mut scratch = FairFillScratch::default();
-    fill_with(
-        &mut scratch,
-        jobs.len(),
-        |i| jobs[i],
-        budget,
-        weighted,
-        actions,
-    );
 }
 
 fn fill_with<'a>(
@@ -267,7 +226,7 @@ impl Scheduler for FairScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mapreduce_sim::{SimConfig, Simulation};
+    use mapreduce_sim::{CopyArena, SimConfig, Simulation};
     use mapreduce_workload::{JobId, JobSpecBuilder, Trace, WorkloadBuilder};
 
     #[test]
@@ -308,42 +267,62 @@ mod tests {
         assert!(heavy_rec.completion < light_rec.completion);
     }
 
-    #[test]
-    fn fair_fill_respects_budget() {
-        let specs: Vec<_> = (0..3)
-            .map(|i| {
-                JobSpecBuilder::new(JobId::new(i))
-                    .map_tasks_from_workloads(&[10.0, 10.0, 10.0])
-                    .build()
-            })
-            .collect();
-        let mut states: Vec<JobState> = specs.into_iter().map(JobState::new).collect();
-        for s in &mut states {
-            // mark arrived through the public API: JobState::new starts
-            // un-arrived but fair_fill does not check arrival, only tasks.
-            let _ = s;
-        }
-        let refs: Vec<&JobState> = states.iter().collect();
-        let actions = fair_fill(&refs, 5);
-        assert_eq!(actions.len(), 5);
-        // The 5 launches are spread across the three jobs (2/2/1).
-        let mut per_job = [0usize; 3];
+    /// Fills `budget` machines over a hand-built snapshot in which every
+    /// job is alive, returning the launches per job.
+    fn fill_per_job(jobs: &[JobState], budget: usize, weighted: bool) -> Vec<usize> {
+        let alive: Vec<usize> = (0..jobs.len()).collect();
+        let copies = CopyArena::new();
+        let state = ClusterState::new(0, budget, budget, jobs, &alive, &copies);
+        let mut actions = Vec::new();
+        fair_fill_alive_into(
+            &state,
+            budget,
+            weighted,
+            &mut FairFillScratch::default(),
+            &mut actions,
+        );
+        let mut per_job = vec![0usize; jobs.len()];
         for a in &actions {
-            if let Action::Launch { task, .. } = a {
+            if let Action::Launch { task, copies } = a {
+                assert_eq!(*copies, 1);
                 per_job[task.job.as_usize()] += 1;
             }
         }
+        assert_eq!(per_job.iter().sum::<usize>(), actions.len());
+        per_job
+    }
+
+    fn job(id: u64, weight: f64, tasks: usize) -> JobState {
+        JobState::new(
+            JobSpecBuilder::new(JobId::new(id))
+                .weight(weight)
+                .map_tasks_from_workloads(&vec![10.0; tasks])
+                .build(),
+        )
+    }
+
+    #[test]
+    fn fair_fill_respects_budget() {
+        let jobs: Vec<JobState> = (0..3).map(|i| job(i, 1.0, 3)).collect();
+        let mut per_job = fill_per_job(&jobs, 5, true);
+        // The 5 launches are spread across the three jobs (2/2/1).
         per_job.sort_unstable();
         assert_eq!(per_job, [1, 2, 2]);
     }
 
     #[test]
     fn fair_fill_empty_inputs() {
-        assert!(fair_fill(&[], 10).is_empty());
-        let spec = JobSpecBuilder::new(JobId::new(0))
-            .map_tasks_from_workloads(&[1.0])
-            .build();
-        let state = JobState::new(spec);
-        assert!(fair_fill(&[&state], 0).is_empty());
+        assert!(fill_per_job(&[], 10, true).is_empty());
+        assert_eq!(fill_per_job(&[job(0, 1.0, 1)], 0, true), [0]);
+    }
+
+    #[test]
+    fn unweighted_fill_ignores_weights() {
+        // A 4:1 weight pair with enough tasks for either split: the
+        // unweighted fill halves the budget, the weighted one follows the
+        // weights.
+        let jobs = [job(0, 4.0, 10), job(1, 1.0, 10)];
+        assert_eq!(fill_per_job(&jobs, 10, false), [5, 5]);
+        assert_eq!(fill_per_job(&jobs, 10, true), [8, 2]);
     }
 }

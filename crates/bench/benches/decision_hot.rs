@@ -296,7 +296,7 @@ fn bench_decision_hot(c: &mut Criterion) {
     });
     group.finish();
 
-    mapreduce_bench::merge_bench_report_with(
+    mapreduce_bench::merge_bench_report(
         "decision_hot",
         JOBS,
         scenario.machines,

@@ -86,7 +86,7 @@ fn bench_fullscale(c: &mut Criterion) {
     }
     group.finish();
 
-    mapreduce_bench::merge_bench_report_with(
+    mapreduce_bench::merge_bench_report(
         "engine_fullscale",
         scenario.profile.num_jobs,
         scenario.machines,

@@ -76,6 +76,7 @@ fn bench_engine(c: &mut Criterion) {
         scenario.profile.num_jobs,
         scenario.machines,
         c.results(),
+        &[],
     );
 }
 

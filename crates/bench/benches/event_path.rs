@@ -194,7 +194,7 @@ fn bench_event_path(c: &mut Criterion) {
     });
     group.finish();
 
-    mapreduce_bench::merge_bench_report("event_path", EVENTS, 0, c.results());
+    mapreduce_bench::merge_bench_report("event_path", EVENTS, 0, c.results(), &[]);
 }
 
 criterion_group! {

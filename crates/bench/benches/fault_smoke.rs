@@ -66,7 +66,7 @@ fn bench_fault_smoke(c: &mut Criterion) {
         probe.machine_downtime,
         probe.peak_copy_slots
     );
-    mapreduce_bench::merge_bench_report_with(
+    mapreduce_bench::merge_bench_report(
         "fault_smoke",
         base.profile.num_jobs,
         base.machines,

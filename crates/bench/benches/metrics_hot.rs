@@ -110,7 +110,7 @@ fn bench_metrics_hot(c: &mut Criterion) {
          cache line {} bytes",
         line.len()
     );
-    mapreduce_bench::merge_bench_report_with(
+    mapreduce_bench::merge_bench_report(
         "metrics_hot",
         scenario.profile.num_jobs,
         scenario.machines,

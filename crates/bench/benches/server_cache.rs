@@ -67,7 +67,7 @@ fn bench_server_cache(c: &mut Criterion) {
     });
     group.finish();
 
-    mapreduce_bench::merge_bench_report_with(
+    mapreduce_bench::merge_bench_report(
         "server_cache",
         request.scenario.profile.num_jobs,
         request.scenario.machines,

@@ -224,7 +224,7 @@ fn bench_workload_stream(c: &mut Criterion) {
         Err(err) => println!("workload stream: could not write {trace_path}: {err}"),
     }
 
-    mapreduce_bench::merge_bench_report_with(
+    mapreduce_bench::merge_bench_report(
         "workload_stream",
         scenario.profile.num_jobs,
         machines,

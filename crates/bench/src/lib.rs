@@ -16,6 +16,7 @@ use mapreduce_support::criterion::{BenchResult, BenchmarkId, Criterion};
 use mapreduce_support::json::{JsonValue, ToJson};
 use mapreduce_workload::Trace;
 use std::collections::HashMap;
+use std::io::Write;
 use std::path::Path;
 
 pub mod timed;
@@ -140,7 +141,7 @@ pub fn bench_stream_tier(c: &mut Criterion, tier: &str, scenario: &Scenario) {
         .iter()
         .map(|(k, v)| (k.as_str(), v.clone()))
         .collect();
-    merge_bench_report_with(tier, total_jobs, scenario.machines, c.results(), &extras);
+    merge_bench_report(tier, total_jobs, scenario.machines, c.results(), &extras);
 }
 
 /// The process's peak resident set size in KiB (`VmHWM` in
@@ -169,9 +170,10 @@ pub const SMOKE_REPORT_PATH: &str =
 /// The report is a single JSON object `{"benchmarks": [entry, ...]}` with one
 /// entry per benchmark name. When an entry is updated, each result id that
 /// already existed keeps the previous run's mean as `prev_mean_ns`, so the
-/// before/after of the latest change is recorded in the file itself. The
-/// legacy single-benchmark schema (a bare entry at the top level) is migrated
-/// on first contact.
+/// before/after of the latest change is recorded in the file itself.
+/// `extras` are entry-level fields recorded next to the timings (e.g. the
+/// peak resident job counts of the stream tiers, so memory behaviour is
+/// visible in the report alongside speed).
 ///
 /// Smoke-mode runs (`MAPREDUCE_BENCH_SAMPLES` set — CI and local
 /// reproductions of it) leave the tracked report untouched: a one-sample
@@ -179,44 +181,23 @@ pub const SMOKE_REPORT_PATH: &str =
 /// trajectory with noise. They merge into [`SMOKE_REPORT_PATH`] instead,
 /// whose `prev_mean_ns` trail feeds the CI bench-regression guard
 /// (`bench-guard`).
-pub fn merge_bench_report(benchmark: &str, jobs: usize, machines: usize, results: &[BenchResult]) {
-    merge_bench_report_with(benchmark, jobs, machines, results, &[]);
-}
-
-/// [`merge_bench_report`] with extra entry-level fields (e.g. the peak
-/// resident job counts the `engine_fullscale` and `workload_stream` benches
-/// record next to their timings, so memory behaviour is visible in the
-/// report alongside speed).
-pub fn merge_bench_report_with(
+pub fn merge_bench_report(
     benchmark: &str,
     jobs: usize,
     machines: usize,
     results: &[BenchResult],
     extras: &[(&str, JsonValue)],
 ) {
-    if mapreduce_support::criterion::env_sample_override().is_some() {
+    let path = if mapreduce_support::criterion::env_sample_override().is_some() {
         println!(
             "MAPREDUCE_BENCH_SAMPLES set: smoke run, leaving {BENCH_REPORT_PATH} untouched \
              (merging into {SMOKE_REPORT_PATH})"
         );
-        merge_bench_report_at_with(
-            Path::new(SMOKE_REPORT_PATH),
-            benchmark,
-            jobs,
-            machines,
-            results,
-            extras,
-        );
-        return;
-    }
-    merge_bench_report_at_with(
-        Path::new(BENCH_REPORT_PATH),
-        benchmark,
-        jobs,
-        machines,
-        results,
-        extras,
-    );
+        SMOKE_REPORT_PATH
+    } else {
+        BENCH_REPORT_PATH
+    };
+    merge_bench_report_at(Path::new(path), benchmark, jobs, machines, results, extras);
 }
 
 /// Scans a bench report for regressions: any result whose **best** sample
@@ -380,18 +361,12 @@ pub fn find_overhead_regressions(report: &JsonValue, limit: f64) -> Vec<(String,
 }
 
 /// [`merge_bench_report`] against an explicit path (tests use a temp file).
+///
+/// A file that exists but is not a `{"benchmarks": [...]}` report is left
+/// as it is, with the error printed: merging into it as if it were empty
+/// would wipe every other benchmark's entry and `prev_mean_ns` trail. The
+/// merged report replaces the old one atomically.
 pub fn merge_bench_report_at(
-    path: &Path,
-    benchmark: &str,
-    jobs: usize,
-    machines: usize,
-    results: &[BenchResult],
-) {
-    merge_bench_report_at_with(path, benchmark, jobs, machines, results, &[]);
-}
-
-/// [`merge_bench_report_with`] against an explicit path.
-pub fn merge_bench_report_at_with(
     path: &Path,
     benchmark: &str,
     jobs: usize,
@@ -399,17 +374,12 @@ pub fn merge_bench_report_at_with(
     results: &[BenchResult],
     extras: &[(&str, JsonValue)],
 ) {
-    let existing = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|s| JsonValue::parse(&s).ok());
-    let mut entries: Vec<JsonValue> = match &existing {
-        Some(v) => match v.get("benchmarks").and_then(|b| b.as_array()) {
-            Some(list) => list.to_vec(),
-            // Legacy schema: the file was one bare benchmark entry.
-            None if v.get("benchmark").is_some() => vec![v.clone()],
-            None => Vec::new(),
-        },
-        None => Vec::new(),
+    let mut entries = match read_entries(path) {
+        Ok(entries) => entries,
+        Err(e) => {
+            eprintln!("not merging into {}: {e}", path.display());
+            return;
+        }
     };
 
     // Previous means for this benchmark, keyed by result id, so the updated
@@ -481,10 +451,41 @@ pub fn merge_bench_report_at_with(
     }
 
     let report = JsonValue::object([("benchmarks", JsonValue::Array(entries))]);
-    match std::fs::write(path, report.to_pretty_string()) {
+    match write_atomically(path, &report.to_pretty_string()) {
         Ok(()) => println!("wrote {}", path.display()),
         Err(e) => eprintln!("could not write {}: {e}", path.display()),
     }
+}
+
+/// The entries of the report at `path`; none when no file exists yet.
+fn read_entries(path: &Path) -> Result<Vec<JsonValue>, String> {
+    let text = match std::fs::read_to_string(path) {
+        Ok(text) => text,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(e) => return Err(e.to_string()),
+    };
+    let report = JsonValue::parse(&text).map_err(|e| e.to_string())?;
+    match report.get("benchmarks").and_then(|b| b.as_array()) {
+        Some(list) => Ok(list.to_vec()),
+        None => Err("no `benchmarks` array at the top level".to_string()),
+    }
+}
+
+/// Replaces `path` atomically: the content is written to a sibling
+/// temporary file, synced, and renamed over the target, so an interrupted
+/// write leaves either the old report or the complete new one.
+fn write_atomically(path: &Path, content: &str) -> std::io::Result<()> {
+    let mut tmp = path.as_os_str().to_os_string();
+    tmp.push(".tmp");
+    let tmp = std::path::PathBuf::from(tmp);
+    {
+        let mut file = std::fs::File::create(&tmp)?;
+        file.write_all(content.as_bytes())?;
+        file.sync_all()?;
+    }
+    std::fs::rename(&tmp, path).inspect_err(|_| {
+        let _ = std::fs::remove_file(&tmp);
+    })
 }
 
 #[cfg(test)]
@@ -536,8 +537,8 @@ mod tests {
         ));
         let _ = std::fs::remove_file(&path);
 
-        merge_bench_report_at(&path, "smoke", 10, 5, &[result("smoke/a", 100.0)]);
-        merge_bench_report_at(&path, "full", 100, 50, &[result("full/a", 9000.0)]);
+        merge_bench_report_at(&path, "smoke", 10, 5, &[result("smoke/a", 100.0)], &[]);
+        merge_bench_report_at(&path, "full", 100, 50, &[result("full/a", 9000.0)], &[]);
         // Updating a benchmark keeps the other entry and records the previous
         // mean of every id it had before.
         merge_bench_report_at(
@@ -546,6 +547,7 @@ mod tests {
             10,
             5,
             &[result("smoke/a", 40.0), result("smoke/b", 7.0)],
+            &[],
         );
 
         let report = JsonValue::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
@@ -563,6 +565,8 @@ mod tests {
         // A brand-new id has no previous mean.
         assert!(results[1].get("prev_mean_ns").is_none());
         assert!(entry(&report, "full").get("results").is_some());
+        // The atomic write leaves no temp file behind.
+        assert!(!path.with_extension("json.tmp").exists());
         let _ = std::fs::remove_file(&path);
     }
 
@@ -580,6 +584,7 @@ mod tests {
             10,
             5,
             &[result("smoke/fast", 100.0), result("smoke/slow", 100.0)],
+            &[],
         );
         let report = JsonValue::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert!(find_regressions(&report, 2.0).is_empty());
@@ -595,6 +600,7 @@ mod tests {
                 result("smoke/slow", 300.0),
                 result("smoke/new", 9000.0),
             ],
+            &[],
         );
         let report = JsonValue::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
         let regressions = find_regressions(&report, 2.0);
@@ -624,6 +630,7 @@ mod tests {
                 result("engine/srptmsc", 100.0),
                 result("engine/srptmsc_reference", 400.0),
             ],
+            &[],
         );
         // The whole host runs 3x slower: candidate AND frozen reference
         // degrade together. Raw best (270) is 2.7x the previous mean and
@@ -639,6 +646,7 @@ mod tests {
                 result("engine/srptmsc", 300.0),
                 result("engine/srptmsc_reference", 1200.0),
             ],
+            &[],
         );
         let report = JsonValue::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert!(find_regressions(&report, 2.0).is_empty());
@@ -661,6 +669,7 @@ mod tests {
                 result("engine/srptmsc", 100.0),
                 result("engine/srptmsc_reference", 400.0),
             ],
+            &[],
         );
         // The reference holds steady while the candidate triples: the host
         // did not change, the code did. Normalization (scale 1.0) must not
@@ -674,6 +683,7 @@ mod tests {
                 result("engine/srptmsc", 300.0),
                 result("engine/srptmsc_reference", 400.0),
             ],
+            &[],
         );
         let report = JsonValue::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
         let regressions = find_regressions(&report, 2.0);
@@ -699,6 +709,7 @@ mod tests {
                 result("engine/srptmsc", 100.0),
                 result("engine/srptmsc_reference", 400.0),
             ],
+            &[],
         );
         // Host 2x slower (reference 400 -> 800) but the candidate is 10x
         // slower: the 5x residual past the host movement still trips.
@@ -711,6 +722,7 @@ mod tests {
                 result("engine/srptmsc", 1000.0),
                 result("engine/srptmsc_reference", 800.0),
             ],
+            &[],
         );
         let report = JsonValue::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
         let regressions = find_regressions(&report, 2.0);
@@ -730,7 +742,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
 
         // First merge: records the extras, no baseline yet.
-        merge_bench_report_at_with(
+        merge_bench_report_at(
             &path,
             "stream",
             100_000,
@@ -749,7 +761,7 @@ mod tests {
         // Second merge: one peak extra doubles, one shrinks, and the
         // non-peak total (which legitimately scales with the workload)
         // explodes without tripping anything.
-        merge_bench_report_at_with(
+        merge_bench_report_at(
             &path,
             "stream",
             100_000,
@@ -786,7 +798,7 @@ mod tests {
 
         // First (and only) merge: the overhead ratio needs no prev_* baseline
         // — the ceiling is absolute, so a fresh report can already fail.
-        merge_bench_report_at_with(
+        merge_bench_report_at(
             &path,
             "workload_stream",
             100_000,
@@ -812,43 +824,21 @@ mod tests {
     }
 
     #[test]
-    fn merge_report_migrates_the_legacy_single_entry_schema() {
+    fn merge_report_leaves_an_unreadable_report_untouched() {
         let path = std::env::temp_dir().join(format!(
-            "mapreduce_bench_legacy_test_{}.json",
+            "mapreduce_bench_corrupt_test_{}.json",
             std::process::id()
         ));
-        let legacy = JsonValue::object([
-            ("benchmark", JsonValue::String("engine_smoke".into())),
-            ("jobs", 300usize.to_json()),
-            ("machines", 593usize.to_json()),
-            (
-                "results",
-                JsonValue::Array(vec![JsonValue::object([
-                    ("id", JsonValue::String("engine_smoke/mantri".into())),
-                    ("mean_ns", 42000000.0.to_json()),
-                    ("min_ns", 40000000.0.to_json()),
-                    ("max_ns", 48000000.0.to_json()),
-                    ("samples", 10usize.to_json()),
-                ])]),
-            ),
-        ]);
-        std::fs::write(&path, legacy.to_pretty_string()).unwrap();
-
-        merge_bench_report_at(
-            &path,
-            "engine_smoke",
-            300,
-            593,
-            &[result("engine_smoke/mantri", 15000000.0)],
-        );
-        let report = JsonValue::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        let smoke = entry(&report, "engine_smoke");
-        let results = smoke.get("results").unwrap().as_array().unwrap();
-        // The legacy entry's mean became the recorded baseline.
-        assert_eq!(
-            results[0].get("prev_mean_ns").unwrap().as_f64(),
-            Some(42000000.0)
-        );
+        // A truncated report and a parseable document of another shape: a
+        // merge into either would replace every other benchmark's history.
+        for garbage in [
+            "{\"benchmarks\": [{\"benchmark\": \"eng",
+            "{\"benchmark\": \"x\"}",
+        ] {
+            std::fs::write(&path, garbage).unwrap();
+            merge_bench_report_at(&path, "smoke", 10, 5, &[result("smoke/a", 1.0)], &[]);
+            assert_eq!(std::fs::read_to_string(&path).unwrap(), garbage);
+        }
         let _ = std::fs::remove_file(&path);
     }
 }

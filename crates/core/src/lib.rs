@@ -35,7 +35,7 @@ pub mod srptms;
 pub use bounds::{theorem1_bound, theorem1_probability, CompetitiveReport, OfflineBound};
 pub use offline::OfflineSrpt;
 pub use potential::PotentialFunction;
-pub use priority::{offline_priority, online_priority, rank_jobs_by_priority};
+pub use priority::{offline_priority, online_priority};
 pub use reference::ReferenceSrptMsC;
 pub use sharing::{epsilon_fraction_shares, epsilon_fraction_shares_prefix_into, MachineShare};
 pub use srptms::{SrptMsC, SrptMsCConfig};

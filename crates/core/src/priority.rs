@@ -14,7 +14,7 @@
 //! single straggling task can hold the whole job's flowtime hostage.
 
 use mapreduce_sim::JobState;
-use mapreduce_workload::{JobId, JobSpec};
+use mapreduce_workload::JobSpec;
 
 /// The offline priority `w_i / φ_i` of a job specification (Algorithm 1).
 ///
@@ -43,31 +43,10 @@ pub fn online_priority(job: &JobState, r: f64) -> f64 {
     }
 }
 
-/// Ranks job ids by decreasing priority, breaking ties by job id so the order
-/// is total and deterministic.
-///
-/// The input is any list of `(JobId, priority)` pairs; the output is the job
-/// ids sorted from most to least urgent.
-pub fn rank_jobs_by_priority(mut jobs: Vec<(JobId, f64)>) -> Vec<JobId> {
-    // `total_cmp` instead of `partial_cmp(..).unwrap_or(Equal)`: the latter
-    // reports incomparable (NaN) pairs as equal, which makes the sort order —
-    // and therefore the schedule — depend on the sorting algorithm's internal
-    // partitioning. A NaN priority (a broken estimate) is demoted to -inf so
-    // it ranks *last* rather than above every finite priority, with the job
-    // id breaking the tie deterministically.
-    let demote = |x: f64| if x.is_nan() { f64::NEG_INFINITY } else { x };
-    jobs.sort_by(|a, b| {
-        demote(b.1)
-            .total_cmp(&demote(a.1))
-            .then_with(|| a.0.cmp(&b.0))
-    });
-    jobs.into_iter().map(|(id, _)| id).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mapreduce_workload::{JobSpecBuilder, PhaseStats};
+    use mapreduce_workload::{JobId, JobSpecBuilder, PhaseStats};
 
     fn spec(weight: f64, maps: usize, map_mean: f64, map_std: f64) -> JobSpec {
         JobSpecBuilder::new(JobId::new(0))
@@ -101,34 +80,6 @@ mod tests {
         let job = JobState::new(s);
         // All four map tasks unscheduled: U = 20 → priority 0.2.
         assert!((online_priority(&job, 0.0) - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ranking_is_descending_and_deterministic() {
-        let ranked = rank_jobs_by_priority(vec![
-            (JobId::new(0), 0.5),
-            (JobId::new(1), 2.0),
-            (JobId::new(2), 0.5),
-            (JobId::new(3), 1.0),
-        ]);
-        assert_eq!(
-            ranked,
-            vec![JobId::new(1), JobId::new(3), JobId::new(0), JobId::new(2)]
-        );
-    }
-
-    #[test]
-    fn ranking_handles_infinities_and_nans() {
-        let ranked = rank_jobs_by_priority(vec![
-            (JobId::new(0), f64::INFINITY),
-            (JobId::new(1), 1.0),
-            (JobId::new(2), f64::NAN),
-        ]);
-        assert_eq!(ranked.len(), 3);
-        assert_eq!(ranked[0], JobId::new(0));
-        // A NaN priority is demoted below every real priority, not treated as
-        // "equal to anything" (which left the order to the sort's internals).
-        assert_eq!(ranked[2], JobId::new(2));
     }
 
     #[test]

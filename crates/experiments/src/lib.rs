@@ -52,6 +52,6 @@ pub use cache::{
 };
 pub use runner::{
     run_cell, run_cell_traced, run_cells, run_scheduler, run_scheduler_averaged,
-    run_scheduler_averaged_with, run_scheduler_from_source, SchedulerKind,
+    run_scheduler_averaged_with, SchedulerKind,
 };
 pub use scenario::{Scenario, WorkloadSource};

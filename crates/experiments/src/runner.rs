@@ -20,7 +20,7 @@ use mapreduce_metrics::{
 use mapreduce_sched::{OfflineSrpt, SrptMsC, SrptMsCConfig};
 use mapreduce_sim::{Scheduler, SimConfig, SimOutcome, Simulation};
 use mapreduce_support::json::{FromJson, JsonError, JsonValue, ToJson};
-use mapreduce_workload::{JobSource, Trace};
+use mapreduce_workload::Trace;
 use std::sync::OnceLock;
 
 /// The schedulers known to the experiment harness, with their parameters.
@@ -235,34 +235,14 @@ pub fn run_scheduler(kind: SchedulerKind, trace: &Trace, machines: usize, seed: 
         .unwrap_or_else(|e| panic!("simulation with {} failed: {e}", kind.label()))
 }
 
-/// Runs one scheduler once over an arbitrary [`JobSource`] — the streaming
-/// counterpart of [`run_scheduler`]; a materialized source produces a
-/// bit-identical outcome to running its trace directly.
-///
-/// # Panics
-/// Panics if the simulation fails.
-pub fn run_scheduler_from_source(
-    kind: SchedulerKind,
-    source: Box<dyn JobSource>,
-    machines: usize,
-    seed: u64,
-) -> SimOutcome {
-    let config = SimConfig::new(machines).with_seed(seed);
-    let mut scheduler = kind.build();
-    Simulation::from_source(config, source)
-        .run(scheduler.as_mut())
-        .unwrap_or_else(|e| panic!("simulation with {} failed: {e}", kind.label()))
-}
-
 /// Runs one cell — one scheduler over one seed of a scenario — with no cache
 /// involved. This is the ground-truth computation every cached path must
 /// reproduce bit for bit; the experiment service's worker pool goes through
 /// [`run_cells`] for cache misses.
 ///
-/// Unlike the raw [`run_scheduler`]/[`run_scheduler_from_source`] entry
-/// points, cells run under [`Scenario::sim_config`], so scenario-level knobs
-/// (today: the fault plan) reach the engine on every cached and uncached
-/// path alike.
+/// Unlike the raw [`run_scheduler`] entry point, cells run under
+/// [`Scenario::sim_config`], so scenario-level knobs (today: the fault plan)
+/// reach the engine on every cached and uncached path alike.
 pub fn run_cell(kind: SchedulerKind, scenario: &Scenario, seed: u64) -> SimOutcome {
     let config = scenario.sim_config(seed);
     let mut scheduler = kind.build();
@@ -350,37 +330,36 @@ pub fn run_scheduler_averaged(kind: SchedulerKind, scenario: &Scenario) -> Vec<S
 }
 
 /// [`run_scheduler_averaged`] against an explicit cache (or none): cells
-/// whose fingerprint is cached are returned without simulating; misses are
-/// simulated and stored.
+/// whose fingerprint is cached are returned without simulating; misses go
+/// through [`run_cells`] and are stored.
 pub fn run_scheduler_averaged_with(
     kind: SchedulerKind,
     scenario: &Scenario,
     cache: Option<&dyn OutcomeCache>,
 ) -> Vec<SimOutcome> {
-    // A Google CSV workload is seed-invariant: convert the file once, shared
-    // across cells — but only if some cell actually misses the cache.
-    let is_csv = matches!(&scenario.source, WorkloadSource::GoogleCsv { .. });
-    let shared: OnceLock<Trace> = OnceLock::new();
-    let simulate = |seed: u64| -> SimOutcome {
-        if is_csv {
-            let trace = shared.get_or_init(|| scenario.trace(seed));
-            run_cell_on_trace(kind, scenario, trace, seed)
-        } else {
-            run_cell(kind, scenario, seed)
+    let mut outcomes: Vec<Option<SimOutcome>> = scenario
+        .seeds
+        .iter()
+        .map(|&seed| cache.and_then(|c| c.lookup(cell_fingerprint(kind, scenario, seed))))
+        .collect();
+    let misses: Vec<(SchedulerKind, u64)> = scenario
+        .seeds
+        .iter()
+        .zip(&outcomes)
+        .filter(|(_, hit)| hit.is_none())
+        .map(|(&seed, _)| (kind, seed))
+        .collect();
+    let mut fresh = run_cells(scenario, &misses).into_iter();
+    for (slot, &seed) in outcomes.iter_mut().zip(&scenario.seeds) {
+        if slot.is_none() {
+            let outcome = fresh.next().expect("one simulated outcome per miss");
+            if let Some(cache) = cache {
+                cache.store(cell_fingerprint(kind, scenario, seed), &outcome);
+            }
+            *slot = Some(outcome);
         }
-    };
-    mapreduce_support::par_map(&scenario.seeds, |_, &seed| {
-        let Some(cache) = cache else {
-            return simulate(seed);
-        };
-        let fingerprint = cell_fingerprint(kind, scenario, seed);
-        if let Some(hit) = cache.lookup(fingerprint) {
-            return hit;
-        }
-        let outcome = simulate(seed);
-        cache.store(fingerprint, &outcome);
-        outcome
-    })
+    }
+    outcomes.into_iter().flatten().collect()
 }
 
 /// Averages the headline metrics of several outcomes (one per seed) into a

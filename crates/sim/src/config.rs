@@ -65,21 +65,6 @@ impl ToJson for StragglerModel {
     }
 }
 
-impl FromJson for StragglerModel {
-    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        if value.as_str() == Some("None") {
-            return Ok(StragglerModel::None);
-        }
-        if let Some(body) = value.get("MachineSlowdown") {
-            return Ok(StragglerModel::MachineSlowdown {
-                probability: f64::from_json(body.field("probability")?)?,
-                factor: f64::from_json(body.field("factor")?)?,
-            });
-        }
-        Err(JsonError::new("unknown StragglerModel variant"))
-    }
-}
-
 /// One group of machines sharing identical fault dynamics.
 ///
 /// A class is either a **crash** class (`slowdown: None`) — machines
@@ -299,10 +284,6 @@ pub struct SimConfig {
     pub max_copies_per_task: usize,
     /// Machine-level straggler injection model.
     pub straggler: StragglerModel,
-    /// Invoke the scheduler at least every `periodic_wakeup` slots even when
-    /// no arrival/completion happened (in addition to any interval the
-    /// scheduler itself requests). `None` = event-driven only.
-    pub periodic_wakeup: Option<u64>,
     /// Width exponent of the engine's calendar event queue: the ring holds
     /// `2^event_ring_bits` slot-granular buckets; events further out go to
     /// the overflow heap. A pure performance knob — any width produces the
@@ -331,7 +312,6 @@ impl SimConfig {
             resample_clone_workloads: true,
             max_copies_per_task: 64,
             straggler: StragglerModel::None,
-            periodic_wakeup: None,
             event_ring_bits: crate::events::DEFAULT_RING_BITS,
             fault_plan: FaultPlan::none(),
         }
@@ -385,12 +365,6 @@ impl SimConfig {
         self
     }
 
-    /// Sets a periodic scheduler wakeup interval.
-    pub fn with_periodic_wakeup(mut self, every: u64) -> Self {
-        self.periodic_wakeup = Some(every.max(1));
-        self
-    }
-
     /// Sets the machine-dynamics fault plan.
     ///
     /// # Panics
@@ -428,7 +402,9 @@ impl ToJson for SimConfig {
             ),
             ("max_copies_per_task", self.max_copies_per_task.to_json()),
             ("straggler", self.straggler.to_json()),
-            ("periodic_wakeup", self.periodic_wakeup.to_json()),
+            // A removed global wakeup knob; its constant `null` keeps every
+            // persisted cache fingerprint valid.
+            ("periodic_wakeup", JsonValue::Null),
             ("event_ring_bits", (self.event_ring_bits as u64).to_json()),
         ];
         // The empty plan is the semantic default and bit-identical to runs
@@ -438,38 +414,6 @@ impl ToJson for SimConfig {
             fields.push(("fault_plan", self.fault_plan.to_json()));
         }
         JsonValue::object(fields)
-    }
-}
-
-impl FromJson for SimConfig {
-    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        Ok(SimConfig {
-            num_machines: usize::from_json(value.field("num_machines")?)?,
-            seed: u64::from_json(value.field("seed")?)?,
-            machine_speed: f64::from_json(value.field("machine_speed")?)?,
-            max_slots: Option::from_json(value.field("max_slots")?)?,
-            resample_clone_workloads: bool::from_json(value.field("resample_clone_workloads")?)?,
-            max_copies_per_task: usize::from_json(value.field("max_copies_per_task")?)?,
-            straggler: StragglerModel::from_json(value.field("straggler")?)?,
-            periodic_wakeup: Option::from_json(value.field("periodic_wakeup")?)?,
-            // Absent in configs serialised before the calendar queue existed.
-            event_ring_bits: match value.get("event_ring_bits") {
-                Some(v) => {
-                    let bits = u64::from_json(v)?;
-                    if !(4..=20).contains(&bits) {
-                        return Err(JsonError::new("event_ring_bits must be in 4..=20"));
-                    }
-                    bits as u8
-                }
-                None => crate::events::DEFAULT_RING_BITS,
-            },
-            // Absent means empty: configs serialised before fault injection
-            // existed (and all no-fault configs since) parse identically.
-            fault_plan: match value.get("fault_plan") {
-                Some(v) => FaultPlan::from_json(v)?,
-                None => FaultPlan::none(),
-            },
-        })
     }
 }
 
@@ -494,14 +438,12 @@ mod tests {
             .with_machine_speed(1.6)
             .with_max_slots(1000)
             .with_resample_clones(false)
-            .with_max_copies_per_task(4)
-            .with_periodic_wakeup(10);
+            .with_max_copies_per_task(4);
         assert_eq!(cfg.seed, 9);
         assert_eq!(cfg.machine_speed, 1.6);
         assert_eq!(cfg.max_slots, Some(1000));
         assert!(!cfg.resample_clone_workloads);
         assert_eq!(cfg.max_copies_per_task, 4);
-        assert_eq!(cfg.periodic_wakeup, Some(10));
     }
 
     #[test]
@@ -542,37 +484,40 @@ mod tests {
         );
         assert_eq!(SimConfig::new(1).with_event_ring_bits(8).event_ring_bits, 8);
         assert!(std::panic::catch_unwind(|| SimConfig::new(1).with_event_ring_bits(3)).is_err());
-        // Configs serialised before the knob existed deserialise with the
-        // default width.
-        let mut legacy = SimConfig::new(2).to_json();
-        if let JsonValue::Object(map) = &mut legacy {
-            map.remove("event_ring_bits");
-        }
-        let back = SimConfig::from_json(&legacy).unwrap();
-        assert_eq!(back.event_ring_bits, crate::events::DEFAULT_RING_BITS);
-        // Out-of-range serialized values are a parse error, not a truncation
-        // or a deferred panic.
-        for bad in [3u64, 25, 260] {
-            let mut json = SimConfig::new(2).to_json();
-            if let JsonValue::Object(map) = &mut json {
-                map.insert("event_ring_bits".into(), bad.to_json());
-            }
-            assert!(SimConfig::from_json(&json).is_err(), "bits {bad} accepted");
-        }
     }
 
     #[test]
     fn json_roundtrip() {
-        let cfg = SimConfig::new(3)
+        // The compact document is what `cell_fingerprint` hashes, so any
+        // byte that moves here invalidates every persisted cache entry; it
+        // must also come back unchanged through the JSON parser.
+        let slowed = SimConfig::new(3)
             .with_seed(1)
             .with_max_slots(7)
             .with_straggler_model(StragglerModel::MachineSlowdown {
                 probability: 0.1,
                 factor: 2.0,
             });
-        let json = cfg.to_json().to_compact_string();
-        let back = SimConfig::from_json(&JsonValue::parse(&json).unwrap()).unwrap();
-        assert_eq!(back, cfg);
+        let pinned = [
+            (
+                SimConfig::new(3).with_seed(1),
+                "{\"event_ring_bits\":11,\"machine_speed\":1,\"max_copies_per_task\":64,\
+                 \"max_slots\":null,\"num_machines\":3,\"periodic_wakeup\":null,\
+                 \"resample_clone_workloads\":true,\"seed\":1,\"straggler\":\"None\"}",
+            ),
+            (
+                slowed,
+                "{\"event_ring_bits\":11,\"machine_speed\":1,\"max_copies_per_task\":64,\
+                 \"max_slots\":7,\"num_machines\":3,\"periodic_wakeup\":null,\
+                 \"resample_clone_workloads\":true,\"seed\":1,\
+                 \"straggler\":{\"MachineSlowdown\":{\"factor\":2,\"probability\":0.1}}}",
+            ),
+        ];
+        for (cfg, document) in pinned {
+            assert_eq!(cfg.to_json().to_compact_string(), document);
+            let reparsed = JsonValue::parse(document).unwrap();
+            assert_eq!(reparsed.to_compact_string(), document);
+        }
     }
 
     #[test]
@@ -581,8 +526,6 @@ mod tests {
         // document: existing persisted cache fingerprints stay valid.
         let plain = SimConfig::new(4).to_json();
         assert!(plain.get("fault_plan").is_none());
-        let back = SimConfig::from_json(&plain).unwrap();
-        assert!(back.fault_plan.is_empty());
 
         let plan = FaultPlan::new(vec![
             FaultClass::crashes(2, 500.0, 40.0),
@@ -590,12 +533,9 @@ mod tests {
         ]);
         assert_eq!(plan.covered_machines(), 3);
         let cfg = SimConfig::new(4).with_seed(9).with_fault_plan(plan.clone());
-        let json = cfg.to_json();
-        assert!(json.get("fault_plan").is_some());
-        let back =
-            SimConfig::from_json(&JsonValue::parse(&json.to_compact_string()).unwrap()).unwrap();
-        assert_eq!(back, cfg);
-        assert_eq!(back.fault_plan, plan);
+        let json = JsonValue::parse(&cfg.to_json().to_compact_string()).unwrap();
+        let back = FaultPlan::from_json(json.get("fault_plan").unwrap()).unwrap();
+        assert_eq!(back, plan);
         // And a non-empty plan changes the canonical document.
         assert_ne!(
             json.to_compact_string(),

@@ -21,11 +21,10 @@
 //! runs complete without ever materialising a [`Trace`].
 //!
 //! Event compression: the scheduler is only woken when an arrival or a
-//! completion happened, or on an explicit periodic wakeup (requested either
-//! by the scheduler itself through [`Scheduler::wakeup_interval`] or globally
-//! through [`SimConfig::periodic_wakeup`]). Between such instants nothing in
-//! the model can change, so this is equivalent to the per-slot loop of the
-//! paper while being fast enough for 12 000-machine traces.
+//! completion happened, or on the periodic wakeup the scheduler itself
+//! requests through [`Scheduler::wakeup_interval`]. Between such instants
+//! nothing in the model can change, so this is equivalent to the per-slot
+//! loop of the paper while being fast enough for 12 000-machine traces.
 //!
 //! # Event path
 //!
@@ -55,7 +54,7 @@
 use crate::config::{FaultClass, FaultPlan, SimConfig, StragglerModel};
 use crate::copy::{CopyArena, CopyId, CopyPhase};
 use crate::error::SimError;
-use crate::events::{next_decision, Event, EventQueue};
+use crate::events::{Event, EventQueue};
 use crate::result::{JobRecord, RunTelemetry, SimOutcome};
 use crate::state::IndexDemands;
 use crate::state::{Action, AliveIndex, ClusterState, JobState, Scheduler, Slot};
@@ -481,12 +480,7 @@ impl Simulation {
         let mut newly_finished = Vec::new();
         let mut newly_unlaunched = Vec::new();
 
-        let wakeup_every = match (scheduler.wakeup_interval(), self.config.periodic_wakeup) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (Some(a), None) => Some(a),
-            (None, Some(b)) => Some(b),
-            (None, None) => None,
-        };
+        let wakeup_every = scheduler.wakeup_interval();
 
         while ctx.stats.completed_jobs < total_jobs {
             // ---- determine the next decision instant ----
@@ -499,13 +493,14 @@ impl Simulation {
                 Some(k) if !alive.is_empty() && running_anything => Some(now + k),
                 _ => None,
             };
-            let head = match (queue.peek_slot(), pending.as_ref().map(|j| j.arrival())) {
-                (Some(q), Some(a)) => Some(q.min(a)),
-                (Some(q), None) => Some(q),
-                (None, a) => a,
-            };
-            let next = match next_decision(head, next_wakeup) {
-                Some((slot, _)) => slot.max(now),
+            let earliest = queue
+                .peek_slot()
+                .into_iter()
+                .chain(pending.as_ref().map(|j| j.arrival()))
+                .chain(next_wakeup)
+                .min();
+            let next = match earliest {
+                Some(slot) => slot.max(now),
                 None => {
                     // Nothing can ever happen again yet jobs remain: the
                     // scheduler has stalled.
@@ -645,7 +640,6 @@ impl Simulation {
                             observer.on_task_unlaunched(at, task);
                         }
                     }
-                    Event::Wakeup { .. } => unreachable!("wakeups are never queued"),
                 }
             }
 

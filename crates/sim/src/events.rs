@@ -1,6 +1,6 @@
 //! Typed simulation events and the event queue.
 //!
-//! The engine's arrival/finish/wakeup plumbing used to be inlined in the run
+//! The engine's arrival/finish plumbing used to be inlined in the run
 //! loop; it now lives here so ordering and staleness semantics are testable
 //! in isolation:
 //!
@@ -88,13 +88,6 @@ pub enum Event {
         /// `true` for a crash, `false` for a brown-out.
         crash: bool,
     },
-    /// A periodic scheduler wakeup with no state change of its own. The
-    /// engine synthesises these between queue events; they never enter the
-    /// queue.
-    Wakeup {
-        /// Slot of the wakeup.
-        at: Slot,
-    },
 }
 
 impl Event {
@@ -105,7 +98,6 @@ impl Event {
             Event::CopyFinish { at, .. } => at,
             Event::MachineUp { at, .. } => at,
             Event::MachineDown { at, .. } => at,
-            Event::Wakeup { at } => at,
         }
     }
 
@@ -119,7 +111,6 @@ impl Event {
             Event::CopyFinish { at, seq, .. } => (at, 1, seq),
             Event::MachineUp { at, machine, .. } => (at, 2, machine as u64),
             Event::MachineDown { at, machine, .. } => (at, 3, machine as u64),
-            Event::Wakeup { at } => (at, 4, 0),
         }
     }
 
@@ -288,13 +279,8 @@ impl EventQueue {
     /// Schedules an event.
     ///
     /// # Panics
-    /// Panics (debug builds) if the event fires before the drained position
-    /// or is a [`Event::Wakeup`] (wakeups are synthesised by the engine).
+    /// Panics (debug builds) if the event fires before the drained position.
     pub fn push(&mut self, event: Event) {
-        debug_assert!(
-            !matches!(event, Event::Wakeup { .. }),
-            "wakeups are synthesised by the engine, not queued"
-        );
         let slot = event.at();
         debug_assert!(
             slot >= self.base,
@@ -417,10 +403,6 @@ impl HeapEventQueue {
 
     /// Schedules an event.
     pub fn push(&mut self, event: Event) {
-        debug_assert!(
-            !matches!(event, Event::Wakeup { .. }),
-            "wakeups are synthesised by the engine, not queued"
-        );
         self.heap.push(Reverse(HeapEntry {
             key: event.key(),
             event,
@@ -440,30 +422,6 @@ impl HeapEventQueue {
             }
             _ => None,
         }
-    }
-}
-
-/// What causes the next decision instant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DecisionCause {
-    /// A queued event (arrival or completion) fires.
-    QueuedEvent,
-    /// A periodic wakeup fires with no queued event due first.
-    Wakeup,
-}
-
-/// Computes the next decision instant from the queue head and an optional
-/// periodic-wakeup deadline. Queued events win ties, so a wakeup coinciding
-/// with a real event never produces an extra scheduler invocation.
-pub fn next_decision(
-    queue_head: Option<Slot>,
-    wakeup: Option<Slot>,
-) -> Option<(Slot, DecisionCause)> {
-    match (queue_head, wakeup) {
-        (Some(q), Some(w)) if w < q => Some((w, DecisionCause::Wakeup)),
-        (Some(q), _) => Some((q, DecisionCause::QueuedEvent)),
-        (None, Some(w)) => Some((w, DecisionCause::Wakeup)),
-        (None, None) => None,
     }
 }
 
@@ -850,16 +808,5 @@ mod tests {
         // Reduce copies held their machines from slot 0 while waiting:
         // busy = 10 (map) + 17 + 13 = 40 machine-slots.
         assert_eq!(outcome.busy_machine_slots, 40);
-    }
-
-    #[test]
-    fn next_decision_prefers_queued_events_on_ties() {
-        use DecisionCause::*;
-        assert_eq!(next_decision(None, None), None);
-        assert_eq!(next_decision(Some(5), None), Some((5, QueuedEvent)));
-        assert_eq!(next_decision(None, Some(9)), Some((9, Wakeup)));
-        assert_eq!(next_decision(Some(5), Some(9)), Some((5, QueuedEvent)));
-        assert_eq!(next_decision(Some(9), Some(5)), Some((5, Wakeup)));
-        assert_eq!(next_decision(Some(7), Some(7)), Some((7, QueuedEvent)));
     }
 }
