@@ -226,7 +226,7 @@ impl Scheduler for FairScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mapreduce_sim::{CopyArena, SimConfig, Simulation};
+    use mapreduce_sim::{AliveIndex, CopyArena, SimConfig, Simulation};
     use mapreduce_workload::{JobId, JobSpecBuilder, Trace, WorkloadBuilder};
 
     #[test]
@@ -267,12 +267,15 @@ mod tests {
         assert!(heavy_rec.completion < light_rec.completion);
     }
 
-    /// Fills `budget` machines over a hand-built snapshot in which every
-    /// job is alive, returning the launches per job.
+    /// Fills `budget` machines over a snapshot in which every job is alive,
+    /// returning the launches per job.
     fn fill_per_job(jobs: &[JobState], budget: usize, weighted: bool) -> Vec<usize> {
-        let alive: Vec<usize> = (0..jobs.len()).collect();
+        let mut index = AliveIndex::new();
+        for (i, job) in jobs.iter().enumerate() {
+            index.insert(i, job);
+        }
         let copies = CopyArena::new();
-        let state = ClusterState::new(0, budget, budget, jobs, &alive, &copies);
+        let state = ClusterState::new(0, budget, budget, jobs, &copies, &index, 0);
         let mut actions = Vec::new();
         fair_fill_alive_into(
             &state,

@@ -1,6 +1,6 @@
 //! FIFO job scheduling without speculation — Hadoop's original default.
 
-use mapreduce_sim::{Action, ClusterState, Scheduler, Slot};
+use mapreduce_sim::{Action, ClusterState, Scheduler};
 use mapreduce_workload::{JobId, Phase, TaskId};
 use std::collections::BTreeSet;
 
@@ -12,19 +12,21 @@ use std::collections::BTreeSet;
 ///
 /// The decision side is incremental: instead of walking every alive job per
 /// wakeup, the scheduler keeps a **ready set** of jobs that may still have
-/// launchable work, ordered by `(arrival, id)`. Jobs enter on arrival, when
-/// their Map phase completes (unlocking reduce tasks), and when a machine
-/// crash returns a task of theirs to the unscheduled pool — the only events
-/// that can create launchable work under FIFO — and leave once everything
-/// launchable has been launched. A `schedule` call therefore costs
-/// `O(launches + ready jobs)` rather than `O(alive jobs)`.
+/// launchable work, in job-id order — which is arrival order, because the
+/// engine admits jobs only in dense-id order with non-decreasing arrivals.
+/// Jobs enter on arrival, when their Map phase completes (unlocking reduce
+/// tasks), and when a machine crash returns a task of theirs to the
+/// unscheduled pool — the only events that can create launchable work under
+/// FIFO — and leave once everything launchable has been launched. A
+/// `schedule` call therefore costs `O(launches + ready jobs)` rather than
+/// `O(alive jobs)`.
 #[derive(Debug, Default, Clone)]
 pub struct Fifo {
-    /// Alive jobs that may still have launchable work, `(arrival, id)`
-    /// ascending — the same order the engine's arrival index yields.
-    ready: BTreeSet<(Slot, JobId)>,
+    /// Alive jobs that may still have launchable work, in id (= arrival)
+    /// order.
+    ready: BTreeSet<JobId>,
     /// Pooled per-decision buffer of ready-set entries proven exhausted.
-    exhausted: Vec<(Slot, JobId)>,
+    exhausted: Vec<JobId>,
 }
 
 impl Fifo {
@@ -39,10 +41,8 @@ impl Scheduler for Fifo {
         "fifo"
     }
 
-    fn on_job_arrival(&mut self, job: JobId, state: &ClusterState<'_>) {
-        if let Some(j) = state.job(job) {
-            self.ready.insert((j.arrival(), job));
-        }
+    fn on_job_arrival(&mut self, job: JobId, _state: &ClusterState<'_>) {
+        self.ready.insert(job);
     }
 
     fn on_task_finished(&mut self, task: TaskId, state: &ClusterState<'_>) {
@@ -54,7 +54,7 @@ impl Scheduler for Fifo {
         }
         if let Some(j) = state.job(task.job) {
             if j.is_alive() && j.map_phase_complete() && j.num_unscheduled(Phase::Reduce) > 0 {
-                self.ready.insert((j.arrival(), task.job));
+                self.ready.insert(task.job);
             }
         }
     }
@@ -65,7 +65,7 @@ impl Scheduler for Fifo {
         // occurred, so it must rejoin the ready set (insert is idempotent).
         if let Some(j) = state.job(task.job) {
             if j.is_alive() {
-                self.ready.insert((j.arrival(), task.job));
+                self.ready.insert(task.job);
             }
         }
     }
@@ -88,15 +88,14 @@ impl Scheduler for Fifo {
         // is pooled across decisions.
         let exhausted = &mut self.exhausted;
         exhausted.clear();
-        for &entry in self.ready.iter() {
+        for &id in self.ready.iter() {
             if budget == 0 {
                 break;
             }
-            let (_, id) = entry;
             let job = match state.job(id) {
                 Some(job) if job.is_alive() => job,
                 _ => {
-                    exhausted.push(entry);
+                    exhausted.push(id);
                     continue;
                 }
             };
@@ -118,11 +117,11 @@ impl Scheduler for Fifo {
                 }
             }
             if !cut_off {
-                exhausted.push(entry);
+                exhausted.push(id);
             }
         }
-        for entry in exhausted.iter() {
-            self.ready.remove(entry);
+        for id in exhausted.iter() {
+            self.ready.remove(id);
         }
     }
 }

@@ -143,15 +143,14 @@ impl Scheduler for Sca {
     fn schedule_into(&mut self, state: &ClusterState<'_>, actions: &mut Vec<Action>) {
         let mut budget = state.available_machines();
         // Both passes grant machines only to launchable unscheduled tasks,
-        // so with none anywhere no action can follow (`O(1)` on engine
-        // snapshots).
+        // so with none anywhere no action can follow (an `O(1)` check).
         if budget == 0 || state.total_launchable_tasks() == 0 {
             return;
         }
 
         // Pass 1: one copy per launchable task, jobs in w / U order (small
         // jobs first), until the machines run out.
-        let ranked = state.ranked_entries(self.config.r);
+        let ranked = state.ranked_entries();
         let mut allocations = std::mem::take(&mut self.allocations);
         allocations.clear();
         let mut consumed = 0;

@@ -62,13 +62,13 @@ impl Scheduler for SrptNoClone {
     fn schedule_into(&mut self, state: &ClusterState<'_>, actions: &mut Vec<Action>) {
         let mut budget = state.available_machines();
         // Only launchable unscheduled tasks are ever launched, so with none
-        // anywhere no action can follow (`O(1)` on engine snapshots).
+        // anywhere no action can follow (an `O(1)` check).
         if budget == 0 || state.total_launchable_tasks() == 0 {
             return;
         }
         // Jobs in w / U order from the engine's maintained ranking, walked
         // only until the machines run out.
-        let ranked = state.ranked_entries(self.r);
+        let ranked = state.ranked_entries();
         let mut consumed = 0;
         'jobs: for (_, idx) in ranked.iter() {
             consumed += 1;

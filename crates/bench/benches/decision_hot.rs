@@ -81,7 +81,7 @@ impl Capture {
             launched_jobs,
             post: Vec::new(),
             order: state
-                .ranked_entries(R)
+                .ranked_entries()
                 .iter()
                 .map(|(_, idx)| {
                     let job = state.job_at(idx);
@@ -105,7 +105,6 @@ impl Capture {
         let rebuilt: Vec<(JobId, f64)> = index
             .ranked_by_priority()
             .expect("priority maintenance is enabled")
-            .1
             .iter()
             .map(|(_, idx)| {
                 let pos = self.pre.binary_search_by_key(&idx, |(i, _)| *i);
@@ -280,7 +279,7 @@ fn bench_decision_hot(c: &mut Criterion) {
                 let walked: usize = copies
                     .iter()
                     .map(|alive| {
-                        let (_, ranked) = alive.ranked_by_priority().expect("enabled");
+                        let ranked = alive.ranked_by_priority().expect("enabled");
                         (0..widest.prefix).map(|i| ranked.entry(i).1).sum::<usize>()
                     })
                     .sum();

@@ -15,7 +15,10 @@
 //!   both counts are recorded in the report entry, next to
 //!   `stream100k_peak_rss_kb`, the process's `VmHWM` high-water mark read
 //!   right after this variant — it covers every run of the process so far,
-//!   not this variant alone).
+//!   not this variant alone). It runs through [`mapreduce_bench::timed`],
+//!   so the entry also carries the last sample's wall-clock layer split as
+//!   `stream100k_{source,schedule,hook,engine_self}_ns`, the split the
+//!   stream1m and stream10m tiers record.
 //!
 //! Before any timing, the bench asserts that the streaming feed's outcome is
 //! **bit-identical** to running its materialised twin — the same invariant
@@ -26,6 +29,7 @@
 //! `BENCH_engine.json` / the smoke report and feed the CI bench-guard.
 
 use mapreduce_baselines::Fifo;
+use mapreduce_bench::timed::{run_timed, LayerSplit};
 use mapreduce_experiments::{run_scheduler, Scenario, SchedulerKind};
 use mapreduce_sim::{SimConfig, SimOutcome, Simulation};
 use mapreduce_support::criterion::{BenchmarkId, Criterion};
@@ -94,23 +98,28 @@ fn bench_workload_stream(c: &mut Criterion) {
     let mut peak_100k = 0usize;
     let mut peak_slots_100k = 0usize;
     let mut copies_100k = 0usize;
+    let mut split_100k = LayerSplit::default();
     group.bench_with_input(
         BenchmarkId::from_parameter("stream100k/fifo"),
         &fullscale_seed,
         |b, &seed| {
             b.iter(|| {
-                let outcome = run_streaming(fullscale.job_source(seed), fullscale.machines, seed);
+                let config = SimConfig::new(fullscale.machines).with_seed(seed);
+                let (outcome, split) =
+                    run_timed(config, fullscale.job_source(seed), &mut Fifo::new())
+                        .expect("streaming run must complete");
                 assert_eq!(outcome.records().len(), 100_000);
                 peak_100k = outcome.peak_resident_jobs;
                 peak_slots_100k = outcome.peak_copy_slots;
                 copies_100k = outcome.total_copies;
+                split_100k = split;
                 black_box(outcome.mean_flowtime())
             })
         },
     );
     println!(
         "workload stream: 100k-job streaming run peaked at {peak_100k} resident jobs and \
-         {peak_slots_100k} copy slots for {copies_100k} copies ({} machines)",
+         {peak_slots_100k} copy slots for {copies_100k} copies ({} machines); {split_100k}",
         fullscale.machines
     );
     group.finish();
@@ -236,6 +245,13 @@ fn bench_workload_stream(c: &mut Criterion) {
             ("stream100k_total_copies", copies_100k.to_json()),
             ("stream100k_peak_copy_slots", peak_slots_100k.to_json()),
             ("stream100k_peak_rss_kb", peak_rss_kb.to_json()),
+            ("stream100k_source_ns", split_100k.source_ns.to_json()),
+            ("stream100k_schedule_ns", split_100k.schedule_ns.to_json()),
+            ("stream100k_hook_ns", split_100k.hook_ns.to_json()),
+            (
+                "stream100k_engine_self_ns",
+                split_100k.engine_self_ns().to_json(),
+            ),
             ("stream100k_sketch_p50", sketch_p50.to_json()),
             ("stream100k_sketch_p95", sketch_p95.to_json()),
             ("stream100k_sketch_p99", sketch_p99.to_json()),

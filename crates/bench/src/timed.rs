@@ -222,8 +222,8 @@ mod tests {
     /// Runs `kind` bare and wrapped; both runs must agree bit for bit,
     /// telemetry included, and the wrapped layers must fit in the wall clock.
     /// The declarative methods are also compared directly: a dropped
-    /// `priority_r` only slows the run down (the engine falls back to
-    /// sorting), so the outcome alone would not show it.
+    /// `priority_r` makes `ClusterState::ranked_entries` panic, and the
+    /// comparison names the dropped method where an outcome diff would not.
     fn assert_transparent(kind: SchedulerKind, config: SimConfig) -> SimOutcome {
         let declared = |s: &dyn Scheduler| {
             let name = s.name().to_string();

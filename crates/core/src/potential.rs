@@ -17,10 +17,7 @@
 //! The analysis only needs three structural properties — the boundary
 //! condition `Φ(0) = Φ(∞) = 0`, that job arrivals/completions never increase
 //! Φ, and the drift condition — and the unit tests of this module check the
-//! first two mechanically. The module is also used by the `theorem1`
-//! experiment binary to report the potential trajectory of a run, which is a
-//! useful sanity check that the implementation of the sharing rule matches
-//! the analysis.
+//! first two mechanically.
 
 use mapreduce_sim::SpeedupFunction;
 

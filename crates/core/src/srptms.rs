@@ -268,18 +268,18 @@ impl Scheduler for SrptMsC {
         // Launchable tasks not yet launched this decision. The ε-pass and
         // the backfill only ever launch launchable unscheduled tasks, so with
         // none anywhere no action can follow: return before ranking anything
-        // (`O(1)` on engine snapshots). Counting launches against the
-        // aggregate below tells both passes when nothing launchable remains.
+        // (an `O(1)` read). Counting launches against the aggregate below
+        // tells both passes when nothing launchable remains.
         let mut launchable_left = state.total_launchable_tasks();
         if launchable_left == 0 {
             return;
         }
 
         // ψ^s(l): alive jobs that still have unscheduled tasks, ranked by
-        // decreasing w_i / U_i(l), ties by id. Engine-built snapshots carry
-        // the order as a demand-gated view, so only the prefix the passes
-        // below actually read is walked.
-        let entries = state.ranked_entries(self.config.r);
+        // decreasing w_i / U_i(l), ties by id. The snapshot carries the
+        // order as a demand-gated view, so only the prefix the passes below
+        // actually read is walked.
+        let entries = state.ranked_entries();
         let candidate = |i: usize| state.job_at(entries.entry(i).1);
         let num_candidates = entries.len();
         if num_candidates == 0 {

@@ -657,7 +657,7 @@ impl Simulation {
                 // brought them back. Schedulers see only in-service capacity,
                 // so every decision path prices in the reduced cluster.
                 let up_machines = total_machines - ctx.pool.as_ref().map_or(0, |p| p.num_down);
-                let state = ClusterState::from_index(
+                let state = ClusterState::new(
                     now,
                     up_machines,
                     ctx.stats.available,

@@ -51,11 +51,13 @@
 //! * per-job, per-phase **completed-duration aggregates**
 //!   ([`JobState::mean_completed_duration`]) so restart-time estimates
 //!   (`t_new`) are `O(1)`;
-//! * an [`AliveIndex`] over the alive jobs carrying the weight/unscheduled
-//!   aggregates, an **arrival order** for the FIFO family, and an optional
-//!   **priority order** (decreasing `w_i / U_i(l)`, batched per decision
-//!   instant) that a scheduler opts into via [`Scheduler::priority_r`] and
-//!   consumes through [`ClusterState::ranked_entries`].
+//! * an [`AliveIndex`] over the alive jobs in job-id order (which the
+//!   engine's admission check makes arrival order, the order the FIFO family
+//!   serves) carrying the weight, unscheduled and launchable aggregates, and
+//!   an optional **priority order** (decreasing `w_i / U_i(l)`) that a
+//!   scheduler opts into via [`Scheduler::priority_r`] and consumes through
+//!   [`ClusterState::ranked_entries`]. Every [`ClusterState`] reads this
+//!   index; there is no second, scanning snapshot path.
 //!
 //! The running free-list and the running-by-finish order are maintained only
 //! for schedulers that declare them through [`Scheduler::index_demands`] —

@@ -42,9 +42,8 @@ impl Scheduler for GreedyFifo {
         if budget == 0 {
             return;
         }
-        // Arrival order comes pre-maintained from the engine's alive index;
-        // hand-built snapshots fall back to a sort inside the accessor.
-        for job in state.alive_jobs_by_arrival() {
+        // Job-id order is arrival order; the engine rejects any other.
+        for job in state.alive_jobs() {
             for phase in [Phase::Map, Phase::Reduce] {
                 if phase == Phase::Reduce && !job.map_phase_complete() {
                     continue;

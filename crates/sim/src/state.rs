@@ -1001,32 +1001,20 @@ fn priority_key(weight: f64, u: f64) -> f64 {
 /// unscheduled tasks, in decreasing `w_i / U_i(l)` order (ties by ascending
 /// idx), as handed out by [`ClusterState::ranked_entries`].
 ///
-/// For engine-built snapshots the view reads the engine's maintained order
-/// lazily — [`RankedEntries::entry`] walks it only as far as is actually
-/// consumed, which is what makes the ranked schedulers' decision paths
-/// pay-for-what-you-read at million-job scale. Hand-built snapshots carry
-/// the same order, sorted once when requested. Indices resolve through
+/// The view reads the engine's maintained order lazily —
+/// [`RankedEntries::entry`] walks it only as far as is actually consumed,
+/// which is what makes the ranked schedulers' decision paths
+/// pay-for-what-you-read at million-job scale. Indices resolve through
 /// [`ClusterState::job_at`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct RankedEntries<'a> {
-    order: RankedOrder<'a>,
-}
-
-#[derive(Clone, Debug)]
-enum RankedOrder<'a> {
-    /// The engine's maintained order, walked on demand.
-    Indexed(&'a PriorityIndex),
-    /// A hand-built snapshot's order, sorted eagerly.
-    Sorted(Vec<(f64, usize)>),
+    index: &'a PriorityIndex,
 }
 
 impl<'a> RankedEntries<'a> {
     /// Number of entries in the (virtual) full order.
     pub fn len(&self) -> usize {
-        match &self.order {
-            RankedOrder::Indexed(index) => index.live_len(),
-            RankedOrder::Sorted(order) => order.len(),
-        }
+        self.index.live_len()
     }
 
     /// Whether the order is empty.
@@ -1044,10 +1032,7 @@ impl<'a> RankedEntries<'a> {
             "ranked entry {i} out of bounds (len {})",
             self.len()
         );
-        match &self.order {
-            RankedOrder::Indexed(index) => index.entry(i),
-            RankedOrder::Sorted(order) => order[i],
-        }
+        self.index.entry(i)
     }
 
     /// Iterates the order front to back, extending the walked region as it
@@ -1063,23 +1048,20 @@ impl<'a> RankedEntries<'a> {
 /// a scheduler needed, like the total alive weight) from a `BTreeSet` on
 /// *every* scheduler wakeup — an `O(alive)` scan per decision instant that
 /// dominates at 12 000-machine trace scale. This index is updated once per
-/// arrival, completion and first task launch instead, so constructing a
-/// [`ClusterState`] is `O(1)`.
+/// arrival, completion, task launch or fault unlaunch and map-phase
+/// completion instead, so constructing a [`ClusterState`] is `O(1)`.
 ///
-/// Besides the id-ordered alive set and the weight/unscheduled aggregates,
-/// the index maintains two derived orders so schedulers never sort per
-/// wakeup:
-/// * an **arrival order** (`(arrival, idx)` ascending) consumed by the FIFO
-///   family, and
-/// * an optional **priority order** (decreasing `w_i / U_i(l)`, enabled via
-///   [`AliveIndex::enable_priority`] when the scheduler declares a pessimism
-///   factor through [`Scheduler::priority_r`]) consumed by SRPTMS+C.
+/// Besides the id-ordered alive set — which is also arrival order, since the
+/// engine admits jobs only in dense-id order with non-decreasing arrivals —
+/// and the weight, unscheduled and launchable aggregates, the index
+/// maintains an optional **priority order** (decreasing `w_i / U_i(l)`,
+/// enabled via [`AliveIndex::enable_priority`] when the scheduler declares a
+/// pessimism factor through [`Scheduler::priority_r`]) consumed by SRPTMS+C,
+/// SCA and SRPT-noclone.
 #[derive(Debug, Default, Clone)]
 pub struct AliveIndex {
     /// Alive job indices, kept sorted ascending (job-id order).
     alive: Vec<usize>,
-    /// Alive jobs sorted by `(arrival, idx)` ascending.
-    by_arrival: Vec<(Slot, usize)>,
     /// Sum of the weights of the alive jobs (`W(l)`).
     weight_sum: f64,
     /// Total number of unscheduled tasks across alive jobs.
@@ -1095,8 +1077,7 @@ pub struct AliveIndex {
     /// once per job.
     weight_counted: Vec<bool>,
     /// Per-job cached [`JobState::launchable_unscheduled`] counts, feeding
-    /// `launchable_sum`. Maintained only while the priority order is enabled
-    /// (its sole consumer is SRPTMS+C's backfill early-exit).
+    /// `launchable_sum`.
     launchable: Vec<usize>,
     /// Total launchable unscheduled tasks across alive jobs.
     launchable_sum: usize,
@@ -1132,14 +1113,10 @@ impl AliveIndex {
                 self.weight_counted[idx] = true;
                 self.unscheduled_weight_sum += job.weight();
             }
-            let arrival_entry = (job.arrival(), idx);
-            if let Err(pos) = self.by_arrival.binary_search(&arrival_entry) {
-                self.by_arrival.insert(pos, arrival_entry);
-            }
             if let Some(priority) = &mut self.priority {
                 priority.insert(idx, job);
-                self.refresh_launchable(idx, job);
             }
+            self.refresh_launchable(idx, job);
         }
     }
 
@@ -1156,23 +1133,19 @@ impl AliveIndex {
                 self.weight_counted[idx] = false;
                 self.unscheduled_weight_sum -= job.weight();
             }
-            if let Ok(pos) = self.by_arrival.binary_search(&(job.arrival(), idx)) {
-                self.by_arrival.remove(pos);
-            }
             if let Some(priority) = &mut self.priority {
                 priority.remove(idx);
-                if let Some(cached) = self.launchable.get_mut(idx) {
-                    self.launchable_sum -= *cached;
-                    *cached = 0;
-                }
+            }
+            if let Some(cached) = self.launchable.get_mut(idx) {
+                self.launchable_sum -= *cached;
+                *cached = 0;
             }
         }
     }
 
     /// Records the first launch of one previously unscheduled task of job
-    /// `idx`; call *after* the job's own counters have been updated. `O(1)` —
-    /// the priority order itself is refreshed by [`AliveIndex::flush_priority`]
-    /// once per decision instant.
+    /// `idx`; call *after* the job's own counters have been updated. `O(1)`
+    /// for the aggregates, one `O(log n)` re-key of the priority order.
     pub fn note_first_launch(&mut self, idx: usize, job: &JobState) {
         self.unscheduled_sum = self.unscheduled_sum.saturating_sub(1);
         if job.total_unscheduled() == 0 && self.weight_counted.get(idx).copied().unwrap_or(false) {
@@ -1182,8 +1155,8 @@ impl AliveIndex {
         }
         if let Some(priority) = &mut self.priority {
             priority.update(idx, job);
-            self.refresh_launchable(idx, job);
         }
+        self.refresh_launchable(idx, job);
     }
 
     /// Reverse of [`AliveIndex::note_first_launch`]: a fault returned one
@@ -1208,17 +1181,15 @@ impl AliveIndex {
             } else {
                 priority.update(idx, job);
             }
-            self.refresh_launchable(idx, job);
         }
+        self.refresh_launchable(idx, job);
     }
 
     /// Records that job `idx`'s map phase just completed (its unscheduled
     /// reduce tasks became launchable); call from the engine's copy-finish
-    /// path. `O(1)`, idempotent, no-op when priority maintenance is off.
+    /// path. `O(1)` and idempotent.
     pub fn note_map_phase_complete(&mut self, idx: usize, job: &JobState) {
-        if self.priority.is_some() {
-            self.refresh_launchable(idx, job);
-        }
+        self.refresh_launchable(idx, job);
     }
 
     /// Re-caches job `idx`'s launchable-unscheduled count and folds the
@@ -1242,29 +1213,18 @@ impl AliveIndex {
         }
     }
 
-    /// The alive job indices, sorted ascending.
+    /// The alive job indices, sorted ascending — job-id order, which the
+    /// engine guarantees is also arrival order.
     pub fn alive(&self) -> &[usize] {
         &self.alive
-    }
-
-    /// The alive jobs sorted by `(arrival, idx)` ascending.
-    pub fn alive_by_arrival(&self) -> &[(Slot, usize)] {
-        &self.by_arrival
     }
 
     /// The alive jobs with unscheduled tasks as a demand-gated
     /// [`RankedEntries`] view in decreasing `w_i / U_i(l)` order (ties by
     /// idx), if priority maintenance is enabled; `None` otherwise. Call
     /// [`AliveIndex::flush_priority`] first after mutations.
-    pub fn ranked_by_priority(&self) -> Option<(f64, RankedEntries<'_>)> {
-        self.priority.as_ref().map(|p| {
-            (
-                p.r,
-                RankedEntries {
-                    order: RankedOrder::Indexed(p),
-                },
-            )
-        })
+    pub fn ranked_by_priority(&self) -> Option<RankedEntries<'_>> {
+        self.priority.as_ref().map(|index| RankedEntries { index })
     }
 
     /// Number of alive jobs.
@@ -1293,84 +1253,48 @@ impl AliveIndex {
         self.unscheduled_weight_sum
     }
 
-    /// Total launchable unscheduled tasks across alive jobs, when the index
-    /// maintains the aggregate (priority order enabled); `None` otherwise.
-    /// Requires the engine to report map-phase completions through
+    /// Total launchable unscheduled tasks across alive jobs. Requires the
+    /// engine to report map-phase completions through
     /// [`AliveIndex::note_map_phase_complete`].
-    pub fn total_launchable(&self) -> Option<usize> {
-        self.priority.as_ref().map(|_| self.launchable_sum)
+    pub fn total_launchable(&self) -> usize {
+        self.launchable_sum
     }
 }
 
 /// Read-only snapshot of the cluster handed to schedulers at every decision
 /// point.
+///
+/// Every aggregate and order is read from the [`AliveIndex`] the snapshot
+/// borrows, so each accessor is `O(1)` (or, for the ranked order, pays only
+/// for the prefix actually walked).
 #[derive(Debug)]
 pub struct ClusterState<'a> {
     now: Slot,
     total_machines: usize,
     available_machines: usize,
     jobs: &'a [JobState],
-    alive: &'a [usize],
     /// The run's copy storage; per-copy task queries resolve ids against it.
     copies: &'a CopyArena,
-    /// Aggregates carried over from an [`AliveIndex`], when the snapshot was
-    /// built incrementally by the engine. `None` for hand-built snapshots.
-    cached_weight: Option<f64>,
-    cached_unscheduled: Option<usize>,
-    /// Incrementally maintained `W(l)` over the jobs with unscheduled tasks,
-    /// when index-backed.
-    cached_unscheduled_weight: Option<f64>,
-    /// Incrementally maintained launchable-unscheduled total, when
-    /// index-backed with the priority order enabled.
-    cached_launchable: Option<usize>,
+    /// The alive set, its aggregates and (when enabled) the priority order.
+    index: &'a AliveIndex,
     /// How many ranked entries the scheduler actually consumed this decision
     /// (reported via [`ClusterState::note_ranked_prefix`]); interior-mutable
     /// because the snapshot is handed to schedulers by shared reference.
     ranked_prefix_consumed: std::cell::Cell<usize>,
-    /// Alive jobs in `(arrival, idx)` order, when index-backed.
-    arrival_order: Option<&'a [(Slot, usize)]>,
-    /// Demand-gated `(priority, idx)` order (decreasing `w_i / U_i(l)`) for
-    /// the pessimism factor the scheduler declared, when index-backed.
-    ranked: Option<(f64, RankedEntries<'a>)>,
     /// Copies killed by machine faults so far this run.
     copies_killed_by_fault: u64,
 }
 
 impl<'a> ClusterState<'a> {
-    /// Builds a snapshot from explicit parts. Aggregates are computed on
-    /// demand by scanning; the engine uses `ClusterState::from_index`
-    /// instead. Public so scheduler crates can unit-test their policies
-    /// against hand-crafted states without running a full simulation.
-    pub fn new(
-        now: Slot,
-        total_machines: usize,
-        available_machines: usize,
-        jobs: &'a [JobState],
-        alive: &'a [usize],
-        copies: &'a CopyArena,
-    ) -> Self {
-        ClusterState {
-            now,
-            total_machines,
-            available_machines,
-            jobs,
-            alive,
-            copies,
-            cached_weight: None,
-            cached_unscheduled: None,
-            cached_unscheduled_weight: None,
-            cached_launchable: None,
-            ranked_prefix_consumed: std::cell::Cell::new(0),
-            arrival_order: None,
-            ranked: None,
-            copies_killed_by_fault: 0,
-        }
-    }
-
-    /// Builds a snapshot from the engine's incrementally maintained index —
-    /// `O(1)`, no per-wakeup rescan of the job table.
+    /// Builds a snapshot over `jobs` (indexed by dense job id) whose alive
+    /// set and aggregates are `index` — `O(1)`, no rescan of the job table.
+    ///
+    /// The engine builds one per decision instant; scheduler unit tests
+    /// build their own by inserting hand-made jobs into a fresh
+    /// [`AliveIndex`] (and calling [`AliveIndex::enable_priority`] first if
+    /// the scheduler under test reads [`ClusterState::ranked_entries`]).
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_index(
+    pub fn new(
         now: Slot,
         total_machines: usize,
         available_machines: usize,
@@ -1384,15 +1308,9 @@ impl<'a> ClusterState<'a> {
             total_machines,
             available_machines,
             jobs,
-            alive: index.alive(),
             copies,
-            cached_weight: Some(index.total_weight()),
-            cached_unscheduled: Some(index.total_unscheduled()),
-            cached_unscheduled_weight: Some(index.total_unscheduled_weight()),
-            cached_launchable: index.total_launchable(),
+            index,
             ranked_prefix_consumed: std::cell::Cell::new(0),
-            arrival_order: Some(index.alive_by_arrival()),
-            ranked: index.ranked_by_priority(),
             copies_killed_by_fault,
         }
     }
@@ -1421,9 +1339,11 @@ impl<'a> ClusterState<'a> {
         self.available_machines
     }
 
-    /// Jobs that have arrived and are not yet complete, in job-id order.
+    /// Jobs that have arrived and are not yet complete, in job-id order —
+    /// which is also `(arrival, id)` order, the order FIFO serves.
     pub fn alive_jobs(&self) -> impl Iterator<Item = &'a JobState> + '_ {
-        self.alive.iter().map(move |&i| &self.jobs[i])
+        let jobs = self.jobs;
+        self.index.alive().iter().map(move |&i| &jobs[i])
     }
 
     /// The `i`-th alive job, in the same job-id order [`Self::alive_jobs`]
@@ -1434,69 +1354,28 @@ impl<'a> ClusterState<'a> {
     /// # Panics
     /// Panics if `i >= self.num_alive_jobs()`.
     pub fn alive_job_at(&self, i: usize) -> &'a JobState {
-        &self.jobs[self.alive[i]]
-    }
-
-    /// Alive jobs in `(arrival, id)` order.
-    ///
-    /// Allocation-free for engine-built snapshots (the order is maintained
-    /// incrementally across arrivals and completions and borrowed directly);
-    /// falls back to a sort for hand-built snapshots. FIFO-family schedulers
-    /// iterate this instead of re-sorting the alive set on every wakeup.
-    pub fn alive_jobs_by_arrival(&self) -> impl Iterator<Item = &'a JobState> + '_ {
-        let (indexed, sorted) = match self.arrival_order {
-            Some(order) => (Some(order.iter()), None),
-            None => {
-                let mut v: Vec<usize> = self.alive.to_vec();
-                v.sort_by_key(|&i| (self.jobs[i].arrival(), self.jobs[i].id()));
-                (None, Some(v.into_iter()))
-            }
-        };
-        let mut indexed = indexed;
-        let mut sorted = sorted;
-        std::iter::from_fn(move || {
-            let i = match (&mut indexed, &mut sorted) {
-                (Some(it), _) => it.next().map(|&(_, i)| i),
-                (None, Some(it)) => it.next(),
-                (None, None) => None,
-            }?;
-            Some(&self.jobs[i])
-        })
+        &self.jobs[self.index.alive()[i]]
     }
 
     /// The `(priority, job index)` entries of the alive jobs that still have
     /// unscheduled tasks, in decreasing `w_i / U_i(l)` priority order for
-    /// pessimism factor `r` (ties broken by job index). Indices are resolved
-    /// with [`ClusterState::job_at`].
+    /// the pessimism factor `r` the scheduler declared through
+    /// [`Scheduler::priority_r`] (ties broken by job index). Indices are
+    /// resolved with [`ClusterState::job_at`].
     ///
-    /// Engine-built snapshots carry the order when the scheduler declared `r`
-    /// through [`Scheduler::priority_r`]. The returned [`RankedEntries`] view
-    /// is then **demand-gated**: only the prefix actually read is walked, so
-    /// a decision costs `O(prefix consumed)` instead of `O(alive · log)`, and
-    /// the view can be walked several times (share pass, backfill pass)
-    /// without collecting. Hand-built snapshots (or a mismatching `r`) fall
-    /// back to collecting and sorting the same order, entry for entry.
-    pub fn ranked_entries(&self, r: f64) -> RankedEntries<'a> {
-        if let Some((indexed_r, entries)) = &self.ranked {
-            if *indexed_r == r {
-                return entries.clone();
-            }
-        }
-        let mut order: Vec<(f64, usize)> = self
-            .alive
-            .iter()
-            .map(|&idx| (&self.jobs[idx], idx))
-            .filter(|(job, _)| job.total_unscheduled() > 0)
-            .map(|(job, idx)| {
-                let key = priority_key(job.weight(), job.remaining_effective_workload(r));
-                (key, idx)
-            })
-            .filter(|(key, _)| !key.is_nan())
-            .collect();
-        order.sort_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
-        RankedEntries {
-            order: RankedOrder::Sorted(order),
-        }
+    /// The returned [`RankedEntries`] view is **demand-gated**: only the
+    /// prefix actually read is walked, so a decision costs
+    /// `O(prefix consumed)` instead of `O(alive · log)`, and the view can be
+    /// walked several times (share pass, backfill pass) without collecting.
+    ///
+    /// # Panics
+    /// Panics if the index maintains no priority order, i.e. the scheduler
+    /// declared no pessimism factor through [`Scheduler::priority_r`].
+    pub fn ranked_entries(&self) -> RankedEntries<'a> {
+        self.index.ranked_by_priority().expect(
+            "ranked_entries needs the priority order: the scheduler must declare \
+             its pessimism factor through Scheduler::priority_r",
+        )
     }
 
     /// Resolves a dense job index (as found in [`ClusterState::ranked_entries`])
@@ -1507,7 +1386,7 @@ impl<'a> ClusterState<'a> {
 
     /// Number of alive jobs.
     pub fn num_alive_jobs(&self) -> usize {
-        self.alive.len()
+        self.index.len()
     }
 
     /// Looks up any job (alive, finished or not yet arrived) by id.
@@ -1516,59 +1395,40 @@ impl<'a> ClusterState<'a> {
     }
 
     /// Sum of the weights of all alive jobs (`W(l)` in Equation (5)).
-    ///
-    /// `O(1)` when the snapshot was built by the engine (the aggregate is
-    /// maintained incrementally across arrivals and completions); falls back
-    /// to a scan for hand-built snapshots.
+    /// `O(1)`: maintained by the [`AliveIndex`] across arrivals and
+    /// completions.
     pub fn total_alive_weight(&self) -> f64 {
-        match self.cached_weight {
-            Some(w) => w,
-            None => self.alive_jobs().map(|j| j.weight()).sum(),
-        }
+        self.index.total_weight()
     }
 
-    /// Total number of unscheduled tasks across alive jobs. `O(1)` for
-    /// engine-built snapshots; schedulers can use it to bail out early when
-    /// there is nothing to launch.
+    /// Total number of unscheduled tasks across alive jobs. `O(1)`;
+    /// schedulers can use it to bail out early when there is nothing to
+    /// launch.
     pub fn total_unscheduled_tasks(&self) -> usize {
-        match self.cached_unscheduled {
-            Some(u) => u,
-            None => self.alive_jobs().map(|j| j.total_unscheduled()).sum(),
-        }
+        self.index.total_unscheduled()
     }
 
     /// Sum of the weights of the alive jobs that still have unscheduled
     /// tasks — `W(l)` over the ε-fraction rule's candidate set `ψ^s(l)`.
     ///
-    /// `O(1)` for engine-built snapshots (maintained incrementally by the
-    /// [`AliveIndex`]); falls back to a scan for hand-built ones. Together
+    /// `O(1)` (maintained incrementally by the [`AliveIndex`]). Together
     /// with [`ClusterState::ranked_entries`] this lets SRPTMS+C truncate its
     /// share walk at the `(1−ε)·W(l)` boundary without touching the tail.
     pub fn total_unscheduled_weight(&self) -> f64 {
-        match self.cached_unscheduled_weight {
-            Some(w) => w,
-            None => self
-                .alive_jobs()
-                .filter(|j| j.total_unscheduled() > 0)
-                .map(|j| j.weight())
-                .sum(),
-        }
+        self.index.total_unscheduled_weight()
     }
 
     /// Total launchable unscheduled tasks across alive jobs (unscheduled
     /// maps, plus unscheduled reduces of jobs whose map phase completed).
     ///
-    /// `O(1)` for engine-built snapshots with the priority order enabled
-    /// (maintained incrementally by the [`AliveIndex`]); falls back to a
-    /// scan otherwise. SRPTMS+C's work-conserving backfill counts its
-    /// launches against this total and stops the moment nothing launchable
-    /// remains — without it, every machines-outlast-work instant would walk
-    /// (and therefore fully sort) the entire demand-gated ranked order.
+    /// `O(1)` (maintained incrementally by the [`AliveIndex`]). SRPTMS+C's
+    /// work-conserving backfill counts its launches against this total and
+    /// stops the moment nothing launchable remains — without it, every
+    /// machines-outlast-work instant would walk (and therefore fully sort)
+    /// the entire demand-gated ranked order. Mantri skips its fair fill
+    /// when it is 0.
     pub fn total_launchable_tasks(&self) -> usize {
-        match self.cached_launchable {
-            Some(c) => c,
-            None => self.alive_jobs().map(|j| j.launchable_unscheduled()).sum(),
-        }
+        self.index.total_launchable()
     }
 
     /// Reports how many ranked candidates the scheduler materialised this
@@ -1587,7 +1447,7 @@ impl<'a> ClusterState<'a> {
     }
 
     /// Copies killed by machine faults so far this run (0 without a fault
-    /// plan, and for hand-built snapshots).
+    /// plan).
     ///
     /// A fault kill reaches a scheduler's hooks only when it takes a task's
     /// *last* copy ([`Scheduler::on_task_unlaunched`]). Killing one copy of
@@ -1713,8 +1573,9 @@ pub trait Scheduler {
     /// Schedulers that rank jobs by the paper's online priority return
     /// `Some(r)`; the engine then keeps the order current as events apply and
     /// exposes it through [`ClusterState::ranked_entries`], so the scheduler
-    /// never sorts per wakeup. Returning `None` (the default) skips the
-    /// maintenance entirely.
+    /// never sorts per wakeup. [`ClusterState::ranked_entries`] needs this
+    /// declaration and panics without it; wrappers must forward it.
+    /// Returning `None` (the default) skips the maintenance entirely.
     fn priority_r(&self) -> Option<f64> {
         None
     }
@@ -1896,9 +1757,11 @@ mod tests {
         let mut j1 = JobState::new(spec1);
         j1.mark_arrived();
         let jobs = vec![j0, j1];
-        let alive = vec![0usize, 1usize];
+        let mut index = AliveIndex::new();
+        index.insert(0, &jobs[0]);
+        index.insert(1, &jobs[1]);
         let copies = CopyArena::new();
-        let state = ClusterState::new(7, 10, 4, &jobs, &alive, &copies);
+        let state = ClusterState::new(7, 10, 4, &jobs, &copies, &index, 0);
         assert_eq!(state.now(), 7);
         assert_eq!(state.total_machines(), 10);
         assert_eq!(state.available_machines(), 4);
@@ -1961,8 +1824,6 @@ mod tests {
         assert_eq!(index.len(), 2);
         assert!((index.total_weight() - 3.0).abs() < 1e-12);
         assert_eq!(index.total_unscheduled(), 6);
-        // Arrival order: job 3 arrived at 5, job 1 at 9.
-        assert_eq!(index.alive_by_arrival(), &[(5, 3), (9, 1)]);
 
         index.note_first_launch(3, &jobs[3]);
         assert_eq!(index.total_unscheduled(), 5);
@@ -1970,7 +1831,6 @@ mod tests {
         index.remove(1, &jobs[1]);
         index.remove(1, &jobs[1]); // duplicate remove is a no-op
         assert_eq!(index.alive(), &[3]);
-        assert_eq!(index.alive_by_arrival(), &[(5, 3)]);
         assert!((index.total_weight() - 2.0).abs() < 1e-12);
     }
 
@@ -1986,17 +1846,26 @@ mod tests {
             index.insert(i, job);
         }
         index.flush_priority();
-        let (r, ranked) = index.ranked_by_priority().unwrap();
-        assert_eq!(r, 0.0);
+        let ranked = index.ranked_by_priority().unwrap();
         let order: Vec<usize> = ranked.iter().map(|(_, i)| i).collect();
         assert_eq!(order, vec![0, 1, 2, 3]);
 
         jobs[2].note_first_launch(Phase::Map, 0);
         index.note_first_launch(2, &jobs[2]);
         index.flush_priority();
-        let (_, ranked) = index.ranked_by_priority().unwrap();
-        let order: Vec<usize> = ranked.iter().map(|(_, i)| i).collect();
+        // The snapshot hands out the same order, and every key is the
+        // online priority w / U computed from scratch.
+        let copies = CopyArena::new();
+        let state = ClusterState::new(0, 8, 8, &jobs, &copies, &index, 0);
+        let ranked: Vec<(f64, usize)> = state.ranked_entries().iter().collect();
+        let order: Vec<usize> = ranked.iter().map(|&(_, i)| i).collect();
         assert_eq!(order, vec![2, 0, 1, 3]);
+        for (key, idx) in ranked {
+            assert_eq!(
+                key,
+                jobs[idx].weight() / jobs[idx].remaining_effective_workload(0.0)
+            );
+        }
 
         // Launching everything drops the job from the priority order.
         for t in 1..4 {
@@ -2004,51 +1873,26 @@ mod tests {
             index.note_first_launch(2, &jobs[2]);
         }
         index.flush_priority();
-        let (_, ranked) = index.ranked_by_priority().unwrap();
+        let ranked = index.ranked_by_priority().unwrap();
         let order: Vec<usize> = ranked.iter().map(|(_, i)| i).collect();
         assert_eq!(order, vec![0, 1, 3]);
 
         index.remove(0, &jobs[0]);
         index.flush_priority();
-        let (_, ranked) = index.ranked_by_priority().unwrap();
+        let ranked = index.ranked_by_priority().unwrap();
         let order: Vec<usize> = ranked.iter().map(|(_, i)| i).collect();
         assert_eq!(order, vec![1, 3]);
     }
 
-    /// Hand-built snapshots rank through the same accessor: the sorted
-    /// fallback reproduces the engine-maintained order entry for entry,
-    /// keys included, and also serves a pessimism factor the index was not
-    /// built for.
     #[test]
-    fn ranked_entries_fallback_matches_the_maintained_order() {
-        let mut jobs = job_bank(&[3, 1, 4, 2, 2], &[1.0, 1.0, 5.0, 2.0, 2.0], &[0; 5]);
-        jobs[2].note_first_launch(Phase::Map, 0);
+    #[should_panic(expected = "Scheduler::priority_r")]
+    fn ranked_entries_without_a_declared_priority_panics() {
+        let jobs = job_bank(&[1], &[1.0], &[0]);
         let mut index = AliveIndex::new();
-        index.enable_priority(0.0);
-        for (i, job) in jobs.iter().enumerate() {
-            index.insert(i, job);
-        }
-        index.flush_priority();
+        index.insert(0, &jobs[0]);
         let copies = CopyArena::new();
-        let engine = ClusterState::from_index(0, 8, 8, &jobs, &copies, &index, 0);
-        let alive: Vec<usize> = (0..jobs.len()).collect();
-        let hand = ClusterState::new(0, 8, 8, &jobs, &alive, &copies);
-        let maintained: Vec<(f64, usize)> = engine.ranked_entries(0.0).iter().collect();
-        assert_eq!(maintained.len(), 5);
-        assert_eq!(
-            maintained,
-            hand.ranked_entries(0.0).iter().collect::<Vec<_>>()
-        );
-        assert_eq!(
-            engine.ranked_entries(1.0).iter().collect::<Vec<_>>(),
-            hand.ranked_entries(1.0).iter().collect::<Vec<_>>()
-        );
-        for (key, idx) in maintained {
-            assert_eq!(
-                key,
-                jobs[idx].weight() / jobs[idx].remaining_effective_workload(0.0)
-            );
-        }
+        let state = ClusterState::new(0, 8, 8, &jobs, &copies, &index, 0);
+        let _ = state.ranked_entries();
     }
 
     /// Satellite pin for the incremental `W(l)` counter: the
@@ -2127,32 +1971,70 @@ mod tests {
         assert_eq!(index.total_unscheduled_weight(), scan(&index, &jobs));
     }
 
+    /// The snapshot's aggregates are the index's, and each equals the scan
+    /// over the alive jobs it replaces — through launches, a map-phase
+    /// completion that unlocks a reduce, and a completion.
     #[test]
     fn cluster_state_from_index_uses_cached_aggregates() {
+        let scans = |jobs: &[JobState], index: &AliveIndex| {
+            let copies = CopyArena::new();
+            let state = ClusterState::new(5, 8, 8, jobs, &copies, index, 0);
+            let alive = || state.alive_jobs();
+            assert_eq!(state.num_alive_jobs(), alive().count());
+            assert_eq!(
+                state.total_alive_weight(),
+                alive().map(|j| j.weight()).sum::<f64>()
+            );
+            assert_eq!(
+                state.total_unscheduled_tasks(),
+                alive().map(|j| j.total_unscheduled()).sum::<usize>()
+            );
+            assert_eq!(
+                state.total_unscheduled_weight(),
+                alive()
+                    .filter(|j| j.total_unscheduled() > 0)
+                    .map(|j| j.weight())
+                    .sum::<f64>()
+            );
+            assert_eq!(
+                state.total_launchable_tasks(),
+                alive().map(|j| j.launchable_unscheduled()).sum::<usize>()
+            );
+            (
+                state.total_unscheduled_tasks(),
+                state.total_launchable_tasks(),
+            )
+        };
+
+        // Job 0: two maps and a gated reduce; job 1: one map.
         let mut j0 = job_state();
         j0.mark_arrived();
-        let jobs = vec![j0];
-        let copies = CopyArena::new();
+        let mut jobs = vec![j0, job_bank(&[1], &[5.0], &[3]).remove(0)];
         let mut index = AliveIndex::new();
         index.insert(0, &jobs[0]);
-        let state = ClusterState::from_index(5, 8, 8, &jobs, &copies, &index, 0);
-        assert_eq!(state.num_alive_jobs(), 1);
-        assert!((state.total_alive_weight() - jobs[0].weight()).abs() < 1e-12);
-        assert_eq!(state.total_unscheduled_tasks(), 3);
+        assert_eq!(scans(&jobs, &index), (3, 2));
+        index.insert(1, &jobs[1]);
+        assert_eq!(scans(&jobs, &index), (4, 3));
 
-        // Hand-built snapshots fall back to scanning.
-        let alive = vec![0usize];
-        let scanned = ClusterState::new(5, 8, 8, &jobs, &alive, &copies);
-        assert_eq!(
-            scanned.total_unscheduled_tasks(),
-            state.total_unscheduled_tasks()
-        );
-        assert!((scanned.total_alive_weight() - state.total_alive_weight()).abs() < 1e-12);
-        assert_eq!(
-            scanned.total_unscheduled_weight(),
-            state.total_unscheduled_weight()
-        );
+        for t in 0..2 {
+            jobs[0].note_first_launch(Phase::Map, t);
+            index.note_first_launch(0, &jobs[0]);
+        }
+        assert_eq!(scans(&jobs, &index), (2, 1));
+        for t in 0..2 {
+            jobs[0].task_mut(Phase::Map, t).unwrap().mark_finished(9);
+            jobs[0].note_task_finished(Phase::Map, t, 4);
+        }
+        index.note_map_phase_complete(0, &jobs[0]);
+        assert_eq!(scans(&jobs, &index), (2, 2));
 
+        jobs[1].note_first_launch(Phase::Map, 0);
+        index.note_first_launch(1, &jobs[1]);
+        index.remove(1, &jobs[1]);
+        assert_eq!(scans(&jobs, &index), (1, 1));
+
+        let copies = CopyArena::new();
+        let state = ClusterState::new(5, 8, 8, &jobs, &copies, &index, 0);
         assert_eq!(state.ranked_prefix_consumed(), 0);
         state.note_ranked_prefix(3);
         state.note_ranked_prefix(2); // max, not last

@@ -1,8 +1,10 @@
 //! Shared helpers for the cross-crate integration tests.
 
 use mapreduce_experiments::{run_scheduler, Scenario, SchedulerKind};
-use mapreduce_sim::SimOutcome;
-use mapreduce_workload::Trace;
+use mapreduce_sim::{
+    FaultClass, FaultPlan, Scheduler, SimConfig, SimOutcome, Simulation, StragglerModel,
+};
+use mapreduce_workload::{ArrivalProcess, DurationDistribution, Trace, WorkloadBuilder};
 
 /// The scenario used by most integration tests: small enough to run in a few
 /// hundred milliseconds, large enough that scheduling decisions matter.
@@ -71,4 +73,76 @@ pub fn assert_outcome_invariants(outcome: &SimOutcome, trace: &Trace) {
     );
     assert!(outcome.utilization() <= 1.0 + 1e-9);
     assert!(outcome.mean_copies_per_task() >= 1.0 - 1e-9);
+}
+
+/// A randomized workload with both phases, heavy-tailed durations and mixed
+/// integer weights, so every code path (cloning, backfill, detection,
+/// precedence) is exercised. The golden-equivalence generator.
+pub fn random_trace(jobs: usize, seed: u64, mean_interarrival: f64, map_mean: f64) -> Trace {
+    WorkloadBuilder::new()
+        .num_jobs(jobs)
+        .arrivals(ArrivalProcess::Poisson { mean_interarrival })
+        .map_tasks_per_job(1, 6)
+        .reduce_tasks_per_job(0, 2)
+        .map_duration(DurationDistribution::lognormal_from_moments(map_mean, map_mean).unwrap())
+        .reduce_duration(
+            DurationDistribution::lognormal_from_moments(map_mean * 1.5, map_mean).unwrap(),
+        )
+        .weights(&[1.0, 2.0, 5.0, 12.0])
+        .build(seed)
+}
+
+/// A crash plan over `crash_fraction` of `machines` (at least one) with mean
+/// up time `mean_up` and down time `mean_up · down_fraction`, plus, when
+/// `brownouts` is set and machines remain, a brown-out class on the rest.
+pub fn random_fault_plan(
+    machines: usize,
+    crash_fraction: f64,
+    mean_up: f64,
+    down_fraction: f64,
+    brownouts: bool,
+) -> FaultPlan {
+    let crashed = ((machines as f64 * crash_fraction) as usize).max(1);
+    let mut classes = vec![FaultClass::crashes(
+        crashed,
+        mean_up,
+        (mean_up * down_fraction).max(1.0),
+    )];
+    if brownouts && crashed < machines {
+        classes.push(FaultClass::brownouts(
+            machines - crashed,
+            mean_up / 2.0,
+            mean_up * down_fraction,
+            3.0,
+        ));
+    }
+    let plan = FaultPlan::new(classes);
+    plan.validate(machines);
+    plan
+}
+
+/// Runs `scheduler` over `trace` with machine stragglers (so detection-based
+/// schedulers actually speculate) and the fault plan `plan`.
+///
+/// # Panics
+/// Panics if the simulation fails.
+pub fn run_with_plan(
+    scheduler: &mut dyn Scheduler,
+    trace: &Trace,
+    machines: usize,
+    seed: u64,
+    plan: FaultPlan,
+) -> SimOutcome {
+    let mut config = SimConfig::new(machines)
+        .with_seed(seed)
+        .with_straggler_model(StragglerModel::MachineSlowdown {
+            probability: 0.15,
+            factor: 5.0,
+        });
+    if !plan.is_empty() {
+        config = config.with_fault_plan(plan);
+    }
+    Simulation::new(config, trace)
+        .run(scheduler)
+        .expect("simulation must complete")
 }

@@ -15,6 +15,7 @@
 //! The same outcomes also pin [`FlowtimeSummary::from_outcome`] bit for bit
 //! against [`frozen_summary`], the sort-and-sum summary it replaced.
 
+use integration_tests::helpers::{random_fault_plan, random_trace, run_with_plan};
 use mapreduce_baselines::{
     FairScheduler, Fifo, Late, Mantri, ReferenceFair, ReferenceFifo, ReferenceLate,
     ReferenceMantri, ReferenceRestart, ReferenceSca, Restart, Sca, SrptNoClone,
@@ -23,10 +24,9 @@ use mapreduce_metrics::FlowtimeSummary;
 use mapreduce_sched::{ReferenceSrptMsC, SrptMsC};
 use mapreduce_sim::{
     Action, ClusterState, FaultClass, FaultPlan, Scheduler, SimConfig, SimOutcome, Simulation,
-    StragglerModel,
 };
 use mapreduce_support::proptest::prelude::*;
-use mapreduce_workload::{ArrivalProcess, DurationDistribution, Phase, Trace, WorkloadBuilder};
+use mapreduce_workload::{Phase, Trace};
 
 /// The sort-based SRPT-noclone policy as it was before it read the engine's
 /// ranked order: collect the alive jobs with unscheduled tasks, sort them by
@@ -114,47 +114,8 @@ fn reference_pairs() -> Vec<(Box<dyn Scheduler>, Box<dyn Scheduler>)> {
     ]
 }
 
-/// A randomized workload with both phases, heavy-tailed durations and mixed
-/// weights, so every code path (cloning, backfill, detection, precedence) is
-/// exercised.
-fn random_trace(jobs: usize, seed: u64, mean_interarrival: f64, map_mean: f64) -> Trace {
-    WorkloadBuilder::new()
-        .num_jobs(jobs)
-        .arrivals(ArrivalProcess::Poisson { mean_interarrival })
-        .map_tasks_per_job(1, 6)
-        .reduce_tasks_per_job(0, 2)
-        .map_duration(DurationDistribution::lognormal_from_moments(map_mean, map_mean).unwrap())
-        .reduce_duration(
-            DurationDistribution::lognormal_from_moments(map_mean * 1.5, map_mean).unwrap(),
-        )
-        .weights(&[1.0, 2.0, 5.0, 12.0])
-        .build(seed)
-}
-
 fn run(scheduler: &mut dyn Scheduler, trace: &Trace, machines: usize, seed: u64) -> SimOutcome {
     run_with_plan(scheduler, trace, machines, seed, FaultPlan::none())
-}
-
-fn run_with_plan(
-    scheduler: &mut dyn Scheduler,
-    trace: &Trace,
-    machines: usize,
-    seed: u64,
-    plan: FaultPlan,
-) -> SimOutcome {
-    // Machine stragglers make detection-based schedulers actually speculate.
-    let mut config = SimConfig::new(machines)
-        .with_seed(seed)
-        .with_straggler_model(StragglerModel::MachineSlowdown {
-            probability: 0.15,
-            factor: 5.0,
-        });
-    if !plan.is_empty() {
-        config = config.with_fault_plan(plan);
-    }
-    Simulation::new(config, trace)
-        .run(scheduler)
-        .expect("simulation must complete")
 }
 
 /// Runs the optimized and reference schedulers over the same trace and
@@ -391,22 +352,7 @@ proptest! {
         brownouts in 0u64..2,
     ) {
         let trace = random_trace(jobs, seed, 20.0, 60.0);
-        let crashed = ((machines as f64 * crash_fraction) as usize).max(1);
-        let mut classes = vec![FaultClass::crashes(
-            crashed,
-            mean_up,
-            (mean_up * down_fraction).max(1.0),
-        )];
-        if brownouts == 1 && crashed < machines {
-            classes.push(FaultClass::brownouts(
-                machines - crashed,
-                mean_up / 2.0,
-                mean_up * down_fraction,
-                3.0,
-            ));
-        }
-        let plan = FaultPlan::new(classes);
-        plan.validate(machines);
+        let plan = random_fault_plan(machines, crash_fraction, mean_up, down_fraction, brownouts == 1);
         for (mut optimized, mut reference) in reference_pairs() {
             let a = run_with_plan(optimized.as_mut(), &trace, machines, seed, plan.clone());
             let b = run_with_plan(reference.as_mut(), &trace, machines, seed, plan.clone());
