@@ -1,5 +1,6 @@
 //! Simulation configuration.
 
+use crate::engine::MAX_COPIES_PER_TASK;
 use mapreduce_support::json::{FromJson, JsonError, JsonValue, ToJson};
 
 /// Model of machine-level straggling applied on top of the workload-level
@@ -274,14 +275,6 @@ pub struct SimConfig {
     /// Hard horizon on the simulated time, as a safety net against scheduler
     /// bugs. `None` means unbounded.
     pub max_slots: Option<u64>,
-    /// Whether clone copies draw a fresh workload from the job's phase
-    /// distribution (the paper's evaluation does this); if `false`, or if the
-    /// job carries no distribution, clones reuse the original task workload.
-    pub resample_clone_workloads: bool,
-    /// Upper bound on simultaneously active copies of a single task; guards
-    /// against pathological schedulers. The paper's algorithms never need more
-    /// than `M / (number of unscheduled tasks)`.
-    pub max_copies_per_task: usize,
     /// Machine-level straggler injection model.
     pub straggler: StragglerModel,
     /// Width exponent of the engine's calendar event queue: the ring holds
@@ -309,8 +302,6 @@ impl SimConfig {
             seed: 0,
             machine_speed: 1.0,
             max_slots: None,
-            resample_clone_workloads: true,
-            max_copies_per_task: 64,
             straggler: StragglerModel::None,
             event_ring_bits: crate::events::DEFAULT_RING_BITS,
             fault_plan: FaultPlan::none(),
@@ -336,22 +327,6 @@ impl SimConfig {
     /// Sets the simulation horizon.
     pub fn with_max_slots(mut self, max_slots: u64) -> Self {
         self.max_slots = Some(max_slots);
-        self
-    }
-
-    /// Sets whether clone copies resample their workloads.
-    pub fn with_resample_clones(mut self, resample: bool) -> Self {
-        self.resample_clone_workloads = resample;
-        self
-    }
-
-    /// Sets the per-task copy cap.
-    ///
-    /// # Panics
-    /// Panics if `max_copies` is zero.
-    pub fn with_max_copies_per_task(mut self, max_copies: usize) -> Self {
-        assert!(max_copies >= 1, "max copies per task must be at least 1");
-        self.max_copies_per_task = max_copies;
         self
     }
 
@@ -396,14 +371,13 @@ impl ToJson for SimConfig {
             ("seed", self.seed.to_json()),
             ("machine_speed", self.machine_speed.to_json()),
             ("max_slots", self.max_slots.to_json()),
-            (
-                "resample_clone_workloads",
-                self.resample_clone_workloads.to_json(),
-            ),
-            ("max_copies_per_task", self.max_copies_per_task.to_json()),
             ("straggler", self.straggler.to_json()),
-            // A removed global wakeup knob; its constant `null` keeps every
-            // persisted cache fingerprint valid.
+            // Removed knobs, now engine constants (clones always resample;
+            // the copy cap is `MAX_COPIES_PER_TASK`) or gone (the global
+            // wakeup). Their constant values keep every persisted cache
+            // fingerprint valid.
+            ("resample_clone_workloads", true.to_json()),
+            ("max_copies_per_task", MAX_COPIES_PER_TASK.to_json()),
             ("periodic_wakeup", JsonValue::Null),
             ("event_ring_bits", (self.event_ring_bits as u64).to_json()),
         ];
@@ -426,7 +400,6 @@ mod tests {
         let cfg = SimConfig::new(12);
         assert_eq!(cfg.num_machines, 12);
         assert_eq!(cfg.machine_speed, 1.0);
-        assert!(cfg.resample_clone_workloads);
         assert_eq!(cfg.straggler, StragglerModel::None);
         assert!(cfg.max_slots.is_none());
     }
@@ -436,14 +409,10 @@ mod tests {
         let cfg = SimConfig::new(5)
             .with_seed(9)
             .with_machine_speed(1.6)
-            .with_max_slots(1000)
-            .with_resample_clones(false)
-            .with_max_copies_per_task(4);
+            .with_max_slots(1000);
         assert_eq!(cfg.seed, 9);
         assert_eq!(cfg.machine_speed, 1.6);
         assert_eq!(cfg.max_slots, Some(1000));
-        assert!(!cfg.resample_clone_workloads);
-        assert_eq!(cfg.max_copies_per_task, 4);
     }
 
     #[test]

@@ -1,20 +1,22 @@
 //! The discrete-event simulation engine.
 //!
-//! The engine advances slot-granular time, delivers job arrivals, executes
+//! The engine advances slot-granular time, admits job arrivals, executes
 //! task copies, enforces the Map→Reduce precedence constraint, implements
 //! first-copy-wins cloning semantics (sibling copies are cancelled the moment
 //! one copy of a task finishes) and invokes the [`Scheduler`] whenever the
-//! cluster state changes.
+//! cluster state changes. Each event has one code path: arrivals are applied
+//! by the admission loop, and every copy — winner, cancelled sibling,
+//! cancelled by the scheduler or killed by a crash — leaves its machine
+//! through one exit.
 //!
 //! # Streaming workload seam
 //!
 //! Jobs are *pulled* from a [`JobSource`] rather than copied in up front: a
 //! pull-ahead cursor holds exactly one not-yet-admitted job, its arrival
 //! competes with the event-queue head for the next decision instant, and
-//! every pending job arriving at the chosen instant is admitted into the
-//! same delivery batch — reproducing the all-arrivals-queued-up-front
-//! trajectory bit for bit (same-slot arrivals sort by dense job index
-//! either way). Completed jobs release their task storage right after their
+//! every pending job arriving at the chosen instant is admitted, in dense-id
+//! order, before that instant's queued events are delivered. Arrivals never
+//! enter the event queue. Completed jobs release their task storage right after their
 //! [`JobRecord`] is captured, so memory is bounded by the peak *alive
 //! window* ([`SimOutcome::peak_resident_jobs`]), not by the workload size —
 //! this is what lets 100k+-job [`mapreduce_workload::StreamingGenerator`]
@@ -28,8 +30,8 @@
 //!
 //! # Event path
 //!
-//! The arrival/finish plumbing lives in [`crate::events`]: a slot-granular
-//! calendar queue with `O(1)` amortized push. Each decision instant is
+//! Copy completions and machine transitions go through [`crate::events`]: a
+//! slot-granular calendar queue with `O(1)` amortized push. Each decision instant is
 //! delivered as one **batch** ([`EventQueue::drain_due`]) — the instant's
 //! bucket is sorted once and handed over wholesale instead of a heap pop per
 //! event, and a task whose clones tie at one slot is finalized exactly once
@@ -114,7 +116,6 @@ struct RunStats {
     completed_jobs: usize,
     scheduler_invocations: u64,
     makespan: Slot,
-    pending_arrivals: usize,
     /// Jobs admitted from the source and not yet completed-and-released.
     resident_jobs: usize,
     /// High-water mark of `resident_jobs`.
@@ -146,19 +147,94 @@ struct RunCtx {
     /// [`FaultPlan`]. Fault-free runs keep the fungible machine-count model
     /// and never touch it, which is what makes the empty-plan trajectory
     /// bit-identical to a build without the subsystem.
+    ///
+    /// Building a pool on every run (one code path for both models) also
+    /// stays bit-identical, with throughput within noise, but it moves peak
+    /// RSS by more than a megabyte in either direction depending on the
+    /// workload: perfbench `peak_rss_mb` read 22.81–22.90 against
+    /// 20.95–21.13 on `stream_fifo` and 20.96–21.16 against 22.38–22.46 on
+    /// `stream_srptmsc` (alternating 5 s runs on a 2-vCPU VM). So the
+    /// fault-free engine keeps machines fungible.
     pool: Option<MachinePool>,
 }
 
+/// How a copy leaves its machine: every copy ends through
+/// [`RunCtx::end_copy`] with one of these.
+#[derive(Debug, Clone, Copy)]
+enum CopyExit {
+    /// The task's first finisher; `copies_of_task` copies were ever
+    /// launched for the task.
+    Won { copies_of_task: usize },
+    /// Killed before finishing: by a sibling's win, by a `CancelCopies`
+    /// action, or by a crash of its machine.
+    Cancelled(CancelReason),
+}
+
 impl RunCtx {
-    /// Returns the machine of a departing copy (finished or cancelled while
-    /// its machine is in service) to the idle pool. No-op without a fault
-    /// plan.
-    fn release_machine(&mut self, cid: CopyId) {
-        if let Some(pool) = &mut self.pool {
-            pool.release(cid);
+    /// The one exit of an active copy at `at`: ends its arena record, bills
+    /// the machine-slots it held, returns its machine to the idle pool
+    /// (unless the machine crashed under it) and emits the exit's observer
+    /// event. The caller updates the task's and job's counters through
+    /// [`JobState::note_copies_ended`]. Returns whether the copy was still
+    /// parked waiting for its job's Map phase.
+    fn end_copy<O: SimObserver>(
+        &mut self,
+        cid: CopyId,
+        at: Slot,
+        exit: CopyExit,
+        observer: &mut O,
+    ) -> bool {
+        let copy = self.arena.get(cid);
+        debug_assert!(copy.is_active(), "copy {cid} ended twice");
+        let (task, launched_at) = (copy.task(), copy.launched_at());
+        let was_waiting = copy.phase() == CopyPhase::WaitingForMapPhase;
+        // A killed copy really held its machine until `at`, so the lost
+        // progress still counts toward utilisation — `wasted_work` carries
+        // the distinction.
+        let elapsed = at.saturating_sub(launched_at);
+        self.stats.busy_machine_slots += elapsed;
+        if let CopyExit::Cancelled(CancelReason::Fault) = exit {
+            // The machine goes straight from busy to down: it is neither
+            // returned to the pool nor counted available.
+            let pool = self.pool.as_mut().expect("only crashes kill copies");
+            pool.wasted_work += elapsed;
+            pool.copies_killed += 1;
+        } else {
+            if let Some(pool) = &mut self.pool {
+                pool.release(cid);
+            }
+            self.stats.available += 1;
         }
+        match exit {
+            CopyExit::Won { copies_of_task } => {
+                self.arena.finish(cid, at);
+                observer.on_copy_finished(CopyFinished {
+                    at,
+                    copy: cid,
+                    task,
+                    launched_at,
+                    copies_of_task,
+                });
+            }
+            CopyExit::Cancelled(reason) => {
+                self.arena.cancel(cid, at);
+                observer.on_copy_cancelled(CopyCancelled {
+                    at,
+                    copy: cid,
+                    task,
+                    launched_at,
+                    reason,
+                });
+            }
+        }
+        was_waiting
     }
 }
+
+/// Upper bound on simultaneously active copies of one task: a safety clip
+/// against pathological schedulers, above every policy's own cap (SRPTMS+C
+/// 8, Mantri 2).
+pub(crate) const MAX_COPIES_PER_TASK: usize = 64;
 
 /// Stream salt for the fault-injection RNG: machine epochs draw from their
 /// own xoshiro stream, so attaching a fault plan never perturbs the straggler
@@ -331,30 +407,33 @@ impl MachinePool {
 
 /// Pulls, validates and wraps the next job of the source. `index` is the
 /// dense id the job must carry, `last_arrival` the arrival of its
-/// predecessor.
+/// predecessor. The source must yield exactly `total_jobs` jobs: `Ok(None)`
+/// means it ended where it said it would.
 fn pull_next(
     source: &mut dyn JobSource,
     index: usize,
+    total_jobs: usize,
     last_arrival: Slot,
     demands: IndexDemands,
 ) -> Result<Option<JobState>, SimError> {
+    let invalid = |message: String| Err(SimError::InvalidSourceJob { index, message });
     let Some(spec) = source.next_job() else {
+        if index < total_jobs {
+            return invalid(format!("source ended after {index} of {total_jobs} jobs"));
+        }
         return Ok(None);
     };
+    if index >= total_jobs {
+        return invalid(format!("source yielded more than its {total_jobs} jobs"));
+    }
     if spec.id.as_usize() != index {
-        return Err(SimError::InvalidSourceJob {
-            index,
-            message: format!("expected dense job id {index}, got {}", spec.id),
-        });
+        return invalid(format!("expected dense job id {index}, got {}", spec.id));
     }
     if spec.arrival < last_arrival {
-        return Err(SimError::InvalidSourceJob {
-            index,
-            message: format!(
-                "arrival {} behind predecessor arrival {last_arrival}",
-                spec.arrival
-            ),
-        });
+        return invalid(format!(
+            "arrival {} behind predecessor arrival {last_arrival}",
+            spec.arrival
+        ));
     }
     let mut job = JobState::new(spec);
     job.set_index_tracking(demands);
@@ -398,7 +477,8 @@ impl Simulation {
     /// * [`SimError::UnknownTask`] if the scheduler references a task outside
     ///   the trace.
     /// * [`SimError::InvalidSourceJob`] if the source yields a job with a
-    ///   non-dense id or an arrival behind its predecessor's.
+    ///   non-dense id or an arrival behind its predecessor's, ends before
+    ///   [`JobSource::total_jobs`] jobs, or yields a job past that total.
     pub fn run(self, scheduler: &mut dyn Scheduler) -> Result<SimOutcome, SimError> {
         self.run_with_observer(scheduler, &mut NoopObserver)
     }
@@ -444,7 +524,6 @@ impl Simulation {
         let mut ctx = RunCtx {
             stats: RunStats {
                 available: total_machines,
-                pending_arrivals: total_jobs,
                 ..RunStats::default()
             },
             ..RunCtx::default()
@@ -463,15 +542,13 @@ impl Simulation {
         // Pull-ahead cursor on the source: exactly one not-yet-admitted job
         // is held in `pending`; its arrival competes with the queue head for
         // the next decision instant, and once that instant is chosen every
-        // pending job arriving at it is admitted (jobs vector + arrival
-        // event) before the batch is drained — so same-slot arrivals land in
-        // one batch, exactly as when all arrivals were queued up front.
-        // `next_index` is the dense id the next pulled job must carry and
-        // `last_arrival` the arrival of the last admitted one.
+        // pending job arriving at it is admitted before the queued batch is
+        // drained. Arrivals never enter the event queue. `next_index` is the
+        // dense id the next pulled job must carry; `pending` is `None`
+        // exactly when it reached `total_jobs`.
         let mut next_index = 0;
-        let mut last_arrival: Slot = 0;
-        let mut pending = pull_next(source.as_mut(), next_index, last_arrival, demands)?;
         let mut now: Slot = 0;
+        let mut pending = pull_next(source.as_mut(), next_index, total_jobs, now, demands)?;
         // Reused across decision instants so the hot loop never allocates for
         // event delivery or scheduler decisions.
         let mut due: Vec<Event> = Vec::new();
@@ -521,48 +598,41 @@ impl Simulation {
             }
 
             // ---- admit every pending job arriving at this instant ----
-            // The source yields non-decreasing arrivals, so the admission
-            // frontier is exactly the pending jobs with arrival == now; their
-            // arrival events join the batch drained below.
+            // The pending arrival is never behind `now` at the loop top and
+            // competed for this instant, so every job admitted here arrives
+            // exactly at `now`. Arrivals come first in an instant (ahead of
+            // completions and machine transitions, then in dense-id order),
+            // so they are applied here, before the queued batch is drained.
+            newly_arrived.clear();
+            newly_finished.clear();
+            newly_unlaunched.clear();
             while pending.as_ref().is_some_and(|j| j.arrival() <= now) {
-                let job = pending.take().expect("checked above");
+                let mut job = pending.take().expect("checked above");
+                debug_assert_eq!(job.arrival(), now);
                 let idx = self.jobs.len();
-                let arrival = job.arrival();
-                queue.push(Event::JobArrival {
-                    at: arrival,
-                    job_index: idx,
-                });
+                job.mark_arrived();
+                alive.insert(idx, &job);
+                newly_arrived.push(job.id());
+                observer.on_job_arrived(now, job.id());
                 self.jobs.push(job);
                 ctx.stats.resident_jobs += 1;
                 ctx.stats.peak_resident_jobs =
                     ctx.stats.peak_resident_jobs.max(ctx.stats.resident_jobs);
                 next_index += 1;
-                last_arrival = arrival;
-                pending = pull_next(source.as_mut(), next_index, last_arrival, demands)?;
+                pending = pull_next(source.as_mut(), next_index, total_jobs, now, demands)?;
             }
 
             ctx.stats.decision_instants += 1;
 
             // ---- deliver the instant's event batch ----
             // One drain per decision instant: the bucket is sorted once
-            // (arrivals before completions, then sequence order) and handed
-            // over wholesale. Same-slot clone ties cost one O(1) liveness
-            // check each instead of re-running the finalization.
-            newly_arrived.clear();
-            newly_finished.clear();
-            newly_unlaunched.clear();
+            // (completions before machine transitions, then sequence order)
+            // and handed over wholesale. Same-slot clone ties cost one O(1)
+            // liveness check each instead of re-running the finalization.
             due.clear();
             queue.drain_due(now, &mut due);
             for &event in &due {
                 match event {
-                    Event::JobArrival { at, job_index } => {
-                        let job = &mut self.jobs[job_index];
-                        job.mark_arrived();
-                        alive.insert(job_index, job);
-                        ctx.stats.pending_arrivals -= 1;
-                        newly_arrived.push(job.id());
-                        observer.on_job_arrived(at, job.id());
-                    }
                     Event::CopyFinish {
                         at,
                         copy,
@@ -712,7 +782,7 @@ impl Simulation {
             // If nothing is running, nothing will arrive, and jobs remain,
             // the scheduler will never be given a different state again.
             if ctx.stats.available == total_machines
-                && ctx.stats.pending_arrivals == 0
+                && next_index == total_jobs
                 && !alive.is_empty()
             {
                 return Err(SimError::SchedulerStalled {
@@ -786,69 +856,24 @@ impl Simulation {
         // First-copy-wins: the winner finishes; every sibling still holding a
         // machine is cancelled. A running sibling's finish event stays queued
         // and fails the check above when it fires.
-        let mut released = 0usize;
-        let mut busy = 0u64;
-        let mut waiting_cancelled = 0usize;
         let copies_of_task = task.copies().len();
+        let (mut ended, mut waiting) = (0, 0);
         for &cid in task.copies() {
-            let copy = ctx.arena.get(cid);
-            match copy.phase() {
-                CopyPhase::Running if cid == copy_id => {
-                    let launched_at = copy.launched_at();
-                    busy += slot.saturating_sub(launched_at);
-                    released += 1;
-                    ctx.arena.finish(cid, slot);
-                    ctx.release_machine(cid);
-                    observer.on_copy_finished(CopyFinished {
-                        at: slot,
-                        copy: cid,
-                        task: task_id,
-                        launched_at,
-                        copies_of_task,
-                    });
-                }
-                CopyPhase::Running => {
-                    let launched_at = copy.launched_at();
-                    busy += slot.saturating_sub(launched_at);
-                    released += 1;
-                    ctx.arena.cancel(cid, slot);
-                    ctx.release_machine(cid);
-                    observer.on_copy_cancelled(CopyCancelled {
-                        at: slot,
-                        copy: cid,
-                        task: task_id,
-                        launched_at,
-                        reason: CancelReason::SiblingFinished,
-                    });
-                }
-                CopyPhase::WaitingForMapPhase => {
-                    let launched_at = copy.launched_at();
-                    busy += slot.saturating_sub(launched_at);
-                    released += 1;
-                    waiting_cancelled += 1;
-                    ctx.arena.cancel(cid, slot);
-                    ctx.release_machine(cid);
-                    observer.on_copy_cancelled(CopyCancelled {
-                        at: slot,
-                        copy: cid,
-                        task: task_id,
-                        launched_at,
-                        reason: CancelReason::SiblingFinished,
-                    });
-                }
-                _ => {}
+            if !ctx.arena.get(cid).is_active() {
+                continue;
             }
+            let exit = if cid == copy_id {
+                CopyExit::Won { copies_of_task }
+            } else {
+                CopyExit::Cancelled(CancelReason::SiblingFinished)
+            };
+            ended += 1;
+            waiting += usize::from(ctx.end_copy(cid, slot, exit, observer));
         }
         let duration = slot.saturating_sub(task.first_launched_at().unwrap_or(slot));
-        task.note_copies_released(released);
         task.mark_finished(slot);
+        job.note_copies_ended(task_id.phase, task_id.index, ended, waiting);
         job.note_task_finished(task_id.phase, task_id.index, duration);
-        job.note_copy_released(released);
-        if waiting_cancelled > 0 {
-            job.note_waiting_cancelled(waiting_cancelled);
-        }
-        ctx.stats.available += released;
-        ctx.stats.busy_machine_slots += busy;
         Some(task_id)
     }
 
@@ -968,56 +993,14 @@ impl Simulation {
         alive: &mut AliveIndex,
         observer: &mut O,
     ) -> Option<TaskId> {
-        let (task_id, phase_was, launched_at) = {
-            let copy = ctx.arena.get(cid);
-            (copy.task(), copy.phase(), copy.launched_at())
-        };
-        let elapsed = now.saturating_sub(launched_at);
-        ctx.arena.cancel(cid, now);
-        {
-            let pool = ctx
-                .pool
-                .as_mut()
-                .expect("kill_copy only runs under a fault plan");
-            pool.wasted_work += elapsed;
-            pool.copies_killed += 1;
-        }
-        // The machine really was occupied until the crash instant, so the
-        // lost progress still counts toward utilisation — `wasted_work`
-        // carries the distinction.
-        ctx.stats.busy_machine_slots += elapsed;
-        observer.on_copy_cancelled(CopyCancelled {
-            at: now,
-            copy: cid,
-            task: task_id,
-            launched_at,
-            reason: CancelReason::Fault,
-        });
-
+        let task_id = ctx.arena.get(cid).task();
+        let waiting = ctx.end_copy(cid, now, CopyExit::Cancelled(CancelReason::Fault), observer);
         let job_idx = task_id.job.as_usize();
         let job = &mut self.jobs[job_idx];
-        let task = job
-            .task_mut(task_id.phase, task_id.index)
-            .expect("an active copy's task storage is never released");
-        task.note_copies_released(1);
-        // Recompute the task's surviving-copy picture: the killed copy may
-        // have carried the earliest finish, or been the last copy standing.
-        let mut still_active = 0usize;
-        let mut new_finish: Option<Slot> = None;
-        for &other in task.copies() {
-            let copy = ctx.arena.get(other);
-            if copy.is_active() {
-                still_active += 1;
-                if let Some(f) = copy.finish_slot() {
-                    new_finish = Some(new_finish.map_or(f, |cur| cur.min(f)));
-                }
-            }
-        }
-        job.refresh_running_finish(task_id.phase, task_id.index, new_finish);
-        job.note_copy_released(1);
-        if phase_was == CopyPhase::WaitingForMapPhase {
-            job.note_waiting_cancelled(1);
-        }
+        let still_active =
+            job.note_copies_ended(task_id.phase, task_id.index, 1, usize::from(waiting));
+        // The killed copy may have carried the task's earliest finish.
+        job.refresh_running_finish(task_id.phase, task_id.index, &ctx.arena);
         if still_active == 0 {
             // Every copy of the task is gone: work lost, not the job. The
             // task rejoins the unscheduled pool and the aggregate indexes
@@ -1114,9 +1097,7 @@ impl Simulation {
         if job_idx >= self.jobs.len() {
             return Err(SimError::UnknownTask(task_id));
         }
-        let max_per_task = self.config.max_copies_per_task;
         let speed = self.config.machine_speed;
-        let resample = self.config.resample_clone_workloads;
         let straggler = self.config.straggler;
 
         let job = &mut self.jobs[job_idx];
@@ -1147,12 +1128,11 @@ impl Simulation {
             .get(task_id.index as usize)
             .map(|t| t.workload)
             .ok_or(SimError::UnknownTask(task_id))?;
-        // Cloned lazily: only clone launches with resampling ever consult the
-        // distribution, and first launches (the overwhelming majority) never
-        // pay for it.
+        // Cloned lazily: only clone launches consult the distribution, and
+        // first launches (the overwhelming majority) never pay for it.
         let mut distribution: Option<Option<mapreduce_workload::DurationDistribution>> = None;
 
-        let capacity_cap = max_per_task.saturating_sub(active_now);
+        let capacity_cap = MAX_COPIES_PER_TASK.saturating_sub(active_now);
         let n = requested.min(ctx.stats.available).min(capacity_cap);
         if n == 0 {
             return Ok(());
@@ -1160,19 +1140,17 @@ impl Simulation {
 
         for _ in 0..n {
             // Workload of this copy: the original sample for the first copy,
-            // an i.i.d. resample for clones (if enabled and a distribution is
-            // attached to the job).
+            // an i.i.d. resample for clones (the task workload again if the
+            // job carries no distribution).
             let mut workload = if first_launch {
                 spec_workload
-            } else if resample {
+            } else {
                 let dist = distribution
                     .get_or_insert_with(|| job.spec().distribution(task_id.phase).cloned());
                 match dist {
                     Some(dist) => dist.sample(rng),
                     None => spec_workload,
                 }
-            } else {
-                spec_workload
             };
             if let StragglerModel::MachineSlowdown {
                 probability,
@@ -1244,9 +1222,9 @@ impl Simulation {
         Ok(())
     }
 
-    /// Cancels all but the `keep` most-progressed active copies of a task in
-    /// a single pass over its copy-id slice, reusing the run-level scratch
-    /// buffer (no per-call allocation, no membership rescan).
+    /// Cancels all but the `keep` most-progressed active copies of a task,
+    /// ranking them in the run-level scratch buffer (no per-call
+    /// allocation).
     fn cancel_copies<O: SimObserver>(
         &mut self,
         task_id: TaskId,
@@ -1259,20 +1237,13 @@ impl Simulation {
         if job_idx >= self.jobs.len() {
             return Err(SimError::UnknownTask(task_id));
         }
-        let RunCtx {
-            stats,
-            arena,
-            cancel_scratch,
-            pool,
-            ..
-        } = ctx;
         let job = &mut self.jobs[job_idx];
         if job.is_complete() {
             // Completed jobs released their task storage; a cancellation
             // for one is a stale no-op, like cancelling a finished task.
             return Ok(());
         }
-        let task = match job.task_mut(task_id.phase, task_id.index) {
+        let task = match job.task(task_id.phase, task_id.index) {
             Some(t) => t,
             None => return Err(SimError::UnknownTask(task_id)),
         };
@@ -1280,57 +1251,27 @@ impl Simulation {
             return Ok(());
         }
         // Order active copies by progress (descending, stable so ties keep
-        // launch order) and cancel the excess in the same pass that computes
-        // the surviving earliest finish.
-        cancel_scratch.clear();
+        // launch order) and cancel everything past the first `keep`.
+        ctx.cancel_scratch.clear();
         for &cid in task.copies() {
-            let copy = arena.get(cid);
+            let copy = ctx.arena.get(cid);
             if copy.is_active() {
-                cancel_scratch.push((copy.progress(now), cid));
+                ctx.cancel_scratch.push((copy.progress(now), cid));
             }
         }
-        if cancel_scratch.len() <= keep {
+        if ctx.cancel_scratch.len() <= keep {
             return Ok(());
         }
-        cancel_scratch.sort_by(|a, b| b.0.total_cmp(&a.0));
-        let mut released = 0usize;
-        let mut busy = 0u64;
-        let mut waiting_cancelled = 0usize;
-        let mut new_finish: Option<Slot> = None;
-        for (pos, &(_, cid)) in cancel_scratch.iter().enumerate() {
-            if pos < keep {
-                if let Some(finish) = arena.get(cid).finish_slot() {
-                    new_finish = Some(new_finish.map_or(finish, |f: Slot| f.min(finish)));
-                }
-                continue;
-            }
-            let copy = arena.get(cid);
-            if copy.phase() == CopyPhase::WaitingForMapPhase {
-                waiting_cancelled += 1;
-            }
-            let launched_at = copy.launched_at();
-            busy += now.saturating_sub(launched_at);
-            arena.cancel(cid, now);
-            released += 1;
-            if let Some(pool) = pool.as_mut() {
-                pool.release(cid);
-            }
-            observer.on_copy_cancelled(CopyCancelled {
-                at: now,
-                copy: cid,
-                task: task_id,
-                launched_at,
-                reason: CancelReason::Scheduler,
-            });
+        ctx.cancel_scratch.sort_by(|a, b| b.0.total_cmp(&a.0));
+        let mut waiting = 0;
+        for pos in keep..ctx.cancel_scratch.len() {
+            let cid = ctx.cancel_scratch[pos].1;
+            let exit = CopyExit::Cancelled(CancelReason::Scheduler);
+            waiting += usize::from(ctx.end_copy(cid, now, exit, observer));
         }
-        task.note_copies_released(released);
-        job.refresh_running_finish(task_id.phase, task_id.index, new_finish);
-        job.note_copy_released(released);
-        if waiting_cancelled > 0 {
-            job.note_waiting_cancelled(waiting_cancelled);
-        }
-        stats.available += released;
-        stats.busy_machine_slots += busy;
+        let ended = ctx.cancel_scratch.len() - keep;
+        job.note_copies_ended(task_id.phase, task_id.index, ended, waiting);
+        job.refresh_running_finish(task_id.phase, task_id.index, &ctx.arena);
         Ok(())
     }
 }
@@ -1456,10 +1397,10 @@ mod tests {
             .map_tasks_from_workloads(&[50.0])
             .build()])
         .unwrap();
-        let outcome = Simulation::new(SimConfig::new(100).with_max_copies_per_task(3), &trace)
-            .run(&mut MaxCloneScheduler::new(64))
+        let outcome = Simulation::new(SimConfig::new(100), &trace)
+            .run(&mut MaxCloneScheduler::new(100))
             .unwrap();
-        assert!(outcome.total_copies <= 3);
+        assert_eq!(outcome.total_copies, MAX_COPIES_PER_TASK);
     }
 
     #[test]
@@ -1613,13 +1554,11 @@ mod tests {
             .map_tasks_from_workloads(&[20.0])
             .build()])
         .unwrap();
-        let outcome = Simulation::new(
-            SimConfig::new(3).with_seed(1).with_resample_clones(false),
-            &trace,
-        )
-        .run(&mut CancelAfter { cancelled: false })
-        .unwrap();
-        // All copies run the same 20-slot workload, so the survivor finishes
+        let outcome = Simulation::new(SimConfig::new(3).with_seed(1), &trace)
+            .run(&mut CancelAfter { cancelled: false })
+            .unwrap();
+        // The job carries no distribution to resample clones from, so all
+        // copies run the same 20-slot workload, so the survivor finishes
         // at 20; the two cancelled clones were busy for 5 slots each.
         assert_eq!(outcome.record(JobId::new(0)).unwrap().completion, 20);
         assert_eq!(outcome.total_copies, 3);
@@ -1716,8 +1655,74 @@ mod tests {
         assert_eq!(base, with_empty_plan);
     }
 
-    /// A source that yields hand-written specs verbatim, contract or not.
-    struct ScriptedSource(std::vec::IntoIter<mapreduce_workload::JobSpec>);
+    #[test]
+    fn arrival_is_applied_before_a_same_slot_completion() {
+        // Job 1 arrives at slot 5, the instant job 0's only copy finishes.
+        // The observer must see the arrival before the completion, and the
+        // scheduler's completion hook must already see job 1 alive.
+        #[derive(Default)]
+        struct Log(Vec<(Slot, &'static str, usize)>);
+        impl SimObserver for Log {
+            fn on_job_arrived(&mut self, at: Slot, job: JobId) {
+                self.0.push((at, "arrived", job.as_usize()));
+            }
+            fn on_copy_finished(&mut self, event: CopyFinished) {
+                self.0
+                    .push((event.at, "finished", event.task.job.as_usize()));
+            }
+        }
+        struct SeesArrival {
+            fifo: GreedyFifo,
+            job1_alive_at_finish: Option<bool>,
+        }
+        impl Scheduler for SeesArrival {
+            fn name(&self) -> &str {
+                "sees-arrival"
+            }
+            fn schedule(&mut self, state: &ClusterState<'_>) -> Vec<Action> {
+                self.fifo.schedule(state)
+            }
+            fn on_task_finished(&mut self, task: TaskId, state: &ClusterState<'_>) {
+                if task.job == JobId::new(0) {
+                    let job1 = state.job(JobId::new(1));
+                    self.job1_alive_at_finish = Some(job1.is_some_and(|j| j.is_alive()));
+                }
+            }
+        }
+        let spec = |id: u64, arrival: Slot| {
+            JobSpecBuilder::new(JobId::new(id))
+                .arrival(arrival)
+                .map_tasks_from_workloads(&[5.0])
+                .build()
+        };
+        let trace = Trace::new(vec![spec(0, 0), spec(1, 5)]).unwrap();
+        let mut scheduler = SeesArrival {
+            fifo: GreedyFifo::new(),
+            job1_alive_at_finish: None,
+        };
+        let mut log = Log::default();
+        let outcome = Simulation::new(SimConfig::new(1), &trace)
+            .run_with_observer(&mut scheduler, &mut log)
+            .unwrap();
+        assert_eq!(
+            log.0,
+            vec![
+                (0, "arrived", 0),
+                (5, "arrived", 1),
+                (5, "finished", 0),
+                (10, "finished", 1),
+            ]
+        );
+        assert_eq!(scheduler.job1_alive_at_finish, Some(true));
+        assert_eq!(outcome.record(JobId::new(1)).unwrap().completion, 10);
+    }
+
+    /// A source that yields hand-written specs verbatim, contract or not,
+    /// while declaring `declared` jobs.
+    struct ScriptedSource {
+        specs: std::vec::IntoIter<mapreduce_workload::JobSpec>,
+        declared: usize,
+    }
 
     impl JobSource for ScriptedSource {
         fn name(&self) -> &str {
@@ -1725,50 +1730,67 @@ mod tests {
         }
 
         fn total_jobs(&self) -> usize {
-            3
+            self.declared
         }
 
         fn next_job(&mut self) -> Option<mapreduce_workload::JobSpec> {
-            self.0.next()
+            self.specs.next()
         }
 
         fn resident_jobs(&self) -> usize {
-            self.0.len()
+            self.specs.len()
         }
     }
 
-    /// Runs two valid jobs followed by `(id, arrival)` as the third and
-    /// returns the run's result.
-    fn run_with_third_job(id: u64, arrival: Slot) -> Result<SimOutcome, SimError> {
-        let spec = |id: u64, arrival: Slot| {
-            JobSpecBuilder::new(JobId::new(id))
-                .arrival(arrival)
-                .map_tasks_from_workloads(&[3.0])
-                .build()
+    /// Runs single-task jobs with the given `(id, arrival)` pairs from a
+    /// source declaring `declared` jobs and returns the run's result.
+    fn run_scripted(declared: usize, jobs: &[(u64, Slot)]) -> Result<SimOutcome, SimError> {
+        let specs: Vec<_> = jobs
+            .iter()
+            .map(|&(id, arrival)| {
+                JobSpecBuilder::new(JobId::new(id))
+                    .arrival(arrival)
+                    .map_tasks_from_workloads(&[3.0])
+                    .build()
+            })
+            .collect();
+        let source = ScriptedSource {
+            specs: specs.into_iter(),
+            declared,
         };
-        let specs = vec![spec(0, 0), spec(1, 5), spec(id, arrival)];
-        Simulation::from_source(
-            SimConfig::new(2),
-            Box::new(ScriptedSource(specs.into_iter())),
-        )
-        .run(&mut GreedyFifo::new())
+        Simulation::from_source(SimConfig::new(2), Box::new(source)).run(&mut GreedyFifo::new())
+    }
+
+    /// Runs two valid jobs followed by `(id, arrival)` as the third.
+    fn run_with_third_job(id: u64, arrival: Slot) -> Result<SimOutcome, SimError> {
+        run_scripted(3, &[(0, 0), (1, 5), (id, arrival)])
+    }
+
+    fn assert_rejected_at(result: Result<SimOutcome, SimError>, at: usize) {
+        let err = result.unwrap_err();
+        assert!(
+            matches!(err, SimError::InvalidSourceJob { index, .. } if index == at),
+            "unexpected error: {err}"
+        );
     }
 
     #[test]
     fn source_skipping_a_dense_id_is_rejected_at_its_index() {
-        let err = run_with_third_job(3, 8).unwrap_err();
-        assert!(
-            matches!(err, SimError::InvalidSourceJob { index: 2, .. }),
-            "unexpected error: {err}"
-        );
+        assert_rejected_at(run_with_third_job(3, 8), 2);
     }
 
     #[test]
     fn source_with_backwards_arrival_is_rejected_at_its_index() {
-        let err = run_with_third_job(2, 4).unwrap_err();
-        assert!(
-            matches!(err, SimError::InvalidSourceJob { index: 2, .. }),
-            "unexpected error: {err}"
-        );
+        assert_rejected_at(run_with_third_job(2, 4), 2);
+    }
+
+    #[test]
+    fn source_ending_before_its_declared_total_is_rejected_at_its_index() {
+        assert_rejected_at(run_scripted(3, &[(0, 0), (1, 5)]), 2);
+    }
+
+    #[test]
+    fn source_yielding_past_its_declared_total_is_rejected_at_its_index() {
+        assert_rejected_at(run_scripted(3, &[(0, 0), (1, 5), (2, 8), (3, 8)]), 3);
     }
 }

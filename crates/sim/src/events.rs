@@ -1,18 +1,21 @@
 //! Typed simulation events and the event queue.
 //!
-//! The engine's arrival/finish plumbing used to be inlined in the run
-//! loop; it now lives here so ordering and staleness semantics are testable
-//! in isolation:
+//! The queue holds the events the engine schedules for later slots: copy
+//! completions and machine transitions. Job arrivals never enter it: the
+//! engine's source cursor admits them at their instant, ahead of that
+//! instant's queued batch.
 //!
-//! * [`Event`] is the typed vocabulary of things that can happen at a slot.
+//! * [`Event`] is the typed vocabulary of queued things that can happen at
+//!   a slot.
 //! * [`EventQueue`] is a slot-granular **calendar queue**: a ring of per-slot
 //!   buckets plus a flat overflow heap for far-future slots, with `O(1)`
 //!   amortized push and one sort per drained instant. It delivers events in
 //!   the same total, deterministic order as a binary heap over
-//!   `(slot, kind, sequence)` would: earlier slots first, arrivals before
-//!   copy completions at the same slot, and same-kind ties broken by
-//!   sequence (arrival order / copy allocation order — copy *slots* are
-//!   recycled across a run, allocation sequences never are).
+//!   `(slot, kind, sequence)` would: earlier slots first, copy completions
+//!   before machine recoveries before machine failures at the same slot,
+//!   and same-kind ties broken by sequence (copy allocation order or
+//!   machine index — copy *slots* are recycled across a run, allocation
+//!   sequences never are).
 //! * [`HeapEventQueue`] is the frozen pre-calendar implementation (a
 //!   `BinaryHeap` min-heap). It is kept verbatim as the ordering oracle for
 //!   the side-by-side equivalence proptests and the `event_path` benchmark.
@@ -37,16 +40,11 @@ use mapreduce_workload::TaskId;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Something that happens at a simulation slot.
+/// Something the engine schedules to happen at a later simulation slot.
+/// Job arrivals are not events: the engine admits them from its source
+/// cursor at their instant, before that instant's events are delivered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Event {
-    /// A job (identified by its dense trace index) arrives at the cluster.
-    JobArrival {
-        /// Slot of the arrival.
-        at: Slot,
-        /// Dense index of the job within the trace.
-        job_index: usize,
-    },
     /// A running copy reaches its finish slot. May be stale by the time it is
     /// popped (sibling finished first, the copy was cancelled, or its slot
     /// was recycled after the owning job completed); the engine validates
@@ -94,23 +92,21 @@ impl Event {
     /// The slot at which the event fires.
     pub fn at(&self) -> Slot {
         match *self {
-            Event::JobArrival { at, .. } => at,
             Event::CopyFinish { at, .. } => at,
             Event::MachineUp { at, .. } => at,
             Event::MachineDown { at, .. } => at,
         }
     }
 
-    /// Deterministic ordering key: slot, then kind (arrivals before
-    /// completions, completions before machine transitions, recoveries
-    /// before failures), then sequence (arrival order / copy allocation
-    /// order / machine index — *not* the recyclable copy slot).
+    /// Deterministic ordering key: slot, then kind (completions before
+    /// machine transitions, recoveries before failures), then sequence
+    /// (copy allocation order / machine index — *not* the recyclable copy
+    /// slot).
     fn key(&self) -> (Slot, u8, u64) {
         match *self {
-            Event::JobArrival { at, job_index } => (at, 0, job_index as u64),
-            Event::CopyFinish { at, seq, .. } => (at, 1, seq),
-            Event::MachineUp { at, machine, .. } => (at, 2, machine as u64),
-            Event::MachineDown { at, machine, .. } => (at, 3, machine as u64),
+            Event::CopyFinish { at, seq, .. } => (at, 0, seq),
+            Event::MachineUp { at, machine, .. } => (at, 1, machine as u64),
+            Event::MachineDown { at, machine, .. } => (at, 2, machine as u64),
         }
     }
 
@@ -469,9 +465,10 @@ mod tests {
             task: task(0, Phase::Map, 0),
             seq: 2,
         });
-        q.push(Event::JobArrival {
+        q.push(Event::MachineUp {
             at: 10,
-            job_index: 1,
+            machine: 1,
+            crash: true,
         });
         q.push(Event::CopyFinish {
             at: 20,
@@ -487,21 +484,23 @@ mod tests {
     }
 
     #[test]
-    fn arrivals_precede_completions_at_the_same_slot() {
+    fn completions_precede_machine_transitions_at_the_same_slot() {
         let mut q = EventQueue::new();
-        q.push(Event::CopyFinish {
+        q.push(Event::MachineDown {
             at: 5,
-            copy: CopyId(0),
-            task: task(0, Phase::Map, 0),
-            seq: 0,
+            machine: 0,
+            crash: true,
         });
-        q.push(Event::JobArrival {
+        q.push(Event::MachineUp {
             at: 5,
-            job_index: 9,
+            machine: 9,
+            crash: true,
         });
+        q.push(finish(5, 0));
         let out = drain(&mut q, 5);
-        assert!(matches!(out[0], Event::JobArrival { job_index: 9, .. }));
-        assert!(matches!(out[1], Event::CopyFinish { .. }));
+        assert!(matches!(out[0], Event::CopyFinish { .. }));
+        assert!(matches!(out[1], Event::MachineUp { machine: 9, .. }));
+        assert!(matches!(out[2], Event::MachineDown { machine: 0, .. }));
     }
 
     #[test]
@@ -523,8 +522,8 @@ mod tests {
 
     #[test]
     fn machine_events_sort_after_completions_and_by_machine() {
-        // Within one instant: arrivals < completions < recoveries <
-        // failures, machine index breaking ties — so a copy finishing
+        // Within one instant: completions < recoveries < failures,
+        // machine index breaking ties — so a copy finishing
         // exactly when its machine crashes completes normally before the
         // crash lands, and a recovery at the failure instant of another
         // machine restores capacity first.
@@ -545,10 +544,6 @@ mod tests {
             crash: true,
         });
         q.push(finish(5, 0));
-        q.push(Event::JobArrival {
-            at: 5,
-            job_index: 4,
-        });
         let keys: Vec<(u8, u64)> = drain(&mut q, 5)
             .iter()
             .map(|e| {
@@ -558,7 +553,7 @@ mod tests {
                 (kind, seq)
             })
             .collect();
-        assert_eq!(keys, vec![(0, 4), (1, 0), (2, 9), (3, 1), (3, 3)]);
+        assert_eq!(keys, vec![(0, 0), (1, 9), (2, 1), (2, 3)]);
     }
 
     #[test]
@@ -569,9 +564,10 @@ mod tests {
         q.push(finish(1_000_000, 3));
         q.push(finish(5, 1));
         q.push(finish(40_000, 2));
-        q.push(Event::JobArrival {
+        q.push(Event::MachineDown {
             at: 1_000_000,
-            job_index: 7,
+            machine: 7,
+            crash: false,
         });
         assert_eq!(q.peek_slot(), Some(5));
         let order: Vec<(Slot, u8)> = drain(&mut q, Slot::MAX)
@@ -583,7 +579,7 @@ mod tests {
             .collect();
         assert_eq!(
             order,
-            vec![(5, 1), (40_000, 1), (1_000_000, 0), (1_000_000, 1)]
+            vec![(5, 0), (40_000, 0), (1_000_000, 0), (1_000_000, 2)]
         );
         assert!(q.is_empty());
     }
@@ -631,20 +627,21 @@ mod tests {
     fn pop_due_respects_now() {
         // Neither the calendar's drain nor the heap oracle's pop delivers an
         // event before its slot.
-        let arrival = Event::JobArrival {
+        let recovery = Event::MachineUp {
             at: 50,
-            job_index: 0,
+            machine: 0,
+            crash: true,
         };
         let mut q = EventQueue::new();
         let mut heap = HeapEventQueue::new();
-        q.push(arrival);
-        heap.push(arrival);
+        q.push(recovery);
+        heap.push(recovery);
         assert!(drain(&mut q, 49).is_empty());
         assert_eq!(heap.pop_due(49), None);
         assert_eq!(q.len(), 1);
         assert_eq!(heap.len(), 1);
-        assert_eq!(drain(&mut q, 50), vec![arrival]);
-        assert_eq!(heap.pop_due(50), Some(arrival));
+        assert_eq!(drain(&mut q, 50), vec![recovery]);
+        assert_eq!(heap.pop_due(50), Some(recovery));
     }
 
     #[test]
@@ -669,15 +666,16 @@ mod tests {
         let mut q = EventQueue::new();
         q.push(finish(4, 2));
         q.push(finish(4, 1));
-        q.push(Event::JobArrival {
+        q.push(Event::MachineUp {
             at: 4,
-            job_index: 0,
+            machine: 0,
+            crash: true,
         });
         q.push(finish(9, 3));
         let out = drain(&mut q, 4);
         assert_eq!(out.len(), 3);
-        assert!(matches!(out[0], Event::JobArrival { .. }));
-        assert_eq!(copies(&out[1..]), vec![1, 2]);
+        assert_eq!(copies(&out[..2]), vec![1, 2]);
+        assert!(matches!(out[2], Event::MachineUp { .. }));
         assert_eq!(q.len(), 1);
         assert_eq!(q.drained_to(), 4);
         assert_eq!(drain(&mut q, 100).len(), 1);

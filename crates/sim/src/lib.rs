@@ -21,16 +21,21 @@
 //!
 //! # Event path
 //!
-//! Event delivery is a slot-granular **calendar queue**
-//! ([`events::EventQueue`]): a ring of `2^`[`SimConfig::event_ring_bits`]
-//! per-slot buckets (default 2048) with a flat min-heap overflow for
-//! far-future slots, giving `O(1)` amortized push while reproducing the
-//! `(slot, kind, sequence)` heap order bit-for-bit. Each decision instant is
+//! Job arrivals bypass the queue: the source cursor admits each job at its
+//! arrival instant, ahead of that instant's queued events. Copy completions
+//! and machine transitions are delivered by a slot-granular **calendar
+//! queue** ([`events::EventQueue`]): a ring of
+//! `2^`[`SimConfig::event_ring_bits`] per-slot buckets (default 2048) with
+//! a flat min-heap overflow for far-future slots, giving `O(1)` amortized
+//! push while reproducing the `(slot, kind, sequence)` heap order
+//! bit-for-bit. Each decision instant is
 //! drained as one batch (the bucket is sorted once), copy records live in a
 //! run-level [`CopyArena`] indexed by [`CopyId`] so completions resolve in
 //! `O(1)`, and stale entries are deleted lazily: a cancelled or killed
 //! copy's finish event stays queued, wakes the engine at its instant and
-//! fails an `O(1)` liveness check. The frozen pre-calendar heap
+//! fails an `O(1)` liveness check. Every copy leaves its machine through one
+//! engine exit, whether it won, lost to a sibling, was cancelled by the
+//! scheduler or was killed by a crash. The frozen pre-calendar heap
 //! ([`events::HeapEventQueue`]) is kept as the ordering oracle for the
 //! side-by-side equivalence proptests and the `event_path` benchmark.
 //!
@@ -105,7 +110,7 @@ pub use engine::Simulation;
 pub use error::SimError;
 pub use events::{Event, EventQueue, HeapEventQueue};
 pub use result::{JobRecord, RunTelemetry, SimOutcome};
-pub use speedup::{LinearCappedSpeedup, NoSpeedup, ParetoSpeedup, SpeedupFunction};
+pub use speedup::{ParetoSpeedup, SpeedupFunction};
 pub use state::{
     Action, AliveIndex, ClusterState, IndexDemands, JobState, RankedEntries, Scheduler, Slot,
     TaskState, TaskStatus,

@@ -3,17 +3,15 @@
 //! Making `x` parallel copies of a task and keeping the first one to finish
 //! reduces its expected duration from `E[p]` to `E[p] / s(x)`. The paper
 //! requires the speedup function to be concave, strictly increasing, with
-//! `s(1) = 1` and `s(x) ≤ x` (Section III-A); it derives the closed form for
-//! Pareto-distributed task durations:
+//! `s(1) = 1` and `s(x) ≤ x` (Section III-A). For task durations following a
+//! Pareto distribution with shape `α > 1`, the first of `r` i.i.d. copies
+//! finishes after an expected `(α − 1)·r / (αr − 1)` of the single-copy
+//! mean, which gives the paper's closed form
 //!
-//! > if `p` follows a Pareto distribution with shape `α`, the expected
-//! > duration of the first of `r` i.i.d. copies to finish is `α·r·µ/(α·r−1)`,
-//! > so `s(r) = r·(α−1)·... = (αr − 1) / (r(α − 1))` … wait, the paper states
-//! > `s(r) = (rα − 1)/(r(α − 1))`.
+//! > `s(r) = (αr − 1) / (r(α − 1))`.
 //!
 //! [`ParetoSpeedup`] implements exactly that closed form, and the property
-//! tests in this module check the three structural requirements for every
-//! implementation.
+//! tests in this module check the three structural requirements.
 
 use std::fmt::Debug;
 
@@ -76,42 +74,6 @@ impl SpeedupFunction for ParetoSpeedup {
         // concavity and monotonicity.
         let raw = (r * self.alpha - 1.0) / (r * (self.alpha - 1.0));
         raw.min(r)
-    }
-}
-
-/// A linear-then-capped speedup `s(x) = min(x, cap)`; useful for ablations
-/// and as an optimistic upper bound on what cloning can achieve.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinearCappedSpeedup {
-    /// Maximum achievable speedup.
-    pub cap: f64,
-}
-
-impl LinearCappedSpeedup {
-    /// Creates the speedup function with the given cap.
-    ///
-    /// # Panics
-    /// Panics if `cap < 1`.
-    pub fn new(cap: f64) -> Self {
-        assert!(cap >= 1.0, "cap must be at least 1, got {cap}");
-        LinearCappedSpeedup { cap }
-    }
-}
-
-impl SpeedupFunction for LinearCappedSpeedup {
-    fn speedup(&self, copies: f64) -> f64 {
-        copies.max(1.0).min(self.cap)
-    }
-}
-
-/// The degenerate speedup `s(x) = 1`: cloning never helps. Used to ablate the
-/// value of cloning itself.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct NoSpeedup;
-
-impl SpeedupFunction for NoSpeedup {
-    fn speedup(&self, _copies: f64) -> f64 {
-        1.0
     }
 }
 
@@ -179,33 +141,9 @@ mod tests {
     }
 
     #[test]
-    fn linear_capped_behaviour() {
-        let s = LinearCappedSpeedup::new(4.0);
-        assert_eq!(s.speedup(1.0), 1.0);
-        assert_eq!(s.speedup(3.0), 3.0);
-        assert_eq!(s.speedup(10.0), 4.0);
-        check_structural_properties(&s, &[1.0, 2.0, 3.0, 4.0, 8.0, 16.0]);
-    }
-
-    #[test]
-    fn no_speedup_is_identity_one() {
-        let s = NoSpeedup;
-        for x in [1.0, 2.0, 100.0] {
-            assert_eq!(s.speedup(x), 1.0);
-        }
-        assert_eq!(s.expected_duration(50.0, 10.0), 50.0);
-    }
-
-    #[test]
     #[should_panic(expected = "shape must exceed 1")]
     fn pareto_rejects_small_alpha() {
         ParetoSpeedup::new(1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "cap must be at least 1")]
-    fn linear_capped_rejects_small_cap() {
-        LinearCappedSpeedup::new(0.5);
     }
 
     proptest! {

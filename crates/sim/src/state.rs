@@ -162,12 +162,6 @@ impl TaskState {
         self.active += 1;
     }
 
-    /// Records that `count` of this task's copies left their machines
-    /// (finished or cancelled).
-    pub(crate) fn note_copies_released(&mut self, count: usize) {
-        self.active = self.active.saturating_sub(count);
-    }
-
     pub(crate) fn mark_finished(&mut self, at: Slot) {
         self.status = TaskStatus::Finished;
         self.finished_at = Some(at);
@@ -618,8 +612,24 @@ impl JobState {
         self.copies_launched += 1;
     }
 
-    pub(crate) fn note_copy_released(&mut self, count: usize) {
-        self.active_copies = self.active_copies.saturating_sub(count);
+    /// Records that `ended` copies of task `index` left their machines
+    /// (finished, cancelled or killed), `waiting` of them while parked for
+    /// the Map phase (their waiting-list entries go stale and are skipped at
+    /// activation). Returns the task's copies still active.
+    pub(crate) fn note_copies_ended(
+        &mut self,
+        phase: Phase,
+        index: u32,
+        ended: usize,
+        waiting: usize,
+    ) -> usize {
+        self.active_copies = self.active_copies.saturating_sub(ended);
+        self.waiting_copies = self.waiting_copies.saturating_sub(waiting);
+        let task = self
+            .task_mut(phase, index)
+            .expect("an active copy's task storage is never released");
+        task.active = task.active.saturating_sub(ended);
+        task.active
     }
 
     /// Records a reduce copy launched ahead of the Map phase: it joins the
@@ -627,12 +637,6 @@ impl JobState {
     pub(crate) fn note_copy_waiting(&mut self, index: u32, id: CopyId) {
         self.waiting_reduce.push((index, id));
         self.waiting_copies += 1;
-    }
-
-    /// Records the cancellation of `count` waiting copies (their entries in
-    /// the waiting list go stale and are skipped at activation).
-    pub(crate) fn note_waiting_cancelled(&mut self, count: usize) {
-        self.waiting_copies = self.waiting_copies.saturating_sub(count);
     }
 
     /// Hands the waiting-copy list to the caller (swapping in `into`'s
@@ -674,19 +678,20 @@ impl JobState {
     }
 
     /// Re-keys (or drops) task `index` in the running-by-finish index after
-    /// copies were cancelled; `new_finish` is the earliest finish slot across
-    /// the copies still running, if any.
-    pub(crate) fn refresh_running_finish(
-        &mut self,
-        phase: Phase,
-        index: u32,
-        new_finish: Option<Slot>,
-    ) {
+    /// some of its copies ended unfinished: the new key is the earliest
+    /// finish slot across the copies still running, if any.
+    pub(crate) fn refresh_running_finish(&mut self, phase: Phase, index: u32, copies: &CopyArena) {
         if !self.track.finish_index {
             return;
         }
-        let old = match self.task(phase, index) {
-            Some(task) => task.running_finish,
+        let (old, new_finish) = match self.task(phase, index) {
+            Some(task) => (
+                task.running_finish,
+                task.copies()
+                    .iter()
+                    .filter_map(|&cid| copies.get(cid).finish_slot())
+                    .min(),
+            ),
             None => return,
         };
         if old == new_finish {
@@ -1660,10 +1665,11 @@ mod tests {
         assert_eq!(js.running_by_finish(Phase::Map), &[(15, 0)]);
 
         js.task_mut(Phase::Map, 0).unwrap().mark_finished(15);
+        assert_eq!(js.note_copies_ended(Phase::Map, 0, 1, 0), 0);
         js.note_task_finished(Phase::Map, 0, 10);
-        js.note_copy_released(1);
         assert_eq!(js.num_unfinished(Phase::Map), 1);
         assert_eq!(js.active_copies(), 0);
+        assert_eq!(js.task(Phase::Map, 0).unwrap().active_copies(), 0);
         assert!(js.running_by_finish(Phase::Map).is_empty());
         assert_eq!(js.completed_duration_stats(Phase::Map), (1, 10));
         assert_eq!(js.mean_completed_duration(Phase::Map), Some(10.0));
@@ -1676,27 +1682,35 @@ mod tests {
     fn running_by_finish_tracks_the_earliest_running_copy() {
         let mut js = job_state();
         js.mark_arrived();
+        let mut arena = CopyArena::new();
+        let mut launch = |js: &mut JobState, index: u32, at: Slot, duration: Slot| {
+            let task = TaskId::new(JobId::new(0), Phase::Map, index);
+            let (cid, _) = arena.alloc_running(task, at, duration);
+            js.task_mut(Phase::Map, index).unwrap().add_copy(cid, at);
+            js.note_copy_running(Phase::Map, index, at + duration);
+            cid
+        };
         js.note_first_launch(Phase::Map, 0);
-        js.task_mut(Phase::Map, 0).unwrap().add_copy(CopyId(0), 0);
-        js.note_copy_running(Phase::Map, 0, 30);
+        let slow = launch(&mut js, 0, 0, 30);
         js.note_first_launch(Phase::Map, 1);
-        js.task_mut(Phase::Map, 1).unwrap().add_copy(CopyId(1), 0);
-        js.note_copy_running(Phase::Map, 1, 10);
+        launch(&mut js, 1, 0, 10);
         assert_eq!(js.running_by_finish(Phase::Map), &[(10, 1), (30, 0)]);
 
         // A faster clone of task 0 re-keys its entry to the earlier finish.
-        js.task_mut(Phase::Map, 0).unwrap().add_copy(CopyId(2), 2);
-        js.note_copy_running(Phase::Map, 0, 5);
+        let fast = launch(&mut js, 0, 2, 3);
         assert_eq!(js.running_by_finish(Phase::Map), &[(5, 0), (10, 1)]);
         // A slower clone leaves the key untouched.
-        js.note_copy_running(Phase::Map, 0, 50);
+        let slower = launch(&mut js, 0, 2, 48);
         assert_eq!(js.running_by_finish(Phase::Map), &[(5, 0), (10, 1)]);
 
-        // Cancelling the fast copy re-keys back to the surviving copy.
-        js.refresh_running_finish(Phase::Map, 0, Some(30));
+        // Cancelling the fast copy re-keys to the earliest surviving copy.
+        arena.cancel(fast, 4);
+        js.refresh_running_finish(Phase::Map, 0, &arena);
         assert_eq!(js.running_by_finish(Phase::Map), &[(10, 1), (30, 0)]);
         // Cancelling everything drops the entry.
-        js.refresh_running_finish(Phase::Map, 0, None);
+        arena.cancel(slow, 4);
+        arena.cancel(slower, 4);
+        js.refresh_running_finish(Phase::Map, 0, &arena);
         assert_eq!(js.running_by_finish(Phase::Map), &[(10, 1)]);
     }
 
@@ -1722,8 +1736,6 @@ mod tests {
         assert_eq!(ts.min_remaining(&arena, 30), Some(20));
         assert_eq!(ts.oldest_active_elapsed(&arena, 30), 30);
 
-        ts.note_copies_released(2);
-        assert_eq!(ts.active_copies(), 0);
         ts.mark_finished(50);
         assert!(ts.is_finished());
         assert_eq!(ts.finished_at(), Some(50));
@@ -1734,11 +1746,15 @@ mod tests {
         let mut js = job_state();
         js.mark_arrived();
         assert_eq!(js.waiting_copies(), 0);
-        js.note_copy_waiting(0, CopyId(0));
-        js.note_copy_waiting(0, CopyId(1));
+        for cid in [CopyId(0), CopyId(1)] {
+            js.note_copy_launched();
+            js.task_mut(Phase::Reduce, 0).unwrap().add_copy(cid, 0);
+            js.note_copy_waiting(0, cid);
+        }
         assert_eq!(js.waiting_copies(), 2);
-        js.note_waiting_cancelled(1);
+        assert_eq!(js.note_copies_ended(Phase::Reduce, 0, 1, 1), 1);
         assert_eq!(js.waiting_copies(), 1);
+        assert_eq!(js.active_copies(), 1);
         let mut drained = Vec::new();
         js.take_waiting_reduce(&mut drained);
         // The list keeps stale (cancelled) entries; the counter is exact.

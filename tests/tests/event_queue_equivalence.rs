@@ -4,8 +4,9 @@
 //! The engine's trajectory is fully determined by the sequence of delivered
 //! events and the sequence of decision instants. These properties drive the
 //! new [`EventQueue`] (calendar/bucket) and the frozen [`HeapEventQueue`]
-//! over identical randomized streams — arrivals and finishes, same-slot
-//! ties, far-future overflow slots, and cancellations of queued finishes —
+//! over identical randomized streams — machine transitions and finishes,
+//! same-slot ties, far-future overflow slots, and cancellations of queued
+//! finishes —
 //! and assert that
 //!
 //! * both queues report the **same next instant** at every step, and
@@ -52,7 +53,9 @@ fn drive(seed: u64, ops: usize, ring_bits: u8) -> Result<(), String> {
 
     let mut now: u64 = 0;
     let mut next_copy: u64 = 0;
-    let mut next_job: usize = 0;
+    // Every machine event gets a fresh machine index, so no two queued
+    // events share a `(slot, kind, sequence)` key.
+    let mut next_machine: u32 = 0;
     // Queued (slot, copy) finish entries that can still be cancelled.
     let mut cancellable: Vec<(u64, u64)> = Vec::new();
     let mut cancelled: HashSet<u64> = HashSet::new();
@@ -73,11 +76,21 @@ fn drive(seed: u64, ops: usize, ring_bits: u8) -> Result<(), String> {
                     };
                     let slot = now + offset;
                     if rng.gen_range(0u32..5) == 0 {
-                        let event = Event::JobArrival {
-                            at: slot,
-                            job_index: next_job,
+                        let (machine, crash) = (next_machine, rng.gen_bool(0.5));
+                        let event = if rng.gen_bool(0.5) {
+                            Event::MachineUp {
+                                at: slot,
+                                machine,
+                                crash,
+                            }
+                        } else {
+                            Event::MachineDown {
+                                at: slot,
+                                machine,
+                                crash,
+                            }
                         };
-                        next_job += 1;
+                        next_machine += 1;
                         calendar.push(event);
                         heap.push(event);
                     } else {
