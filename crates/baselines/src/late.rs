@@ -8,66 +8,23 @@
 //! scheme, so it is included as an extra reference point for the comparison
 //! figures and ablations.
 
+use crate::detection::{DETECTION_INTERVAL, MIN_ELAPSED_FOR_DETECTION};
 use crate::fair::{fair_fill_alive_into, FairFillScratch};
 use mapreduce_sim::{Action, ClusterState, IndexDemands, Scheduler, Slot};
 use mapreduce_workload::Phase;
 
-/// Configuration of the [`Late`] baseline.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LateConfig {
-    /// Only tasks whose progress rate is in the slowest `slow_task_quantile`
-    /// of running tasks are eligible for speculation (LATE's
-    /// SlowTaskThreshold, 25 % by default).
-    pub slow_task_quantile: f64,
-    /// Maximum fraction of the cluster that may run speculative copies at any
-    /// time (LATE's SpeculativeCap, 10 % by default).
-    pub speculative_cap: f64,
-    /// Minimum elapsed running time (slots) before a task is considered.
-    pub min_elapsed_for_detection: Slot,
-    /// How often (in slots) the detector re-examines running tasks.
-    pub detection_interval: Slot,
-}
+/// Only tasks whose progress rate is in the slowest `SLOW_TASK_QUANTILE` of
+/// running tasks are eligible for speculation (LATE's SlowTaskThreshold).
+pub const SLOW_TASK_QUANTILE: f64 = 0.25;
 
-impl Default for LateConfig {
-    fn default() -> Self {
-        LateConfig {
-            slow_task_quantile: 0.25,
-            speculative_cap: 0.1,
-            // LATE (like Hadoop's stock speculation) only considers tasks
-            // that have run for a while, so progress rates are meaningful.
-            min_elapsed_for_detection: 30,
-            detection_interval: 5,
-        }
-    }
-}
-
-impl LateConfig {
-    /// Validates the configuration.
-    ///
-    /// # Panics
-    /// Panics if the quantile or cap are outside `(0, 1]` or the detection
-    /// interval is zero.
-    pub fn validate(&self) {
-        assert!(
-            self.slow_task_quantile > 0.0 && self.slow_task_quantile <= 1.0,
-            "slow task quantile must be in (0, 1]"
-        );
-        assert!(
-            self.speculative_cap > 0.0 && self.speculative_cap <= 1.0,
-            "speculative cap must be in (0, 1]"
-        );
-        assert!(
-            self.detection_interval >= 1,
-            "detection interval must be >= 1"
-        );
-    }
-}
+/// Maximum fraction of the cluster that may run speculative copies at any
+/// time (LATE's SpeculativeCap).
+pub const SPECULATIVE_CAP: f64 = 0.1;
 
 /// The LATE speculative-execution baseline.
 #[derive(Debug, Clone)]
 pub struct Late {
-    config: LateConfig,
-    /// Pooled fair-fill buffers (LATE wakes every `detection_interval`).
+    /// Pooled fair-fill buffers (LATE wakes every `DETECTION_INTERVAL`).
     fill_scratch: FairFillScratch,
     /// Pooled detection buffers: `(rate, est_time_left, action)` candidates,
     /// the sorted rate sample, and the eligible slow tasks.
@@ -77,29 +34,14 @@ pub struct Late {
 }
 
 impl Late {
-    /// Creates LATE with its published default thresholds.
+    /// Creates LATE with its published thresholds.
     pub fn new() -> Self {
-        Self::with_config(LateConfig::default())
-    }
-
-    /// Creates LATE with a custom configuration.
-    ///
-    /// # Panics
-    /// Panics if the configuration is invalid.
-    pub fn with_config(config: LateConfig) -> Self {
-        config.validate();
         Late {
-            config,
             fill_scratch: FairFillScratch::default(),
             candidates: Vec::new(),
             rates: Vec::new(),
             eligible: Vec::new(),
         }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &LateConfig {
-        &self.config
     }
 }
 
@@ -115,7 +57,7 @@ impl Scheduler for Late {
     }
 
     fn wakeup_interval(&self) -> Option<Slot> {
-        Some(self.config.detection_interval)
+        Some(DETECTION_INTERVAL)
     }
 
     fn index_demands(&self) -> IndexDemands {
@@ -168,7 +110,7 @@ impl Scheduler for Late {
                         continue;
                     }
                     let elapsed = task.oldest_active_elapsed(copies, now);
-                    if elapsed < self.config.min_elapsed_for_detection {
+                    if elapsed < MIN_ELAPSED_FOR_DETECTION {
                         continue;
                     }
                     let progress = task.best_progress(copies, now);
@@ -198,14 +140,12 @@ impl Scheduler for Late {
         rates.clear();
         rates.extend(candidates.iter().map(|(rate, _, _)| *rate));
         rates.sort_by(|a, b| a.total_cmp(b));
-        let idx = ((rates.len() as f64 * self.config.slow_task_quantile).ceil() as usize)
-            .clamp(1, rates.len())
-            - 1;
+        let idx =
+            ((rates.len() as f64 * SLOW_TASK_QUANTILE).ceil() as usize).clamp(1, rates.len()) - 1;
         let threshold = rates[idx];
 
         // SpeculativeCap: bound on outstanding duplicates.
-        let cap =
-            ((state.total_machines() as f64 * self.config.speculative_cap).floor() as usize).max(1);
+        let cap = ((state.total_machines() as f64 * SPECULATIVE_CAP).floor() as usize).max(1);
         let allowance = cap.saturating_sub(speculative_running).min(budget);
 
         let eligible = &mut self.eligible;
@@ -295,21 +235,5 @@ mod tests {
             late.mean_flowtime(),
             fifo.mean_flowtime()
         );
-    }
-
-    #[test]
-    fn config_validation() {
-        assert!(std::panic::catch_unwind(|| Late::with_config(LateConfig {
-            slow_task_quantile: 0.0,
-            ..LateConfig::default()
-        }))
-        .is_err());
-        assert!(std::panic::catch_unwind(|| Late::with_config(LateConfig {
-            speculative_cap: 1.5,
-            ..LateConfig::default()
-        }))
-        .is_err());
-        assert_eq!(Late::new().name(), "late");
-        assert_eq!(Late::default().wakeup_interval(), Some(5));
     }
 }

@@ -17,9 +17,15 @@
 //! * `t_new` is the average duration of the task's phase observed so far from
 //!   the job's completed tasks, falling back to the phase mean from the job's
 //!   statistics when nothing has completed yet,
-//! * `δ` is folded into a configurable slack factor on the `2×` threshold,
-//! * at most one backup copy per task (\[4\] caps outstanding duplicates), and
-//!   backups are only launched when machines are idle (resource awareness).
+//! * `δ` is folded into the fixed threshold: a task with
+//!   `t_rem > THRESHOLD_FACTOR · t_new` (the published factor 2) is a
+//!   candidate outright,
+//! * at most one backup copy per task ([`MAX_COPIES_PER_TASK`]; \[4\] caps
+//!   outstanding duplicates), and backups are only launched when machines
+//!   are idle (resource awareness).
+//!
+//! The `t_new` estimate, the threshold test and the detection age and
+//! interval live in [`crate::detection`], shared with [`crate::Restart`].
 //!
 //! Job-level allocation (which job's tasks get free machines first) uses the
 //! same weighted fair sharing as Hadoop's fair scheduler, which is how Mantri
@@ -28,68 +34,22 @@
 //! task has run long enough to produce progress samples, which is too late
 //! for small jobs.
 
+use crate::detection::{straggler_tail, DETECTION_INTERVAL, MIN_ELAPSED_FOR_DETECTION};
 use crate::fair::{fair_fill_alive_into, FairFillScratch};
 use mapreduce_sim::{Action, ClusterState, IndexDemands, JobState, Scheduler, Slot};
 use mapreduce_workload::{JobId, Phase, TaskId};
 
-/// Configuration of the [`Mantri`] baseline.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MantriConfig {
-    /// A duplicate is launched when `t_rem > threshold_factor · t_new`.
-    /// Mantri's published rule uses 2.0.
-    pub threshold_factor: f64,
-    /// Minimum elapsed running time (slots) before a task may be judged a
-    /// straggler; avoids reacting to tasks that have barely started.
-    pub min_elapsed_for_detection: Slot,
-    /// Maximum total copies per task (original + duplicates).
-    pub max_copies_per_task: usize,
-    /// How often (in slots) the detector re-examines running tasks.
-    pub detection_interval: Slot,
-}
+/// A duplicate is launched when `t_rem > THRESHOLD_FACTOR · t_new`; Mantri's
+/// published rule.
+pub const THRESHOLD_FACTOR: f64 = 2.0;
 
-impl Default for MantriConfig {
-    fn default() -> Self {
-        MantriConfig {
-            threshold_factor: 2.0,
-            // A task only becomes a speculation candidate after it has run
-            // long enough for its progress rate to be trustworthy. Hadoop's
-            // speculative execution uses a 60 s lag; Mantri reacts earlier,
-            // so we use 30 s. This is exactly the "detection may be too late
-            // for helping small jobs" limitation the paper exploits.
-            min_elapsed_for_detection: 30,
-            max_copies_per_task: 2,
-            detection_interval: 5,
-        }
-    }
-}
-
-impl MantriConfig {
-    /// Validates the configuration.
-    ///
-    /// # Panics
-    /// Panics if the threshold is not positive, the copy cap is below 2, or
-    /// the detection interval is zero.
-    pub fn validate(&self) {
-        assert!(
-            self.threshold_factor > 0.0,
-            "threshold factor must be positive"
-        );
-        assert!(
-            self.max_copies_per_task >= 2,
-            "Mantri needs at least 2 copies per task to ever speculate"
-        );
-        assert!(
-            self.detection_interval >= 1,
-            "detection interval must be >= 1"
-        );
-    }
-}
+/// Maximum total copies per task (original + duplicates).
+pub const MAX_COPIES_PER_TASK: usize = 2;
 
 /// The Mantri speculative-execution baseline.
 #[derive(Debug, Clone)]
 pub struct Mantri {
-    config: MantriConfig,
-    /// Pooled fair-fill buffers; Mantri wakes every `detection_interval`
+    /// Pooled fair-fill buffers; Mantri wakes every `DETECTION_INTERVAL`
     /// slots, so per-decision allocations here would dominate the run.
     fill_scratch: FairFillScratch,
     /// Pooled straggler-candidate buffer (`Action` is `Copy`, no borrows).
@@ -142,19 +102,9 @@ impl JobFlags {
 }
 
 impl Mantri {
-    /// Creates Mantri with the published default parameters.
+    /// Creates Mantri with the published parameters.
     pub fn new() -> Self {
-        Self::with_config(MantriConfig::default())
-    }
-
-    /// Creates Mantri with a custom configuration.
-    ///
-    /// # Panics
-    /// Panics if the configuration is invalid.
-    pub fn with_config(config: MantriConfig) -> Self {
-        config.validate();
         Mantri {
-            config,
             fill_scratch: FairFillScratch::default(),
             candidates: Vec::new(),
             may_straggle: JobFlags::default(),
@@ -162,36 +112,14 @@ impl Mantri {
         }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &MantriConfig {
-        &self.config
-    }
-
-    /// Mantri's estimate of the time a restarted copy of a task in `phase` of
-    /// `job` would take: the mean duration of already-completed tasks of that
-    /// phase, or the phase's a-priori mean if none completed yet.
-    ///
-    /// `O(1)`: the engine maintains the completed-duration aggregates
-    /// incrementally as tasks finish, so nothing is rescanned per wakeup.
-    fn estimate_t_new(job: &JobState, phase: Phase) -> f64 {
-        job.mean_completed_duration(phase)
-            .unwrap_or_else(|| job.spec().stats(phase).mean)
-    }
-
     /// Collects duplicate launches for running stragglers of one job and
     /// returns whether any running task is past the threshold (a candidate
     /// or not yet: too young, or at its copy cap).
     ///
-    /// Incremental detection: the engine keys every running task by its
-    /// earliest predicted finish slot ([`JobState::running_by_finish`]), and
-    /// `t_rem(now) = finish − now`, so the straggler condition
-    /// `t_rem > threshold · t_new` selects exactly the tail of that order.
-    /// One `partition_point` per phase finds the cutoff and the scan touches
-    /// only the tasks currently judged stragglers — `O(log running +
-    /// stragglers)` per job instead of re-deriving `t_rem` for every running
-    /// task on every detection wakeup.
+    /// Incremental detection: [`straggler_tail`] finds the tasks past the
+    /// threshold, so the scan touches only the tasks currently judged
+    /// stragglers — `O(log running + stragglers)` per job.
     fn straggler_candidates(
-        &self,
         job: &JobState,
         copies: &mapreduce_sim::CopyArena,
         now: Slot,
@@ -199,23 +127,16 @@ impl Mantri {
     ) -> bool {
         let mut past_threshold = false;
         for phase in [Phase::Map, Phase::Reduce] {
-            let entries = job.running_by_finish(phase);
-            if entries.is_empty() {
-                continue;
-            }
-            let t_new = Self::estimate_t_new(job, phase);
-            let start = entries.partition_point(|&(finish, _)| {
-                finish.saturating_sub(now) as f64 <= self.config.threshold_factor * t_new
-            });
-            past_threshold |= start < entries.len();
-            for &(finish, index) in &entries[start..] {
+            let tail = straggler_tail(job, phase, THRESHOLD_FACTOR, now);
+            past_threshold |= !tail.is_empty();
+            for &(finish, index) in tail {
                 let Some(task) = job.task(phase, index) else {
                     continue;
                 };
-                if task.active_copies() >= self.config.max_copies_per_task {
+                if task.active_copies() >= MAX_COPIES_PER_TASK {
                     continue;
                 }
-                if task.oldest_active_elapsed(copies, now) < self.config.min_elapsed_for_detection {
+                if task.oldest_active_elapsed(copies, now) < MIN_ELAPSED_FOR_DETECTION {
                     continue;
                 }
                 candidates.push((
@@ -253,7 +174,7 @@ impl Mantri {
             if !self.may_straggle.get(idx) {
                 continue;
             }
-            if !self.straggler_candidates(job, state.copies(), state.now(), &mut candidates) {
+            if !Self::straggler_candidates(job, state.copies(), state.now(), &mut candidates) {
                 self.may_straggle.clear(idx);
             }
         }
@@ -281,7 +202,7 @@ impl Scheduler for Mantri {
     }
 
     fn wakeup_interval(&self) -> Option<Slot> {
-        Some(self.config.detection_interval)
+        Some(DETECTION_INTERVAL)
     }
 
     fn index_demands(&self) -> IndexDemands {
@@ -437,26 +358,5 @@ mod tests {
             .unwrap();
         // Cap is 2 copies per task.
         assert!(outcome.total_copies <= 2);
-    }
-
-    #[test]
-    fn config_validation() {
-        assert!(std::panic::catch_unwind(|| {
-            Mantri::with_config(MantriConfig {
-                threshold_factor: 0.0,
-                ..MantriConfig::default()
-            })
-        })
-        .is_err());
-        assert!(std::panic::catch_unwind(|| {
-            Mantri::with_config(MantriConfig {
-                max_copies_per_task: 1,
-                ..MantriConfig::default()
-            })
-        })
-        .is_err());
-        assert_eq!(Mantri::new().config().threshold_factor, 2.0);
-        assert_eq!(Mantri::new().name(), "mantri");
-        assert_eq!(Mantri::default().wakeup_interval(), Some(5));
     }
 }

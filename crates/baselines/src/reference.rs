@@ -14,12 +14,13 @@
 //!
 //! Do not "improve" this module; its value is that it does not change. (The
 //! only edits since freezing are mechanical: the copy-storage refactor moved
-//! the per-copy task queries behind a `&CopyArena` parameter. The decision
-//! logic is untouched.)
+//! the per-copy task queries behind a `&CopyArena` parameter, and the
+//! parameters once read from per-scheduler config structs are now read from
+//! the module constants of the optimized schedulers and of
+//! [`crate::detection`]. The decision logic is untouched.)
 
-use crate::late::LateConfig;
-use crate::mantri::MantriConfig;
-use crate::sca::ScaConfig;
+use crate::detection::{DETECTION_INTERVAL, MIN_ELAPSED_FOR_DETECTION};
+use crate::{late, mantri, restart, sca};
 use mapreduce_sim::{
     Action, ClusterState, CopyArena, JobState, ParetoSpeedup, Scheduler, Slot, SpeedupFunction,
     TaskState, TaskStatus,
@@ -188,21 +189,15 @@ impl Scheduler for ReferenceFifo {
 
 /// Pre-optimization Mantri: per wakeup, re-derives `t_new` by scanning every
 /// task of every phase and re-examines every running task of every alive job.
-#[derive(Debug, Clone)]
+#[derive(Debug, Default, Clone)]
 pub struct ReferenceMantri {
-    config: MantriConfig,
+    _private: (),
 }
 
 impl ReferenceMantri {
-    /// Creates reference Mantri with the published default parameters.
+    /// Creates reference Mantri with the published parameters.
     pub fn new() -> Self {
-        Self::with_config(MantriConfig::default())
-    }
-
-    /// Creates reference Mantri with a custom configuration.
-    pub fn with_config(config: MantriConfig) -> Self {
-        config.validate();
-        ReferenceMantri { config }
+        ReferenceMantri::default()
     }
 
     fn estimate_t_new(job: &JobState, phase: Phase) -> f64 {
@@ -248,22 +243,16 @@ impl ReferenceMantri {
     }
 
     fn is_straggler(&self, task: &TaskState, copies: &CopyArena, t_new: f64, now: Slot) -> bool {
-        if task.active_copies() >= self.config.max_copies_per_task {
+        if task.active_copies() >= mantri::MAX_COPIES_PER_TASK {
             return false;
         }
-        if task.oldest_active_elapsed(copies, now) < self.config.min_elapsed_for_detection {
+        if task.oldest_active_elapsed(copies, now) < MIN_ELAPSED_FOR_DETECTION {
             return false;
         }
         let Some(t_rem) = task.min_remaining(copies, now) else {
             return false;
         };
-        t_rem as f64 > self.config.threshold_factor * t_new
-    }
-}
-
-impl Default for ReferenceMantri {
-    fn default() -> Self {
-        ReferenceMantri::new()
+        t_rem as f64 > mantri::THRESHOLD_FACTOR * t_new
     }
 }
 
@@ -273,7 +262,7 @@ impl Scheduler for ReferenceMantri {
     }
 
     fn wakeup_interval(&self) -> Option<Slot> {
-        Some(self.config.detection_interval)
+        Some(DETECTION_INTERVAL)
     }
 
     fn schedule(&mut self, state: &ClusterState<'_>) -> Vec<Action> {
@@ -303,27 +292,15 @@ impl Scheduler for ReferenceMantri {
 
 /// Pre-optimization LATE: re-examines every running task of every alive job
 /// per wakeup, with `partial_cmp(..).unwrap_or(Equal)` sorts.
-#[derive(Debug, Clone)]
+#[derive(Debug, Default, Clone)]
 pub struct ReferenceLate {
-    config: LateConfig,
+    _private: (),
 }
 
 impl ReferenceLate {
-    /// Creates reference LATE with its published default thresholds.
+    /// Creates reference LATE with its published thresholds.
     pub fn new() -> Self {
-        Self::with_config(LateConfig::default())
-    }
-
-    /// Creates reference LATE with a custom configuration.
-    pub fn with_config(config: LateConfig) -> Self {
-        config.validate();
-        ReferenceLate { config }
-    }
-}
-
-impl Default for ReferenceLate {
-    fn default() -> Self {
-        ReferenceLate::new()
+        ReferenceLate::default()
     }
 }
 
@@ -333,7 +310,7 @@ impl Scheduler for ReferenceLate {
     }
 
     fn wakeup_interval(&self) -> Option<Slot> {
-        Some(self.config.detection_interval)
+        Some(DETECTION_INTERVAL)
     }
 
     fn schedule(&mut self, state: &ClusterState<'_>) -> Vec<Action> {
@@ -361,7 +338,7 @@ impl Scheduler for ReferenceLate {
                         continue;
                     }
                     let elapsed = task.oldest_active_elapsed(copies, now);
-                    if elapsed < self.config.min_elapsed_for_detection {
+                    if elapsed < MIN_ELAPSED_FOR_DETECTION {
                         continue;
                     }
                     let progress = task.best_progress(copies, now);
@@ -388,13 +365,12 @@ impl Scheduler for ReferenceLate {
 
         let mut rates: Vec<f64> = candidates.iter().map(|(rate, _, _)| *rate).collect();
         rates.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let idx = ((rates.len() as f64 * self.config.slow_task_quantile).ceil() as usize)
+        let idx = ((rates.len() as f64 * late::SLOW_TASK_QUANTILE).ceil() as usize)
             .clamp(1, rates.len())
             - 1;
         let threshold = rates[idx];
 
-        let cap =
-            ((state.total_machines() as f64 * self.config.speculative_cap).floor() as usize).max(1);
+        let cap = ((state.total_machines() as f64 * late::SPECULATIVE_CAP).floor() as usize).max(1);
         let allowance = cap.saturating_sub(speculative_running).min(budget);
 
         let mut eligible: Vec<(f64, Action)> = candidates
@@ -417,25 +393,15 @@ impl Scheduler for ReferenceLate {
 /// [`crate::Restart`] against this implementation bit-for-bit, which gives
 /// the engine's cancellation path (stale finish events, scratch-buffer
 /// cancellation, running-finish re-keying) adversarial randomized coverage.
-#[derive(Debug, Clone)]
+#[derive(Debug, Default, Clone)]
 pub struct ReferenceRestart {
-    config: crate::restart::RestartConfig,
     restarts: std::collections::HashMap<mapreduce_workload::TaskId, u32>,
 }
 
 impl ReferenceRestart {
-    /// Creates the reference with default parameters.
+    /// Creates the reference with the fixed parameters.
     pub fn new() -> Self {
-        Self::with_config(crate::restart::RestartConfig::default())
-    }
-
-    /// Creates the reference with a custom configuration.
-    pub fn with_config(config: crate::restart::RestartConfig) -> Self {
-        config.validate();
-        ReferenceRestart {
-            config,
-            restarts: std::collections::HashMap::new(),
-        }
+        ReferenceRestart::default()
     }
 
     fn estimate_t_new(job: &JobState, phase: Phase) -> f64 {
@@ -455,19 +421,13 @@ impl ReferenceRestart {
     }
 }
 
-impl Default for ReferenceRestart {
-    fn default() -> Self {
-        ReferenceRestart::new()
-    }
-}
-
 impl Scheduler for ReferenceRestart {
     fn name(&self) -> &str {
         "restart"
     }
 
     fn wakeup_interval(&self) -> Option<Slot> {
-        Some(self.config.detection_interval)
+        Some(DETECTION_INTERVAL)
     }
 
     fn schedule(&mut self, state: &ClusterState<'_>) -> Vec<Action> {
@@ -481,20 +441,18 @@ impl Scheduler for ReferenceRestart {
             for phase in [Phase::Map, Phase::Reduce] {
                 let t_new = Self::estimate_t_new(job, phase);
                 for task in scan_running(job, phase) {
-                    if task.oldest_active_elapsed(copies, now)
-                        < self.config.min_elapsed_for_detection
-                    {
+                    if task.oldest_active_elapsed(copies, now) < MIN_ELAPSED_FOR_DETECTION {
                         continue;
                     }
                     let Some(t_rem) = task.min_remaining(copies, now) else {
                         continue;
                     };
-                    if t_rem as f64 <= self.config.threshold_factor * t_new {
+                    if t_rem as f64 <= restart::THRESHOLD_FACTOR * t_new {
                         continue;
                     }
                     let id = task.id();
                     if self.restarts.get(&id).copied().unwrap_or(0)
-                        >= self.config.max_restarts_per_task
+                        >= restart::MAX_RESTARTS_PER_TASK
                     {
                         continue;
                     }
@@ -516,22 +474,14 @@ impl Scheduler for ReferenceRestart {
 /// full scan.
 #[derive(Debug, Clone)]
 pub struct ReferenceSca {
-    config: ScaConfig,
     speedup: ParetoSpeedup,
 }
 
 impl ReferenceSca {
-    /// Creates reference SCA with default parameters.
+    /// Creates reference SCA with the fixed parameters.
     pub fn new() -> Self {
-        Self::with_config(ScaConfig::default())
-    }
-
-    /// Creates reference SCA with a custom configuration.
-    pub fn with_config(config: ScaConfig) -> Self {
-        config.validate();
         ReferenceSca {
-            speedup: ParetoSpeedup::new(config.speedup_alpha),
-            config,
+            speedup: ParetoSpeedup::new(sca::SPEEDUP_ALPHA),
         }
     }
 
@@ -572,10 +522,10 @@ impl Scheduler for ReferenceSca {
             .collect();
         jobs.sort_by(|a, b| {
             let pa = a.weight()
-                / a.remaining_effective_workload(self.config.r)
+                / a.remaining_effective_workload(sca::PRIORITY_R)
                     .max(f64::MIN_POSITIVE);
             let pb = b.weight()
-                / b.remaining_effective_workload(self.config.r)
+                / b.remaining_effective_workload(sca::PRIORITY_R)
                     .max(f64::MIN_POSITIVE);
             pb.partial_cmp(&pa)
                 .unwrap_or(std::cmp::Ordering::Equal)
@@ -616,7 +566,7 @@ impl Scheduler for ReferenceSca {
             }
             let mut best: Option<(f64, usize)> = None;
             for (idx, alloc) in allocations.iter().enumerate() {
-                if alloc.copies_per_task >= self.config.max_copies_per_task {
+                if alloc.copies_per_task >= sca::MAX_COPIES_PER_TASK {
                     continue;
                 }
                 let cost = alloc.tasks.len();

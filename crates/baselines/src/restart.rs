@@ -17,61 +17,24 @@
 //! suite, which pins [`Restart`] against the scan-based
 //! [`crate::reference::ReferenceRestart`] bit-for-bit.
 
+use crate::detection::{straggler_tail, DETECTION_INTERVAL, MIN_ELAPSED_FOR_DETECTION};
 use crate::fair::{fair_fill_alive_into, FairFillScratch};
 use mapreduce_sim::{Action, ClusterState, IndexDemands, JobState, Scheduler, Slot};
 use mapreduce_workload::{Phase, TaskId};
 use std::collections::HashMap;
 
-/// Configuration of the [`Restart`] baseline.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RestartConfig {
-    /// A task is killed and relaunched when `t_rem > threshold_factor ·
-    /// t_new`. Restarting forfeits progress, so the default is more
-    /// conservative than Mantri's duplicate threshold.
-    pub threshold_factor: f64,
-    /// Minimum elapsed running time (slots) before a task may be judged a
-    /// straggler.
-    pub min_elapsed_for_detection: Slot,
-    /// How often (in slots) the detector re-examines running tasks.
-    pub detection_interval: Slot,
-    /// Maximum restarts per task; prevents kill-loops on tasks whose every
-    /// draw is long (or whose job has no resampling distribution).
-    pub max_restarts_per_task: u32,
-}
+/// A task is killed and relaunched when `t_rem > THRESHOLD_FACTOR · t_new`.
+/// Restarting forfeits progress, so this is more conservative than Mantri's
+/// duplicate threshold.
+pub const THRESHOLD_FACTOR: f64 = 3.0;
 
-impl Default for RestartConfig {
-    fn default() -> Self {
-        RestartConfig {
-            threshold_factor: 3.0,
-            min_elapsed_for_detection: 30,
-            detection_interval: 5,
-            max_restarts_per_task: 3,
-        }
-    }
-}
-
-impl RestartConfig {
-    /// Validates the configuration.
-    ///
-    /// # Panics
-    /// Panics if the threshold is not positive or the detection interval is
-    /// zero.
-    pub fn validate(&self) {
-        assert!(
-            self.threshold_factor > 0.0,
-            "threshold factor must be positive"
-        );
-        assert!(
-            self.detection_interval >= 1,
-            "detection interval must be >= 1"
-        );
-    }
-}
+/// Maximum restarts per task; prevents kill-loops on tasks whose every draw
+/// is long (or whose job has no resampling distribution).
+pub const MAX_RESTARTS_PER_TASK: u32 = 3;
 
 /// The kill-and-restart baseline.
 #[derive(Debug, Clone)]
 pub struct Restart {
-    config: RestartConfig,
     /// Restarts issued per task so far.
     restarts: HashMap<TaskId, u32>,
     /// Pooled fair-fill buffers (the detector wakes every few slots).
@@ -81,36 +44,13 @@ pub struct Restart {
 }
 
 impl Restart {
-    /// Creates the scheduler with default parameters.
+    /// Creates the scheduler with its fixed parameters.
     pub fn new() -> Self {
-        Self::with_config(RestartConfig::default())
-    }
-
-    /// Creates the scheduler with a custom configuration.
-    ///
-    /// # Panics
-    /// Panics if the configuration is invalid.
-    pub fn with_config(config: RestartConfig) -> Self {
-        config.validate();
         Restart {
-            config,
             restarts: HashMap::new(),
             fill_scratch: FairFillScratch::default(),
             candidates: Vec::new(),
         }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &RestartConfig {
-        &self.config
-    }
-
-    /// `t_new` estimate, identical to Mantri's: mean completed duration of
-    /// the phase, phase a-priori mean before anything completed. `O(1)` via
-    /// the engine aggregates.
-    fn estimate_t_new(job: &JobState, phase: Phase) -> f64 {
-        job.mean_completed_duration(phase)
-            .unwrap_or_else(|| job.spec().stats(phase).mean)
     }
 
     /// Collects `(t_rem, task)` restart candidates of one job from the tail
@@ -123,24 +63,15 @@ impl Restart {
         candidates: &mut Vec<(Slot, TaskId)>,
     ) {
         for phase in [Phase::Map, Phase::Reduce] {
-            let entries = job.running_by_finish(phase);
-            if entries.is_empty() {
-                continue;
-            }
-            let t_new = Self::estimate_t_new(job, phase);
-            let start = entries.partition_point(|&(finish, _)| {
-                finish.saturating_sub(now) as f64 <= self.config.threshold_factor * t_new
-            });
-            for &(finish, index) in &entries[start..] {
+            for &(finish, index) in straggler_tail(job, phase, THRESHOLD_FACTOR, now) {
                 let Some(task) = job.task(phase, index) else {
                     continue;
                 };
-                if task.oldest_active_elapsed(copies, now) < self.config.min_elapsed_for_detection {
+                if task.oldest_active_elapsed(copies, now) < MIN_ELAPSED_FOR_DETECTION {
                     continue;
                 }
                 let id = task.id();
-                if self.restarts.get(&id).copied().unwrap_or(0) >= self.config.max_restarts_per_task
-                {
+                if self.restarts.get(&id).copied().unwrap_or(0) >= MAX_RESTARTS_PER_TASK {
                     continue;
                 }
                 candidates.push((finish - now, id));
@@ -161,7 +92,7 @@ impl Scheduler for Restart {
     }
 
     fn wakeup_interval(&self) -> Option<Slot> {
-        Some(self.config.detection_interval)
+        Some(DETECTION_INTERVAL)
     }
 
     fn index_demands(&self) -> IndexDemands {
@@ -265,30 +196,9 @@ mod tests {
             .run(&mut Restart::new())
             .unwrap();
         let record = outcome.record(JobId::new(0)).unwrap();
-        // Original + at most max_restarts_per_task relaunches.
+        // Original + at most MAX_RESTARTS_PER_TASK relaunches.
         assert!(record.copies_launched <= 1 + 3);
         // The final attempt ran its full 500 slots.
         assert!(record.completion >= 500);
-    }
-
-    #[test]
-    fn config_validation() {
-        assert!(std::panic::catch_unwind(|| {
-            Restart::with_config(RestartConfig {
-                threshold_factor: 0.0,
-                ..RestartConfig::default()
-            })
-        })
-        .is_err());
-        assert!(std::panic::catch_unwind(|| {
-            Restart::with_config(RestartConfig {
-                detection_interval: 0,
-                ..RestartConfig::default()
-            })
-        })
-        .is_err());
-        assert_eq!(Restart::new().name(), "restart");
-        assert_eq!(Restart::default().wakeup_interval(), Some(5));
-        assert!(Restart::new().index_demands().finish_index);
     }
 }

@@ -24,42 +24,15 @@
 use mapreduce_sim::{Action, ClusterState, ParetoSpeedup, Scheduler, SpeedupFunction};
 use mapreduce_workload::{Phase, TaskId};
 
-/// Configuration of the [`Sca`] baseline.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScaConfig {
-    /// Pessimism factor applied to the effective workload when ordering jobs.
-    pub r: f64,
-    /// Pareto shape parameter of the speedup model `s(x)` used inside the
-    /// (greedy) convex program.
-    pub speedup_alpha: f64,
-    /// Maximum number of copies per task the program may assign.
-    pub max_copies_per_task: usize,
-}
+/// Pessimism factor `r` applied to the effective workload when ordering jobs.
+pub const PRIORITY_R: f64 = 0.0;
 
-impl Default for ScaConfig {
-    fn default() -> Self {
-        ScaConfig {
-            r: 0.0,
-            speedup_alpha: 2.0,
-            max_copies_per_task: 8,
-        }
-    }
-}
+/// Pareto shape `α` of the speedup model `s(x)` used inside the (greedy)
+/// convex program.
+pub const SPEEDUP_ALPHA: f64 = 2.0;
 
-impl ScaConfig {
-    /// Validates the configuration.
-    ///
-    /// # Panics
-    /// Panics if `r` is negative, `speedup_alpha ≤ 1`, or the copy cap is 0.
-    pub fn validate(&self) {
-        assert!(
-            self.r >= 0.0 && self.r.is_finite(),
-            "r must be non-negative"
-        );
-        assert!(self.speedup_alpha > 1.0, "speedup alpha must exceed 1");
-        assert!(self.max_copies_per_task >= 1, "copy cap must be at least 1");
-    }
-}
+/// Maximum number of copies per task the program may assign.
+pub const MAX_COPIES_PER_TASK: usize = 8;
 
 /// The Smart Cloning Algorithm baseline.
 ///
@@ -68,34 +41,18 @@ impl ScaConfig {
 /// lasts; nothing is collected or sorted per decision.
 #[derive(Debug, Clone)]
 pub struct Sca {
-    config: ScaConfig,
     speedup: ParetoSpeedup,
     /// Pooled per-decision allocation buffer.
     allocations: Vec<Allocation>,
 }
 
 impl Sca {
-    /// Creates SCA with default parameters.
+    /// Creates SCA with its fixed parameters.
     pub fn new() -> Self {
-        Self::with_config(ScaConfig::default())
-    }
-
-    /// Creates SCA with a custom configuration.
-    ///
-    /// # Panics
-    /// Panics if the configuration is invalid.
-    pub fn with_config(config: ScaConfig) -> Self {
-        config.validate();
         Sca {
-            speedup: ParetoSpeedup::new(config.speedup_alpha),
-            config,
+            speedup: ParetoSpeedup::new(SPEEDUP_ALPHA),
             allocations: Vec::new(),
         }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &ScaConfig {
-        &self.config
     }
 
     /// The marginal reduction in expected weighted phase duration obtained by
@@ -131,7 +88,7 @@ impl Scheduler for Sca {
     }
 
     fn priority_r(&self) -> Option<f64> {
-        Some(self.config.r)
+        Some(PRIORITY_R)
     }
 
     fn schedule(&mut self, state: &ClusterState<'_>) -> Vec<Action> {
@@ -187,7 +144,7 @@ impl Scheduler for Sca {
             }
             let mut best: Option<(f64, usize)> = None;
             for (idx, alloc) in allocations.iter().enumerate() {
-                if alloc.copies_per_task >= self.config.max_copies_per_task {
+                if alloc.copies_per_task >= MAX_COPIES_PER_TASK {
                     continue;
                 }
                 let cost = alloc.tasks;
@@ -297,21 +254,5 @@ mod tests {
         let g3 = sca.marginal_gain(1.0, 100.0, 3);
         assert!(g1 > g2 && g2 > g3);
         assert!(g3 > 0.0);
-    }
-
-    #[test]
-    fn config_validation() {
-        assert!(std::panic::catch_unwind(|| Sca::with_config(ScaConfig {
-            speedup_alpha: 1.0,
-            ..ScaConfig::default()
-        }))
-        .is_err());
-        assert!(std::panic::catch_unwind(|| Sca::with_config(ScaConfig {
-            r: -1.0,
-            ..ScaConfig::default()
-        }))
-        .is_err());
-        assert_eq!(Sca::new().name(), "sca");
-        assert_eq!(Sca::default().config().max_copies_per_task, 8);
     }
 }

@@ -13,10 +13,10 @@ use mapreduce_experiments::{Scenario, SchedulerKind};
 use mapreduce_metrics::QuantileSketch;
 use mapreduce_sim::{Scheduler, SimConfig, SimOutcome, Simulation};
 use mapreduce_support::criterion::{BenchResult, BenchmarkId, Criterion};
+use mapreduce_support::fs::write_atomically;
 use mapreduce_support::json::{JsonValue, ToJson};
 use mapreduce_workload::Trace;
 use std::collections::HashMap;
-use std::io::Write;
 use std::path::Path;
 
 pub mod timed;
@@ -469,23 +469,6 @@ fn read_entries(path: &Path) -> Result<Vec<JsonValue>, String> {
         Some(list) => Ok(list.to_vec()),
         None => Err("no `benchmarks` array at the top level".to_string()),
     }
-}
-
-/// Replaces `path` atomically: the content is written to a sibling
-/// temporary file, synced, and renamed over the target, so an interrupted
-/// write leaves either the old report or the complete new one.
-fn write_atomically(path: &Path, content: &str) -> std::io::Result<()> {
-    let mut tmp = path.as_os_str().to_os_string();
-    tmp.push(".tmp");
-    let tmp = std::path::PathBuf::from(tmp);
-    {
-        let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(content.as_bytes())?;
-        file.sync_all()?;
-    }
-    std::fs::rename(&tmp, path).inspect_err(|_| {
-        let _ = std::fs::remove_file(&tmp);
-    })
 }
 
 #[cfg(test)]

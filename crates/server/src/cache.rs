@@ -17,17 +17,21 @@
 //! keeps the latest, and [`ResultCache::compact`] rewrites the file to one
 //! line per live entry (dropping duplicates, corrupt lines and evicted
 //! entries) — atomically, via a synced temporary file renamed over the
-//! store, so a crash mid-compaction never truncates the cache. Deleting
-//! the cache file is always safe: it only ever holds recomputable results.
+//! store, so a crash mid-compaction never truncates the cache. A store
+//! compacts on its own once the dead lines outnumber the live entries, so
+//! a long-running service keeps the file within about twice its live size.
+//! Deleting the cache file is always safe: it only ever holds recomputable
+//! results.
 //!
 //! # Eviction
 //!
 //! An optional [`ResultCache::with_max_entries`] cap bounds the in-memory
 //! index, evicting the oldest-inserted entries first. Evicted entries stay
-//! on disk until the next `compact`, but are treated as misses.
+//! on disk until the next compaction, but are treated as misses.
 
 use mapreduce_experiments::cache::{CacheStats, OutcomeCache, StatsCounters};
 use mapreduce_sim::SimOutcome;
+use mapreduce_support::fs::write_atomically;
 use mapreduce_support::hash::Fingerprint;
 use mapreduce_support::json::{FromJson, JsonValue, ToJson};
 use std::collections::{HashMap, VecDeque};
@@ -45,6 +49,9 @@ struct CacheInner {
     order: VecDeque<Fingerprint>,
     /// Append handle of the backing file (`None` for in-memory caches).
     file: Option<File>,
+    /// Entry lines in the backing file: the live entries plus dead ones
+    /// (superseded re-stores, lines skipped at open, evicted entries).
+    disk_lines: usize,
     /// Entries evicted over the lifetime of this handle.
     evicted: u64,
 }
@@ -71,29 +78,6 @@ fn entry_line(fingerprint: Fingerprint, outcome: &SimOutcome) -> String {
     .to_compact_string()
 }
 
-/// Replaces `path` atomically: the content is written to a sibling
-/// temporary file, synced, and renamed over the target. A crash at any
-/// point leaves either the old file or the complete new one.
-fn write_atomically(path: &Path, content: &str) -> std::io::Result<()> {
-    let mut tmp = path.as_os_str().to_os_string();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    {
-        let mut file = File::create(&tmp)?;
-        file.write_all(content.as_bytes())?;
-        file.sync_all()?;
-    }
-    match std::fs::rename(&tmp, path) {
-        Ok(()) => Ok(()),
-        Err(e) => {
-            // The store still holds its pre-rewrite content; don't leave
-            // the orphaned temp file behind.
-            let _ = std::fs::remove_file(&tmp);
-            Err(e)
-        }
-    }
-}
-
 /// Parses one store line; `None` for anything malformed.
 fn parse_line(line: &str) -> Option<(Fingerprint, SimOutcome)> {
     let value = JsonValue::parse(line).ok()?;
@@ -113,6 +97,7 @@ impl ResultCache {
                 index: HashMap::new(),
                 order: VecDeque::new(),
                 file: None,
+                disk_lines: 0,
                 evicted: 0,
             }),
             path: None,
@@ -139,6 +124,7 @@ impl ResultCache {
         let mut index = HashMap::new();
         let mut order = VecDeque::new();
         let mut skipped = 0usize;
+        let mut disk_lines = 0usize;
         if path.exists() {
             let reader = BufReader::new(File::open(&path)?);
             for line in reader.lines() {
@@ -146,6 +132,7 @@ impl ResultCache {
                 if line.trim().is_empty() {
                     continue;
                 }
+                disk_lines += 1;
                 match parse_line(&line) {
                     Some((fingerprint, outcome)) => {
                         // Later lines win (append-only updates).
@@ -163,6 +150,7 @@ impl ResultCache {
                 index,
                 order,
                 file: Some(file),
+                disk_lines,
                 evicted: 0,
             }),
             path: Some(path),
@@ -229,7 +217,8 @@ impl ResultCache {
     /// Rewrites the backing file to exactly the live index (one line per
     /// entry, insertion order): drops duplicate lines from re-stores,
     /// corrupt lines, and entries evicted by the capacity cap. A no-op for
-    /// in-memory caches.
+    /// in-memory caches. [`store`] calls it on its own once the dead lines
+    /// outnumber the live entries.
     ///
     /// The rewrite is **atomic**: the new content goes to a sibling
     /// temporary file (synced to disk) and replaces the store via
@@ -241,24 +230,33 @@ impl ResultCache {
     /// [`store`]: OutcomeCache::store
     ///
     /// # Errors
-    /// Returns an error if the file cannot be rewritten.
+    /// Returns an error if the file cannot be rewritten. The store then
+    /// keeps its old content and later stores still append to it.
     pub fn compact(&self) -> std::io::Result<()> {
         let Some(path) = &self.path else {
             return Ok(());
         };
-        let mut inner = self.inner.lock().expect("cache poisoned");
+        Self::rewrite(path, &mut self.inner.lock().expect("cache poisoned"))
+    }
+
+    fn rewrite(path: &Path, inner: &mut CacheInner) -> std::io::Result<()> {
         let mut text = String::new();
+        let mut lines = 0;
         for fingerprint in &inner.order {
             if let Some(outcome) = inner.index.get(fingerprint) {
                 text.push_str(&entry_line(*fingerprint, outcome));
                 text.push('\n');
+                lines += 1;
             }
         }
         // Close the old append handle before the rename so no further
-        // appends land in the file being replaced.
+        // appends land in the file being replaced, then reopen whichever
+        // file the rewrite left at `path`.
         inner.file = None;
-        write_atomically(path, &text)?;
+        let written = write_atomically(path, &text);
         inner.file = Some(OpenOptions::new().append(true).open(path)?);
+        written?;
+        inner.disk_lines = lines;
         Ok(())
     }
 }
@@ -285,11 +283,20 @@ impl OutcomeCache for ResultCache {
             if let Err(e) = writeln!(file, "{line}").and_then(|()| file.flush()) {
                 eprintln!("result cache: could not append entry: {e}");
             }
+            inner.disk_lines += 1;
         }
         if inner.index.insert(fingerprint, outcome.clone()).is_none() {
             inner.order.push_back(fingerprint);
         }
         Self::evict_over(&mut inner, self.max_entries);
+        if let Some(path) = &self.path {
+            // Dead lines (`disk_lines - live`) outnumber the live ones.
+            if inner.disk_lines > 2 * inner.index.len() {
+                if let Err(e) = Self::rewrite(path, &mut inner) {
+                    eprintln!("result cache: could not compact: {e}");
+                }
+            }
+        }
         self.stats.note_store();
     }
 
@@ -465,6 +472,37 @@ mod tests {
         let reopened = ResultCache::open(&path).unwrap();
         assert_eq!(reopened.skipped_lines(), 0);
         assert_eq!(reopened.len(), 16);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn restores_compact_on_their_own() {
+        // A long-running service re-stores the same cells over and over;
+        // without compaction every re-store would grow the file by a line.
+        let path = temp_path("autocompact");
+        let _ = std::fs::remove_file(&path);
+        let fps: Vec<Fingerprint> = (0..5)
+            .map(|i| Fingerprint::of_bytes(format!("cell-{i}").as_bytes()))
+            .collect();
+        let cache = ResultCache::open(&path).unwrap();
+        for round in 0..40u64 {
+            for (i, fp) in fps.iter().enumerate() {
+                cache.store(*fp, &outcome("x", round * 10 + i as u64));
+                let lines = std::fs::read_to_string(&path).unwrap().lines().count();
+                assert!(
+                    lines <= 2 * cache.len() + 1,
+                    "{lines} lines for {} live entries",
+                    cache.len()
+                );
+            }
+        }
+        let reopened = ResultCache::open(&path).unwrap();
+        assert_eq!(reopened.skipped_lines(), 0);
+        assert_eq!(reopened.len(), fps.len());
+        for (i, fp) in fps.iter().enumerate() {
+            assert_eq!(reopened.lookup(*fp), cache.lookup(*fp));
+            assert_eq!(reopened.lookup(*fp), Some(outcome("x", 390 + i as u64)));
+        }
         let _ = std::fs::remove_file(&path);
     }
 

@@ -10,6 +10,9 @@
 //! * [`json`] — a JSON value tree, parser and writer with hand-written
 //!   [`json::ToJson`]/[`json::FromJson`] traits (stands in for
 //!   `serde`/`serde_json`).
+//! * [`fs`] — crash-safe file replacement (write a synced temporary file,
+//!   rename it over the target), shared by the bench report writer and the
+//!   experiment service's cache compaction.
 //! * [`hash`] — an FNV-1a 128-bit content hasher and the
 //!   [`hash::Fingerprint`] type the experiment service's result cache is
 //!   keyed by (stands in for `sha2`/`siphasher`-style crates).
@@ -28,6 +31,7 @@
 #![warn(missing_docs)]
 
 pub mod criterion;
+pub mod fs;
 pub mod hash;
 pub mod json;
 pub mod parallel;

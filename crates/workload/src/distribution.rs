@@ -157,32 +157,6 @@ impl DurationDistribution {
         })
     }
 
-    /// Fits a distribution to a target mean and standard deviation, choosing
-    /// the family by the coefficient of variation: deterministic for zero σ,
-    /// truncated normal for CV ≤ 0.3, log-normal otherwise.
-    ///
-    /// # Errors
-    /// Returns an error if `mean <= 0` or `std_dev < 0`.
-    pub fn fit(mean: f64, std_dev: f64) -> Result<Self, DistributionError> {
-        if mean.is_nan() || mean <= 0.0 {
-            return Err(DistributionError::new("mean must be positive"));
-        }
-        if std_dev < 0.0 {
-            return Err(DistributionError::new("std_dev must be non-negative"));
-        }
-        if std_dev == 0.0 {
-            Ok(DurationDistribution::Deterministic { value: mean })
-        } else if std_dev / mean <= 0.3 {
-            Ok(DurationDistribution::TruncatedNormal {
-                mean,
-                std_dev,
-                min: (mean - 4.0 * std_dev).max(mean * 0.01),
-            })
-        } else {
-            Self::lognormal_from_moments(mean, std_dev)
-        }
-    }
-
     /// The mean of the distribution (the `E^c_i` the scheduler observes).
     pub fn mean(&self) -> f64 {
         match *self {
@@ -296,63 +270,6 @@ impl DurationDistribution {
     /// Draws `n` samples into a fresh vector.
     pub fn sample_n<R: Rng + ?Sized>(&self, rng: &mut R, n: usize) -> Vec<f64> {
         (0..n).map(|_| self.sample(rng)).collect()
-    }
-
-    /// The coefficient of variation `σ / E`, a convenient measure of how
-    /// straggler-prone the workload is.
-    pub fn coefficient_of_variation(&self) -> f64 {
-        let m = self.mean();
-        if m > 0.0 {
-            self.std_dev() / m
-        } else {
-            0.0
-        }
-    }
-
-    /// Returns a copy of this distribution rescaled so its mean becomes
-    /// `new_mean` (shape/CV preserved where the family allows it).
-    pub fn with_mean(&self, new_mean: f64) -> Self {
-        let old_mean = self.mean();
-        let ratio = if old_mean > 0.0 && old_mean.is_finite() {
-            new_mean / old_mean
-        } else {
-            1.0
-        };
-        match *self {
-            DurationDistribution::Deterministic { .. } => {
-                DurationDistribution::Deterministic { value: new_mean }
-            }
-            DurationDistribution::Uniform { min, max } => DurationDistribution::Uniform {
-                min: min * ratio,
-                max: max * ratio,
-            },
-            DurationDistribution::Exponential { .. } => {
-                DurationDistribution::Exponential { mean: new_mean }
-            }
-            DurationDistribution::Pareto { scale, shape } => DurationDistribution::Pareto {
-                scale: scale * ratio,
-                shape,
-            },
-            DurationDistribution::BoundedPareto { scale, shape, max } => {
-                DurationDistribution::BoundedPareto {
-                    scale: scale * ratio,
-                    shape,
-                    max: max * ratio,
-                }
-            }
-            DurationDistribution::LogNormal { mu, sigma } => DurationDistribution::LogNormal {
-                mu: mu + ratio.ln(),
-                sigma,
-            },
-            DurationDistribution::TruncatedNormal { mean, std_dev, min } => {
-                let _ = mean;
-                DurationDistribution::TruncatedNormal {
-                    mean: new_mean,
-                    std_dev: std_dev * ratio,
-                    min: min * ratio,
-                }
-            }
-        }
     }
 }
 
@@ -531,24 +448,6 @@ mod tests {
     }
 
     #[test]
-    fn fit_selects_family_by_cv() {
-        assert!(matches!(
-            DurationDistribution::fit(10.0, 0.0).unwrap(),
-            DurationDistribution::Deterministic { .. }
-        ));
-        assert!(matches!(
-            DurationDistribution::fit(10.0, 1.0).unwrap(),
-            DurationDistribution::TruncatedNormal { .. }
-        ));
-        assert!(matches!(
-            DurationDistribution::fit(10.0, 20.0).unwrap(),
-            DurationDistribution::LogNormal { .. }
-        ));
-        assert!(DurationDistribution::fit(0.0, 1.0).is_err());
-        assert!(DurationDistribution::fit(1.0, -1.0).is_err());
-    }
-
-    #[test]
     fn exponential_moments() {
         let d = DurationDistribution::Exponential { mean: 30.0 };
         assert_eq!(d.mean(), 30.0);
@@ -614,19 +513,6 @@ mod tests {
         for _ in 0..5000 {
             assert!(d.sample(&mut r) >= 1.0);
         }
-    }
-
-    #[test]
-    fn with_mean_rescales() {
-        let base = DurationDistribution::pareto_from_mean(100.0, 2.2).unwrap();
-        let scaled = base.with_mean(250.0);
-        assert!((scaled.mean() - 250.0).abs() < 1e-6);
-        // CV preserved for Pareto
-        assert!((scaled.coefficient_of_variation() - base.coefficient_of_variation()).abs() < 1e-9);
-
-        let log = DurationDistribution::lognormal_from_moments(100.0, 150.0).unwrap();
-        let log2 = log.with_mean(40.0);
-        assert!((log2.mean() - 40.0).abs() < 1e-6);
     }
 
     #[test]

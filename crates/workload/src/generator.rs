@@ -80,7 +80,6 @@ pub struct WorkloadBuilder {
     map_duration: DurationDistribution,
     reduce_duration: DurationDistribution,
     weight_choices: Vec<f64>,
-    attach_distributions: bool,
 }
 
 impl WorkloadBuilder {
@@ -95,7 +94,6 @@ impl WorkloadBuilder {
             map_duration: DurationDistribution::Exponential { mean: 50.0 },
             reduce_duration: DurationDistribution::Exponential { mean: 80.0 },
             weight_choices: vec![1.0],
-            attach_distributions: true,
         }
     }
 
@@ -148,13 +146,6 @@ impl WorkloadBuilder {
         self
     }
 
-    /// Controls whether the generated jobs carry their sampling distribution
-    /// (needed for clone resampling in the simulator). Defaults to true.
-    pub fn attach_distributions(mut self, attach: bool) -> Self {
-        self.attach_distributions = attach;
-        self
-    }
-
     /// Generates the trace with the given seed. Deterministic per seed.
     pub fn build(&self, seed: u64) -> Trace {
         let mut rng = SimRng::seed_from_u64(seed);
@@ -176,20 +167,16 @@ impl WorkloadBuilder {
                 .map_stats(PhaseStats::new(
                     self.map_duration.mean(),
                     finite_or(self.map_duration.std_dev(), self.map_duration.mean()),
-                ));
-            if self.attach_distributions {
-                b = b.map_distribution(self.map_duration.clone());
-            }
+                ))
+                .map_distribution(self.map_duration.clone());
             if n_reduce > 0 {
                 b = b
                     .reduce_tasks_from_workloads(&reduce_workloads)
                     .reduce_stats(PhaseStats::new(
                         self.reduce_duration.mean(),
                         finite_or(self.reduce_duration.std_dev(), self.reduce_duration.mean()),
-                    ));
-                if self.attach_distributions {
-                    b = b.reduce_distribution(self.reduce_duration.clone());
-                }
+                    ))
+                    .reduce_distribution(self.reduce_duration.clone());
             }
             jobs.push(b.build());
         }
@@ -296,17 +283,6 @@ mod tests {
         for job in trace.iter() {
             assert!([1.0, 5.0, 12.0].contains(&job.weight));
         }
-    }
-
-    #[test]
-    fn attach_distributions_toggle() {
-        let with = WorkloadBuilder::new().num_jobs(3).build(8);
-        assert!(with.jobs()[0].map_distribution.is_some());
-        let without = WorkloadBuilder::new()
-            .num_jobs(3)
-            .attach_distributions(false)
-            .build(8);
-        assert!(without.jobs()[0].map_distribution.is_none());
     }
 
     #[test]
