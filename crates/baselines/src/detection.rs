@@ -60,3 +60,14 @@ pub(crate) fn straggler_tail(
     });
     &entries[start..]
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn detection_age_and_interval_are_pinned() {
+        assert_eq!(MIN_ELAPSED_FOR_DETECTION, 30);
+        assert_eq!(DETECTION_INTERVAL, 5);
+    }
+}

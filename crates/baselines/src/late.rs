@@ -174,6 +174,19 @@ mod tests {
         DurationDistribution, JobId, JobSpecBuilder, PhaseStats, Trace, WorkloadBuilder,
     };
 
+    /// LATE runs at its published parameters: the slowest quarter of tasks
+    /// are candidates and at most a tenth of the slots speculate, re-examined
+    /// every 5 slots without the running-by-finish order.
+    #[test]
+    fn config_validation() {
+        assert_eq!(SLOW_TASK_QUANTILE, 0.25);
+        assert_eq!(SPECULATIVE_CAP, 0.1);
+        let late = Late::default();
+        assert_eq!(late.name(), "late");
+        assert_eq!(late.wakeup_interval(), Some(5));
+        assert!(!late.index_demands().finish_index);
+    }
+
     #[test]
     fn completes_ordinary_workloads() {
         let trace = WorkloadBuilder::new()

@@ -56,70 +56,3 @@ pub use reference::{
 pub use restart::Restart;
 pub use sca::Sca;
 pub use srpt_noclone::SrptNoClone;
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use mapreduce_sim::{Scheduler, Slot};
-
-    #[test]
-    fn published_parameters_are_pinned() {
-        let factors = [
-            ("mantri::THRESHOLD_FACTOR", mantri::THRESHOLD_FACTOR, 2.0),
-            ("late::SLOW_TASK_QUANTILE", late::SLOW_TASK_QUANTILE, 0.25),
-            ("late::SPECULATIVE_CAP", late::SPECULATIVE_CAP, 0.1),
-            ("restart::THRESHOLD_FACTOR", restart::THRESHOLD_FACTOR, 3.0),
-            ("sca::PRIORITY_R", sca::PRIORITY_R, 0.0),
-            ("sca::SPEEDUP_ALPHA", sca::SPEEDUP_ALPHA, 2.0),
-        ];
-        for (name, value, published) in factors {
-            assert_eq!(value, published, "{name}");
-        }
-        let counts = [
-            (
-                "mantri::MAX_COPIES_PER_TASK",
-                mantri::MAX_COPIES_PER_TASK as u64,
-                2,
-            ),
-            (
-                "restart::MAX_RESTARTS_PER_TASK",
-                u64::from(restart::MAX_RESTARTS_PER_TASK),
-                3,
-            ),
-            (
-                "sca::MAX_COPIES_PER_TASK",
-                sca::MAX_COPIES_PER_TASK as u64,
-                8,
-            ),
-            (
-                "detection::MIN_ELAPSED_FOR_DETECTION",
-                detection::MIN_ELAPSED_FOR_DETECTION,
-                30,
-            ),
-            (
-                "detection::DETECTION_INTERVAL",
-                detection::DETECTION_INTERVAL,
-                5,
-            ),
-        ];
-        for (name, value, published) in counts {
-            assert_eq!(value, published, "{name}");
-        }
-
-        // Name, wakeup interval, and whether the running-by-finish order is
-        // read.
-        fn check(scheduler: &dyn Scheduler, name: &str, wakeup: Option<Slot>, finish_index: bool) {
-            assert_eq!(scheduler.name(), name);
-            assert_eq!(scheduler.wakeup_interval(), wakeup, "{name}");
-            assert_eq!(
-                scheduler.index_demands().finish_index,
-                finish_index,
-                "{name}"
-            );
-        }
-        check(&Mantri::default(), "mantri", Some(5), true);
-        check(&Late::default(), "late", Some(5), false);
-        check(&Restart::default(), "restart", Some(5), true);
-        check(&Sca::default(), "sca", None, false);
-    }
-}

@@ -272,6 +272,19 @@ mod tests {
         DurationDistribution, JobId, JobSpecBuilder, PhaseStats, Trace, WorkloadBuilder,
     };
 
+    /// Mantri runs at its published parameters: the `2·t_new` threshold and
+    /// at most one duplicate per task, re-examined every 5 slots through the
+    /// running-by-finish order.
+    #[test]
+    fn config_validation() {
+        assert_eq!(THRESHOLD_FACTOR, 2.0);
+        assert_eq!(MAX_COPIES_PER_TASK, 2);
+        let mantri = Mantri::default();
+        assert_eq!(mantri.name(), "mantri");
+        assert_eq!(mantri.wakeup_interval(), Some(5));
+        assert!(mantri.index_demands().finish_index);
+    }
+
     #[test]
     fn completes_ordinary_workloads() {
         let trace = WorkloadBuilder::new()

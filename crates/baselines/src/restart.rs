@@ -144,6 +144,19 @@ mod tests {
         DurationDistribution, JobId, JobSpecBuilder, PhaseStats, Trace, WorkloadBuilder,
     };
 
+    /// Restart runs at its published parameters: the `3·t_new` threshold and
+    /// at most 3 restarts per task, re-examined every 5 slots through the
+    /// running-by-finish order.
+    #[test]
+    fn config_validation() {
+        assert_eq!(THRESHOLD_FACTOR, 3.0);
+        assert_eq!(MAX_RESTARTS_PER_TASK, 3);
+        let restart = Restart::default();
+        assert_eq!(restart.name(), "restart");
+        assert_eq!(restart.wakeup_interval(), Some(5));
+        assert!(restart.index_demands().finish_index);
+    }
+
     #[test]
     fn completes_ordinary_workloads() {
         let trace = WorkloadBuilder::new()

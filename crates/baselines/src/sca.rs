@@ -191,6 +191,19 @@ mod tests {
         DurationDistribution, JobId, JobSpecBuilder, PhaseStats, Trace, WorkloadBuilder,
     };
 
+    /// SCA runs at its published parameters: `r = 0`, speedup `α = 2` and at
+    /// most 8 copies per task, decided at launch with no periodic wakeup.
+    #[test]
+    fn config_validation() {
+        assert_eq!(PRIORITY_R, 0.0);
+        assert_eq!(SPEEDUP_ALPHA, 2.0);
+        assert_eq!(MAX_COPIES_PER_TASK, 8);
+        let sca = Sca::default();
+        assert_eq!(sca.name(), "sca");
+        assert_eq!(sca.wakeup_interval(), None);
+        assert!(!sca.index_demands().finish_index);
+    }
+
     #[test]
     fn completes_ordinary_workloads() {
         let trace = WorkloadBuilder::new()
