@@ -7,7 +7,7 @@
 //! that equivalence and gives the detection-based baselines (Mantri, LATE) a
 //! realistic job-level allocator to sit on.
 
-use mapreduce_sim::{Action, ClusterState, JobState, Scheduler};
+use mapreduce_sim::{Action, ClusterState, Scheduler};
 use mapreduce_workload::{Phase, TaskId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -17,31 +17,77 @@ use std::collections::BinaryHeap;
 ///
 /// Jobs repeatedly receive one machine each, picked as the job with the
 /// smallest `occupied / weight` ratio among those that still have a
-/// launchable task (map tasks first; reduce tasks only once the job's Map
-/// phase completed). Work-conserving: if some jobs cannot use their share the
-/// machines go to the others. With `weighted = false` every job counts with
-/// weight 1, which is how Hadoop/Dryad schedule jobs underneath the
-/// detection-based baselines ([`Mantri`](crate::Mantri),
-/// [`Late`](crate::Late)); [`FairScheduler`] passes `true`.
+/// launchable task ([`mapreduce_sim::JobState::launchable`]: map tasks
+/// first; reduce tasks only once the job's Map phase completed).
+/// Work-conserving: if some jobs cannot use their share the machines go to
+/// the others. With `weighted = false` every job counts with weight 1, which
+/// is how Hadoop/Dryad schedule jobs underneath the detection-based
+/// baselines ([`Mantri`](crate::Mantri), [`Late`](crate::Late));
+/// [`FairScheduler`] passes `true`.
 ///
-/// Fully pooled: no `Vec<&JobState>` collection and no per-call slot/heap
-/// allocation — every buffer lives in the caller-owned [`FairFillScratch`]
-/// and is reused across decisions.
+/// Only jobs in the engine's launchable-job set
+/// ([`ClusterState::launchable_jobs`]) enter the fill, so a decision costs
+/// `O(launchable jobs + budget · log)`, not `O(alive)`. Fully pooled: no
+/// `Vec<&JobState>` collection and no per-call slot/heap allocation — every
+/// buffer lives in the caller-owned [`FairFillScratch`] and is reused across
+/// decisions.
 pub fn fair_fill_alive_into(
     state: &ClusterState<'_>,
-    budget: usize,
+    mut budget: usize,
     weighted: bool,
     scratch: &mut FairFillScratch,
     actions: &mut Vec<Action>,
 ) {
-    fill_with(
-        scratch,
-        state.num_alive_jobs(),
-        |i| state.alive_job_at(i),
-        budget,
-        weighted,
-        actions,
+    if budget == 0 {
+        return;
+    }
+    let slots = &mut scratch.slots;
+    slots.clear();
+    slots.extend(state.launchable_jobs().map(|(job, phase, _)| JobFill {
+        job: job.id().as_usize(),
+        phase,
+        occupied: job.active_copies(),
+        weight: if weighted { job.weight() } else { 1.0 },
+        cursor: 0,
+    }));
+
+    // Min-heap over (occupied/weight, position): repeatedly grant one machine
+    // to the least-served job that still has launchable work. Only the
+    // granted job's ratio changes, so popping and re-pushing that single
+    // entry keeps the heap exact — `O(log jobs)` per machine. Positions
+    // follow job-id order and keys are unique, so ties on the ratio break
+    // towards the earlier job whatever the heap layout. The heap's backing
+    // storage is pooled.
+    scratch.heap.clear();
+    scratch.heap.extend(
+        slots
+            .iter()
+            .enumerate()
+            .map(|(pos, slot)| Reverse((Ratio(slot.occupied as f64 / slot.weight), pos))),
     );
+    let mut heap = BinaryHeap::from(std::mem::take(&mut scratch.heap));
+
+    while budget > 0 {
+        let Some(Reverse((_, pos))) = heap.pop() else {
+            break;
+        };
+        let slot = &mut slots[pos];
+        let job = state.job_at(slot.job);
+        let tasks = job.unscheduled_indices(slot.phase);
+        actions.push(Action::Launch {
+            task: TaskId::new(job.id(), slot.phase, tasks[slot.cursor]),
+            copies: 1,
+        });
+        slot.cursor += 1;
+        slot.occupied += 1;
+        budget -= 1;
+        if slot.cursor < tasks.len() {
+            heap.push(Reverse((Ratio(slot.occupied as f64 / slot.weight), pos)));
+        }
+    }
+
+    // Hand the heap's storage back to the scratch for the next decision.
+    scratch.heap = heap.into_vec();
 }
 
 /// An `occupied / weight` ratio ordered with `f64::total_cmp`, so the heap
@@ -71,27 +117,23 @@ impl Ord for Ratio {
     }
 }
 
-/// Per-job launch cursors over the engine-maintained unscheduled free-lists,
-/// stored without borrows so the table can be pooled across decisions. The
-/// free-list *contents* are re-resolved through the job reference at grant
-/// time; they cannot change mid-fill (the fill only collects actions, the
-/// engine applies them afterwards).
-#[derive(Debug, Clone, Copy, Default)]
+/// One job's launch cursor over its launchable free-list, stored without
+/// borrows so the table can be pooled across decisions. The free-list
+/// *contents* are re-resolved through the job index at grant time; they
+/// cannot change mid-fill (the fill only collects actions, the engine
+/// applies them afterwards).
+#[derive(Debug, Clone, Copy)]
 struct JobFill {
+    /// Dense job index, resolved through [`ClusterState::job_at`].
+    job: usize,
+    /// The job's [`mapreduce_sim::JobState::launchable`] phase.
+    phase: Phase,
     occupied: usize,
     /// `job.weight()` under weighted fills, `1.0` otherwise.
     weight: f64,
-    map_len: usize,
-    /// Zero while the job's Map phase is incomplete (reduces are gated).
-    reduce_len: usize,
-    map_cursor: usize,
-    reduce_cursor: usize,
-}
-
-impl JobFill {
-    fn has_work(&self) -> bool {
-        self.map_cursor < self.map_len || self.reduce_cursor < self.reduce_len
-    }
+    /// Launches granted so far: the next task is `phase`'s
+    /// `unscheduled_indices()[cursor]`.
+    cursor: usize,
 }
 
 /// Reusable buffers for the fair fill. Holding one of these in the scheduler
@@ -101,86 +143,6 @@ impl JobFill {
 pub struct FairFillScratch {
     slots: Vec<JobFill>,
     heap: Vec<Reverse<(Ratio, usize)>>,
-}
-
-fn fill_with<'a>(
-    scratch: &mut FairFillScratch,
-    num_jobs: usize,
-    job_at: impl Fn(usize) -> &'a JobState,
-    mut budget: usize,
-    weighted: bool,
-    actions: &mut Vec<Action>,
-) {
-    if budget == 0 || num_jobs == 0 {
-        return;
-    }
-    let slots = &mut scratch.slots;
-    slots.clear();
-    slots.reserve(num_jobs);
-    for i in 0..num_jobs {
-        let job = job_at(i);
-        slots.push(JobFill {
-            occupied: job.active_copies(),
-            weight: if weighted { job.weight() } else { 1.0 },
-            map_len: job.unscheduled_indices(Phase::Map).len(),
-            reduce_len: if job.map_phase_complete() {
-                job.unscheduled_indices(Phase::Reduce).len()
-            } else {
-                0
-            },
-            map_cursor: 0,
-            reduce_cursor: 0,
-        });
-    }
-
-    // Min-heap over (occupied/weight, position): repeatedly grant one machine
-    // to the least-served job that still has launchable work. Only the
-    // granted job's ratio changes, so popping and re-pushing that single
-    // entry keeps the heap exact — `O(log jobs)` per machine instead of the
-    // previous full scan (`O(jobs)` per machine, `O(budget · jobs)` total).
-    // Ties on the ratio break towards the smaller position, matching the
-    // scan's first-strictly-smaller rule. The heap's backing storage is
-    // pooled: seeding a Vec and heapifying with `BinaryHeap::from` is exactly
-    // what collecting into a `BinaryHeap` does, so the heap layout — and
-    // therefore the pop order — is unchanged.
-    scratch.heap.clear();
-    scratch.heap.extend(
-        slots
-            .iter()
-            .enumerate()
-            .filter(|(_, slot)| slot.has_work())
-            .map(|(idx, slot)| Reverse((Ratio(slot.occupied as f64 / slot.weight), idx))),
-    );
-    let mut heap = BinaryHeap::from(std::mem::take(&mut scratch.heap));
-
-    while budget > 0 {
-        let Some(Reverse((_, idx))) = heap.pop() else {
-            break;
-        };
-        let slot = &mut slots[idx];
-        let job = job_at(idx);
-        let (phase, index) = if slot.map_cursor < slot.map_len {
-            let i = job.unscheduled_indices(Phase::Map)[slot.map_cursor];
-            slot.map_cursor += 1;
-            (Phase::Map, i)
-        } else {
-            let i = job.unscheduled_indices(Phase::Reduce)[slot.reduce_cursor];
-            slot.reduce_cursor += 1;
-            (Phase::Reduce, i)
-        };
-        actions.push(Action::Launch {
-            task: TaskId::new(job.id(), phase, index),
-            copies: 1,
-        });
-        slot.occupied += 1;
-        budget -= 1;
-        if slot.has_work() {
-            heap.push(Reverse((Ratio(slot.occupied as f64 / slot.weight), idx)));
-        }
-    }
-
-    // Hand the heap's storage back to the scratch for the next decision.
-    scratch.heap = heap.into_vec();
 }
 
 /// Hadoop's weighted fair scheduler: no speculation, no cloning.
@@ -208,11 +170,6 @@ impl Scheduler for FairScheduler {
     }
 
     fn schedule_into(&mut self, state: &ClusterState<'_>, actions: &mut Vec<Action>) {
-        // O(1) early-out on the engine aggregate: no unscheduled task means
-        // the fill cannot launch anything, so skip the alive-set collection.
-        if state.available_machines() == 0 || state.total_unscheduled_tasks() == 0 {
-            return;
-        }
         fair_fill_alive_into(
             state,
             state.available_machines(),
@@ -226,7 +183,7 @@ impl Scheduler for FairScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mapreduce_sim::{AliveIndex, CopyArena, SimConfig, Simulation};
+    use mapreduce_sim::{AliveIndex, CopyArena, JobState, SimConfig, Simulation};
     use mapreduce_workload::{JobId, JobSpecBuilder, Trace, WorkloadBuilder};
 
     #[test]

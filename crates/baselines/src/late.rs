@@ -81,12 +81,9 @@ impl Scheduler for Late {
         }
 
         // Regular work first, via equal-share fair scheduling (LATE, like
-        // Mantri, has no notion of per-job weights). Skipped via the O(1)
-        // aggregate when nothing is launchable.
+        // Mantri, has no notion of per-job weights).
         let start = actions.len();
-        if state.total_unscheduled_tasks() > 0 {
-            fair_fill_alive_into(state, budget, false, &mut self.fill_scratch, actions);
-        }
+        fair_fill_alive_into(state, budget, false, &mut self.fill_scratch, actions);
         budget -= (actions.len() - start).min(budget);
         if budget == 0 {
             return;

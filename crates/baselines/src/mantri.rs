@@ -239,14 +239,11 @@ impl Scheduler for Mantri {
         // 1. Regular work first (Mantri only uses *spare* machines for
         //    duplicates): equal-share fair scheduling across alive jobs —
         //    Mantri sits on the cluster's stock job scheduler, which knows
-        //    nothing about the trace's priority weights. The fill is skipped
-        //    when nothing is launchable (it could not have produced an
-        //    action); unscheduled reduces still gated behind their job's map
-        //    phase keep the unscheduled total positive but launch nothing.
+        //    nothing about the trace's priority weights. The fill walks
+        //    only the engine's launchable-job set, so with nothing
+        //    launchable it costs nothing.
         let start = actions.len();
-        if state.total_launchable_tasks() > 0 {
-            fair_fill_alive_into(state, budget, false, &mut self.fill_scratch, actions);
-        }
+        fair_fill_alive_into(state, budget, false, &mut self.fill_scratch, actions);
         let launched = actions.len() - start;
         budget -= launched.min(budget);
 

@@ -112,9 +112,7 @@ impl Scheduler for Restart {
         // 1. Regular work via equal-share fair scheduling, like the other
         //    detection-based baselines. Fill buffers are pooled in `self`.
         let budget = state.available_machines();
-        if budget > 0 && state.total_unscheduled_tasks() > 0 {
-            fair_fill_alive_into(state, budget, false, &mut self.fill_scratch, actions);
-        }
+        fair_fill_alive_into(state, budget, false, &mut self.fill_scratch, actions);
 
         // 2. Kill-and-restart detected stragglers, worst (largest remaining
         //    time) first. Restarts are machine-neutral — the launch reuses

@@ -116,15 +116,10 @@ impl Scheduler for Sca {
                 break;
             }
             consumed += 1;
-            let job = state.job_at(idx);
-            let phase = if job.num_unscheduled(Phase::Map) > 0 {
-                Phase::Map
-            } else if job.map_phase_complete() && job.num_unscheduled(Phase::Reduce) > 0 {
-                Phase::Reduce
-            } else {
+            let Some((phase, unscheduled)) = state.job_at(idx).launchable() else {
                 continue;
             };
-            let tasks = job.num_unscheduled(phase).min(budget);
+            let tasks = unscheduled.len().min(budget);
             budget -= tasks;
             allocations.push(Allocation {
                 job: idx,

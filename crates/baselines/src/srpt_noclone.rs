@@ -7,7 +7,7 @@
 //! the paper's central claim that *both* are needed.
 
 use mapreduce_sim::{Action, ClusterState, Scheduler};
-use mapreduce_workload::Phase;
+use mapreduce_workload::TaskId;
 
 /// SRPT by remaining effective workload, one copy per task, no cloning.
 #[derive(Debug, Clone)]
@@ -73,20 +73,18 @@ impl Scheduler for SrptNoClone {
         'jobs: for (_, idx) in ranked.iter() {
             consumed += 1;
             let job = state.job_at(idx);
-            for phase in [Phase::Map, Phase::Reduce] {
-                if phase == Phase::Reduce && !job.map_phase_complete() {
-                    continue;
+            let Some((phase, unscheduled)) = job.launchable() else {
+                continue;
+            };
+            for &index in unscheduled {
+                if budget == 0 {
+                    break 'jobs;
                 }
-                for task in job.unscheduled_tasks(phase) {
-                    if budget == 0 {
-                        break 'jobs;
-                    }
-                    actions.push(Action::Launch {
-                        task: task.id(),
-                        copies: 1,
-                    });
-                    budget -= 1;
-                }
+                actions.push(Action::Launch {
+                    task: TaskId::new(job.id(), phase, index),
+                    copies: 1,
+                });
+                budget -= 1;
             }
         }
         state.note_ranked_prefix(consumed);

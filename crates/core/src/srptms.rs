@@ -26,7 +26,7 @@
 
 use crate::sharing::{epsilon_fraction_shares_prefix_into, MachineShare};
 use mapreduce_sim::{Action, ClusterState, JobState, Scheduler};
-use mapreduce_workload::{Phase, TaskId};
+use mapreduce_workload::TaskId;
 
 /// Configuration of the SRPTMS+C scheduler.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -173,18 +173,6 @@ impl SrptMsC {
         &self.config
     }
 
-    /// The launchable phase of a job: map tasks first; reduce tasks only once
-    /// the Map phase completed.
-    fn launchable_phase(job: &JobState) -> Option<Phase> {
-        if job.num_unscheduled(Phase::Map) > 0 {
-            Some(Phase::Map)
-        } else if job.map_phase_complete() && job.num_unscheduled(Phase::Reduce) > 0 {
-            Some(Phase::Reduce)
-        } else {
-            None
-        }
-    }
-
     /// Decides how to spend `machines` newly granted machines on one job:
     /// the task-scheduling procedure of Algorithm 2. Appends the launch
     /// actions and returns `(machines used, unscheduled tasks launched)` —
@@ -199,14 +187,10 @@ impl SrptMsC {
         if machines == 0 {
             return (0, 0);
         }
-        let Some(phase) = Self::launchable_phase(job) else {
+        let Some((phase, unscheduled)) = job.launchable() else {
             return (0, 0);
         };
-        let unscheduled = job.unscheduled_indices(phase);
         let count = unscheduled.len();
-        if count == 0 {
-            return (0, 0);
-        }
 
         let mut used = 0usize;
         let tasks_launched;
@@ -357,10 +341,9 @@ impl Scheduler for SrptMsC {
                 }
                 let skip = self.launched_prefix.get(i).copied().unwrap_or(0);
                 let job = candidate(i);
-                let Some(phase) = Self::launchable_phase(job) else {
+                let Some((phase, unscheduled)) = job.launchable() else {
                     continue;
                 };
-                let unscheduled = job.unscheduled_indices(phase);
                 if skip >= unscheduled.len() {
                     continue;
                 }

@@ -14,9 +14,7 @@
 use crate::cache::{cell_fingerprint, OutcomeCache};
 use crate::scenario::{Scenario, WorkloadSource};
 use mapreduce_baselines::{FairScheduler, Fifo, Late, Mantri, Restart, Sca, SrptNoClone};
-use mapreduce_metrics::{
-    fold_run_telemetry, FlowtimeSummary, MetricsRegistry, SimTelemetry, TraceRecorder,
-};
+use mapreduce_metrics::{FlowtimeSummary, MetricsRegistry, SimTelemetry, TraceRecorder};
 use mapreduce_sched::{OfflineSrpt, SrptMsC, SrptMsCConfig};
 use mapreduce_sim::{Scheduler, SimConfig, SimOutcome, Simulation};
 use mapreduce_support::json::{FromJson, JsonError, JsonValue, ToJson};
@@ -258,8 +256,9 @@ pub fn run_cell(kind: SchedulerKind, scenario: &Scenario, seed: u64) -> SimOutco
 /// The observed run is bit-identical to the unobserved [`run_cell`] of the
 /// same `(kind, scenario, seed)` — the observer seam is read-only — which
 /// `reproduce --trace-out` re-asserts on every invocation. The returned
-/// registry includes the engine-side [`mapreduce_sim::RunTelemetry`] fold,
-/// so it carries both observer event counts and engine decision counters.
+/// registry is the observer's: it counts every decision instant that
+/// reached the scheduler once, so no [`mapreduce_metrics::fold_run_telemetry`]
+/// is added on top.
 pub fn run_cell_traced(
     kind: SchedulerKind,
     scenario: &Scenario,
@@ -273,9 +272,7 @@ pub fn run_cell_traced(
     let outcome = Simulation::from_source(config, scenario.job_source(seed))
         .run_with_observer(scheduler.as_mut(), &mut (&mut telemetry, &mut recorder))
         .unwrap_or_else(|e| panic!("traced simulation with {} failed: {e}", kind.label()));
-    let mut registry = telemetry.into_registry();
-    fold_run_telemetry(&mut registry, &outcome.telemetry);
-    (outcome, registry, recorder)
+    (outcome, telemetry.into_registry(), recorder)
 }
 
 /// [`run_cell`] over an already-materialised trace — the shared-conversion

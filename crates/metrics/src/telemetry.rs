@@ -16,7 +16,7 @@ use crate::sketch::{FlowtimeSketches, QuantileSketch};
 use mapreduce_sim::telemetry::{
     CopyCancelled, CopyFinished, CopyLaunched, DecisionInstant, SimObserver,
 };
-use mapreduce_sim::{CancelReason, JobRecord, RunTelemetry, Slot};
+use mapreduce_sim::{CancelReason, JobRecord, SimOutcome, Slot};
 use mapreduce_workload::{JobId, TaskId};
 
 /// Names of the counters and histograms [`SimTelemetry`] folds, so every
@@ -45,7 +45,8 @@ pub mod names {
     pub const MACHINES_DOWN: &str = "machines_down";
     /// Counter: machine up events (recoveries and brown-out ends).
     pub const MACHINES_UP: &str = "machines_up";
-    /// Counter: decision instants that reached the scheduler.
+    /// Counter: decision instants that reached the scheduler
+    /// ([`mapreduce_sim::SimOutcome::scheduler_invocations`]).
     pub const DECISION_INSTANTS: &str = "decision_instants";
     /// Counter: `Action::Launch` actions returned by the scheduler.
     pub const LAUNCH_ACTIONS: &str = "launch_actions";
@@ -69,23 +70,24 @@ pub mod names {
     /// Histogram: ranked-candidate prefix consumed per decision instant.
     pub const RANKED_PREFIX: &str = "ranked_prefix";
 
-    /// Counters [`super::fold_run_telemetry`] adds from a run's
-    /// [`mapreduce_sim::RunTelemetry`], prefixed to keep engine-side numbers
-    /// apart from observer-side ones.
-    pub const ENGINE_DECISION_INSTANTS: &str = "engine_decision_instants";
-    /// Histogram fed one sample per folded run: the run's largest
-    /// ranked-candidate prefix.
+    /// Histogram fed one sample per [`super::fold_run_telemetry`] run: the
+    /// run's largest ranked-candidate prefix.
     pub const RANKED_PREFIX_LEN_MAX: &str = "ranked_prefix_len_max";
 }
 
-/// Folds a run's engine-side [`RunTelemetry`] into a registry: decision
-/// counts add as a counter (shard-mergeable across cells of a sweep), the
-/// per-run ranked-prefix maximum lands as one histogram sample.
-pub fn fold_run_telemetry(registry: &mut MetricsRegistry, telemetry: &RunTelemetry) {
-    registry.inc(names::ENGINE_DECISION_INSTANTS, telemetry.decision_instants);
+/// Folds what an unobserved run's outcome says about its decisions into a
+/// registry: the instants that reached the scheduler add to
+/// [`names::DECISION_INSTANTS`] (the counter [`SimTelemetry`] counts per
+/// event, so observed and unobserved runs fill it alike), and the run's
+/// ranked-prefix maximum lands as one histogram sample. Counters add, so a
+/// sweep folds cell after cell into one registry. A run observed by
+/// [`SimTelemetry`] has its decisions counted already and must not be
+/// folded again.
+pub fn fold_run_telemetry(registry: &mut MetricsRegistry, outcome: &SimOutcome) {
+    registry.inc(names::DECISION_INSTANTS, outcome.scheduler_invocations);
     registry.record(
         names::RANKED_PREFIX_LEN_MAX,
-        telemetry.ranked_prefix_len_max as u64,
+        outcome.telemetry.ranked_prefix_len_max as u64,
     );
 }
 
@@ -344,10 +346,9 @@ mod tests {
             outcome.total_copies as u64
         );
         // The final event batch never reaches the scheduler.
-        assert_eq!(
-            registry.counter(names::DECISION_INSTANTS),
-            outcome.telemetry.decision_instants - 1
-        );
+        assert_eq!(registry.counter(names::DECISION_INSTANTS), 386);
+        assert_eq!(outcome.scheduler_invocations, 386);
+        assert_eq!(outcome.telemetry.decision_instants, 387);
         // Cloning scheduler on a wide cluster must actually clone.
         assert!(registry.counter(names::CLONES_LAUNCHED) > 0);
         assert_eq!(
@@ -373,27 +374,29 @@ mod tests {
         );
         assert!(sketches.small.count() + sketches.big.count() <= sketches.all.count());
 
-        // Attaching the observer must not perturb the trajectory.
+        // Attaching the observer must not perturb the trajectory, and
+        // folding the unobserved outcome fills the one decision counter
+        // exactly as the observer did.
         let plain = Simulation::new(config, &trace)
             .run(&mut MaxCloneScheduler::new(3))
             .unwrap();
         assert_eq!(plain, outcome);
+        let mut folded = MetricsRegistry::new();
+        fold_run_telemetry(&mut folded, &plain);
+        assert_eq!(folded.counter(names::DECISION_INSTANTS), 386);
     }
 
     #[test]
     fn fold_run_telemetry_accumulates_across_cells() {
+        // Two cells of a sweep, each folded from its unobserved outcome.
         let mut registry = MetricsRegistry::new();
-        let a = RunTelemetry {
-            decision_instants: 10,
-            ranked_prefix_len_max: 4,
-        };
-        let b = RunTelemetry {
-            decision_instants: 5,
-            ranked_prefix_len_max: 9,
-        };
+        let mut a = SimOutcome::new("a".to_string(), 4, vec![], 0, 0, 0, 10, 0, 0);
+        a.telemetry.ranked_prefix_len_max = 4;
+        let mut b = SimOutcome::new("b".to_string(), 4, vec![], 0, 0, 0, 5, 0, 0);
+        b.telemetry.ranked_prefix_len_max = 9;
         fold_run_telemetry(&mut registry, &a);
         fold_run_telemetry(&mut registry, &b);
-        assert_eq!(registry.counter(names::ENGINE_DECISION_INSTANTS), 15);
+        assert_eq!(registry.counter(names::DECISION_INSTANTS), 15);
         let h = registry.histogram(names::RANKED_PREFIX_LEN_MAX).unwrap();
         assert_eq!(h.count(), 2);
         assert_eq!(h.max(), 9);

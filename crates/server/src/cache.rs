@@ -11,9 +11,9 @@
 //!
 //! Append-only means a crash mid-write corrupts at most the final line;
 //! [`ResultCache::open`] skips lines that fail to parse (counting them in
-//! [`ResultCache::skipped_lines`]) and later stores simply recompute and
-//! re-append — a damaged cache degrades to a colder cache, never to a
-//! panic. Re-stored fingerprints append a fresh line; the in-memory index
+//! [`ResultCache::skipped_lines`]), ends a torn final line, and later stores
+//! simply recompute and re-append — a damaged cache degrades to a colder
+//! cache, never to a panic. Re-stored fingerprints append a fresh line; the in-memory index
 //! keeps the latest, and [`ResultCache::compact`] rewrites the file to one
 //! line per live entry (dropping duplicates, corrupt lines and evicted
 //! entries) — atomically, via a synced temporary file renamed over the
@@ -125,15 +125,23 @@ impl ResultCache {
         let mut order = VecDeque::new();
         let mut skipped = 0usize;
         let mut disk_lines = 0usize;
+        // Whether the file ends inside a line (a crash tore the last append).
+        let mut torn_tail = false;
         if path.exists() {
-            let reader = BufReader::new(File::open(&path)?);
-            for line in reader.lines() {
-                let line = line?;
-                if line.trim().is_empty() {
+            let mut reader = BufReader::new(File::open(&path)?);
+            let mut buf = String::new();
+            loop {
+                buf.clear();
+                if reader.read_line(&mut buf)? == 0 {
+                    break;
+                }
+                torn_tail = !buf.ends_with('\n');
+                let line = buf.trim_end();
+                if line.is_empty() {
                     continue;
                 }
                 disk_lines += 1;
-                match parse_line(&line) {
+                match parse_line(line) {
                     Some((fingerprint, outcome)) => {
                         // Later lines win (append-only updates).
                         if index.insert(fingerprint, outcome).is_none() {
@@ -144,7 +152,12 @@ impl ResultCache {
                 }
             }
         }
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
+        let mut file = OpenOptions::new().create(true).append(true).open(&path)?;
+        if torn_tail {
+            // End the torn line so the next append starts a line of its own
+            // instead of gluing its entry onto the fragment.
+            file.write_all(b"\n")?;
+        }
         Ok(ResultCache {
             inner: Mutex::new(CacheInner {
                 index,
@@ -439,8 +452,14 @@ mod tests {
         assert_eq!(cache.skipped_lines(), 1);
         assert_eq!(cache.lookup(intact), Some(outcome("fifo", 3)));
         assert!(cache.lookup(torn).is_none(), "torn entry reads as a miss");
-        // The recompute path: store again, and a clean reopen sees both.
+        // The recompute path: store again. The open ended the torn line,
+        // so the re-stored entry has a line of its own and a plain reopen
+        // (no compaction) reads it back past the one dead fragment.
         cache.store(torn, &outcome("srpt", 8));
+        let plain = ResultCache::open(&path).unwrap();
+        assert_eq!(plain.skipped_lines(), 1);
+        assert_eq!(plain.lookup(torn), Some(outcome("srpt", 8)));
+        // After a compaction a clean reopen sees both and no junk.
         cache.compact().unwrap();
         let clean = ResultCache::open(&path).unwrap();
         assert_eq!(clean.skipped_lines(), 0);

@@ -506,7 +506,8 @@ mod tests {
         // The enriched `server` body: two sweeps served, one cell simulated
         // (the warm rerun hit the cache), a 50 % hit-rate over the two
         // lookups, a ticking uptime, and the engine-telemetry registry
-        // carrying the simulated cell's decision count.
+        // carrying the simulated cell's decision count: the instants that
+        // reached the scheduler, counted once.
         let body = lines[2].field("server").unwrap();
         assert_eq!(body.field("requests_served").unwrap().as_u64(), Some(2));
         assert_eq!(
@@ -517,7 +518,14 @@ mod tests {
         assert!(body.field("uptime_ns").unwrap().as_u64().unwrap() > 0);
         let metrics =
             mapreduce_metrics::MetricsRegistry::from_json(body.field("metrics").unwrap()).unwrap();
-        assert!(metrics.counter(mapreduce_metrics::telemetry::names::ENGINE_DECISION_INSTANTS) > 0);
+        let scenario = Scenario::scaled(12, 1);
+        let cell =
+            mapreduce_experiments::run_cell(SchedulerKind::Fifo, &scenario, scenario.seeds[0]);
+        assert_eq!(cell.scheduler_invocations, 351);
+        assert_eq!(
+            metrics.counter(mapreduce_metrics::telemetry::names::DECISION_INSTANTS),
+            351
+        );
     }
 
     #[test]

@@ -574,7 +574,7 @@ impl SweepServer {
         if !computed.is_empty() {
             let mut metrics = self.metrics.lock().expect("metrics registry poisoned");
             for outcome in &computed {
-                fold_run_telemetry(&mut metrics, &outcome.telemetry);
+                fold_run_telemetry(&mut metrics, outcome);
             }
             drop(metrics);
             // Lifetime flowtime sketches: every simulated cell's jobs fold

@@ -1319,13 +1319,33 @@ mod tests {
 
     #[test]
     fn reduce_respects_map_precedence_even_if_scheduled_early() {
-        // One machine-rich cluster: a FIFO scheduler launches the reduce task
-        // immediately, but it must not finish before map phase + its own
-        // duration.
+        // Launches every unscheduled task of both phases at once, ignoring
+        // the Map→Reduce gate: job 0's reduce launches at slot 0.
+        struct Ungated;
+        impl Scheduler for Ungated {
+            fn name(&self) -> &str {
+                "ungated"
+            }
+            fn schedule(&mut self, state: &ClusterState<'_>) -> Vec<Action> {
+                let mut actions = Vec::new();
+                for job in state.alive_jobs() {
+                    for phase in Phase::ALL {
+                        for task in job.unscheduled_tasks(phase) {
+                            let task = task.id();
+                            actions.push(Action::Launch { task, copies: 1 });
+                        }
+                    }
+                }
+                actions
+            }
+        }
         let trace = two_job_trace();
         let outcome = Simulation::new(SimConfig::new(100), &trace)
-            .run(&mut GreedyFifo::new())
+            .run(&mut Ungated)
             .unwrap();
+        // The reduce waits out the Map phase (slots 0..10) on its machine,
+        // then runs its 5 slots: maps 2·10 + reduce 15 + job 1's map 4.
+        assert_eq!(outcome.busy_machine_slots, 39);
         let r0 = outcome.record(JobId::new(0)).unwrap();
         // Map phase ends at slot 10; reduce needs 5 more slots.
         assert_eq!(r0.completion, 15);

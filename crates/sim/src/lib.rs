@@ -58,11 +58,16 @@
 //!   (`t_new`) are `O(1)`;
 //! * an [`AliveIndex`] over the alive jobs in job-id order (which the
 //!   engine's admission check makes arrival order, the order the FIFO family
-//!   serves) carrying the weight, unscheduled and launchable aggregates, and
-//!   an optional **priority order** (decreasing `w_i / U_i(l)`) that a
-//!   scheduler opts into via [`Scheduler::priority_r`] and consumes through
+//!   serves) carrying the weight, unscheduled and launchable aggregates, the
+//!   **launchable-job set** (alive jobs with a task to launch now, in id
+//!   order, read through [`ClusterState::launchable_jobs`] by FIFO and the
+//!   fair fill), and an optional **priority order** (decreasing
+//!   `w_i / U_i(l)`) that a scheduler opts into via
+//!   [`Scheduler::priority_r`] and consumes through
 //!   [`ClusterState::ranked_entries`]. Every [`ClusterState`] reads this
-//!   index; there is no second, scanning snapshot path.
+//!   index; there is no second, scanning snapshot path. One rule decides
+//!   what may launch: [`JobState::launchable`] (map tasks first, reduce
+//!   tasks once the Map phase completed).
 //!
 //! The running free-list and the running-by-finish order are maintained only
 //! for schedulers that declare them through [`Scheduler::index_demands`] —

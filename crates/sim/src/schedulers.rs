@@ -12,8 +12,9 @@ use mapreduce_workload::{Phase, TaskId};
 ///
 /// Jobs are served in arrival order; within a job, map tasks are launched
 /// before reduce tasks (reduce tasks are only launched once the Map phase has
-/// completed, which is always safe). Each unscheduled task gets exactly one
-/// copy.
+/// completed, which is always safe — [`crate::JobState::launchable`]). Each
+/// unscheduled task gets exactly one copy. The baselines' `Fifo` runs this
+/// same loop under the name `"fifo"`.
 #[derive(Debug, Default, Clone)]
 pub struct GreedyFifo {
     _private: (),
@@ -43,21 +44,16 @@ impl Scheduler for GreedyFifo {
             return;
         }
         // Job-id order is arrival order; the engine rejects any other.
-        for job in state.alive_jobs() {
-            for phase in [Phase::Map, Phase::Reduce] {
-                if phase == Phase::Reduce && !job.map_phase_complete() {
-                    continue;
+        for (job, phase, tasks) in state.launchable_jobs() {
+            for &index in tasks {
+                if budget == 0 {
+                    return;
                 }
-                for &index in job.unscheduled_indices(phase) {
-                    if budget == 0 {
-                        return;
-                    }
-                    actions.push(Action::Launch {
-                        task: TaskId::new(job.id(), phase, index),
-                        copies: 1,
-                    });
-                    budget -= 1;
-                }
+                actions.push(Action::Launch {
+                    task: TaskId::new(job.id(), phase, index),
+                    copies: 1,
+                });
+                budget -= 1;
             }
         }
     }

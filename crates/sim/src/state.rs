@@ -9,6 +9,7 @@
 use crate::copy::{CopyArena, CopyId, CopyList, CopyPhase};
 use mapreduce_support::json::{FromJson, JsonError, JsonValue, ToJson};
 use mapreduce_workload::{JobId, JobSpec, Phase, TaskId};
+use std::collections::BTreeSet;
 
 /// Simulated time, measured in slots (1 slot = 1 second at the paper's
 /// default granularity).
@@ -447,20 +448,31 @@ impl JobState {
         self.map_index.unscheduled().len() + self.reduce_index.unscheduled().len()
     }
 
-    /// Number of unscheduled tasks a scheduler could usefully launch *now*:
-    /// unscheduled map tasks first; unscheduled reduce tasks only once the
-    /// map phase completed (copies launched earlier just park in the waiting
-    /// list). Mirrors the phase selection of SRPTMS+C's task-scheduling
-    /// procedure.
-    pub fn launchable_unscheduled(&self) -> usize {
-        let maps = self.num_unscheduled(Phase::Map);
-        if maps > 0 {
-            maps
-        } else if self.map_phase_complete() {
-            self.num_unscheduled(Phase::Reduce)
+    /// The Map→Reduce launch rule: the one phase whose unscheduled tasks a
+    /// scheduler can usefully launch *now*, with that phase's unscheduled
+    /// free-list (sorted ascending, never empty). Unscheduled map tasks come
+    /// first; unscheduled reduce tasks only once the Map phase completed (a
+    /// reduce copy launched earlier just parks in the waiting list). `None`
+    /// when nothing can launch now.
+    ///
+    /// At most one phase is ever launchable: an unscheduled map task keeps
+    /// the Map phase incomplete, which gates every reduce task.
+    pub fn launchable(&self) -> Option<(Phase, &[u32])> {
+        let maps = self.map_index.unscheduled();
+        let reduces = self.reduce_index.unscheduled();
+        if !maps.is_empty() {
+            Some((Phase::Map, maps))
+        } else if self.map_phase_complete() && !reduces.is_empty() {
+            Some((Phase::Reduce, reduces))
         } else {
-            0
+            None
         }
+    }
+
+    /// Number of unscheduled tasks a scheduler could usefully launch *now*:
+    /// the length of [`JobState::launchable`]'s free-list, 0 if none.
+    pub fn launchable_unscheduled(&self) -> usize {
+        self.launchable().map_or(0, |(_, tasks)| tasks.len())
     }
 
     /// Number of tasks of `phase` that have not finished yet.
@@ -837,7 +849,7 @@ impl JobState {
 struct PriorityIndex {
     r: f64,
     /// The ranking itself: `(descending-order key bits, idx)`, always live.
-    set: std::collections::BTreeSet<(u64, u32)>,
+    set: BTreeSet<(u64, u32)>,
     /// Entries walked this instant, in ranking order; interior-mutable
     /// because consumption happens on demand while the scheduler holds the
     /// snapshot by shared reference.
@@ -1058,8 +1070,9 @@ impl<'a> RankedEntries<'a> {
 ///
 /// Besides the id-ordered alive set — which is also arrival order, since the
 /// engine admits jobs only in dense-id order with non-decreasing arrivals —
-/// and the weight, unscheduled and launchable aggregates, the index
-/// maintains an optional **priority order** (decreasing `w_i / U_i(l)`,
+/// the weight, unscheduled and launchable aggregates, and the id-ordered set
+/// of jobs with a launchable task (walked by FIFO and the fair fill), the
+/// index maintains an optional **priority order** (decreasing `w_i / U_i(l)`,
 /// enabled via [`AliveIndex::enable_priority`] when the scheduler declares a
 /// pessimism factor through [`Scheduler::priority_r`]) consumed by SRPTMS+C,
 /// SCA and SRPT-noclone.
@@ -1082,10 +1095,14 @@ pub struct AliveIndex {
     /// once per job.
     weight_counted: Vec<bool>,
     /// Per-job cached [`JobState::launchable_unscheduled`] counts, feeding
-    /// `launchable_sum`.
+    /// `launchable_sum` and `launchable_jobs`.
     launchable: Vec<usize>,
     /// Total launchable unscheduled tasks across alive jobs.
     launchable_sum: usize,
+    /// The alive jobs whose cached launchable count is positive, in id
+    /// order (an order-preserving subsequence of `alive`). A job enters or
+    /// leaves only when its count crosses zero.
+    launchable_jobs: BTreeSet<usize>,
     /// Priority order, present when enabled.
     priority: Option<PriorityIndex>,
 }
@@ -1142,6 +1159,9 @@ impl AliveIndex {
                 priority.remove(idx);
             }
             if let Some(cached) = self.launchable.get_mut(idx) {
+                if *cached > 0 {
+                    self.launchable_jobs.remove(&idx);
+                }
                 self.launchable_sum -= *cached;
                 *cached = 0;
             }
@@ -1197,14 +1217,21 @@ impl AliveIndex {
         self.refresh_launchable(idx, job);
     }
 
-    /// Re-caches job `idx`'s launchable-unscheduled count and folds the
-    /// difference into the aggregate.
+    /// Re-caches job `idx`'s launchable-unscheduled count, folds the
+    /// difference into the aggregate, and moves the job into or out of the
+    /// launchable-job set when the count crosses zero.
     fn refresh_launchable(&mut self, idx: usize, job: &JobState) {
         if self.launchable.len() <= idx {
             self.launchable.resize(idx + 1, 0);
         }
+        let old = self.launchable[idx];
         let fresh = job.launchable_unscheduled();
-        self.launchable_sum = self.launchable_sum + fresh - self.launchable[idx];
+        if old == 0 && fresh > 0 {
+            self.launchable_jobs.insert(idx);
+        } else if old > 0 && fresh == 0 {
+            self.launchable_jobs.remove(&idx);
+        }
+        self.launchable_sum = self.launchable_sum + fresh - old;
         self.launchable[idx] = fresh;
     }
 
@@ -1263,6 +1290,13 @@ impl AliveIndex {
     /// [`AliveIndex::note_map_phase_complete`].
     pub fn total_launchable(&self) -> usize {
         self.launchable_sum
+    }
+
+    /// The alive jobs with a launchable task ([`JobState::launchable`] is
+    /// `Some`), in ascending job-id order. Same requirement as
+    /// [`AliveIndex::total_launchable`].
+    pub fn launchable_jobs(&self) -> impl Iterator<Item = usize> + '_ {
+        self.launchable_jobs.iter().copied()
     }
 }
 
@@ -1351,15 +1385,25 @@ impl<'a> ClusterState<'a> {
         self.index.alive().iter().map(move |&i| &jobs[i])
     }
 
-    /// The `i`-th alive job, in the same job-id order [`Self::alive_jobs`]
-    /// iterates. Random access lets schedulers drive index-based scratch
-    /// structures over the alive set without collecting a `Vec<&JobState>`
-    /// snapshot on every decision.
+    /// The alive jobs that have a task to launch now, in job-id order — the
+    /// subset of [`Self::alive_jobs`] a launching scheduler walks — each
+    /// with its [`JobState::launchable`] phase and free-list. Maintained by
+    /// the [`AliveIndex`] as counts cross zero, so a walk costs `O(log n)`
+    /// plus the jobs it visits, never a pass over jobs with nothing to
+    /// launch.
     ///
     /// # Panics
-    /// Panics if `i >= self.num_alive_jobs()`.
-    pub fn alive_job_at(&self, i: usize) -> &'a JobState {
-        &self.jobs[self.index.alive()[i]]
+    /// Panics if the index lists a job with nothing to launch (a stale
+    /// index, an engine bug).
+    pub fn launchable_jobs(&self) -> impl Iterator<Item = (&'a JobState, Phase, &'a [u32])> + '_ {
+        let jobs = self.jobs;
+        self.index.launchable_jobs().map(move |i| {
+            let job = &jobs[i];
+            let (phase, tasks) = job
+                .launchable()
+                .expect("a job in the launchable set has a launchable phase");
+            (job, phase, tasks)
+        })
     }
 
     /// The `(priority, job index)` entries of the alive jobs that still have
@@ -1387,11 +1431,6 @@ impl<'a> ClusterState<'a> {
     /// to its job state.
     pub fn job_at(&self, index: usize) -> &'a JobState {
         &self.jobs[index]
-    }
-
-    /// Number of alive jobs.
-    pub fn num_alive_jobs(&self) -> usize {
-        self.index.len()
     }
 
     /// Looks up any job (alive, finished or not yet arrived) by id.
@@ -1423,15 +1462,14 @@ impl<'a> ClusterState<'a> {
         self.index.total_unscheduled_weight()
     }
 
-    /// Total launchable unscheduled tasks across alive jobs (unscheduled
-    /// maps, plus unscheduled reduces of jobs whose map phase completed).
+    /// Total launchable unscheduled tasks across alive jobs: the sum of
+    /// [`JobState::launchable_unscheduled`].
     ///
     /// `O(1)` (maintained incrementally by the [`AliveIndex`]). SRPTMS+C's
     /// work-conserving backfill counts its launches against this total and
     /// stops the moment nothing launchable remains — without it, every
     /// machines-outlast-work instant would walk (and therefore fully sort)
-    /// the entire demand-gated ranked order. Mantri skips its fair fill
-    /// when it is 0.
+    /// the entire demand-gated ranked order.
     pub fn total_launchable_tasks(&self) -> usize {
         self.index.total_launchable()
     }
@@ -1594,13 +1632,14 @@ pub trait Scheduler {
     /// Hook invoked when a fault kills a task's last copy and the task falls
     /// back to the unscheduled pool (before the next `schedule` call).
     ///
-    /// The engine's aggregate indices already re-admit the task, so
-    /// schedulers that re-derive their candidates from [`ClusterState`] each
-    /// wakeup need nothing here (the default is a no-op). Schedulers that
-    /// keep *private* incremental launchability state — a ready set fed only
-    /// by arrivals and completions — must treat this as a third
-    /// launchable-work-creating event or they will never relaunch the task.
-    /// Never invoked when the run has no fault plan.
+    /// The engine's indices already re-admit the task — it is back in its
+    /// job's [`JobState::launchable`] free-list, and the job is back in
+    /// [`ClusterState::launchable_jobs`] — so schedulers that read their
+    /// candidates from [`ClusterState`] each wakeup need nothing here (the
+    /// default is a no-op). A scheduler that wants a ready set of jobs with
+    /// launchable work should read [`ClusterState::launchable_jobs`] rather
+    /// than keep a private one fed by the hooks. Never invoked when the run
+    /// has no fault plan.
     fn on_task_unlaunched(&mut self, _task: TaskId, _state: &ClusterState<'_>) {}
 }
 
@@ -1762,6 +1801,46 @@ mod tests {
         assert_eq!(js.waiting_copies(), 0);
     }
 
+    /// The launch rule and the launchable-job set through a job's life:
+    /// Map launches, a fault unlaunch, Map completion, completion.
+    #[test]
+    fn launchable_follows_map_reduce_precedence() {
+        let mut js = job_state();
+        js.mark_arrived();
+        let mut index = AliveIndex::new();
+        index.insert(0, &js);
+        let check = |js: &JobState, index: &AliveIndex, expect: Option<(Phase, &[u32])>| {
+            assert_eq!(js.launchable(), expect);
+            assert_eq!(js.launchable_unscheduled(), expect.map_or(0, |e| e.1.len()));
+            let listed: Vec<usize> = index.launchable_jobs().collect();
+            assert_eq!(listed, if expect.is_some() { vec![0] } else { vec![] });
+        };
+        check(&js, &index, Some((Phase::Map, &[0, 1])));
+        js.note_first_launch(Phase::Map, 0);
+        index.note_first_launch(0, &js);
+        check(&js, &index, Some((Phase::Map, &[1])));
+        // Every map launched, none finished: the reduce stays gated.
+        js.note_first_launch(Phase::Map, 1);
+        index.note_first_launch(0, &js);
+        check(&js, &index, None);
+        // A fault returns map 1 to the pool, and it launches again.
+        js.note_task_unlaunched(Phase::Map, 1);
+        index.note_task_unlaunched(0, &js);
+        check(&js, &index, Some((Phase::Map, &[1])));
+        js.note_first_launch(Phase::Map, 1);
+        index.note_first_launch(0, &js);
+        for t in 0..2 {
+            js.task_mut(Phase::Map, t).unwrap().mark_finished(9);
+            js.note_task_finished(Phase::Map, t, 4);
+        }
+        // The Map phase completed: the reduce opens once the index is told.
+        index.note_map_phase_complete(0, &js);
+        check(&js, &index, Some((Phase::Reduce, &[0])));
+        index.remove(0, &js);
+        assert_eq!(index.launchable_jobs().count(), 0);
+        assert_eq!(index.total_launchable(), 0);
+    }
+
     #[test]
     fn cluster_state_accessors() {
         let mut j0 = job_state();
@@ -1781,7 +1860,6 @@ mod tests {
         assert_eq!(state.now(), 7);
         assert_eq!(state.total_machines(), 10);
         assert_eq!(state.available_machines(), 4);
-        assert_eq!(state.num_alive_jobs(), 2);
         assert_eq!(state.alive_jobs().count(), 2);
         assert!((state.total_alive_weight() - 7.0).abs() < 1e-12);
         assert!(state.job(JobId::new(1)).is_some());
@@ -1996,7 +2074,6 @@ mod tests {
             let copies = CopyArena::new();
             let state = ClusterState::new(5, 8, 8, jobs, &copies, index, 0);
             let alive = || state.alive_jobs();
-            assert_eq!(state.num_alive_jobs(), alive().count());
             assert_eq!(
                 state.total_alive_weight(),
                 alive().map(|j| j.weight()).sum::<f64>()
@@ -2016,6 +2093,12 @@ mod tests {
                 state.total_launchable_tasks(),
                 alive().map(|j| j.launchable_unscheduled()).sum::<usize>()
             );
+            assert!(state
+                .launchable_jobs()
+                .map(|(j, phase, tasks)| (j.id(), Some((phase, tasks))))
+                .eq(alive()
+                    .filter(|j| j.launchable().is_some())
+                    .map(|j| (j.id(), j.launchable()))));
             (
                 state.total_unscheduled_tasks(),
                 state.total_launchable_tasks(),

@@ -11,7 +11,7 @@
 
 use mapreduce_sched::SrptMsC;
 use mapreduce_sim::{Action, ClusterState, Scheduler, SimConfig, Simulation};
-use mapreduce_workload::{GoogleTraceProfile, Phase};
+use mapreduce_workload::{GoogleTraceProfile, TaskId};
 
 /// Shortest-job-first: jobs with the fewest remaining unscheduled tasks go
 /// first; every task of a small job (< `clone_threshold` tasks) is launched
@@ -39,21 +39,20 @@ impl Scheduler for SjfWithClones {
             } else {
                 1
             };
-            for phase in [Phase::Map, Phase::Reduce] {
-                if phase == Phase::Reduce && !job.map_phase_complete() {
-                    continue;
+            // Map tasks first; reduce tasks once the Map phase completed.
+            let Some((phase, unscheduled)) = job.launchable() else {
+                continue;
+            };
+            for &index in unscheduled {
+                if budget == 0 {
+                    return actions;
                 }
-                for task in job.unscheduled_tasks(phase) {
-                    if budget == 0 {
-                        return actions;
-                    }
-                    let n = copies.min(budget);
-                    actions.push(Action::Launch {
-                        task: task.id(),
-                        copies: n,
-                    });
-                    budget -= n;
-                }
+                let n = copies.min(budget);
+                actions.push(Action::Launch {
+                    task: TaskId::new(job.id(), phase, index),
+                    copies: n,
+                });
+                budget -= n;
             }
         }
         actions

@@ -1,16 +1,19 @@
 //! The engine's `AliveIndex` against scans of the alive set it indexes.
 //!
 //! Every `ClusterState` reads its alive set and aggregates from the index,
-//! so two things must hold at every decision instant:
+//! so three things must hold at every decision instant:
 //!
 //! * `alive_jobs()` (job-id order) yields arrivals in non-decreasing order —
 //!   the premise that lets FIFO serve job-id order as arrival order;
 //! * `total_alive_weight`, `total_unscheduled_tasks`,
 //!   `total_unscheduled_weight` and `total_launchable_tasks` each equal a
 //!   scan over `alive_jobs()`. Equality is exact: the generator's weights are
-//!   integers, so every weight sum is exact in any order.
+//!   integers, so every weight sum is exact in any order;
+//! * `launchable_jobs()` is exactly the alive jobs, in job-id order, whose
+//!   `launchable()` is `Some`, each with that phase and free-list — the set
+//!   FIFO and the fair fill walk.
 //!
-//! A forwarding wrapper checks both before each decision, over random
+//! A forwarding wrapper checks all three before each decision, over random
 //! golden-equivalence traces for FIFO, Mantri and SRPTMS+C, with and without
 //! a random fault plan (faults return tasks to the unscheduled pool, the one
 //! event that grows the unscheduled and launchable counts after arrival).
@@ -74,6 +77,14 @@ impl ScanChecked {
             alive().map(|j| j.launchable_unscheduled()).sum::<usize>(),
             "slot {at}: total_launchable_tasks"
         );
+        let indexed: Vec<_> = state
+            .launchable_jobs()
+            .map(|(j, phase, tasks)| (j.id(), phase, tasks))
+            .collect();
+        let scanned: Vec<_> = alive()
+            .filter_map(|j| j.launchable().map(|(phase, tasks)| (j.id(), phase, tasks)))
+            .collect();
+        assert_eq!(indexed, scanned, "slot {at}: launchable_jobs");
     }
 }
 
