@@ -29,9 +29,9 @@
 //! age, the detection interval and (Mantri and Restart) the `t_new`
 //! straggler test in [`detection`].
 //!
-//! The [`reference`](mod@reference) module holds frozen pre-optimization
-//! copies of the schedulers, used by the golden-equivalence tests and the
-//! benchmark baselines.
+//! The frozen pre-optimization copies of these schedulers, which the
+//! golden-equivalence tests and the benchmark baselines run, live with the
+//! tests (`integration_tests::oracles`), not in this crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,7 +41,6 @@ pub mod fair;
 pub mod fifo;
 pub mod late;
 pub mod mantri;
-pub mod reference;
 pub mod restart;
 pub mod sca;
 pub mod srpt_noclone;
@@ -50,9 +49,6 @@ pub use fair::{FairFillScratch, FairScheduler};
 pub use fifo::Fifo;
 pub use late::Late;
 pub use mantri::Mantri;
-pub use reference::{
-    ReferenceFair, ReferenceFifo, ReferenceLate, ReferenceMantri, ReferenceRestart, ReferenceSca,
-};
 pub use restart::Restart;
 pub use sca::Sca;
 pub use srpt_noclone::SrptNoClone;

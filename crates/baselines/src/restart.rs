@@ -13,9 +13,9 @@
 //! engine's cancellation path: every restart leaves a stale finish event in
 //! the [`mapreduce_sim::EventQueue`] (the killed copy's, skipped when it
 //! fires), and exercises the running-by-finish re-keying and the
-//! scratch-buffer cancellation pass — under randomized workloads via the golden-equivalence
-//! suite, which pins [`Restart`] against the scan-based
-//! [`crate::reference::ReferenceRestart`] bit-for-bit.
+//! scratch-buffer cancellation pass — under randomized workloads via the
+//! golden-equivalence suite, which pins [`Restart`] against the scan-based
+//! `integration_tests::oracles::ReferenceRestart` bit-for-bit.
 
 use crate::detection::{straggler_tail, DETECTION_INTERVAL, MIN_ELAPSED_FOR_DETECTION};
 use crate::fair::{fair_fill_alive_into, FairFillScratch};

@@ -3,8 +3,8 @@
 //! `BENCH_engine.json`.
 //!
 //! Besides the optimized schedulers, the bench runs the frozen
-//! pre-optimization SRPTMS+C (`mapreduce_sched::ReferenceSrptMsC`) and SCA
-//! (`mapreduce_baselines::ReferenceSca`) under the ids
+//! pre-optimization SRPTMS+C and SCA (`ReferenceSrptMsC` and `ReferenceSca`
+//! from `integration_tests::oracles`) under the ids
 //! `engine_fullscale/srptmsc_reference` and `engine_fullscale/sca_reference`,
 //! so the report records the pre-change baselines measured by the same
 //! binary on the same machine — each optimized/reference ratio is the
@@ -14,9 +14,8 @@
 //! Run with `cargo bench -p mapreduce-bench --bench engine_fullscale`
 //! (about a minute; `MAPREDUCE_BENCH_SAMPLES=1` for a quick pass).
 
-use mapreduce_baselines::ReferenceSca;
+use integration_tests::oracles::{ReferenceSca, ReferenceSrptMsC};
 use mapreduce_experiments::{run_scheduler, Scenario, SchedulerKind};
-use mapreduce_sched::ReferenceSrptMsC;
 use mapreduce_sim::Scheduler;
 use mapreduce_support::criterion::{BenchmarkId, Criterion};
 use mapreduce_support::json::ToJson;

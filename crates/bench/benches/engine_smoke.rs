@@ -3,16 +3,15 @@
 //! the engine's performance trajectory is tracked across PRs.
 //!
 //! The `*_reference` variants run the frozen pre-optimization scheduler
-//! implementations (see `mapreduce_sched::reference` /
-//! `mapreduce_baselines::reference`), so every report carries a same-machine
-//! baseline next to the optimized numbers — absolute timings drift with the
-//! host, the optimized/reference ratio does not.
+//! implementations (`integration_tests::oracles`, a dev-dependency), so
+//! every report carries a same-machine baseline next to the optimized
+//! numbers — absolute timings drift with the host, the optimized/reference
+//! ratio does not.
 //!
 //! Run with `cargo bench -p mapreduce-bench --bench engine_smoke`.
 
-use mapreduce_baselines::ReferenceMantri;
+use integration_tests::oracles::{ReferenceMantri, ReferenceSrptMsC};
 use mapreduce_experiments::{run_scheduler, Scenario, SchedulerKind};
-use mapreduce_sched::ReferenceSrptMsC;
 use mapreduce_sim::Scheduler;
 use mapreduce_support::criterion::{BenchmarkId, Criterion};
 use mapreduce_support::{criterion_group, criterion_main};

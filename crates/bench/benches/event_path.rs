@@ -1,5 +1,6 @@
 //! Event-path micro-benchmark: the calendar queue against the frozen
-//! binary-heap reference on synthetic event streams.
+//! binary-heap reference (`integration_tests::oracles::HeapEventQueue`) on
+//! synthetic event streams.
 //!
 //! Two regimes, each measured for both queue implementations by the same
 //! binary in the same run:
@@ -17,7 +18,8 @@
 //!
 //! Run with `cargo bench -p mapreduce-bench --bench event_path`.
 
-use mapreduce_sim::{CopyId, Event, EventQueue, HeapEventQueue};
+use integration_tests::oracles::HeapEventQueue;
+use mapreduce_sim::{CopyId, Event, EventQueue};
 use mapreduce_support::criterion::{BenchmarkId, Criterion};
 use mapreduce_support::rng::{Rng, SimRng};
 use mapreduce_support::{criterion_group, criterion_main};

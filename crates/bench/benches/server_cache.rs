@@ -19,8 +19,7 @@
 //! (`MAPREDUCE_BENCH_SAMPLES=3` for the CI smoke pass). Results merge into
 //! `BENCH_engine.json` / the smoke report and feed the CI bench-guard.
 
-use mapreduce_bench::sweep_scenario;
-use mapreduce_experiments::SchedulerKind;
+use mapreduce_experiments::{Scenario, SchedulerKind};
 use mapreduce_server::{ResultCache, SweepRequest, SweepServer};
 use mapreduce_support::criterion::{BenchmarkId, Criterion};
 use mapreduce_support::json::ToJson;
@@ -28,7 +27,7 @@ use mapreduce_support::{criterion_group, criterion_main};
 use std::hint::black_box;
 
 fn bench_server_cache(c: &mut Criterion) {
-    let mut scenario = sweep_scenario();
+    let mut scenario = Scenario::scaled(150, 1);
     scenario.seeds = vec![2015, 2016];
     let request = SweepRequest::new(scenario, SchedulerKind::paper_comparison());
     let cells = request.num_cells();

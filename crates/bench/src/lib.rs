@@ -1,10 +1,11 @@
 //! Benchmark support crate.
 //!
-//! The actual Criterion benchmarks live in `benches/`: one file per table or
-//! figure of the paper, each timing the `mapreduce_experiments` module of
-//! the same name, plus engine, stream-tier, server and metrics benches. This
-//! library hosts what they share: the bench scenarios, the report merge
-//! into `BENCH_engine.json`, and the outside-the-engine [`timed`] delegates.
+//! The actual Criterion benchmarks live in `benches/`: engine, event-path,
+//! stream-tier, fault, server, metrics and decision benches, each recording
+//! into `BENCH_engine.json`. The paper's tables and figures are regenerated
+//! by the `reproduce` binary, not timed here. This library hosts what the
+//! benches share: the stream-tier driver, the report merge into
+//! `BENCH_engine.json`, and the outside-the-engine [`timed`] delegates.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -20,20 +21,6 @@ use std::collections::HashMap;
 use std::path::Path;
 
 pub mod timed;
-
-/// The scenario every benchmark runs: a scaled-down Google-like trace
-/// (300 jobs, ~590 machines, single seed) that preserves the paper's
-/// jobs-per-machine ratio while keeping a single simulation run in the
-/// tens-of-milliseconds range so Criterion can repeat it.
-pub fn bench_scenario() -> Scenario {
-    Scenario::bench()
-}
-
-/// A smaller scenario for the more expensive sweeps (Fig. 1–3), where one
-/// benchmark iteration runs the full parameter sweep.
-pub fn sweep_scenario() -> Scenario {
-    Scenario::scaled(150, 1)
-}
 
 /// Runs one scheduler over a trace under exactly the configuration the
 /// experiment harness uses (`mapreduce_experiments::run_scheduler`), so
@@ -477,9 +464,14 @@ mod tests {
 
     #[test]
     fn scenarios_are_consistent() {
-        assert_eq!(bench_scenario().profile.num_jobs, 300);
-        assert_eq!(sweep_scenario().profile.num_jobs, 150);
-        assert_eq!(bench_scenario().seeds.len(), 1);
+        // `bench_stream_tier` times one seed pulled through a streamed source.
+        for scenario in [Scenario::million(), Scenario::ten_million()] {
+            assert_eq!(scenario.seeds.len(), 1);
+            assert_eq!(
+                scenario.source,
+                mapreduce_experiments::WorkloadSource::Streaming
+            );
+        }
     }
 
     #[test]

@@ -28,7 +28,6 @@ pub mod bounds;
 pub mod offline;
 pub mod potential;
 pub mod priority;
-pub mod reference;
 pub mod sharing;
 pub mod srptms;
 
@@ -36,6 +35,5 @@ pub use bounds::{theorem1_bound, theorem1_probability, CompetitiveReport, Offlin
 pub use offline::OfflineSrpt;
 pub use potential::PotentialFunction;
 pub use priority::{offline_priority, online_priority};
-pub use reference::ReferenceSrptMsC;
-pub use sharing::{epsilon_fraction_shares, epsilon_fraction_shares_prefix_into, MachineShare};
+pub use sharing::{epsilon_fraction_shares_prefix_into, MachineShare};
 pub use srptms::{SrptMsC, SrptMsCConfig};

@@ -14,8 +14,8 @@
 //! where `W_i(l)` is the cumulative weight of all jobs with priority *lower
 //! than or equal to* job `i` (the set `ψ^s_i(l)` of the paper, which includes
 //! `J_i` itself). The fractional shares always sum to `M`; the engine needs
-//! integers, so [`epsilon_fraction_shares`] also performs a deterministic
-//! largest-remainder rounding that preserves the sum.
+//! integers, so [`epsilon_fraction_shares_prefix_into`] also performs a
+//! deterministic largest-remainder rounding that preserves the sum.
 //!
 //! Setting `ε = 1` recovers Hadoop's fair scheduler (all alive jobs share the
 //! cluster in proportion to weight); `ε → 0` degenerates to pure SRPT (only
@@ -36,70 +36,13 @@ pub struct MachineShare {
 }
 
 /// Computes the ε-fraction shares for jobs already sorted by *decreasing*
-/// priority.
+/// priority, pulling from `jobs` only the prefix inside the ε-fraction.
 ///
-/// `jobs` is the priority-ordered list of `(job id, weight)` pairs of the
-/// alive jobs with unscheduled tasks (`ψ^s(l)`); `total_machines` is `M`.
-///
-/// Returns one [`MachineShare`] per input job, in the same order.
-///
-/// # Panics
-/// Panics if `epsilon` is not in `(0, 1]` or any weight is not positive.
-pub fn epsilon_fraction_shares(
-    jobs: &[(JobId, f64)],
-    total_machines: usize,
-    epsilon: f64,
-) -> Vec<MachineShare> {
-    assert!(
-        epsilon > 0.0 && epsilon <= 1.0,
-        "epsilon must be in (0, 1], got {epsilon}"
-    );
-    assert!(
-        jobs.iter().all(|(_, w)| *w > 0.0),
-        "job weights must be positive"
-    );
-    let mut shares = Vec::with_capacity(jobs.len());
-    if jobs.is_empty() || total_machines == 0 {
-        shares.extend(jobs.iter().map(|&(job, _)| MachineShare {
-            job,
-            fractional: 0.0,
-            machines: 0,
-        }));
-        return shares;
-    }
-
-    let total_weight: f64 = jobs.iter().map(|(_, w)| w).sum();
-    let m = total_machines as f64;
-    let threshold = (1.0 - epsilon) * total_weight;
-
-    // W_i(l): cumulative weight of jobs with priority <= job i (including i).
-    // Jobs are sorted by decreasing priority, so this is the weight of the
-    // suffix starting at i.
-    let mut suffix_weight = total_weight;
-    for &(job, weight) in jobs {
-        let w_i = suffix_weight;
-        let fractional = if w_i - weight >= threshold {
-            weight * m / (epsilon * total_weight)
-        } else if w_i < threshold {
-            0.0
-        } else {
-            (w_i - threshold) * m / (epsilon * total_weight)
-        };
-        shares.push(MachineShare {
-            job,
-            fractional,
-            machines: 0,
-        });
-        suffix_weight -= weight;
-    }
-
-    largest_remainder_round(&mut shares, total_machines, &mut Vec::new());
-    shares
-}
-
-/// Prefix-truncated, allocation-free variant of [`epsilon_fraction_shares`] for
-/// callers that know `W(l)` up front: only the jobs inside the ε-fraction
-/// are pulled from the iterator and materialised.
+/// `jobs` yields the priority-ordered `(job id, weight)` pairs of the alive
+/// jobs with unscheduled tasks (`ψ^s(l)`); `total_weight` is `W(l)` and
+/// `total_machines` is `M`. On return `shares` holds one [`MachineShare`]
+/// per consumed job, in input order; `scratch` is the rounding's reusable
+/// working set.
 ///
 /// The ε-fraction rule assigns **exactly zero** machines to every job whose
 /// cumulative suffix weight `W_i(l)` falls below `(1−ε)·W(l)`, and the suffix
@@ -109,25 +52,27 @@ pub fn epsilon_fraction_shares(
 /// engine maintaining `W(l)` incrementally, a decision touches
 /// `O(prefix)` jobs instead of `O(alive)`.
 ///
-/// The emitted prefix is **bit-identical** to the corresponding prefix of the
-/// full walk (same fractional shares, same largest-remainder rounding, same
-/// integer sum `M`): the truncated tail has zero fractional share, is never
-/// eligible for a rounding top-up (eligibility requires a positive fractional
-/// share), and contributes zero to the floored-share sum, so dropping it
-/// changes nothing. Callers must treat jobs without an entry as zero-share.
+/// The emitted prefix is **bit-identical** to the corresponding prefix of a
+/// walk over the whole ranked list (same fractional shares, same
+/// largest-remainder rounding, same integer sum `M`): the truncated tail has
+/// zero fractional share, is never eligible for a rounding top-up
+/// (eligibility requires a positive fractional share), and contributes zero
+/// to the floored-share sum, so dropping it changes nothing. Callers must
+/// treat jobs without an entry as zero-share. The frozen full walk
+/// `integration_tests::oracles::reference_epsilon_fraction_shares` pins this
+/// in the `epsilon_share_equivalence` proptests.
 ///
 /// `total_weight` must equal the sum of **all** candidate weights (the full
 /// ranked list, not just the prefix), accumulated in ranked order —
-/// `jobs.iter().map(|(_, w)| w).sum()` is what the full walk folds. When the
-/// weights are integer-valued `f64`s below 2^53 (every committed workload:
-/// Google-trace weights are `priority + 1`), any exact accumulation — in
-/// particular the engine's incremental counter — produces the same bits; for
-/// general fractional weights the caller must supply the fold-order sum to
-/// keep the truncation bit-identical.
+/// `jobs.iter().map(|(_, w)| w).sum()`. When the weights are integer-valued
+/// `f64`s below 2^53 (every committed workload: Google-trace weights are
+/// `priority + 1`), any exact accumulation — in particular the engine's
+/// incremental counter — produces the same bits; for general fractional
+/// weights the caller must supply the fold-order sum to keep the truncation
+/// bit-identical.
 ///
-/// Unlike the full variant, `total_machines == 0` yields an *empty* share
-/// list (the full walk emits one all-zero entry per job); no scheduler
-/// distinguishes the two, as an absent entry already means "no machines".
+/// `total_machines == 0` yields an empty share list: an absent entry already
+/// means "no machines".
 ///
 /// # Panics
 /// Panics if `epsilon` is not in `(0, 1]` or a *consumed* weight is not
@@ -152,8 +97,9 @@ pub fn epsilon_fraction_shares_prefix_into(
     let m = total_machines as f64;
     let threshold = (1.0 - epsilon) * total_weight;
 
-    // Identical arithmetic to the full walk: W_i(l) is maintained by the
-    // same repeated subtraction, so every emitted share matches bit for bit.
+    // W_i(l): cumulative weight of jobs with priority <= job i (including
+    // i). Jobs are sorted by decreasing priority, so this is the weight of
+    // the suffix starting at i, maintained by repeated subtraction.
     let mut suffix_weight = total_weight;
     for (job, weight) in jobs {
         assert!(weight > 0.0, "job weights must be positive");
@@ -229,106 +175,6 @@ mod tests {
         (0..n as u64).map(JobId::new).collect()
     }
 
-    #[test]
-    fn epsilon_one_is_weighted_fair_sharing() {
-        let jobs: Vec<(JobId, f64)> = ids(3).into_iter().zip([1.0, 2.0, 1.0]).collect();
-        let shares = epsilon_fraction_shares(&jobs, 8, 1.0);
-        // With ε = 1 every job participates in proportion to weight: 2, 4, 2.
-        let fractional: Vec<f64> = shares.iter().map(|s| s.fractional).collect();
-        assert!((fractional[0] - 2.0).abs() < 1e-9);
-        assert!((fractional[1] - 4.0).abs() < 1e-9);
-        assert!((fractional[2] - 2.0).abs() < 1e-9);
-        let total: usize = shares.iter().map(|s| s.machines).sum();
-        assert_eq!(total, 8);
-    }
-
-    #[test]
-    fn small_epsilon_concentrates_on_top_priority_job() {
-        let jobs: Vec<(JobId, f64)> = ids(4).into_iter().zip([1.0, 1.0, 1.0, 1.0]).collect();
-        let shares = epsilon_fraction_shares(&jobs, 100, 0.25);
-        // ε share of weight = 1.0 = exactly the first job's weight: the top
-        // job takes everything.
-        assert!((shares[0].fractional - 100.0).abs() < 1e-9);
-        for s in &shares[1..] {
-            assert_eq!(s.fractional, 0.0);
-            assert_eq!(s.machines, 0);
-        }
-        assert_eq!(shares[0].machines, 100);
-    }
-
-    #[test]
-    fn partial_job_straddling_the_threshold_gets_partial_share() {
-        // Three unit-weight jobs, ε = 0.5 → threshold = 1.5. The top job has
-        // W_1 - w_1 = 2 ≥ 1.5 → full share; the second has W_2 = 2 ≥ 1.5 but
-        // W_2 - w_2 = 1 < 1.5 → partial share (2 - 1.5) = 0.5 of a weight
-        // unit; the third has W_3 = 1 < 1.5 → nothing.
-        let jobs: Vec<(JobId, f64)> = ids(3).into_iter().zip([1.0, 1.0, 1.0]).collect();
-        let shares = epsilon_fraction_shares(&jobs, 12, 0.5);
-        assert!((shares[0].fractional - 8.0).abs() < 1e-9); // 1·12/(0.5·3)
-        assert!((shares[1].fractional - 4.0).abs() < 1e-9); // 0.5·12/(0.5·3)
-        assert_eq!(shares[2].fractional, 0.0);
-        let total: usize = shares.iter().map(|s| s.machines).sum();
-        assert_eq!(total, 12);
-    }
-
-    #[test]
-    fn shares_sum_to_m_after_rounding() {
-        let jobs: Vec<(JobId, f64)> = ids(7)
-            .into_iter()
-            .zip([3.0, 1.0, 2.5, 1.0, 4.0, 0.5, 2.0])
-            .collect();
-        for m in [1usize, 3, 10, 97] {
-            for eps in [0.2, 0.5, 0.6, 0.9, 1.0] {
-                let shares = epsilon_fraction_shares(&jobs, m, eps);
-                let frac_sum: f64 = shares.iter().map(|s| s.fractional).sum();
-                assert!(
-                    (frac_sum - m as f64).abs() < 1e-6,
-                    "fractional shares sum {frac_sum} != {m} at eps {eps}"
-                );
-                let int_sum: usize = shares.iter().map(|s| s.machines).sum();
-                assert_eq!(int_sum, m, "integer shares must sum to M");
-            }
-        }
-    }
-
-    #[test]
-    fn zero_machines_or_no_jobs() {
-        let jobs: Vec<(JobId, f64)> = ids(2).into_iter().zip([1.0, 1.0]).collect();
-        let shares = epsilon_fraction_shares(&jobs, 0, 0.5);
-        assert!(shares.iter().all(|s| s.machines == 0));
-        let empty = epsilon_fraction_shares(&[], 10, 0.5);
-        assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn higher_priority_jobs_never_get_less_share_per_weight() {
-        let jobs: Vec<(JobId, f64)> = ids(5).into_iter().zip([2.0, 1.0, 3.0, 1.0, 1.0]).collect();
-        let shares = epsilon_fraction_shares(&jobs, 40, 0.6);
-        let per_weight: Vec<f64> = shares
-            .iter()
-            .zip(&jobs)
-            .map(|(s, (_, w))| s.fractional / w)
-            .collect();
-        for pair in per_weight.windows(2) {
-            assert!(
-                pair[0] + 1e-9 >= pair[1],
-                "share per weight must be non-increasing"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "epsilon must be in")]
-    fn zero_epsilon_rejected() {
-        epsilon_fraction_shares(&[(JobId::new(0), 1.0)], 4, 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "weights must be positive")]
-    fn non_positive_weight_rejected() {
-        epsilon_fraction_shares(&[(JobId::new(0), 0.0)], 4, 0.5);
-    }
-
     /// Runs the prefix walk with the fold-order total weight, the way the
     /// scheduler does.
     fn prefix_shares(jobs: &[(JobId, f64)], m: usize, eps: f64) -> Vec<MachineShare> {
@@ -346,40 +192,104 @@ mod tests {
         shares
     }
 
-    /// The prefix walk must be a bitwise-identical truncation of the full
-    /// walk: same entries up to the truncation point, all-zero tail beyond
-    /// it, same integer total.
-    fn assert_prefix_matches_full(jobs: &[(JobId, f64)], m: usize, eps: f64) -> Result<(), String> {
-        let full = epsilon_fraction_shares(jobs, m, eps);
-        let prefix = prefix_shares(jobs, m, eps);
-        prop_assert!(
-            prefix.len() <= full.len(),
-            "prefix ({}) longer than full ({})",
-            prefix.len(),
-            full.len()
-        );
-        for (i, (p, f)) in prefix.iter().zip(&full).enumerate() {
-            prop_assert!(p.job == f.job, "job mismatch at {i}");
-            prop_assert!(
-                p.fractional.to_bits() == f.fractional.to_bits(),
-                "fractional share not bit-identical at {i}: {} vs {}",
-                p.fractional,
-                f.fractional
-            );
-            prop_assert!(p.machines == f.machines, "integer share mismatch at {i}");
+    #[test]
+    fn epsilon_one_is_weighted_fair_sharing() {
+        let jobs: Vec<(JobId, f64)> = ids(3).into_iter().zip([1.0, 2.0, 1.0]).collect();
+        let shares = prefix_shares(&jobs, 8, 1.0);
+        // With ε = 1 every job participates in proportion to weight: 2, 4, 2.
+        let fractional: Vec<f64> = shares.iter().map(|s| s.fractional).collect();
+        assert!((fractional[0] - 2.0).abs() < 1e-9);
+        assert!((fractional[1] - 4.0).abs() < 1e-9);
+        assert!((fractional[2] - 2.0).abs() < 1e-9);
+        let total: usize = shares.iter().map(|s| s.machines).sum();
+        assert_eq!(total, 8);
+    }
+
+    #[test]
+    fn small_epsilon_concentrates_on_top_priority_job() {
+        let jobs: Vec<(JobId, f64)> = ids(4).into_iter().zip([1.0, 1.0, 1.0, 1.0]).collect();
+        let shares = prefix_shares(&jobs, 100, 0.25);
+        // ε share of weight = 1.0 = exactly the first job's weight: the top
+        // job takes everything.
+        assert!((shares[0].fractional - 100.0).abs() < 1e-9);
+        for s in &shares[1..] {
+            assert_eq!(s.fractional, 0.0);
+            assert_eq!(s.machines, 0);
         }
-        for (i, f) in full.iter().enumerate().skip(prefix.len()) {
-            prop_assert!(
-                f.fractional == 0.0 && f.machines == 0,
-                "truncated entry {} is nonzero: fractional {}, machines {}",
-                i,
-                f.fractional,
-                f.machines
+        assert_eq!(shares[0].machines, 100);
+    }
+
+    #[test]
+    fn partial_job_straddling_the_threshold_gets_partial_share() {
+        // Three unit-weight jobs, ε = 0.5 → threshold = 1.5. The top job has
+        // W_1 - w_1 = 2 ≥ 1.5 → full share; the second has W_2 = 2 ≥ 1.5 but
+        // W_2 - w_2 = 1 < 1.5 → partial share (2 - 1.5) = 0.5 of a weight
+        // unit; the third has W_3 = 1 < 1.5 → nothing, so no entry.
+        let jobs: Vec<(JobId, f64)> = ids(3).into_iter().zip([1.0, 1.0, 1.0]).collect();
+        let shares = prefix_shares(&jobs, 12, 0.5);
+        assert!((shares[0].fractional - 8.0).abs() < 1e-9); // 1·12/(0.5·3)
+        assert!((shares[1].fractional - 4.0).abs() < 1e-9); // 0.5·12/(0.5·3)
+        assert_eq!(shares.len(), 2);
+        let total: usize = shares.iter().map(|s| s.machines).sum();
+        assert_eq!(total, 12);
+    }
+
+    #[test]
+    fn shares_sum_to_m_after_rounding() {
+        let jobs: Vec<(JobId, f64)> = ids(7)
+            .into_iter()
+            .zip([3.0, 1.0, 2.5, 1.0, 4.0, 0.5, 2.0])
+            .collect();
+        for m in [1usize, 3, 10, 97] {
+            for eps in [0.2, 0.5, 0.6, 0.9, 1.0] {
+                let shares = prefix_shares(&jobs, m, eps);
+                let frac_sum: f64 = shares.iter().map(|s| s.fractional).sum();
+                assert!(
+                    (frac_sum - m as f64).abs() < 1e-6,
+                    "fractional shares sum {frac_sum} != {m} at eps {eps}"
+                );
+                let int_sum: usize = shares.iter().map(|s| s.machines).sum();
+                assert_eq!(int_sum, m, "integer shares must sum to M");
+            }
+        }
+    }
+
+    #[test]
+    fn zero_machines_or_no_jobs() {
+        let jobs: Vec<(JobId, f64)> = ids(2).into_iter().zip([1.0, 1.0]).collect();
+        let shares = prefix_shares(&jobs, 0, 0.5);
+        assert!(shares.iter().all(|s| s.machines == 0));
+        let empty = prefix_shares(&[], 10, 0.5);
+        assert!(empty.is_empty());
+    }
+
+    #[test]
+    fn higher_priority_jobs_never_get_less_share_per_weight() {
+        let jobs: Vec<(JobId, f64)> = ids(5).into_iter().zip([2.0, 1.0, 3.0, 1.0, 1.0]).collect();
+        let shares = prefix_shares(&jobs, 40, 0.6);
+        let per_weight: Vec<f64> = shares
+            .iter()
+            .zip(&jobs)
+            .map(|(s, (_, w))| s.fractional / w)
+            .collect();
+        for pair in per_weight.windows(2) {
+            assert!(
+                pair[0] + 1e-9 >= pair[1],
+                "share per weight must be non-increasing"
             );
         }
-        let sum: usize = prefix.iter().map(|s| s.machines).sum();
-        prop_assert!(sum == m, "prefix shares sum {sum} != {m}");
-        Ok(())
+    }
+
+    #[test]
+    #[should_panic(expected = "epsilon must be in")]
+    fn zero_epsilon_rejected() {
+        prefix_shares(&[(JobId::new(0), 1.0)], 4, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "weights must be positive")]
+    fn non_positive_weight_rejected() {
+        prefix_shares(&[(JobId::new(0), 0.0)], 4, 0.5);
     }
 
     #[test]
@@ -390,7 +300,7 @@ mod tests {
         let prefix = prefix_shares(&jobs, 100, 0.25);
         assert!(prefix.len() <= 2, "prefix kept {} entries", prefix.len());
         assert_eq!(prefix[0].machines, 100);
-        assert_prefix_matches_full(&jobs, 100, 0.25).unwrap();
+        assert!(prefix[1..].iter().all(|s| s.machines == 0));
     }
 
     #[test]
@@ -405,48 +315,10 @@ mod tests {
         let jobs: Vec<(JobId, f64)> = ids(5).into_iter().zip([3.0, 1.0, 2.0, 1.0, 5.0]).collect();
         let prefix = prefix_shares(&jobs, 16, 1.0);
         assert_eq!(prefix.len(), jobs.len());
-        assert_prefix_matches_full(&jobs, 16, 1.0).unwrap();
-    }
-
-    proptest! {
-        /// Satellite pin: the prefix-truncated walk is interchangeable with
-        /// the full walk over random ranked lists and ε ∈ (0, 1].
-        #[test]
-        fn prop_prefix_walk_matches_full_walk(
-            weights in proptest::collection::vec(0.1f64..20.0, 1..40),
-            m in 0usize..200,
-            eps in 0.05f64..1.0,
-        ) {
-            let jobs: Vec<(JobId, f64)> = weights
-                .iter()
-                .enumerate()
-                .map(|(i, &w)| (JobId::new(i as u64), w))
-                .collect();
-            if m == 0 {
-                prop_assert!(prefix_shares(&jobs, 0, eps).is_empty());
-            } else {
-                // ε = 1.0 is the boundary case the unit test covers; sample
-                // the open range here and the exact endpoint separately.
-                assert_prefix_matches_full(&jobs, m, eps)?;
-                assert_prefix_matches_full(&jobs, m, 1.0)?;
-            }
-        }
-
-        /// Integer-valued weights are the committed-workload regime where the
-        /// incremental W(l) counter is exact; pin it explicitly.
-        #[test]
-        fn prop_prefix_walk_matches_full_walk_integer_weights(
-            weights in proptest::collection::vec(1u32..50, 1..40),
-            m in 1usize..200,
-            eps in 0.05f64..1.0,
-        ) {
-            let jobs: Vec<(JobId, f64)> = weights
-                .iter()
-                .enumerate()
-                .map(|(i, &w)| (JobId::new(i as u64), f64::from(w)))
-                .collect();
-            assert_prefix_matches_full(&jobs, m, eps)?;
-        }
+        // Fractional shares w·16/12 = 4, 1.33, 2.67, 1.33, 6.67 floor to 14
+        // machines; the two leftovers go to the largest remainders (0.67).
+        let machines: Vec<usize> = prefix.iter().map(|s| s.machines).collect();
+        assert_eq!(machines, vec![4, 1, 3, 1, 7]);
     }
 
     proptest! {
@@ -461,7 +333,7 @@ mod tests {
                 .enumerate()
                 .map(|(i, &w)| (JobId::new(i as u64), w))
                 .collect();
-            let shares = epsilon_fraction_shares(&jobs, m, eps);
+            let shares = prefix_shares(&jobs, m, eps);
             let int_sum: usize = shares.iter().map(|s| s.machines).sum();
             prop_assert_eq!(int_sum, m);
             let frac_sum: f64 = shares.iter().map(|s| s.fractional).sum();

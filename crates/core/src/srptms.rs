@@ -7,7 +7,7 @@
 //! 2. ranks them by `w_i / U_i(l)` where `U_i(l)` is the remaining effective
 //!    workload of Equation (4),
 //! 3. computes the ε-fraction machine shares `g_i(l)`
-//!    ([`crate::sharing::epsilon_fraction_shares`]),
+//!    ([`crate::sharing::epsilon_fraction_shares_prefix_into`]),
 //! 4. walks the jobs in priority order and gives each one
 //!    `ξ_i(l) = g_i(l) − σ_i(l)` *extra* machines (never taking machines away
 //!    from a job that currently holds more than its share — the allocation is
@@ -276,7 +276,7 @@ impl Scheduler for SrptMsC {
         // job derefs instead of `O(alive)`. `W(l)` is the engine's
         // incrementally maintained unscheduled-weight aggregate (exact for
         // the integer-valued job weights every committed workload uses,
-        // hence bit-identical to the full walk's fold).
+        // hence bit-identical to a ranked-order fold of the weights).
         let config = self.config;
         epsilon_fraction_shares_prefix_into(
             entries.iter().map(|(_, idx)| {

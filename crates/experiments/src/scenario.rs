@@ -176,12 +176,6 @@ impl Scenario {
         }
     }
 
-    /// The scenario used by the Criterion benches: small enough for repeated
-    /// measurement, large enough that scheduling decisions still matter.
-    pub fn bench() -> Self {
-        Self::scaled(300, 1)
-    }
-
     /// The scenario used by integration tests (fast).
     pub fn test() -> Self {
         Self::scaled(150, 1)

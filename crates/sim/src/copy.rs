@@ -310,15 +310,6 @@ impl CopyArena {
         self.hot.len()
     }
 
-    /// The id the next allocation will receive (a recycled slot if one is
-    /// free, otherwise a fresh one).
-    pub fn next_id(&self) -> CopyId {
-        match self.free.last() {
-            Some(&slot) => CopyId(slot),
-            None => CopyId(self.hot.len() as u64),
-        }
-    }
-
     /// Stores one copy in a recycled or fresh slot and returns its id and
     /// freshly assigned sequence.
     fn alloc(&mut self, hot: HotCopy, cold: ColdCopy) -> (CopyId, u64) {
@@ -565,7 +556,6 @@ mod tests {
         arena.finish(id0, 10);
         arena.free(id0);
         assert_eq!(arena.live_slots(), 1);
-        assert_eq!(arena.next_id(), id0);
         let (id2, seq2) = arena.alloc_running(task(), 12, 5);
         assert_eq!(id2, id0, "freed slot must be reused");
         assert_eq!(seq2, 2, "sequence is never reused");

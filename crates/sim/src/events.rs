@@ -15,29 +15,29 @@
 //!   before machine recoveries before machine failures at the same slot,
 //!   and same-kind ties broken by sequence (copy allocation order or
 //!   machine index — copy *slots* are recycled across a run, allocation
-//!   sequences never are).
-//! * [`HeapEventQueue`] is the frozen pre-calendar implementation (a
-//!   `BinaryHeap` min-heap). It is kept verbatim as the ordering oracle for
-//!   the side-by-side equivalence proptests and the `event_path` benchmark.
+//!   sequences never are). The frozen pre-calendar `BinaryHeap` it replaced
+//!   is the ordering oracle of the side-by-side equivalence proptests and
+//!   the `event_path` benchmark; it lives with the tests
+//!   (`integration_tests::oracles::HeapEventQueue`) and spells out its own
+//!   key, so it shares no ordering code with this module.
 //!
 //! # Stale events
 //!
 //! Completion events can become stale before they fire: first-copy-wins kills
 //! sibling copies, `CancelCopies` actions kill speculative ones and machine
-//! crashes kill resident ones. Both queues delete lazily: a dead copy's
+//! crashes kill resident ones. The queue deletes lazily: a dead copy's
 //! finish event stays queued, its instant still fires (it shows up in
 //! [`EventQueue::peek_slot`] and wakes the engine), and the engine rejects
 //! the delivered entry with an `O(1)` check of the copy's allocation
 //! sequence, phase and finish slot. Removing the entry instead would cost
 //! more than skipping it and would still have to leave its instant firing,
 //! because the decision-instant sequence is part of the trajectory. So the
-//! calendar queue and the heap deliver the same raw sequence, stale entries
-//! included.
+//! calendar queue and the heap oracle deliver the same raw sequence, stale
+//! entries included.
 
 use crate::copy::CopyId;
 use crate::state::Slot;
 use mapreduce_workload::TaskId;
-use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Something the engine schedules to happen at a later simulation slot.
@@ -350,77 +350,6 @@ impl EventQueue {
     }
 }
 
-/// The frozen pre-calendar event queue: a min-heap with lazy stale entries.
-///
-/// This is the exact `BinaryHeap` implementation the engine used before the
-/// calendar queue. It is retained as the **ordering oracle**: the
-/// side-by-side proptests drive both queues over randomized event streams
-/// and assert identical pop order, and the `event_path` benchmark uses it as
-/// the same-machine baseline. Do not "improve" it; its value is that it does
-/// not change.
-#[derive(Debug, Default)]
-pub struct HeapEventQueue {
-    heap: BinaryHeap<Reverse<HeapEntry>>,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct HeapEntry {
-    key: (Slot, u8, u64),
-    event: Event,
-}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key.cmp(&other.key)
-    }
-}
-
-impl HeapEventQueue {
-    /// An empty queue.
-    pub fn new() -> Self {
-        HeapEventQueue::default()
-    }
-
-    /// Number of pending events (including entries that may be stale).
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Schedules an event.
-    pub fn push(&mut self, event: Event) {
-        self.heap.push(Reverse(HeapEntry {
-            key: event.key(),
-            event,
-        }));
-    }
-
-    /// The slot of the earliest pending event, if any.
-    pub fn peek_slot(&self) -> Option<Slot> {
-        self.heap.peek().map(|Reverse(entry)| entry.key.0)
-    }
-
-    /// Pops the earliest event if it fires at or before `now`.
-    pub fn pop_due(&mut self, now: Slot) -> Option<Event> {
-        match self.heap.peek() {
-            Some(Reverse(entry)) if entry.key.0 <= now => {
-                Some(self.heap.pop().expect("peeked").0.event)
-            }
-            _ => None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -624,27 +553,6 @@ mod tests {
     }
 
     #[test]
-    fn pop_due_respects_now() {
-        // Neither the calendar's drain nor the heap oracle's pop delivers an
-        // event before its slot.
-        let recovery = Event::MachineUp {
-            at: 50,
-            machine: 0,
-            crash: true,
-        };
-        let mut q = EventQueue::new();
-        let mut heap = HeapEventQueue::new();
-        q.push(recovery);
-        heap.push(recovery);
-        assert!(drain(&mut q, 49).is_empty());
-        assert_eq!(heap.pop_due(49), None);
-        assert_eq!(q.len(), 1);
-        assert_eq!(heap.len(), 1);
-        assert_eq!(drain(&mut q, 50), vec![recovery]);
-        assert_eq!(heap.pop_due(50), Some(recovery));
-    }
-
-    #[test]
     fn same_slot_push_while_draining_keeps_order() {
         // A push at the instant just drained is legal (`drained_to`) and is
         // delivered, sorted, by the next drain of that instant.
@@ -680,27 +588,6 @@ mod tests {
         assert_eq!(q.drained_to(), 4);
         assert_eq!(drain(&mut q, 100).len(), 1);
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn calendar_matches_heap_on_a_mixed_stream() {
-        // Deterministic cross-check (the randomized version lives in the
-        // integration proptests): interleave pushes and drains and compare
-        // delivery order against the frozen heap.
-        let mut calendar = EventQueue::with_ring_bits(5);
-        let mut heap = HeapEventQueue::new();
-        let slots = [3u64, 3, 17, 90, 4, 17, 4096, 3, 64, 91, 4097, 5000];
-        for (copy, &slot) in slots.iter().enumerate() {
-            let e = finish(slot, copy as u64);
-            calendar.push(e);
-            heap.push(e);
-        }
-        for now in [3, 4, 17, 100, 6000] {
-            assert_eq!(calendar.peek_slot(), heap.peek_slot());
-            let from_heap: Vec<Event> = std::iter::from_fn(|| heap.pop_due(now)).collect();
-            assert_eq!(drain(&mut calendar, now), from_heap);
-        }
-        assert!(calendar.is_empty() && heap.is_empty());
     }
 
     #[test]

@@ -35,9 +35,7 @@
 //! copy's finish event stays queued, wakes the engine at its instant and
 //! fails an `O(1)` liveness check. Every copy leaves its machine through one
 //! engine exit, whether it won, lost to a sibling, was cancelled by the
-//! scheduler or was killed by a crash. The frozen pre-calendar heap
-//! ([`events::HeapEventQueue`]) is kept as the ordering oracle for the
-//! side-by-side equivalence proptests and the `event_path` benchmark.
+//! scheduler or was killed by a crash.
 //!
 //! # Incremental scheduler state
 //!
@@ -80,7 +78,8 @@
 //! every optimized scheduler to a frozen pre-optimization reference
 //! bit-for-bit, and a dedicated proptest drives the calendar queue against
 //! the frozen heap over randomized streams
-//! (`tests/tests/event_queue_equivalence.rs`).
+//! (`tests/tests/event_queue_equivalence.rs`). Both oracles are kept in the
+//! `integration-tests` library, outside this crate.
 //!
 //! # Quick example
 //!
@@ -113,7 +112,7 @@ pub use config::{FaultClass, FaultPlan, SimConfig, StragglerModel};
 pub use copy::{CopyArena, CopyId, CopyPhase, CopyRef};
 pub use engine::Simulation;
 pub use error::SimError;
-pub use events::{Event, EventQueue, HeapEventQueue};
+pub use events::{Event, EventQueue};
 pub use result::{JobRecord, RunTelemetry, SimOutcome};
 pub use speedup::{ParetoSpeedup, SpeedupFunction};
 pub use state::{

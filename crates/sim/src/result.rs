@@ -42,11 +42,6 @@ impl JobRecord {
     pub fn num_tasks(&self) -> usize {
         self.num_map_tasks + self.num_reduce_tasks
     }
-
-    /// Number of extra copies beyond the one original attempt per task.
-    pub fn extra_copies(&self) -> usize {
-        self.copies_launched.saturating_sub(self.num_tasks())
-    }
 }
 
 impl ToJson for JobRecord {
@@ -413,7 +408,6 @@ mod tests {
         assert_eq!(r.flowtime(), 50);
         assert_eq!(r.weighted_flowtime(), 100.0);
         assert_eq!(r.num_tasks(), 3);
-        assert_eq!(r.extra_copies(), 1);
     }
 
     #[test]

@@ -586,12 +586,6 @@ impl JobState {
                 * self.spec.reduce_stats.effective_task_workload(r)
     }
 
-    /// The total effective workload `φ_i` of Equation (2) (static, ignores
-    /// progress).
-    pub fn total_effective_workload(&self, r: f64) -> f64 {
-        self.spec.effective_workload(r)
-    }
-
     // ----- engine-internal mutation -----
 
     pub(crate) fn mark_arrived(&mut self) {
@@ -1682,7 +1676,7 @@ mod tests {
         assert!((js.remaining_effective_workload(2.0) - 80.0).abs() < 1e-12);
         // r = 0: 2·15 + 30 = 60
         assert!((js.remaining_effective_workload(0.0) - 60.0).abs() < 1e-12);
-        assert!((js.total_effective_workload(0.0) - 60.0).abs() < 1e-12);
+        assert!((js.spec().effective_workload(0.0) - 60.0).abs() < 1e-12);
     }
 
     #[test]

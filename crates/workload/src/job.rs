@@ -107,12 +107,6 @@ impl PhaseStats {
     pub fn effective_task_workload(&self, r: f64) -> f64 {
         self.mean + r * self.std_dev
     }
-
-    /// Derives the stats of a distribution.
-    pub fn from_distribution(dist: &DurationDistribution) -> Self {
-        let std = dist.std_dev();
-        PhaseStats::new(dist.mean(), if std.is_finite() { std } else { dist.mean() })
-    }
 }
 
 impl Default for PhaseStats {
@@ -554,8 +548,13 @@ mod tests {
 
     #[test]
     fn phase_stats_from_distribution() {
+        // Generated jobs carry their duration distribution's moments.
         let d = DurationDistribution::Exponential { mean: 42.0 };
-        let s = PhaseStats::from_distribution(&d);
+        let trace = crate::WorkloadBuilder::new()
+            .num_jobs(1)
+            .map_duration(d)
+            .build(1);
+        let s = trace.jobs()[0].stats(Phase::Map);
         assert!((s.mean - 42.0).abs() < 1e-12);
         assert!((s.std_dev - 42.0).abs() < 1e-12);
     }

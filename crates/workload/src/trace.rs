@@ -132,12 +132,6 @@ impl Trace {
         self.jobs.iter().map(|j| j.num_tasks()).sum()
     }
 
-    /// Returns a new trace containing only the jobs selected by `keep`.
-    pub fn filtered<F: FnMut(&JobSpec) -> bool>(&self, mut keep: F) -> Trace {
-        let jobs: Vec<JobSpec> = self.jobs.iter().filter(|j| keep(j)).cloned().collect();
-        Trace::new(jobs).expect("filtering a valid trace keeps it valid")
-    }
-
     /// Returns a new trace with only the first `n` jobs (by arrival).
     pub fn truncated(&self, n: usize) -> Trace {
         let jobs: Vec<JobSpec> = self.jobs.iter().take(n).cloned().collect();
@@ -468,8 +462,6 @@ mod tests {
     #[test]
     fn filtered_and_truncated() {
         let trace = sample_trace();
-        let small = trace.filtered(|j| j.num_tasks() <= 2);
-        assert_eq!(small.len(), 1);
         let first_two = trace.truncated(2);
         assert_eq!(first_two.len(), 2);
         assert_eq!(first_two.jobs()[1].arrival, 50);

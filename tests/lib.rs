@@ -1,7 +1,9 @@
-//! Shared helpers for the cross-crate integration tests.
+//! Shared code for the cross-crate integration tests.
 //!
-//! The actual tests live in `tests/tests/*.rs`; this library crate only holds
-//! small utilities (scaled-down trace profiles, scheduler line-ups) that
-//! several integration tests reuse.
+//! The actual tests live in `tests/tests/*.rs`. This library crate holds what
+//! several of them reuse: small utilities (scaled-down trace profiles,
+//! scheduler line-ups) in [`helpers`], and the frozen reference
+//! implementations the optimized code is pinned against in [`oracles`].
 
 pub mod helpers;
+pub mod oracles;

@@ -1,7 +1,7 @@
 //! Frozen pre-optimization reference implementations of the baselines.
 //!
 //! These are verbatim copies of Mantri, LATE, Fair, FIFO and SCA as they
-//! existed before the incremental-state optimization (PR 2): every decision
+//! existed before the incremental-state optimization: every decision
 //! re-scans the full task vectors, re-sorts the alive jobs, and re-derives
 //! every estimate (`t_new`, progress rates, remaining times) from scratch.
 //! They deliberately touch **none** of the engine's incremental indices (no
@@ -17,10 +17,10 @@
 //! the per-copy task queries behind a `&CopyArena` parameter, and the
 //! parameters once read from per-scheduler config structs are now read from
 //! the module constants of the optimized schedulers and of
-//! [`crate::detection`]. The decision logic is untouched.)
+//! [`mapreduce_baselines::detection`]. The decision logic is untouched.)
 
-use crate::detection::{DETECTION_INTERVAL, MIN_ELAPSED_FOR_DETECTION};
-use crate::{late, mantri, restart, sca};
+use mapreduce_baselines::detection::{DETECTION_INTERVAL, MIN_ELAPSED_FOR_DETECTION};
+use mapreduce_baselines::{late, mantri, restart, sca};
 use mapreduce_sim::{
     Action, ClusterState, CopyArena, JobState, ParetoSpeedup, Scheduler, Slot, SpeedupFunction,
     TaskState, TaskStatus,
@@ -390,9 +390,10 @@ impl Scheduler for ReferenceLate {
 /// re-derives `t_new` by scanning every task of the phase and re-examines
 /// every running task of every alive job — no running-by-finish index, no
 /// completed-duration aggregates. The golden-equivalence suite pins
-/// [`crate::Restart`] against this implementation bit-for-bit, which gives
-/// the engine's cancellation path (stale finish events, scratch-buffer
-/// cancellation, running-finish re-keying) adversarial randomized coverage.
+/// [`mapreduce_baselines::Restart`] against this implementation
+/// bit-for-bit, which gives the engine's cancellation path (stale finish
+/// events, scratch-buffer cancellation, running-finish re-keying)
+/// adversarial randomized coverage.
 #[derive(Debug, Default, Clone)]
 pub struct ReferenceRestart {
     restarts: std::collections::HashMap<mapreduce_workload::TaskId, u32>,
@@ -604,26 +605,24 @@ impl Scheduler for ReferenceSca {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mapreduce_baselines::{FairScheduler, Fifo, Late, Mantri, Sca};
     use mapreduce_sim::{SimConfig, Simulation};
     use mapreduce_workload::WorkloadBuilder;
 
     #[test]
     fn references_report_the_optimized_names() {
-        assert_eq!(
-            ReferenceFair::new().name(),
-            crate::FairScheduler::new().name()
-        );
-        assert_eq!(ReferenceFifo::new().name(), crate::Fifo::new().name());
-        assert_eq!(ReferenceMantri::new().name(), crate::Mantri::new().name());
-        assert_eq!(ReferenceLate::new().name(), crate::Late::new().name());
-        assert_eq!(ReferenceSca::new().name(), crate::Sca::new().name());
+        assert_eq!(ReferenceFair::new().name(), FairScheduler::new().name());
+        assert_eq!(ReferenceFifo::new().name(), Fifo::new().name());
+        assert_eq!(ReferenceMantri::new().name(), Mantri::new().name());
+        assert_eq!(ReferenceLate::new().name(), Late::new().name());
+        assert_eq!(ReferenceSca::new().name(), Sca::new().name());
         assert_eq!(
             ReferenceMantri::new().wakeup_interval(),
-            crate::Mantri::new().wakeup_interval()
+            Mantri::new().wakeup_interval()
         );
         assert_eq!(
             ReferenceLate::new().wakeup_interval(),
-            crate::Late::new().wakeup_interval()
+            Late::new().wakeup_interval()
         );
     }
 

@@ -1,31 +1,44 @@
 //! Frozen pre-optimization reference implementation of SRPTMS+C.
 //!
 //! [`ReferenceSrptMsC`] is a verbatim copy of the scheduler as it existed
-//! before the incremental-state optimization (PR 2): it re-sorts the alive
-//! jobs on every wakeup, re-derives every priority from the job statistics,
+//! before the incremental-state optimization: it re-sorts the alive jobs on
+//! every wakeup, re-derives every priority from the job statistics,
 //! enumerates unscheduled tasks by scanning the full task vectors and
 //! allocates its working sets per decision. It deliberately touches **none**
 //! of the engine's incremental indices (no [`Scheduler::priority_r`], no
 //! free-lists), so it exercises the naive path end to end.
 //!
 //! It exists for two purposes:
-//! * the golden-equivalence tests assert that the optimized [`crate::SrptMsC`]
-//!   produces a bit-identical `SimOutcome` on randomized workloads, and
+//! * the golden-equivalence tests assert that the optimized
+//!   [`mapreduce_sched::SrptMsC`] produces a bit-identical `SimOutcome` on
+//!   randomized workloads, and
 //! * the `engine_fullscale` benchmark runs it as the recorded pre-change
 //!   baseline so the performance trajectory in `BENCH_engine.json` shows the
 //!   win against the same binary.
 //!
+//! [`reference_epsilon_fraction_shares`] is the frozen full walk of the
+//! ε-fraction rule. It shares no code with `mapreduce_sched::sharing`, so the
+//! prefix-walk proptests (`tests/tests/epsilon_share_equivalence.rs`) check
+//! the production rounding against an independent copy.
+//!
 //! Do not "improve" this module; its value is that it does not change.
 
-use crate::sharing::MachineShare;
-use crate::srptms::SrptMsCConfig;
+use mapreduce_sched::{MachineShare, SrptMsCConfig};
 use mapreduce_sim::{Action, ClusterState, JobState, Scheduler};
 use mapreduce_workload::{JobId, Phase};
 
 /// The pre-optimization ε-fraction shares, frozen verbatim (fresh `Vec` per
 /// call, full `partial_cmp` sort inside the rounding) so the reference does
-/// not share the rewritten `crate::sharing` code path it is the oracle for.
-fn reference_epsilon_fraction_shares(
+/// not share the rewritten `mapreduce_sched::sharing` code path it is the
+/// oracle for.
+///
+/// `jobs` is the priority-ordered list of `(job id, weight)` pairs; the
+/// result holds one share per input job, in the same order (all zero when
+/// `total_machines == 0`).
+///
+/// # Panics
+/// Panics if `epsilon` is not in `(0, 1]` or any weight is not positive.
+pub fn reference_epsilon_fraction_shares(
     jobs: &[(JobId, f64)],
     total_machines: usize,
     epsilon: f64,
@@ -297,7 +310,7 @@ mod tests {
     fn reference_reports_the_optimized_name() {
         assert_eq!(
             ReferenceSrptMsC::new(0.6, 3.0).name(),
-            crate::SrptMsC::new(0.6, 3.0).name()
+            mapreduce_sched::SrptMsC::new(0.6, 3.0).name()
         );
     }
 

@@ -3,11 +3,10 @@
 //!
 //! The engine's trajectory is fully determined by the sequence of delivered
 //! events and the sequence of decision instants. These properties drive the
-//! new [`EventQueue`] (calendar/bucket) and the frozen [`HeapEventQueue`]
-//! over identical randomized streams — machine transitions and finishes,
+//! [`EventQueue`] (calendar/bucket) and the frozen [`HeapEventQueue`] over
+//! identical randomized streams — machine transitions and finishes,
 //! same-slot ties, far-future overflow slots, and cancellations of queued
-//! finishes —
-//! and assert that
+//! finishes — and assert that
 //!
 //! * both queues report the **same next instant** at every step, and
 //! * both deliver the **same raw events in the same order**, stale entries
@@ -15,8 +14,13 @@
 //!   the same liveness filter (standing in for the engine's delivery-time
 //!   check) drops it on both sides. Every cancelled entry is delivered
 //!   exactly once.
+//!
+//! The heap orders by its own `(slot, kind, sequence)` key, written out from
+//! the public [`Event`] variants, so an ordering bug in the calendar queue's
+//! key is a divergence here rather than a bug both sides share.
 
-use mapreduce_sim::{CopyId, Event, EventQueue, HeapEventQueue};
+use integration_tests::oracles::HeapEventQueue;
+use mapreduce_sim::{CopyId, Event, EventQueue, Slot};
 use mapreduce_support::proptest::prelude::*;
 use mapreduce_support::rng::{Rng, SimRng};
 use mapreduce_workload::{JobId, Phase, TaskId};
@@ -32,6 +36,13 @@ fn finish_event(at: u64, copy: u64) -> Event {
         task: TaskId::new(JobId::new(copy % 7), Phase::Map, (copy % 13) as u32),
         seq: copy,
     }
+}
+
+/// Everything the calendar queue delivers at or before `now`, in order.
+fn drain(q: &mut EventQueue, now: Slot) -> Vec<Event> {
+    let mut out = Vec::new();
+    q.drain_due(now, &mut out);
+    out
 }
 
 /// The delivered events that survive the liveness filter: everything except
@@ -161,4 +172,45 @@ proptest! {
         let ring_bits = [4u8, 8, 11][ring_sel];
         drive(seed, ops, ring_bits)?;
     }
+}
+
+#[test]
+fn pop_due_respects_now() {
+    // Neither the calendar's drain nor the heap oracle's pop delivers an
+    // event before its slot.
+    let recovery = Event::MachineUp {
+        at: 50,
+        machine: 0,
+        crash: true,
+    };
+    let mut q = EventQueue::new();
+    let mut heap = HeapEventQueue::new();
+    q.push(recovery);
+    heap.push(recovery);
+    assert!(drain(&mut q, 49).is_empty());
+    assert_eq!(heap.pop_due(49), None);
+    assert_eq!(q.len(), 1);
+    assert_eq!(heap.len(), 1);
+    assert_eq!(drain(&mut q, 50), vec![recovery]);
+    assert_eq!(heap.pop_due(50), Some(recovery));
+}
+
+#[test]
+fn calendar_matches_heap_on_a_mixed_stream() {
+    // Deterministic cross-check of the randomized property above: interleave
+    // pushes and drains and compare delivery order against the frozen heap.
+    let mut calendar = EventQueue::with_ring_bits(5);
+    let mut heap = HeapEventQueue::new();
+    let slots = [3u64, 3, 17, 90, 4, 17, 4096, 3, 64, 91, 4097, 5000];
+    for (copy, &slot) in slots.iter().enumerate() {
+        let e = finish_event(slot, copy as u64);
+        calendar.push(e);
+        heap.push(e);
+    }
+    for now in [3, 4, 17, 100, 6000] {
+        assert_eq!(calendar.peek_slot(), heap.peek_slot());
+        let from_heap: Vec<Event> = std::iter::from_fn(|| heap.pop_due(now)).collect();
+        assert_eq!(drain(&mut calendar, now), from_heap);
+    }
+    assert!(calendar.is_empty() && heap.is_empty());
 }

@@ -2,26 +2,26 @@
 //!
 //! Every optimized scheduler (SRPTMS+C, Mantri, LATE, Fair, FIFO, SCA,
 //! Restart) must produce a **bit-identical** [`SimOutcome`] to its frozen
-//! pre-optimization reference implementation (`mapreduce_sched::reference`,
-//! `mapreduce_baselines::reference`) on randomized multi-seed workloads, with
-//! and without machine faults. The references re-scan and re-sort everything
+//! pre-optimization reference implementation (`integration_tests::oracles`)
+//! on randomized multi-seed workloads, with and without machine faults. The references re-scan and re-sort everything
 //! per decision and touch none of the engine's incremental indices, so any
 //! divergence in the free-lists, the priority/arrival orders, the
 //! running-by-finish index, the completed-duration aggregates or a
 //! scheduler's cached conclusions shows up as an outcome mismatch.
-//! SRPT-noclone has no library reference; it is pinned against the frozen
-//! sort-based copy [`FrozenSrptNoClone`] kept in this file.
+//! SRPT-noclone has no reference in the oracles module; it is pinned against
+//! the frozen sort-based copy [`FrozenSrptNoClone`] kept in this file.
 //!
 //! The same outcomes also pin [`FlowtimeSummary::from_outcome`] bit for bit
 //! against [`frozen_summary`], the sort-and-sum summary it replaced.
 
 use integration_tests::helpers::{random_fault_plan, random_trace, run_with_plan};
-use mapreduce_baselines::{
-    FairScheduler, Fifo, Late, Mantri, ReferenceFair, ReferenceFifo, ReferenceLate,
-    ReferenceMantri, ReferenceRestart, ReferenceSca, Restart, Sca, SrptNoClone,
+use integration_tests::oracles::{
+    ReferenceFair, ReferenceFifo, ReferenceLate, ReferenceMantri, ReferenceRestart, ReferenceSca,
+    ReferenceSrptMsC,
 };
+use mapreduce_baselines::{FairScheduler, Fifo, Late, Mantri, Restart, Sca, SrptNoClone};
 use mapreduce_metrics::FlowtimeSummary;
-use mapreduce_sched::{ReferenceSrptMsC, SrptMsC};
+use mapreduce_sched::SrptMsC;
 use mapreduce_sim::{
     Action, ClusterState, FaultClass, FaultPlan, Scheduler, SimConfig, SimOutcome, Simulation,
 };
