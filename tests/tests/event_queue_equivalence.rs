@@ -71,7 +71,6 @@ fn drive(seed: u64, ops: usize, ring_bits: u8) -> Result<(), String> {
     let mut cancellable: Vec<(u64, u64)> = Vec::new();
     let mut cancelled: HashSet<u64> = HashSet::new();
     let mut stale_delivered = 0usize;
-    let mut drained = Vec::new();
 
     for _ in 0..ops {
         match rng.gen_range(0u32..10) {
@@ -136,8 +135,7 @@ fn drive(seed: u64, ops: usize, ring_bits: u8) -> Result<(), String> {
                     } else {
                         0
                     };
-                drained.clear();
-                calendar.drain_due(now, &mut drained);
+                let drained = drain(&mut calendar, now);
                 let from_heap: Vec<Event> = std::iter::from_fn(|| heap.pop_due(now)).collect();
                 prop_assert_eq!(&drained, &from_heap);
                 prop_assert_eq!(live(&drained, &cancelled), live(&from_heap, &cancelled));
@@ -148,8 +146,7 @@ fn drive(seed: u64, ops: usize, ring_bits: u8) -> Result<(), String> {
 
     // Final drain: everything left must still agree.
     prop_assert_eq!(calendar.peek_slot(), heap.peek_slot());
-    drained.clear();
-    calendar.drain_due(u64::MAX, &mut drained);
+    let drained = drain(&mut calendar, u64::MAX);
     let from_heap: Vec<Event> = std::iter::from_fn(|| heap.pop_due(u64::MAX)).collect();
     prop_assert_eq!(&drained, &from_heap);
     stale_delivered += drained.len() - live(&drained, &cancelled).len();
