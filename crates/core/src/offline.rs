@@ -83,9 +83,7 @@ impl Scheduler for OfflineSrpt {
         jobs.sort_by(|a, b| {
             let pa = offline_priority(a.spec(), self.r);
             let pb = offline_priority(b.spec(), self.r);
-            pb.partial_cmp(&pa)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.id().cmp(&b.id()))
+            pb.total_cmp(&pa).then_with(|| a.id().cmp(&b.id()))
         });
 
         for job in jobs {

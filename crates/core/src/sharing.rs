@@ -255,15 +255,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_machines_or_no_jobs() {
-        let jobs: Vec<(JobId, f64)> = ids(2).into_iter().zip([1.0, 1.0]).collect();
-        let shares = prefix_shares(&jobs, 0, 0.5);
-        assert!(shares.iter().all(|s| s.machines == 0));
-        let empty = prefix_shares(&[], 10, 0.5);
-        assert!(empty.is_empty());
-    }
-
-    #[test]
     fn higher_priority_jobs_never_get_less_share_per_weight() {
         let jobs: Vec<(JobId, f64)> = ids(5).into_iter().zip([2.0, 1.0, 3.0, 1.0, 1.0]).collect();
         let shares = prefix_shares(&jobs, 40, 0.6);

@@ -169,12 +169,12 @@ fn main() {
     );
 
     // Figures share cells — Fig. 4 and Fig. 5 run the identical comparison
-    // sweep and only bucket the records differently — so an in-process
-    // result cache makes an `all` run simulate each cell exactly once.
-    // (Persistent cross-run caching is the experiment service's job:
-    // `mapreduce-server`'s `serve` binary.)
+    // sweep and only bucket the records differently — so an in-memory
+    // `ResultCache` makes an `all` run simulate each cell exactly once.
+    // (Persistent cross-run caching is the experiment service's job: the
+    // `serve` binary opens the same cache type on a file.)
     mapreduce_experiments::install_global_cache(std::sync::Arc::new(
-        mapreduce_experiments::MemoryCache::new(),
+        mapreduce_experiments::ResultCache::in_memory(),
     ));
 
     let experiment = options.experiment.as_str();

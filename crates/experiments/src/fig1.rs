@@ -58,11 +58,7 @@ pub fn render(rows: &[Fig1Row]) -> String {
 /// ε ≈ 0.6).
 pub fn best_epsilon(rows: &[Fig1Row]) -> Option<f64> {
     rows.iter()
-        .min_by(|a, b| {
-            a.mean_flowtime
-                .partial_cmp(&b.mean_flowtime)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        })
+        .min_by(|a, b| a.mean_flowtime.total_cmp(&b.mean_flowtime))
         .map(|r| r.epsilon)
 }
 

@@ -9,12 +9,14 @@
 //! functions at reduced scale.
 //!
 //! Sweeps are **cache-aware**: every cell (scheduler × scenario × seed) has
-//! a canonical content fingerprint ([`cache::cell_fingerprint`]) and the
-//! multi-seed runner consults an [`cache::OutcomeCache`] — installed
-//! process-wide via [`cache::install_global_cache`] or passed explicitly —
-//! before simulating, so repeated figure sweeps reuse previously computed
-//! cells (see `mapreduce-server` for the persistent, multi-tenant service
-//! built on this seam).
+//! a canonical content fingerprint ([`cache::cell_fingerprint`]), and one
+//! resolver, [`runner::resolve_cells`], looks cells up in an
+//! [`cache::OutcomeCache`] before simulating the misses and storing them.
+//! The figures reach it through the cache installed process-wide via
+//! [`cache::install_global_cache`]; the experiment service in
+//! `mapreduce-server` calls it once per sweep request. Both use the one
+//! cache type, [`cache::ResultCache`], in memory (`reproduce`) or backed by
+//! a JSON-lines file (`serve`).
 //!
 //! | Module | Paper artefact |
 //! |---|---|
@@ -48,10 +50,10 @@ pub mod theorem1;
 
 pub use cache::{
     cell_fingerprint, clear_global_cache, global_cache, install_global_cache, CacheStats,
-    MemoryCache, OutcomeCache,
+    OutcomeCache, ResultCache,
 };
 pub use runner::{
-    run_cell, run_cell_traced, run_cells, run_scheduler, run_scheduler_averaged,
-    run_scheduler_averaged_with, SchedulerKind,
+    resolve_cells, run_cell, run_cell_traced, run_cells, run_scheduler, run_scheduler_averaged,
+    ResolvedCells, SchedulerKind,
 };
 pub use scenario::{Scenario, WorkloadSource};

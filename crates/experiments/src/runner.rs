@@ -1,13 +1,13 @@
 //! Running schedulers over scenarios: single runs, multi-seed averaging and
 //! the scheduler registry used by the `reproduce` binary.
 //!
-//! Multi-seed sweeps route through the **cache-aware path**: every cell
+//! Cached sweeps go through one resolver, [`resolve_cells`]: every cell
 //! (scheduler × scenario × seed) is identified by its content
-//! [fingerprint](crate::cache::cell_fingerprint), and if an
-//! [`OutcomeCache`] is supplied — explicitly via
-//! [`run_scheduler_averaged_with`] or process-wide via
-//! [`crate::cache::install_global_cache`] — previously computed cells are
-//! returned from the cache instead of being re-simulated. Cache hits are
+//! [fingerprint](crate::cache::cell_fingerprint), and previously computed
+//! cells are returned from an [`OutcomeCache`] instead of being
+//! re-simulated. The figures reach it through [`run_scheduler_averaged`]
+//! and the process-wide [`crate::cache::install_global_cache`] hook; the
+//! experiment service calls it once per sweep request. Cache hits are
 //! bit-identical to fresh runs (the simulator is deterministic and outcomes
 //! roundtrip JSON exactly), which the `server_cache` proptests pin.
 
@@ -17,8 +17,10 @@ use mapreduce_baselines::{FairScheduler, Fifo, Late, Mantri, Restart, Sca, SrptN
 use mapreduce_metrics::{FlowtimeSummary, MetricsRegistry, SimTelemetry, TraceRecorder};
 use mapreduce_sched::{OfflineSrpt, SrptMsC, SrptMsCConfig};
 use mapreduce_sim::{Scheduler, SimConfig, SimOutcome, Simulation};
+use mapreduce_support::hash::Fingerprint;
 use mapreduce_support::json::{FromJson, JsonError, JsonValue, ToJson};
 use mapreduce_workload::Trace;
+use std::collections::HashMap;
 use std::sync::OnceLock;
 
 /// The schedulers known to the experiment harness, with their parameters.
@@ -309,8 +311,9 @@ pub fn run_cells(scenario: &Scenario, cells: &[(SchedulerKind, u64)]) -> Vec<Sim
 }
 
 /// Runs one scheduler over every seed of a scenario (in parallel) and returns
-/// one outcome per seed, in seed order, consulting the process-wide
-/// [global cache](crate::cache::install_global_cache) if one is installed.
+/// one outcome per seed, in seed order, resolving the cells through the
+/// process-wide [global cache](crate::cache::install_global_cache) if one is
+/// installed.
 ///
 /// Each seed is a fully independent deterministic stream: the scenario's
 /// [job source](Scenario::job_source) is built from the seed and the
@@ -322,41 +325,86 @@ pub fn run_cells(scenario: &Scenario, cells: &[(SchedulerKind, u64)]) -> Vec<Sim
 /// against streaming feeds (or a converted Google CSV) without touching the
 /// figure code.
 pub fn run_scheduler_averaged(kind: SchedulerKind, scenario: &Scenario) -> Vec<SimOutcome> {
-    let cache = crate::cache::global_cache();
-    run_scheduler_averaged_with(kind, scenario, cache.as_deref())
+    let cells: Vec<(SchedulerKind, u64)> =
+        scenario.seeds.iter().map(|&seed| (kind, seed)).collect();
+    match crate::cache::global_cache() {
+        Some(cache) => resolve_cells(scenario, &cells, cache.as_ref()).outcomes,
+        None => run_cells(scenario, &cells),
+    }
 }
 
-/// [`run_scheduler_averaged`] against an explicit cache (or none): cells
-/// whose fingerprint is cached are returned without simulating; misses go
-/// through [`run_cells`] and are stored.
-pub fn run_scheduler_averaged_with(
-    kind: SchedulerKind,
+/// What [`resolve_cells`] did with a batch of cells: per-cell entries in
+/// cell order, and which cells it simulated.
+#[derive(Debug, Clone)]
+pub struct ResolvedCells {
+    /// Each cell's outcome.
+    pub outcomes: Vec<SimOutcome>,
+    /// Each cell's fingerprint (its cache key).
+    pub fingerprints: Vec<Fingerprint>,
+    /// Whether each cell was served by the cache.
+    pub hits: Vec<bool>,
+    /// The cells this call simulated, ascending: the first miss of each
+    /// fingerprint.
+    pub simulated: Vec<usize>,
+    /// Misses that shared a fingerprint with an earlier miss of the batch
+    /// and reused its simulation.
+    pub deduped: usize,
+}
+
+/// Resolves a batch of cells of one scenario against a cache — the one
+/// lookup → simulate → store path of the figures and the experiment
+/// service.
+///
+/// Every cell is fingerprinted once and looked up once, in cell order.
+/// Misses are deduplicated by fingerprint; the first miss of each
+/// fingerprint is simulated, all of them in one [`run_cells`] fan-out, and
+/// stored once, in cell order. Later misses of the same fingerprint reuse
+/// that outcome. Outcomes are bit-identical to [`run_cell`] of each cell,
+/// however they were resolved.
+pub fn resolve_cells(
     scenario: &Scenario,
-    cache: Option<&dyn OutcomeCache>,
-) -> Vec<SimOutcome> {
-    let mut outcomes: Vec<Option<SimOutcome>> = scenario
-        .seeds
+    cells: &[(SchedulerKind, u64)],
+    cache: &dyn OutcomeCache,
+) -> ResolvedCells {
+    let fingerprints: Vec<Fingerprint> = cells
         .iter()
-        .map(|&seed| cache.and_then(|c| c.lookup(cell_fingerprint(kind, scenario, seed))))
+        .map(|&(kind, seed)| cell_fingerprint(kind, scenario, seed))
         .collect();
-    let misses: Vec<(SchedulerKind, u64)> = scenario
-        .seeds
-        .iter()
-        .zip(&outcomes)
-        .filter(|(_, hit)| hit.is_none())
-        .map(|(&seed, _)| (kind, seed))
-        .collect();
-    let mut fresh = run_cells(scenario, &misses).into_iter();
-    for (slot, &seed) in outcomes.iter_mut().zip(&scenario.seeds) {
-        if slot.is_none() {
-            let outcome = fresh.next().expect("one simulated outcome per miss");
-            if let Some(cache) = cache {
-                cache.store(cell_fingerprint(kind, scenario, seed), &outcome);
-            }
-            *slot = Some(outcome);
+    let mut slots: Vec<Option<SimOutcome>> =
+        fingerprints.iter().map(|&fp| cache.lookup(fp)).collect();
+    let hits: Vec<bool> = slots.iter().map(Option::is_some).collect();
+
+    let mut first_miss: HashMap<Fingerprint, usize> = HashMap::new();
+    let mut simulated = Vec::new();
+    for (i, &fingerprint) in fingerprints.iter().enumerate() {
+        if !hits[i] {
+            first_miss.entry(fingerprint).or_insert_with(|| {
+                simulated.push(i);
+                i
+            });
         }
     }
-    outcomes.into_iter().flatten().collect()
+    let batch: Vec<(SchedulerKind, u64)> = simulated.iter().map(|&i| cells[i]).collect();
+    for (&i, outcome) in simulated.iter().zip(run_cells(scenario, &batch)) {
+        cache.store(fingerprints[i], &outcome);
+        slots[i] = Some(outcome);
+    }
+    let misses = hits.iter().filter(|&&hit| !hit).count();
+    for i in 0..cells.len() {
+        if slots[i].is_none() {
+            slots[i] = slots[first_miss[&fingerprints[i]]].clone();
+        }
+    }
+    ResolvedCells {
+        outcomes: slots
+            .into_iter()
+            .map(|slot| slot.expect("every cell resolved"))
+            .collect(),
+        fingerprints,
+        hits,
+        deduped: misses - simulated.len(),
+        simulated,
+    }
 }
 
 /// Averages the headline metrics of several outcomes (one per seed) into a
@@ -438,24 +486,34 @@ mod tests {
     }
 
     #[test]
-    fn averaged_sweeps_consult_an_explicit_cache() {
-        use crate::cache::{MemoryCache, OutcomeCache};
+    fn resolve_cells_serves_hits_and_dedupes_misses() {
+        use crate::cache::{OutcomeCache, ResultCache};
 
         let scenario = Scenario::scaled(30, 2);
-        let cache = MemoryCache::new();
-        let cold = run_scheduler_averaged_with(SchedulerKind::Fifo, &scenario, Some(&cache));
+        let cells: Vec<(SchedulerKind, u64)> = [3, 4, 3]
+            .into_iter()
+            .map(|seed| (SchedulerKind::Fifo, seed))
+            .collect();
+        let cache = ResultCache::in_memory();
+        let cold = resolve_cells(&scenario, &cells, &cache);
+        assert_eq!(cold.hits, [false; 3]);
+        assert_eq!(cold.simulated, [0, 1]);
+        assert_eq!(cold.deduped, 1);
+        assert_eq!(cold.fingerprints[0], cold.fingerprints[2]);
+        assert_eq!(cold.outcomes[0], cold.outcomes[2]);
         let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.stores), (0, 2, 2));
+        assert_eq!((stats.hits, stats.misses, stats.stores), (0, 3, 2));
 
         // Warm rerun: every cell comes out of the cache, bit-identical.
-        let warm = run_scheduler_averaged_with(SchedulerKind::Fifo, &scenario, Some(&cache));
-        assert_eq!(warm, cold);
+        let warm = resolve_cells(&scenario, &cells, &cache);
+        assert_eq!(warm.outcomes, cold.outcomes);
+        assert_eq!(warm.hits, [true; 3]);
+        assert!(warm.simulated.is_empty());
         let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses), (2, 2));
+        assert_eq!((stats.hits, stats.misses, stats.stores), (3, 3, 2));
 
         // And matches the uncached path exactly.
-        let fresh = run_scheduler_averaged_with(SchedulerKind::Fifo, &scenario, None);
-        assert_eq!(fresh, cold);
+        assert_eq!(run_cells(&scenario, &cells), cold.outcomes);
     }
 
     #[test]

@@ -442,8 +442,8 @@ pub fn serve_lines_with<R: BufRead, W: Write>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::ResultCache;
     use crate::service::SweepResponse;
+    use mapreduce_experiments::ResultCache;
     use mapreduce_experiments::{Scenario, SchedulerKind};
 
     fn server() -> SweepServer {

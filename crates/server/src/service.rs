@@ -3,34 +3,27 @@
 //!
 //! A [`SweepRequest`] names a [`Scenario`] and a scheduler line-up — exactly
 //! the shape of one figure sweep. [`SweepServer::submit`] expands it into
-//! cells (scheduler × seed), fingerprints each cell, and resolves them in
-//! three tiers:
+//! cells (scheduler × seed) and hands them to the experiment harness's cell
+//! resolver, [`resolve_cells`] — the same one the figures use. It serves
+//! cache hits from the [`ResultCache`], simulates each distinct missing
+//! fingerprint once on the deterministic worker pool
+//! ([`mapreduce_support::par_map`], bit-identical under any thread count),
+//! fans that outcome back out to in-flight duplicates, and stores it.
 //!
-//! 1. **cache hits** — served straight from the [`ResultCache`];
-//! 2. **in-flight duplicates** — cells sharing a fingerprint with another
-//!    miss in the same request are simulated once and fanned back out;
-//! 3. **misses** — simulated on the deterministic worker pool
-//!    ([`mapreduce_support::par_map`], bit-identical under any thread
-//!    count) and stored in the cache.
-//!
-//! The per-cell outcome is identical across all three tiers, so a
+//! The per-cell outcome is the same however it was resolved, so a
 //! [`SweepResponse`] is bit-for-bit the same whether it was computed cold or
 //! served warm — the counters ([`SweepResponse::cache_hits`],
 //! [`SweepResponse::simulated`], …) are the only difference, and they are
 //! exactly how the acceptance tests verify that a warm figure rerun
 //! performs zero cell simulations.
 
-use crate::cache::ResultCache;
-use mapreduce_experiments::cache::OutcomeCache;
-use mapreduce_experiments::runner::average_summary;
-use mapreduce_experiments::{cell_fingerprint, runner::run_cells, Scenario, SchedulerKind};
+use mapreduce_experiments::runner::{average_summary, resolve_cells};
+use mapreduce_experiments::{ResultCache, Scenario, SchedulerKind};
 use mapreduce_metrics::{
     fold_run_telemetry, FlowtimeSketches, FlowtimeSummary, MetricsRegistry, QuantileSketch,
 };
-use mapreduce_sim::SimOutcome;
 use mapreduce_support::hash::Fingerprint;
 use mapreduce_support::json::{FromJson, JsonError, JsonValue, ToJson};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -173,15 +166,12 @@ impl SweepRequest {
     }
 
     /// The cells in canonical order (scheduler-major, seeds in scenario
-    /// order), each with its fingerprint.
-    fn cells(&self) -> Vec<(SchedulerKind, u64, Fingerprint)> {
-        let mut cells = Vec::with_capacity(self.num_cells());
-        for &kind in &self.schedulers {
-            for &seed in &self.scenario.seeds {
-                cells.push((kind, seed, cell_fingerprint(kind, &self.scenario, seed)));
-            }
-        }
-        cells
+    /// order).
+    fn cells(&self) -> Vec<(SchedulerKind, u64)> {
+        self.schedulers
+            .iter()
+            .flat_map(|&kind| self.scenario.seeds.iter().map(move |&seed| (kind, seed)))
+            .collect()
     }
 }
 
@@ -519,9 +509,9 @@ impl SweepServer {
             .clone()
     }
 
-    /// Resolves one sweep: cache hits first, then in-flight deduplication,
-    /// then the worker pool for genuine misses (which are stored back into
-    /// the cache).
+    /// Resolves one sweep through [`resolve_cells`] against the server's
+    /// cache, then assembles the per-cell summaries, the per-scheduler
+    /// averages and the optional CDF series, and accounts the request.
     ///
     /// # Panics
     /// Panics if a cell's simulation fails (stalled scheduler, horizon
@@ -530,51 +520,15 @@ impl SweepServer {
     pub fn submit(&self, request: &SweepRequest) -> SweepResponse {
         let started = Instant::now();
         let cells = request.cells();
+        let resolved = resolve_cells(&request.scenario, &cells, &self.cache);
+        let outcomes = &resolved.outcomes;
+        let cache_hits = resolved.hits.iter().filter(|&&hit| hit).count();
+        let simulated = resolved.simulated.len();
 
-        // Tier 1: cache lookups.
-        let mut outcomes: Vec<Option<SimOutcome>> = cells
-            .iter()
-            .map(|&(_, _, fingerprint)| self.cache.lookup(fingerprint))
-            .collect();
-        let cache_hits = outcomes.iter().filter(|o| o.is_some()).count();
-
-        // Tier 2: group the misses by fingerprint; the first occurrence is
-        // the representative that will be simulated.
-        let mut representatives: Vec<usize> = Vec::new();
-        let mut by_fingerprint: HashMap<Fingerprint, usize> = HashMap::new();
-        let mut deduped_in_flight = 0usize;
-        for (i, &(_, _, fingerprint)) in cells.iter().enumerate() {
-            if outcomes[i].is_some() {
-                continue;
-            }
-            match by_fingerprint.entry(fingerprint) {
-                std::collections::hash_map::Entry::Occupied(_) => deduped_in_flight += 1,
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    slot.insert(representatives.len());
-                    representatives.push(i);
-                }
-            }
-        }
-
-        // Tier 3: simulate the representatives on the worker pool, in the
-        // deterministic order-preserving fan-out (a Google CSV workload is
-        // converted once and shared across cells).
-        let miss_cells: Vec<(SchedulerKind, u64)> = representatives
-            .iter()
-            .map(|&cell_index| {
-                let (kind, seed, _) = cells[cell_index];
-                (kind, seed)
-            })
-            .collect();
-        let computed: Vec<SimOutcome> = run_cells(&request.scenario, &miss_cells);
-        for (&cell_index, outcome) in representatives.iter().zip(&computed) {
-            let (_, _, fingerprint) = cells[cell_index];
-            self.cache.store(fingerprint, outcome);
-        }
-        if !computed.is_empty() {
+        if simulated > 0 {
             let mut metrics = self.metrics.lock().expect("metrics registry poisoned");
-            for outcome in &computed {
-                fold_run_telemetry(&mut metrics, outcome);
+            for &i in &resolved.simulated {
+                fold_run_telemetry(&mut metrics, &outcomes[i]);
             }
             drop(metrics);
             // Lifetime flowtime sketches: every simulated cell's jobs fold
@@ -582,35 +536,23 @@ impl SweepServer {
             // request exposes. Cache hits don't re-fold — the sketches
             // account simulation work, like `cells_simulated_total`.
             let mut sketches = self.sketches.lock().expect("flowtime sketches poisoned");
-            for outcome in &computed {
-                for record in outcome.records() {
+            for &i in &resolved.simulated {
+                for record in outcomes[i].records() {
                     sketches.fold(record.flowtime());
                 }
             }
         }
 
-        // Fan results back out to every miss cell.
-        for (i, &(_, _, fingerprint)) in cells.iter().enumerate() {
-            if outcomes[i].is_none() {
-                let rep = by_fingerprint[&fingerprint];
-                outcomes[i] = Some(computed[rep].clone());
-            }
-        }
-
         // Assemble per-cell summaries and per-scheduler averages.
-        let outcomes: Vec<SimOutcome> = outcomes.into_iter().map(|o| o.expect("filled")).collect();
         let cell_results: Vec<CellResult> = cells
             .iter()
-            .zip(&outcomes)
-            .map(|(&(scheduler, seed, fingerprint), outcome)| CellResult {
+            .enumerate()
+            .map(|(i, &(scheduler, seed))| CellResult {
                 scheduler,
                 seed,
-                fingerprint,
-                // A cell is "from cache" iff it was resolved in tier 1:
-                // tier-1 fingerprints never enter by_fingerprint, miss cells
-                // (representatives and deduped alike) always do.
-                from_cache: !by_fingerprint.contains_key(&fingerprint),
-                summary: FlowtimeSummary::from_outcome(outcome),
+                fingerprint: resolved.fingerprints[i],
+                from_cache: resolved.hits[i],
+                summary: FlowtimeSummary::from_outcome(&outcomes[i]),
             })
             .collect();
         let seeds = request.scenario.seeds.len();
@@ -649,9 +591,8 @@ impl SweepServer {
 
         self.requests_served.fetch_add(1, Ordering::Relaxed);
         self.cells_simulated_total
-            .fetch_add(representatives.len() as u64, Ordering::Relaxed);
+            .fetch_add(simulated as u64, Ordering::Relaxed);
 
-        let simulated = representatives.len();
         let elapsed_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
 
         // Server-side request accounting: per-request latency histograms
@@ -693,7 +634,7 @@ impl SweepServer {
             cache_hits,
             cache_misses: cells.len() - cache_hits,
             simulated,
-            deduped_in_flight,
+            deduped_in_flight: resolved.deduped,
             cdf,
             elapsed_ns,
         }

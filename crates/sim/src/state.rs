@@ -1064,7 +1064,7 @@ impl<'a> RankedEntries<'a> {
 ///
 /// Besides the id-ordered alive set — which is also arrival order, since the
 /// engine admits jobs only in dense-id order with non-decreasing arrivals —
-/// the weight, unscheduled and launchable aggregates, and the id-ordered set
+/// the unscheduled-weight and launchable aggregates, and the id-ordered set
 /// of jobs with a launchable task (walked by FIFO and the fair fill), the
 /// index maintains an optional **priority order** (decreasing `w_i / U_i(l)`,
 /// enabled via [`AliveIndex::enable_priority`] when the scheduler declares a
@@ -1074,10 +1074,6 @@ impl<'a> RankedEntries<'a> {
 pub struct AliveIndex {
     /// Alive job indices, kept sorted ascending (job-id order).
     alive: Vec<usize>,
-    /// Sum of the weights of the alive jobs (`W(l)`).
-    weight_sum: f64,
-    /// Total number of unscheduled tasks across alive jobs.
-    unscheduled_sum: usize,
     /// Sum of the weights of the alive jobs that still have unscheduled
     /// tasks — `W(l)` over `ψ^s(l)`, the candidate set of the ε-fraction
     /// rule. Maintained in `O(1)`: added on arrival, subtracted when the
@@ -1120,8 +1116,6 @@ impl AliveIndex {
     pub fn insert(&mut self, idx: usize, job: &JobState) {
         if let Err(pos) = self.alive.binary_search(&idx) {
             self.alive.insert(pos, idx);
-            self.weight_sum += job.weight();
-            self.unscheduled_sum += job.total_unscheduled();
             if job.total_unscheduled() > 0 {
                 if self.weight_counted.len() <= idx {
                     self.weight_counted.resize(idx + 1, false);
@@ -1141,7 +1135,6 @@ impl AliveIndex {
     pub fn remove(&mut self, idx: usize, job: &JobState) {
         if let Ok(pos) = self.alive.binary_search(&idx) {
             self.alive.remove(pos);
-            self.weight_sum -= job.weight();
             // Normally already uncounted by `note_first_launch` (a job only
             // completes after every task launched), but hand-driven indices
             // may remove a job that never launched.
@@ -1166,7 +1159,6 @@ impl AliveIndex {
     /// `idx`; call *after* the job's own counters have been updated. `O(1)`
     /// for the aggregates, one `O(log n)` re-key of the priority order.
     pub fn note_first_launch(&mut self, idx: usize, job: &JobState) {
-        self.unscheduled_sum = self.unscheduled_sum.saturating_sub(1);
         if job.total_unscheduled() == 0 && self.weight_counted.get(idx).copied().unwrap_or(false) {
             // Last unscheduled task launched: the job leaves ψ^s(l) for good.
             self.weight_counted[idx] = false;
@@ -1184,7 +1176,6 @@ impl AliveIndex {
     /// The job re-enters `ψ^s(l)` (the unscheduled-weight aggregate and, if
     /// enabled, the priority order) if this was its first unscheduled task.
     pub fn note_task_unlaunched(&mut self, idx: usize, job: &JobState) {
-        self.unscheduled_sum += 1;
         if job.total_unscheduled() > 0 && !self.weight_counted.get(idx).copied().unwrap_or(false) {
             if self.weight_counted.len() <= idx {
                 self.weight_counted.resize(idx + 1, false);
@@ -1261,16 +1252,6 @@ impl AliveIndex {
     /// Whether no job is alive.
     pub fn is_empty(&self) -> bool {
         self.alive.is_empty()
-    }
-
-    /// Sum of the weights of the alive jobs.
-    pub fn total_weight(&self) -> f64 {
-        self.weight_sum
-    }
-
-    /// Total number of unscheduled tasks across alive jobs.
-    pub fn total_unscheduled(&self) -> usize {
-        self.unscheduled_sum
     }
 
     /// Sum of the weights of the alive jobs that still have unscheduled
@@ -1430,20 +1411,6 @@ impl<'a> ClusterState<'a> {
     /// Looks up any job (alive, finished or not yet arrived) by id.
     pub fn job(&self, id: JobId) -> Option<&'a JobState> {
         self.jobs.get(id.as_usize())
-    }
-
-    /// Sum of the weights of all alive jobs (`W(l)` in Equation (5)).
-    /// `O(1)`: maintained by the [`AliveIndex`] across arrivals and
-    /// completions.
-    pub fn total_alive_weight(&self) -> f64 {
-        self.index.total_weight()
-    }
-
-    /// Total number of unscheduled tasks across alive jobs. `O(1)`;
-    /// schedulers can use it to bail out early when there is nothing to
-    /// launch.
-    pub fn total_unscheduled_tasks(&self) -> usize {
-        self.index.total_unscheduled()
     }
 
     /// Sum of the weights of the alive jobs that still have unscheduled
@@ -1855,7 +1822,6 @@ mod tests {
         assert_eq!(state.total_machines(), 10);
         assert_eq!(state.available_machines(), 4);
         assert_eq!(state.alive_jobs().count(), 2);
-        assert!((state.total_alive_weight() - 7.0).abs() < 1e-12);
         assert!(state.job(JobId::new(1)).is_some());
         assert!(state.job(JobId::new(5)).is_none());
     }
@@ -1902,7 +1868,7 @@ mod tests {
 
     #[test]
     fn alive_index_tracks_arrivals_launches_and_completions() {
-        let jobs = job_bank(&[2, 2, 4, 4], &[1.0, 1.0, 2.0, 2.0], &[0, 9, 5, 5]);
+        let mut jobs = job_bank(&[2, 2, 4, 4], &[1.0, 1.0, 2.0, 2.0], &[0, 9, 5, 5]);
         let mut index = AliveIndex::new();
         assert!(index.is_empty());
         index.insert(3, &jobs[3]);
@@ -1910,16 +1876,16 @@ mod tests {
         index.insert(3, &jobs[3]); // duplicate insert is a no-op
         assert_eq!(index.alive(), &[1, 3]);
         assert_eq!(index.len(), 2);
-        assert!((index.total_weight() - 3.0).abs() < 1e-12);
-        assert_eq!(index.total_unscheduled(), 6);
+        assert_eq!(index.total_launchable(), 6);
 
+        jobs[3].note_first_launch(Phase::Map, 0);
         index.note_first_launch(3, &jobs[3]);
-        assert_eq!(index.total_unscheduled(), 5);
+        assert_eq!(index.total_launchable(), 5);
 
         index.remove(1, &jobs[1]);
         index.remove(1, &jobs[1]); // duplicate remove is a no-op
         assert_eq!(index.alive(), &[3]);
-        assert!((index.total_weight() - 2.0).abs() < 1e-12);
+        assert_eq!(index.total_launchable(), 3);
     }
 
     #[test]
@@ -2069,14 +2035,6 @@ mod tests {
             let state = ClusterState::new(5, 8, 8, jobs, &copies, index, 0);
             let alive = || state.alive_jobs();
             assert_eq!(
-                state.total_alive_weight(),
-                alive().map(|j| j.weight()).sum::<f64>()
-            );
-            assert_eq!(
-                state.total_unscheduled_tasks(),
-                alive().map(|j| j.total_unscheduled()).sum::<usize>()
-            );
-            assert_eq!(
                 state.total_unscheduled_weight(),
                 alive()
                     .filter(|j| j.total_unscheduled() > 0)
@@ -2094,7 +2052,7 @@ mod tests {
                     .filter(|j| j.launchable().is_some())
                     .map(|j| (j.id(), j.launchable()))));
             (
-                state.total_unscheduled_tasks(),
+                state.total_unscheduled_weight(),
                 state.total_launchable_tasks(),
             )
         };
@@ -2105,26 +2063,26 @@ mod tests {
         let mut jobs = vec![j0, job_bank(&[1], &[5.0], &[3]).remove(0)];
         let mut index = AliveIndex::new();
         index.insert(0, &jobs[0]);
-        assert_eq!(scans(&jobs, &index), (3, 2));
+        assert_eq!(scans(&jobs, &index), (2.0, 2));
         index.insert(1, &jobs[1]);
-        assert_eq!(scans(&jobs, &index), (4, 3));
+        assert_eq!(scans(&jobs, &index), (7.0, 3));
 
         for t in 0..2 {
             jobs[0].note_first_launch(Phase::Map, t);
             index.note_first_launch(0, &jobs[0]);
         }
-        assert_eq!(scans(&jobs, &index), (2, 1));
+        assert_eq!(scans(&jobs, &index), (7.0, 1));
         for t in 0..2 {
             jobs[0].task_mut(Phase::Map, t).unwrap().mark_finished(9);
             jobs[0].note_task_finished(Phase::Map, t, 4);
         }
         index.note_map_phase_complete(0, &jobs[0]);
-        assert_eq!(scans(&jobs, &index), (2, 2));
+        assert_eq!(scans(&jobs, &index), (7.0, 2));
 
         jobs[1].note_first_launch(Phase::Map, 0);
         index.note_first_launch(1, &jobs[1]);
         index.remove(1, &jobs[1]);
-        assert_eq!(scans(&jobs, &index), (1, 1));
+        assert_eq!(scans(&jobs, &index), (2.0, 1));
 
         let copies = CopyArena::new();
         let state = ClusterState::new(5, 8, 8, &jobs, &copies, &index, 0);

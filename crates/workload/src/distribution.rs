@@ -60,13 +60,6 @@ pub enum DurationDistribution {
         /// The constant workload.
         value: f64,
     },
-    /// Uniform on `[min, max]`.
-    Uniform {
-        /// Lower bound (inclusive).
-        min: f64,
-        /// Upper bound (inclusive).
-        max: f64,
-    },
     /// Exponential with the given mean.
     Exponential {
         /// Mean of the distribution.
@@ -82,17 +75,6 @@ pub enum DurationDistribution {
         scale: f64,
         /// Shape parameter `α`. Must exceed 2 for a finite variance.
         shape: f64,
-    },
-    /// Pareto truncated at `max` (rejection-free: samples above `max` are
-    /// clamped). Mirrors the bounded task durations observed in the Google
-    /// trace (12.8 s … 22 919.3 s).
-    BoundedPareto {
-        /// Scale parameter `µ` (minimum value).
-        scale: f64,
-        /// Shape parameter `α`.
-        shape: f64,
-        /// Upper clamp applied to samples.
-        max: f64,
     },
     /// Log-normal with the given parameters of the underlying normal.
     LogNormal {
@@ -161,25 +143,12 @@ impl DurationDistribution {
     pub fn mean(&self) -> f64 {
         match *self {
             DurationDistribution::Deterministic { value } => value,
-            DurationDistribution::Uniform { min, max } => (min + max) / 2.0,
             DurationDistribution::Exponential { mean } => mean,
             DurationDistribution::Pareto { scale, shape } => {
                 if shape > 1.0 {
                     scale * shape / (shape - 1.0)
                 } else {
                     f64::INFINITY
-                }
-            }
-            DurationDistribution::BoundedPareto { scale, shape, max } => {
-                // Mean of a Pareto clamped at `max`:
-                // E[min(X, max)] = ∫_scale^max (1-F(t)) dt + scale
-                //               = scale + ∫_scale^max (scale/t)^shape dt
-                if (shape - 1.0).abs() < 1e-12 {
-                    scale + scale * (max / scale).ln()
-                } else {
-                    scale
-                        + scale.powf(shape) / (1.0 - shape)
-                            * (max.powf(1.0 - shape) - scale.powf(1.0 - shape))
                 }
             }
             DurationDistribution::LogNormal { mu, sigma } => (mu + sigma * sigma / 2.0).exp(),
@@ -189,17 +158,15 @@ impl DurationDistribution {
 
     /// The variance of the distribution.
     ///
-    /// For the clamped/truncated families this is the variance of the
-    /// *untruncated* parent, which is the quantity the trace generator
-    /// advertises to schedulers; the small bias is irrelevant to the
-    /// algorithms (they only use `σ` as a pessimism knob).
+    /// For the truncated normal this is the variance of the *untruncated*
+    /// parent, which is the quantity the trace generator advertises to
+    /// schedulers; the small bias is irrelevant to the algorithms (they only
+    /// use `σ` as a pessimism knob).
     pub fn variance(&self) -> f64 {
         match *self {
             DurationDistribution::Deterministic { .. } => 0.0,
-            DurationDistribution::Uniform { min, max } => (max - min).powi(2) / 12.0,
             DurationDistribution::Exponential { mean } => mean * mean,
-            DurationDistribution::Pareto { scale, shape }
-            | DurationDistribution::BoundedPareto { scale, shape, .. } => {
+            DurationDistribution::Pareto { scale, shape } => {
                 if shape > 2.0 {
                     scale * scale * shape / ((shape - 1.0).powi(2) * (shape - 2.0))
                 } else {
@@ -230,13 +197,6 @@ impl DurationDistribution {
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         let x = match *self {
             DurationDistribution::Deterministic { value } => value,
-            DurationDistribution::Uniform { min, max } => {
-                if max > min {
-                    rng.gen_range(min..=max)
-                } else {
-                    min
-                }
-            }
             DurationDistribution::Exponential { mean } => {
                 let u: f64 = rng.gen_range(f64::EPSILON..1.0);
                 -mean * u.ln()
@@ -244,10 +204,6 @@ impl DurationDistribution {
             DurationDistribution::Pareto { scale, shape } => {
                 let u: f64 = rng.gen_range(f64::EPSILON..1.0);
                 scale / u.powf(1.0 / shape)
-            }
-            DurationDistribution::BoundedPareto { scale, shape, max } => {
-                let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-                (scale / u.powf(1.0 / shape)).min(max)
             }
             DurationDistribution::LogNormal { mu, sigma } => {
                 let dist = LogNormal::new(mu, sigma).expect("validated at construction");
@@ -281,24 +237,12 @@ impl ToJson for DurationDistribution {
                 "Deterministic",
                 JsonValue::object([("value", value.to_json())]),
             ),
-            DurationDistribution::Uniform { min, max } => (
-                "Uniform",
-                JsonValue::object([("min", min.to_json()), ("max", max.to_json())]),
-            ),
             DurationDistribution::Exponential { mean } => {
                 ("Exponential", JsonValue::object([("mean", mean.to_json())]))
             }
             DurationDistribution::Pareto { scale, shape } => (
                 "Pareto",
                 JsonValue::object([("scale", scale.to_json()), ("shape", shape.to_json())]),
-            ),
-            DurationDistribution::BoundedPareto { scale, shape, max } => (
-                "BoundedPareto",
-                JsonValue::object([
-                    ("scale", scale.to_json()),
-                    ("shape", shape.to_json()),
-                    ("max", max.to_json()),
-                ]),
             ),
             DurationDistribution::LogNormal { mu, sigma } => (
                 "LogNormal",
@@ -326,11 +270,6 @@ impl FromJson for DurationDistribution {
             Ok(DurationDistribution::Deterministic {
                 value: f(body, "value")?,
             })
-        } else if let Some(body) = value.get("Uniform") {
-            Ok(DurationDistribution::Uniform {
-                min: f(body, "min")?,
-                max: f(body, "max")?,
-            })
         } else if let Some(body) = value.get("Exponential") {
             Ok(DurationDistribution::Exponential {
                 mean: f(body, "mean")?,
@@ -339,12 +278,6 @@ impl FromJson for DurationDistribution {
             Ok(DurationDistribution::Pareto {
                 scale: f(body, "scale")?,
                 shape: f(body, "shape")?,
-            })
-        } else if let Some(body) = value.get("BoundedPareto") {
-            Ok(DurationDistribution::BoundedPareto {
-                scale: f(body, "scale")?,
-                shape: f(body, "shape")?,
-                max: f(body, "max")?,
             })
         } else if let Some(body) = value.get("LogNormal") {
             Ok(DurationDistribution::LogNormal {
@@ -367,13 +300,9 @@ impl fmt::Display for DurationDistribution {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             DurationDistribution::Deterministic { value } => write!(f, "Det({value:.1})"),
-            DurationDistribution::Uniform { min, max } => write!(f, "U({min:.1},{max:.1})"),
             DurationDistribution::Exponential { mean } => write!(f, "Exp({mean:.1})"),
             DurationDistribution::Pareto { scale, shape } => {
                 write!(f, "Pareto(µ={scale:.1},α={shape:.2})")
-            }
-            DurationDistribution::BoundedPareto { scale, shape, max } => {
-                write!(f, "BPareto(µ={scale:.1},α={shape:.2},max={max:.0})")
             }
             DurationDistribution::LogNormal { mu, sigma } => {
                 write!(f, "LogN(µ={mu:.2},σ={sigma:.2})")
@@ -458,51 +387,6 @@ mod tests {
     }
 
     #[test]
-    fn uniform_moments_and_bounds() {
-        let d = DurationDistribution::Uniform {
-            min: 10.0,
-            max: 20.0,
-        };
-        assert_eq!(d.mean(), 15.0);
-        assert!((d.variance() - 100.0 / 12.0).abs() < 1e-12);
-        let mut r = rng();
-        for _ in 0..1000 {
-            let x = d.sample(&mut r);
-            assert!((10.0..=20.0).contains(&x));
-        }
-    }
-
-    #[test]
-    fn bounded_pareto_respects_bounds() {
-        let d = DurationDistribution::BoundedPareto {
-            scale: 12.8,
-            shape: 1.3,
-            max: 22_919.3,
-        };
-        let mut r = rng();
-        for _ in 0..10_000 {
-            let x = d.sample(&mut r);
-            assert!((12.8..=22_919.3).contains(&x));
-        }
-        assert!(d.mean() > 12.8 && d.mean() < 22_919.3);
-    }
-
-    #[test]
-    fn bounded_pareto_mean_close_to_empirical() {
-        let d = DurationDistribution::BoundedPareto {
-            scale: 10.0,
-            shape: 1.5,
-            max: 1000.0,
-        };
-        let (emp_mean, _) = empirical_moments(&d, 400_000);
-        assert!(
-            (emp_mean - d.mean()).abs() / d.mean() < 0.03,
-            "analytic {} vs empirical {emp_mean}",
-            d.mean()
-        );
-    }
-
-    #[test]
     fn truncated_normal_never_below_min() {
         let d = DurationDistribution::TruncatedNormal {
             mean: 10.0,
@@ -535,16 +419,10 @@ mod tests {
     fn json_roundtrip_covers_every_variant() {
         let dists = vec![
             DurationDistribution::Deterministic { value: 5.0 },
-            DurationDistribution::Uniform { min: 1.0, max: 2.0 },
             DurationDistribution::Exponential { mean: 30.0 },
             DurationDistribution::Pareto {
                 scale: 12.8,
                 shape: 1.9,
-            },
-            DurationDistribution::BoundedPareto {
-                scale: 12.8,
-                shape: 1.3,
-                max: 22_919.3,
             },
             DurationDistribution::LogNormal {
                 mu: 1.5,

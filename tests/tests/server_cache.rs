@@ -11,8 +11,7 @@
 
 use mapreduce_experiments::cache::OutcomeCache;
 use mapreduce_experiments::{
-    clear_global_cache, fig1, fig4, fig5, install_global_cache, run_cell, MemoryCache, Scenario,
-    SchedulerKind,
+    clear_global_cache, fig1, fig4, fig5, install_global_cache, run_cell, Scenario, SchedulerKind,
 };
 use mapreduce_metrics::FlowtimeSummary;
 use mapreduce_server::{ResultCache, SweepRequest, SweepServer};
@@ -210,7 +209,7 @@ fn warm_figure_rerun_simulates_nothing() {
     // An unusual machine count keeps these fingerprints disjoint from any
     // other test traffic in this process.
     let scenario = Scenario::scaled(18, 2).with_machines(23);
-    let cache = Arc::new(MemoryCache::new());
+    let cache = Arc::new(ResultCache::in_memory());
     let _guard = GlobalCacheGuard::install(cache.clone());
 
     let epsilons = [0.3, 0.6, 0.9];
@@ -238,7 +237,7 @@ fn warm_figure_rerun_simulates_nothing() {
 fn fig5_reuses_fig4_cells_through_the_cache() {
     let _serial = GLOBAL_CACHE_LOCK.lock().unwrap();
     let scenario = Scenario::scaled(16, 1).with_machines(29);
-    let cache = Arc::new(MemoryCache::new());
+    let cache = Arc::new(ResultCache::in_memory());
     let _guard = GlobalCacheGuard::install(cache.clone());
 
     let _fig4 = fig4::run(&scenario);
