@@ -191,10 +191,6 @@ struct CacheInner {
     evicted: u64,
 }
 
-/// A persistent, thread-safe [`OutcomeCache`] backed by a JSON-lines file.
-///
-/// See the [module documentation](self) for the store format and the
-/// recovery/eviction semantics.
 /// A thread-safe [`OutcomeCache`]: an in-memory index, optionally backed by
 /// a JSON-lines file.
 ///

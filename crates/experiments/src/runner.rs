@@ -335,7 +335,7 @@ pub fn run_scheduler_averaged(kind: SchedulerKind, scenario: &Scenario) -> Vec<S
 
 /// What [`resolve_cells`] did with a batch of cells: per-cell entries in
 /// cell order, and which cells it simulated.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ResolvedCells {
     /// Each cell's outcome.
     pub outcomes: Vec<SimOutcome>,

@@ -219,9 +219,9 @@ pub struct CellResult {
     pub seed: u64,
     /// The cell's content fingerprint (the cache key).
     pub fingerprint: Fingerprint,
-    /// Whether the outcome was served from the cache (`false` for cells
-    /// simulated by this request, including the representative of a
-    /// deduplicated group).
+    /// Whether the outcome was served from the cache (`false` for every
+    /// cell this request simulated and for the in-flight duplicates that
+    /// reused one of them).
     pub from_cache: bool,
     /// Flowtime summary of the cell's outcome.
     pub summary: FlowtimeSummary,
