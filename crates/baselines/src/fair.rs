@@ -183,7 +183,7 @@ impl Scheduler for FairScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mapreduce_sim::{AliveIndex, CopyArena, JobState, SimConfig, Simulation};
+    use mapreduce_sim::{AliveIndex, CopyArena, JobState, JobTable, SimConfig, Simulation};
     use mapreduce_workload::{JobId, JobSpecBuilder, Trace, WorkloadBuilder};
 
     #[test]
@@ -232,7 +232,8 @@ mod tests {
             index.insert(i, job);
         }
         let copies = CopyArena::new();
-        let state = ClusterState::new(0, budget, budget, jobs, &copies, &index, 0);
+        let table: JobTable = jobs.iter().cloned().collect();
+        let state = ClusterState::new(0, budget, budget, &table, &copies, &index, 0);
         let mut actions = Vec::new();
         fair_fill_alive_into(
             &state,

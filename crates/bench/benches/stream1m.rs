@@ -3,9 +3,9 @@
 //! This is the regime the streaming subsystem and the prefix-truncated
 //! SRPTMS+C decision path exist for: the full trace would be several
 //! gigabytes materialised, so jobs are synthesized on demand
-//! ([`mapreduce_workload::StreamingGenerator`]) and released at completion —
-//! the run's footprint is the alive window, not the workload. Two
-//! schedulers:
+//! ([`mapreduce_workload::StreamingGenerator`]) and retired from the engine
+//! at completion — job state is bounded by the alive window, not the
+//! workload. Two schedulers:
 //!
 //! * `stream1m/fifo` — the cheapest decision path; measures the engine +
 //!   feed floor at this scale.

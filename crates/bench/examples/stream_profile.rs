@@ -1,7 +1,8 @@
 //! Developer harness: one streaming run in the `stream1m` regime (10 jobs
 //! per machine, offered load ≈45 %) at an arbitrary scale, with the
 //! wall-clock layer split ([`mapreduce_bench::timed`]: source, schedule,
-//! hook, engine) printed at the end.
+//! hook, engine) and the process's peak RSS
+//! ([`mapreduce_bench::peak_rss_kb`]) printed at the end.
 //!
 //! Useful for iterating on engine/decision-path performance without paying
 //! for a full million-job bench sample, and as the target for a sampling
@@ -68,7 +69,10 @@ fn main() {
         outcome.scheduler,
         outcome.mean_flowtime()
     );
-    println!("layers: {split}");
+    println!(
+        "layers: {split}; peak_rss_kb {}",
+        mapreduce_bench::peak_rss_kb().unwrap_or(0)
+    );
     println!(
         "counters: {} copies, {} decision instants, peak resident {}, ranked prefix max {}",
         outcome.total_copies,

@@ -16,11 +16,13 @@
 //! competes with the event-queue head for the next decision instant, and
 //! every pending job arriving at the chosen instant is admitted, in dense-id
 //! order, before that instant's queued events are delivered. Arrivals never
-//! enter the event queue. Completed jobs release their task storage right after their
-//! [`JobRecord`] is captured, so memory is bounded by the peak *alive
-//! window* ([`SimOutcome::peak_resident_jobs`]), not by the workload size —
-//! this is what lets 100k+-job [`mapreduce_workload::StreamingGenerator`]
-//! runs complete without ever materialising a [`Trace`].
+//! enter the event queue. A completed job's [`JobRecord`] is captured the
+//! moment it completes, and its state is dropped from the [`JobTable`] at
+//! the end of that decision instant, so job state is bounded by the peak
+//! *alive window* ([`SimOutcome::peak_resident_jobs`]), not by the workload
+//! size — this is what lets 100k+-job
+//! [`mapreduce_workload::StreamingGenerator`] runs complete without ever
+//! materialising a [`Trace`].
 //!
 //! Event compression: the scheduler is only woken when an arrival or a
 //! completion happened, or on the periodic wakeup the scheduler itself
@@ -49,7 +51,7 @@
 //! activates exactly the waiting copies instead of rescanning every reduce
 //! task.
 //!
-//! The engine owns the job table, the machine budget and the incrementally
+//! The engine owns the [`JobTable`], the machine budget and the incrementally
 //! maintained [`AliveIndex`] from which each scheduler-facing
 //! [`ClusterState`] snapshot is built in `O(1)`.
 
@@ -59,7 +61,7 @@ use crate::error::SimError;
 use crate::events::{Event, EventQueue};
 use crate::result::{JobRecord, RunTelemetry, SimOutcome};
 use crate::state::IndexDemands;
-use crate::state::{Action, AliveIndex, ClusterState, JobState, Scheduler, Slot};
+use crate::state::{Action, AliveIndex, ClusterState, JobState, JobTable, Scheduler, Slot};
 use crate::telemetry::{
     CancelReason, CopyCancelled, CopyFinished, CopyLaunched, DecisionInstant, NoopObserver,
     SimObserver,
@@ -85,10 +87,10 @@ pub struct Simulation {
     /// out up front so the event loop can pull from it while mutably
     /// borrowing the engine.
     source: Option<Box<dyn JobSource>>,
-    /// Runtime state of the admitted jobs, indexed by dense job id. Grows as
-    /// the source is consumed; completed jobs stay (records and scalar state
-    /// remain addressable) but their task storage is released.
-    jobs: Vec<JobState>,
+    /// Runtime state of the resident jobs, indexed by dense job id: a job
+    /// enters when it is admitted and is retired at the end of the decision
+    /// instant in which it completed.
+    jobs: JobTable,
 }
 
 impl fmt::Debug for Simulation {
@@ -103,7 +105,7 @@ impl fmt::Debug for Simulation {
                 "total_jobs",
                 &self.source.as_ref().map_or(0, |s| s.total_jobs()),
             )
-            .field("admitted_jobs", &self.jobs.len())
+            .field("admitted_jobs", &self.jobs.admitted())
             .finish()
     }
 }
@@ -456,7 +458,7 @@ impl Simulation {
         Simulation {
             config,
             source: Some(source),
-            jobs: Vec::new(),
+            jobs: JobTable::new(),
         }
     }
 
@@ -556,6 +558,9 @@ impl Simulation {
         let mut newly_arrived = Vec::new();
         let mut newly_finished = Vec::new();
         let mut newly_unlaunched = Vec::new();
+        // Jobs that completed at this instant: retired once the instant's
+        // hooks and decision have run.
+        let mut newly_completed = Vec::new();
 
         let wakeup_every = scheduler.wakeup_interval();
 
@@ -609,7 +614,7 @@ impl Simulation {
             while pending.as_ref().is_some_and(|j| j.arrival() <= now) {
                 let mut job = pending.take().expect("checked above");
                 debug_assert_eq!(job.arrival(), now);
-                let idx = self.jobs.len();
+                let idx = self.jobs.admitted();
                 job.mark_arrived();
                 alive.insert(idx, &job);
                 newly_arrived.push(job.id());
@@ -652,17 +657,16 @@ impl Simulation {
                                 // launchable; keep the O(1) aggregate exact.
                                 alive.note_map_phase_complete(job_idx, &self.jobs[job_idx]);
                             }
-                            if self.jobs[job_idx].all_tasks_finished()
-                                && !self.jobs[job_idx].is_complete()
-                            {
-                                self.jobs[job_idx].mark_complete(at);
+                            let job = self
+                                .jobs
+                                .get_mut(job_idx)
+                                .expect("a job whose task just finished is resident");
+                            if job.all_tasks_finished() && !job.is_complete() {
+                                job.mark_complete(at);
                                 ctx.stats.completed_jobs += 1;
                                 ctx.stats.makespan = ctx.stats.makespan.max(at);
-                                alive.remove(job_idx, &self.jobs[job_idx]);
-                                // Capture the record now and release the
-                                // job's task storage: memory stays bounded
-                                // by the alive window, not the workload.
-                                let job = &self.jobs[job_idx];
+                                alive.remove(job_idx, job);
+                                newly_completed.push(job_idx);
                                 let record = JobRecord {
                                     job: job.id(),
                                     weight: job.weight(),
@@ -675,13 +679,16 @@ impl Simulation {
                                 };
                                 observer.on_job_completed(&record);
                                 ctx.records.push(record);
-                                // Recycle the job's copy slots before the
-                                // id lists are dropped: the arena, like the
-                                // job table, stays bounded by the alive
-                                // window. Every copy of a completed job has
-                                // ended, and no queued event can finalize
-                                // one again (task lookups fail and the
-                                // sequence check rejects reused slots).
+                                // Recycle the job's copy slots now: the
+                                // arena, like the job table, stays bounded
+                                // by the alive window. Every copy of a
+                                // completed job has ended, and no queued
+                                // event can finalize one again (its task is
+                                // finished, and the sequence check rejects
+                                // reused slots). Nothing allocates a copy
+                                // before this instant's hooks and decision,
+                                // so the job's copy ids still resolve to
+                                // its own records while they read it.
                                 for phase in Phase::ALL {
                                     for task in job.tasks(phase) {
                                         for &cid in task.copies() {
@@ -689,7 +696,6 @@ impl Simulation {
                                         }
                                     }
                                 }
-                                self.jobs[job_idx].release_storage();
                                 ctx.stats.resident_jobs -= 1;
                             }
                         }
@@ -756,6 +762,10 @@ impl Simulation {
             self.apply_actions(
                 &actions, now, &mut ctx, &mut alive, &mut queue, &mut rng, observer,
             )?;
+            // ---- retire the jobs that completed at this instant ----
+            for idx in newly_completed.drain(..) {
+                self.jobs.retire(idx);
+            }
             if O::ENABLED {
                 let mut launch_actions = 0usize;
                 let mut cancel_actions = 0usize;
@@ -794,9 +804,10 @@ impl Simulation {
 
         // ---- collect records ----
         // Records were captured at completion time (completion order);
-        // outcomes report them in job-id order.
+        // outcomes report them in job-id order. Job ids are unique, so the
+        // unstable sort gives the stable order without a scratch buffer.
         let mut records = ctx.records;
-        records.sort_by_key(|r| r.job);
+        records.sort_unstable_by_key(|r| r.job);
 
         let mut outcome = SimOutcome::new(
             scheduler.name().to_string(),
@@ -824,7 +835,8 @@ impl Simulation {
     /// Processes the completion of one copy. Returns `Some(task_id)` if the
     /// event was live and the task finished, `None` for stale events: the
     /// finish events of cancelled and killed copies stay queued and end here
-    /// (the liveness check is `O(1)`: one arena index).
+    /// (the liveness check is `O(1)`: one arena index), and so do events of
+    /// retired jobs.
     fn handle_copy_finish<O: SimObserver>(
         &mut self,
         task_id: TaskId,
@@ -996,7 +1008,10 @@ impl Simulation {
         let task_id = ctx.arena.get(cid).task();
         let waiting = ctx.end_copy(cid, now, CopyExit::Cancelled(CancelReason::Fault), observer);
         let job_idx = task_id.job.as_usize();
-        let job = &mut self.jobs[job_idx];
+        let job = self
+            .jobs
+            .get_mut(job_idx)
+            .expect("a killed copy's job is alive");
         let still_active =
             job.note_copies_ended(task_id.phase, task_id.index, 1, usize::from(waiting));
         // The killed copy may have carried the task's earliest finish.
@@ -1006,7 +1021,7 @@ impl Simulation {
             // task rejoins the unscheduled pool and the aggregate indexes
             // re-admit it, so the next decision instant can relaunch it.
             job.note_task_unlaunched(task_id.phase, task_id.index);
-            alive.note_task_unlaunched(job_idx, &self.jobs[job_idx]);
+            alive.note_task_unlaunched(job_idx, job);
             Some(task_id)
         } else {
             None
@@ -1025,7 +1040,10 @@ impl Simulation {
         ctx: &mut RunCtx,
         queue: &mut EventQueue,
     ) {
-        let job = &mut self.jobs[job_idx];
+        let job = self
+            .jobs
+            .get_mut(job_idx)
+            .expect("a job whose map phase just completed is resident");
         if job.waiting_copies() == 0 {
             return;
         }
@@ -1094,19 +1112,18 @@ impl Simulation {
         observer: &mut O,
     ) -> Result<(), SimError> {
         let job_idx = task_id.job.as_usize();
-        if job_idx >= self.jobs.len() {
+        if job_idx >= self.jobs.admitted() {
             return Err(SimError::UnknownTask(task_id));
         }
         let speed = self.config.machine_speed;
         let straggler = self.config.straggler;
 
-        let job = &mut self.jobs[job_idx];
-        // Ignore launches for jobs that have not arrived or already finished
-        // (their task storage is released): the scheduler may be acting on a
-        // stale view. The liveness check must precede the task probe.
-        if !job.is_alive() {
+        // Ignore launches for jobs that already completed, at this instant
+        // or (retired) earlier: the scheduler may be acting on a stale view.
+        // The liveness check must precede the task probe.
+        let Some(job) = self.jobs.get_mut(job_idx).filter(|j| j.is_alive()) else {
             return Ok(());
-        }
+        };
         // One probe of the task yields everything the validation and the
         // launch loop need.
         let (active_now, task_finished, mut first_launch) =
@@ -1234,15 +1251,14 @@ impl Simulation {
         observer: &mut O,
     ) -> Result<(), SimError> {
         let job_idx = task_id.job.as_usize();
-        if job_idx >= self.jobs.len() {
+        if job_idx >= self.jobs.admitted() {
             return Err(SimError::UnknownTask(task_id));
         }
-        let job = &mut self.jobs[job_idx];
-        if job.is_complete() {
-            // Completed jobs released their task storage; a cancellation
-            // for one is a stale no-op, like cancelling a finished task.
+        // A cancellation for a completed (or retired) job is a stale no-op,
+        // like cancelling a finished task.
+        let Some(job) = self.jobs.get_mut(job_idx).filter(|j| !j.is_complete()) else {
             return Ok(());
-        }
+        };
         let task = match job.task(task_id.phase, task_id.index) {
             Some(t) => t,
             None => return Err(SimError::UnknownTask(task_id)),
@@ -1735,6 +1751,125 @@ mod tests {
         );
         assert_eq!(scheduler.job1_alive_at_finish, Some(true));
         assert_eq!(outcome.record(JobId::new(1)).unwrap().completion, 10);
+    }
+
+    /// FIFO that watches job 0 leave the job table: its completion hook and
+    /// that instant's decision must still read it, every later decision must
+    /// find it retired. The first decision that finds it retired issues
+    /// `stale` ahead of FIFO's own launches.
+    struct RetireProbe {
+        fifo: GreedyFifo,
+        stale: Vec<Action>,
+        completed_at: Option<Slot>,
+        retired_seen_at: Option<Slot>,
+    }
+
+    impl RetireProbe {
+        fn new(stale: Vec<Action>) -> Self {
+            RetireProbe {
+                fifo: GreedyFifo::new(),
+                stale,
+                completed_at: None,
+                retired_seen_at: None,
+            }
+        }
+    }
+
+    impl Scheduler for RetireProbe {
+        fn name(&self) -> &str {
+            self.fifo.name()
+        }
+
+        fn on_task_finished(&mut self, task: TaskId, state: &ClusterState<'_>) {
+            if task.job == JobId::new(0) {
+                let job = state
+                    .job(task.job)
+                    .expect("a hook reads the job that completed at its instant");
+                assert!(job.is_complete());
+                self.completed_at = Some(state.now());
+            }
+        }
+
+        fn schedule(&mut self, state: &ClusterState<'_>) -> Vec<Action> {
+            let mut actions = Vec::new();
+            let job0 = state.job(JobId::new(0));
+            match self.completed_at {
+                Some(at) if at == state.now() => assert!(job0.is_some_and(|j| j.is_complete())),
+                Some(_) => {
+                    assert!(job0.is_none(), "slot {}: job 0 not retired", state.now());
+                    if self.retired_seen_at.is_none() {
+                        self.retired_seen_at = Some(state.now());
+                        actions.extend(self.stale.iter().copied());
+                    }
+                }
+                None => {}
+            }
+            actions.extend(self.fifo.schedule(state));
+            actions
+        }
+    }
+
+    /// Job 0 completes at 5, job 1 arrives at 10 and completes at 15, job 2
+    /// arrives at 100: decisions at 0, 5, 10, 15 and 100.
+    fn retire_trace() -> Trace {
+        let spec = |id: u64, arrival: Slot| {
+            JobSpecBuilder::new(JobId::new(id))
+                .arrival(arrival)
+                .map_tasks_from_workloads(&[5.0])
+                .build()
+        };
+        Trace::new(vec![spec(0, 0), spec(1, 10), spec(2, 100)]).unwrap()
+    }
+
+    #[test]
+    fn completed_jobs_are_readable_until_their_instant_ends() {
+        let trace = retire_trace();
+        let mut probe = RetireProbe::new(Vec::new());
+        let outcome = Simulation::new(SimConfig::new(2), &trace)
+            .run(&mut probe)
+            .unwrap();
+        assert_eq!(probe.completed_at, Some(5));
+        assert_eq!(probe.retired_seen_at, Some(10));
+        assert_eq!(outcome.records().len(), 3);
+    }
+
+    #[test]
+    fn actions_naming_a_retired_job_are_stale_no_ops() {
+        let trace = retire_trace();
+        let task = TaskId::new(JobId::new(0), Phase::Map, 0);
+        let mut probe = RetireProbe::new(vec![
+            Action::Launch { task, copies: 2 },
+            Action::CancelCopies { task, keep: 0 },
+            // Out of range even for a resident job: never probed.
+            Action::Launch {
+                task: TaskId::new(JobId::new(0), Phase::Reduce, 7),
+                copies: 1,
+            },
+        ]);
+        let outcome = Simulation::new(SimConfig::new(2), &trace)
+            .run(&mut probe)
+            .unwrap();
+        assert_eq!(probe.retired_seen_at, Some(10));
+        let plain = Simulation::new(SimConfig::new(2), &trace)
+            .run(&mut GreedyFifo::new())
+            .unwrap();
+        assert_eq!(outcome, plain);
+    }
+
+    #[test]
+    fn launching_a_job_not_yet_admitted_is_still_unknown() {
+        // Job 2 is in the source but arrives at 100: at slot 10 its id is
+        // past admission.
+        let task = TaskId::new(JobId::new(2), Phase::Map, 0);
+        let mut probe = RetireProbe::new(vec![Action::Launch { task, copies: 1 }]);
+        let err = Simulation::new(SimConfig::new(2), &retire_trace())
+            .run(&mut probe)
+            .unwrap_err();
+        assert!(
+            matches!(err, SimError::UnknownTask(t) if t == task),
+            "{err}"
+        );
+        assert_eq!(probe.retired_seen_at, Some(10));
     }
 
     /// A source that yields hand-written specs verbatim, contract or not,

@@ -15,8 +15,9 @@
 //!
 //! The seam on the workload side is [`mapreduce_workload::JobSource`]: the
 //! engine pulls jobs in arrival order ([`Simulation::from_source`]) and
-//! releases each job's task storage at completion, so runs are bounded by
-//! the alive window rather than the workload size — see
+//! retires each job from its [`JobTable`] at the end of the decision instant
+//! in which it completed, so job state is bounded by the alive window rather
+//! than the workload size — see
 //! [`engine`] for the admission/trajectory guarantees.
 //!
 //! # Event path
@@ -116,8 +117,8 @@ pub use events::{Event, EventQueue};
 pub use result::{JobRecord, RunTelemetry, SimOutcome};
 pub use speedup::{ParetoSpeedup, SpeedupFunction};
 pub use state::{
-    Action, AliveIndex, ClusterState, IndexDemands, JobState, RankedEntries, Scheduler, Slot,
-    TaskState, TaskStatus,
+    Action, AliveIndex, ClusterState, IndexDemands, JobState, JobTable, RankedEntries, Scheduler,
+    Slot, TaskState, TaskStatus,
 };
 pub use telemetry::{
     CancelReason, CopyCancelled, CopyFinished, CopyLaunched, DecisionInstant, NoopObserver,

@@ -9,7 +9,7 @@
 use crate::copy::{CopyArena, CopyId, CopyList, CopyPhase};
 use mapreduce_support::json::{FromJson, JsonError, JsonValue, ToJson};
 use mapreduce_workload::{JobId, JobSpec, Phase, TaskId};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
 
 /// Simulated time, measured in slots (1 slot = 1 second at the paper's
 /// default granularity).
@@ -252,15 +252,6 @@ impl PhaseIndex {
                 self.unscheduled.insert(self.unscheduled_head + pos, index);
             }
         }
-    }
-
-    /// Frees the index storage while keeping the completed-duration
-    /// aggregates (which stay readable on completed jobs).
-    fn release(&mut self) {
-        self.unscheduled = Vec::new();
-        self.unscheduled_head = 0;
-        self.running = Vec::new();
-        self.running_by_finish = Vec::new();
     }
 }
 
@@ -633,7 +624,7 @@ impl JobState {
         self.waiting_copies = self.waiting_copies.saturating_sub(waiting);
         let task = self
             .task_mut(phase, index)
-            .expect("an active copy's task storage is never released");
+            .expect("an active copy's task exists");
         task.active = task.active.saturating_sub(ended);
         task.active
     }
@@ -779,28 +770,98 @@ impl JobState {
     pub(crate) fn mark_complete(&mut self, at: Slot) {
         self.completed_at = Some(at);
     }
+}
 
-    /// Releases the per-task storage of a completed job: task-state vectors
-    /// (including their copy-id lists), phase free-lists, the waiting list,
-    /// and the spec's task vectors and distributions. The scalar summary the
-    /// engine and schedulers may still read on a finished job — id, arrival,
-    /// weight, phase stats, completion slot, copy counters, completed-
-    /// duration aggregates — survives.
+/// The runtime state of the *resident* jobs of a run, addressed by dense job
+/// id.
+///
+/// The engine admits jobs in dense-id order, so the table is a window of
+/// per-id slots over `[base, admitted)`: admission pushes a slot at the back,
+/// and retiring a job empties its slot, drops its [`JobState`] and then pops
+/// empty slots off the front. The engine retires a job at the end of the
+/// decision instant in which it completed, after that instant's hooks and
+/// decision ran, so a hook can still read a job that finished at this
+/// instant. Job state therefore costs one boxed [`JobState`] per resident
+/// job plus one pointer per id between the oldest resident job and the
+/// newest admitted one — the alive window, not the length of the run.
+///
+/// Index it like a slice (`table[idx]`, panicking on an id that is not
+/// resident) or probe it with [`JobTable::get`]; only the engine mutates
+/// it. Scheduler unit tests build one from hand-made jobs with
+/// [`JobTable::push`] or `collect`.
+#[derive(Debug, Default)]
+pub struct JobTable {
+    /// Dense id of `slots[0]`; every id below it has been retired.
+    base: usize,
+    /// One slot per id in `[base, admitted)`, `None` once retired.
+    slots: VecDeque<Option<Box<JobState>>>,
+}
+
+impl JobTable {
+    /// An empty table.
+    pub fn new() -> Self {
+        JobTable::default()
+    }
+
+    /// Number of jobs ever admitted: the dense id the next job must carry.
+    pub fn admitted(&self) -> usize {
+        self.base + self.slots.len()
+    }
+
+    /// Admits the next job.
     ///
-    /// This is what bounds a streaming run's memory to the *alive window*
-    /// instead of the whole workload: the engine calls it the moment a job
-    /// completes, right after capturing its [`crate::result::JobRecord`].
-    pub(crate) fn release_storage(&mut self) {
-        debug_assert!(self.is_complete(), "only completed jobs are released");
-        self.map_tasks = Vec::new();
-        self.reduce_tasks = Vec::new();
-        self.map_index.release();
-        self.reduce_index.release();
-        self.waiting_reduce = Vec::new();
-        self.spec.map_tasks = Vec::new();
-        self.spec.reduce_tasks = Vec::new();
-        self.spec.map_distribution = None;
-        self.spec.reduce_distribution = None;
+    /// # Panics
+    /// Panics unless the job's id is [`JobTable::admitted`].
+    pub fn push(&mut self, job: JobState) {
+        assert_eq!(
+            job.id().as_usize(),
+            self.admitted(),
+            "jobs are admitted in dense-id order"
+        );
+        self.slots.push_back(Some(Box::new(job)));
+    }
+
+    /// The job with dense id `idx`, or `None` if it was retired or never
+    /// admitted.
+    pub fn get(&self, idx: usize) -> Option<&JobState> {
+        self.slots.get(idx.checked_sub(self.base)?)?.as_deref()
+    }
+
+    pub(crate) fn get_mut(&mut self, idx: usize) -> Option<&mut JobState> {
+        self.slots
+            .get_mut(idx.checked_sub(self.base)?)?
+            .as_deref_mut()
+    }
+
+    /// Drops the state of job `idx`, then pops retired slots off the front.
+    pub(crate) fn retire(&mut self, idx: usize) {
+        if let Some(slot) = idx
+            .checked_sub(self.base)
+            .and_then(|i| self.slots.get_mut(i))
+        {
+            *slot = None;
+        }
+        while matches!(self.slots.front(), Some(None)) {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+    }
+}
+
+impl std::ops::Index<usize> for JobTable {
+    type Output = JobState;
+
+    fn index(&self, idx: usize) -> &JobState {
+        self.get(idx)
+            .unwrap_or_else(|| panic!("job {idx} is not resident"))
+    }
+}
+
+impl FromIterator<JobState> for JobTable {
+    fn from_iter<I: IntoIterator<Item = JobState>>(jobs: I) -> Self {
+        let mut table = JobTable::new();
+        jobs.into_iter().for_each(|job| table.push(job));
+        table
     }
 }
 
@@ -1286,7 +1347,9 @@ pub struct ClusterState<'a> {
     now: Slot,
     total_machines: usize,
     available_machines: usize,
-    jobs: &'a [JobState],
+    /// The resident jobs: the alive ones plus any that completed at this
+    /// instant.
+    jobs: &'a JobTable,
     /// The run's copy storage; per-copy task queries resolve ids against it.
     copies: &'a CopyArena,
     /// The alive set, its aggregates and (when enabled) the priority order.
@@ -1300,8 +1363,8 @@ pub struct ClusterState<'a> {
 }
 
 impl<'a> ClusterState<'a> {
-    /// Builds a snapshot over `jobs` (indexed by dense job id) whose alive
-    /// set and aggregates are `index` — `O(1)`, no rescan of the job table.
+    /// Builds a snapshot over `jobs` whose alive set and aggregates are
+    /// `index` — `O(1)`, no rescan of the job table.
     ///
     /// The engine builds one per decision instant; scheduler unit tests
     /// build their own by inserting hand-made jobs into a fresh
@@ -1312,7 +1375,7 @@ impl<'a> ClusterState<'a> {
         now: Slot,
         total_machines: usize,
         available_machines: usize,
-        jobs: &'a [JobState],
+        jobs: &'a JobTable,
         copies: &'a CopyArena,
         index: &'a AliveIndex,
         copies_killed_by_fault: u64,
@@ -1404,11 +1467,17 @@ impl<'a> ClusterState<'a> {
 
     /// Resolves a dense job index (as found in [`ClusterState::ranked_entries`])
     /// to its job state.
+    ///
+    /// # Panics
+    /// Panics if the job is not resident: retired, or never admitted.
     pub fn job_at(&self, index: usize) -> &'a JobState {
         &self.jobs[index]
     }
 
-    /// Looks up any job (alive, finished or not yet arrived) by id.
+    /// Looks up a job by id: an alive job, or one that completed at this
+    /// decision instant (readable by this instant's hooks and decision).
+    /// `None` for a job retired at an earlier instant, or one not admitted
+    /// yet.
     pub fn job(&self, id: JobId) -> Option<&'a JobState> {
         self.jobs.get(id.as_usize())
     }
@@ -1812,7 +1881,7 @@ mod tests {
             .build();
         let mut j1 = JobState::new(spec1);
         j1.mark_arrived();
-        let jobs = vec![j0, j1];
+        let jobs: JobTable = [j0, j1].into_iter().collect();
         let mut index = AliveIndex::new();
         index.insert(0, &jobs[0]);
         index.insert(1, &jobs[1]);
@@ -1824,6 +1893,38 @@ mod tests {
         assert_eq!(state.alive_jobs().count(), 2);
         assert!(state.job(JobId::new(1)).is_some());
         assert!(state.job(JobId::new(5)).is_none());
+    }
+
+    /// Slots are retired in any order; the window's front advances past
+    /// every leading retired id, and retired or unadmitted ids resolve to
+    /// nothing.
+    #[test]
+    fn job_table_retires_out_of_order() {
+        let mut table: JobTable = job_bank(&[1, 1, 1, 1], &[1.0; 4], &[0; 4])
+            .into_iter()
+            .collect();
+        assert_eq!(table.admitted(), 4);
+        table.retire(1);
+        assert!(table.get(1).is_none());
+        assert_eq!((table.base, table.slots.len()), (0, 4));
+        table.retire(0);
+        // Ids 0 and 1 are gone; 2 is the new front.
+        assert_eq!((table.base, table.slots.len()), (2, 2));
+        assert_eq!(table[2].id(), JobId::new(2));
+        assert!(table.get(0).is_none() && table.get(4).is_none());
+        table.retire(3);
+        table.retire(2);
+        assert_eq!((table.base, table.slots.len()), (4, 0));
+        assert_eq!(table.admitted(), 4);
+        table.push(job_bank(&[1; 5], &[1.0; 5], &[0; 5]).pop().unwrap());
+        assert_eq!(table[4].id(), JobId::new(4));
+    }
+
+    #[test]
+    #[should_panic(expected = "dense-id order")]
+    fn job_table_rejects_a_non_dense_id() {
+        let mut table = JobTable::new();
+        table.push(job_bank(&[1, 1], &[1.0; 2], &[0; 2]).pop().unwrap());
     }
 
     #[test]
@@ -1893,18 +1994,19 @@ mod tests {
         // w/U with r = 0: job0 = 1/20, job1 = 1/20, job2 = 2/40, job3 = 2/40:
         // all ties → id order. After launching a task of job 2 its priority
         // rises to 2/30 and it moves to the front.
-        let mut jobs = job_bank(&[2, 2, 4, 4], &[1.0, 1.0, 2.0, 2.0], &[0, 0, 0, 0]);
+        let bank = job_bank(&[2, 2, 4, 4], &[1.0, 1.0, 2.0, 2.0], &[0, 0, 0, 0]);
         let mut index = AliveIndex::new();
         index.enable_priority(0.0);
-        for (i, job) in jobs.iter().enumerate() {
+        for (i, job) in bank.iter().enumerate() {
             index.insert(i, job);
         }
+        let mut jobs: JobTable = bank.into_iter().collect();
         index.flush_priority();
         let ranked = index.ranked_by_priority().unwrap();
         let order: Vec<usize> = ranked.iter().map(|(_, i)| i).collect();
         assert_eq!(order, vec![0, 1, 2, 3]);
 
-        jobs[2].note_first_launch(Phase::Map, 0);
+        jobs.get_mut(2).unwrap().note_first_launch(Phase::Map, 0);
         index.note_first_launch(2, &jobs[2]);
         index.flush_priority();
         // The snapshot hands out the same order, and every key is the
@@ -1923,7 +2025,7 @@ mod tests {
 
         // Launching everything drops the job from the priority order.
         for t in 1..4 {
-            jobs[2].note_first_launch(Phase::Map, t);
+            jobs.get_mut(2).unwrap().note_first_launch(Phase::Map, t);
             index.note_first_launch(2, &jobs[2]);
         }
         index.flush_priority();
@@ -1941,7 +2043,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "Scheduler::priority_r")]
     fn ranked_entries_without_a_declared_priority_panics() {
-        let jobs = job_bank(&[1], &[1.0], &[0]);
+        let jobs: JobTable = job_bank(&[1], &[1.0], &[0]).into_iter().collect();
         let mut index = AliveIndex::new();
         index.insert(0, &jobs[0]);
         let copies = CopyArena::new();
@@ -2030,7 +2132,7 @@ mod tests {
     /// completion that unlocks a reduce, and a completion.
     #[test]
     fn cluster_state_from_index_uses_cached_aggregates() {
-        let scans = |jobs: &[JobState], index: &AliveIndex| {
+        let scans = |jobs: &JobTable, index: &AliveIndex| {
             let copies = CopyArena::new();
             let state = ClusterState::new(5, 8, 8, jobs, &copies, index, 0);
             let alive = || state.alive_jobs();
@@ -2060,7 +2162,8 @@ mod tests {
         // Job 0: two maps and a gated reduce; job 1: one map.
         let mut j0 = job_state();
         j0.mark_arrived();
-        let mut jobs = vec![j0, job_bank(&[1], &[5.0], &[3]).remove(0)];
+        let j1 = job_bank(&[1, 1], &[1.0, 5.0], &[0, 3]).remove(1);
+        let mut jobs: JobTable = [j0, j1].into_iter().collect();
         let mut index = AliveIndex::new();
         index.insert(0, &jobs[0]);
         assert_eq!(scans(&jobs, &index), (2.0, 2));
@@ -2068,18 +2171,24 @@ mod tests {
         assert_eq!(scans(&jobs, &index), (7.0, 3));
 
         for t in 0..2 {
-            jobs[0].note_first_launch(Phase::Map, t);
+            jobs.get_mut(0).unwrap().note_first_launch(Phase::Map, t);
             index.note_first_launch(0, &jobs[0]);
         }
         assert_eq!(scans(&jobs, &index), (7.0, 1));
         for t in 0..2 {
-            jobs[0].task_mut(Phase::Map, t).unwrap().mark_finished(9);
-            jobs[0].note_task_finished(Phase::Map, t, 4);
+            jobs.get_mut(0)
+                .unwrap()
+                .task_mut(Phase::Map, t)
+                .unwrap()
+                .mark_finished(9);
+            jobs.get_mut(0)
+                .unwrap()
+                .note_task_finished(Phase::Map, t, 4);
         }
         index.note_map_phase_complete(0, &jobs[0]);
         assert_eq!(scans(&jobs, &index), (7.0, 2));
 
-        jobs[1].note_first_launch(Phase::Map, 0);
+        jobs.get_mut(1).unwrap().note_first_launch(Phase::Map, 0);
         index.note_first_launch(1, &jobs[1]);
         index.remove(1, &jobs[1]);
         assert_eq!(scans(&jobs, &index), (2.0, 1));

@@ -10,9 +10,13 @@
 //!   weights are integers, so every weight sum is exact in any order;
 //! * `launchable_jobs()` is exactly the alive jobs, in job-id order, whose
 //!   `launchable()` is `Some`, each with that phase and free-list — the set
-//!   FIFO and the fair fill walk.
+//!   FIFO and the fair fill walk;
+//! * `job(id)` resolves exactly the alive jobs plus those that completed at
+//!   this instant (which the completion hooks just read): every job that
+//!   completed at an earlier instant is retired from the job table, and no
+//!   id past the last arrival resolves.
 //!
-//! A forwarding wrapper checks all three before each decision, over random
+//! A forwarding wrapper checks all four before each decision, over random
 //! golden-equivalence traces for FIFO, Mantri and SRPTMS+C, with and without
 //! a random fault plan (faults return tasks to the unscheduled pool, the one
 //! event that grows `W(l)` and the launchable count after arrival).
@@ -23,12 +27,17 @@ use mapreduce_sched::SrptMsC;
 use mapreduce_sim::{Action, ClusterState, FaultPlan, IndexDemands, Scheduler, Slot};
 use mapreduce_support::proptest::prelude::*;
 use mapreduce_workload::{JobId, TaskId};
+use std::collections::BTreeSet;
 
-/// Forwards every trait method to `inner` and checks the snapshot's order
-/// and aggregates against scans before each decision.
+/// Forwards every trait method to `inner` and checks the snapshot's order,
+/// aggregates and resident jobs against scans before each decision.
 struct ScanChecked {
     inner: Box<dyn Scheduler>,
     decisions: usize,
+    /// Jobs arrived so far, from the arrival hooks.
+    arrived: usize,
+    /// Jobs the completion hooks found complete at this instant.
+    completed_now: BTreeSet<usize>,
 }
 
 impl ScanChecked {
@@ -36,6 +45,8 @@ impl ScanChecked {
         ScanChecked {
             inner,
             decisions: 0,
+            arrived: 0,
+            completed_now: BTreeSet::new(),
         }
     }
 
@@ -74,6 +85,16 @@ impl ScanChecked {
             .filter_map(|j| j.launchable().map(|(phase, tasks)| (j.id(), phase, tasks)))
             .collect();
         assert_eq!(indexed, scanned, "slot {at}: launchable_jobs");
+        let alive_ids: BTreeSet<usize> = alive().map(|j| j.id().as_usize()).collect();
+        for id in 0..=self.arrived {
+            let expect = alive_ids.contains(&id) || self.completed_now.contains(&id);
+            assert_eq!(
+                state.job(JobId::new(id as u64)).is_some(),
+                expect,
+                "slot {at}: job {id} resolves iff alive or completed at this instant"
+            );
+        }
+        self.completed_now.clear();
     }
 }
 
@@ -105,10 +126,20 @@ impl Scheduler for ScanChecked {
     }
 
     fn on_job_arrival(&mut self, job: JobId, state: &ClusterState<'_>) {
+        self.arrived = self.arrived.max(job.as_usize() + 1);
         self.inner.on_job_arrival(job, state);
     }
 
     fn on_task_finished(&mut self, task: TaskId, state: &ClusterState<'_>) {
+        let job = state.job(task.job).unwrap_or_else(|| {
+            panic!(
+                "slot {}: the job of a task finished at this instant is retired",
+                state.now()
+            )
+        });
+        if job.is_complete() {
+            self.completed_now.insert(task.job.as_usize());
+        }
         self.inner.on_task_finished(task, state);
     }
 

@@ -3,7 +3,7 @@
 //! The contract of the streaming subsystem is that *how* a workload reaches
 //! the engine must not change what happens: feeding jobs lazily through a
 //! [`StreamingGenerator`] (pull-ahead admission, per-job RNG streams, job
-//! storage released at completion) must produce a **bit-identical**
+//! state retired at completion) must produce a **bit-identical**
 //! [`SimOutcome`] to materialising the equivalent [`Trace`] up front and
 //! running it through the classic trace path — for every scheduler of the
 //! golden suite, over randomized profiles, seeds and cluster sizes.
