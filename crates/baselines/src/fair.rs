@@ -227,12 +227,13 @@ mod tests {
     /// Fills `budget` machines over a snapshot in which every job is alive,
     /// returning the launches per job.
     fn fill_per_job(jobs: &[JobState], budget: usize, weighted: bool) -> Vec<usize> {
+        let mut jobs = jobs.to_vec();
         let mut index = AliveIndex::new();
-        for (i, job) in jobs.iter().enumerate() {
+        for (i, job) in jobs.iter_mut().enumerate() {
             index.insert(i, job);
         }
         let copies = CopyArena::new();
-        let table: JobTable = jobs.iter().cloned().collect();
+        let table: JobTable = jobs.into_iter().collect();
         let state = ClusterState::new(0, budget, budget, &table, &copies, &index, 0);
         let mut actions = Vec::new();
         fair_fill_alive_into(
@@ -242,7 +243,7 @@ mod tests {
             &mut FairFillScratch::default(),
             &mut actions,
         );
-        let mut per_job = vec![0usize; jobs.len()];
+        let mut per_job = vec![0usize; table.admitted()];
         for a in &actions {
             if let Action::Launch { task, copies } = a {
                 assert_eq!(*copies, 1);

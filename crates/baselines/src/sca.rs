@@ -111,7 +111,7 @@ impl Scheduler for Sca {
         let mut allocations = std::mem::take(&mut self.allocations);
         allocations.clear();
         let mut consumed = 0;
-        for (_, idx) in ranked.iter() {
+        for idx in ranked.iter() {
             if budget == 0 {
                 break;
             }

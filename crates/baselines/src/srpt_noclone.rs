@@ -70,7 +70,7 @@ impl Scheduler for SrptNoClone {
         // only until the machines run out.
         let ranked = state.ranked_entries();
         let mut consumed = 0;
-        'jobs: for (_, idx) in ranked.iter() {
+        'jobs: for idx in ranked.iter() {
             consumed += 1;
             let job = state.job_at(idx);
             let Some((phase, unscheduled)) = job.launchable() else {

@@ -10,13 +10,18 @@
 //!
 //! * the **widest**: the longest ranked prefix the ε-share walk read;
 //! * the **busiest**: first launches spread over the most jobs (ties to
-//!   more launches), with the launched jobs re-read one instant later.
+//!   more launches).
 //!
 //! The ids:
 //!
 //! * `priority/rekey` — replays the busiest instant's first launches
 //!   through [`AliveIndex::note_first_launch`] (one `PriorityIndex` re-key
-//!   each) on an index rebuilt from its recorded jobs, then flushes it;
+//!   each) on an index rebuilt from its recorded jobs, then flushes it. The
+//!   index keeps its per-job facts on the job, so a replay outside the
+//!   engine can only re-key a job from its recorded state: the key stays
+//!   put, but each call pays the same work as a moving one (`U` from the
+//!   unscheduled counts, one tree removal, one insertion, the launchable
+//!   fold);
 //! * `priority/walk` — walks the widest instant's ranked prefix through the
 //!   engine's cursor ([`AliveIndex::ranked_by_priority`]) on a fresh copy of
 //!   its rebuilt index, so every sample pays the tree walk, not the prefix
@@ -59,9 +64,6 @@ struct Capture {
     launches: Vec<usize>,
     /// Distinct jobs in `launches`.
     launched_jobs: usize,
-    /// The launched jobs at the next decision instant, in index order
-    /// (recorded for the busiest instant only).
-    post: Vec<(usize, JobState)>,
     /// The full ranking the decision saw: `(job, weight)`.
     order: Vec<(JobId, f64)>,
     /// `W(l)`: the weight of the alive jobs with unscheduled tasks.
@@ -79,11 +81,10 @@ impl Capture {
                 .collect(),
             launches,
             launched_jobs,
-            post: Vec::new(),
             order: state
                 .ranked_entries()
                 .iter()
-                .map(|(_, idx)| {
+                .map(|idx| {
                     let job = state.job_at(idx);
                     (job.id(), job.weight())
                 })
@@ -93,12 +94,13 @@ impl Capture {
         }
     }
 
-    /// The engine's index rebuilt from the recorded jobs; asserts it ranks
-    /// them as the recorded decision saw them.
-    fn rebuild(&self) -> AliveIndex {
+    /// The engine's index rebuilt from the recorded jobs (which then carry
+    /// its per-job facts); asserts it ranks them as the recorded decision
+    /// saw them.
+    fn rebuild(&mut self) -> AliveIndex {
         let mut index = AliveIndex::new();
         index.enable_priority(R);
-        for (idx, job) in &self.pre {
+        for (idx, job) in &mut self.pre {
             index.insert(*idx, job);
         }
         index.flush_priority();
@@ -106,7 +108,7 @@ impl Capture {
             .ranked_by_priority()
             .expect("priority maintenance is enabled")
             .iter()
-            .map(|(_, idx)| {
+            .map(|idx| {
                 let pos = self.pre.binary_search_by_key(&idx, |(i, _)| *i);
                 let job = &self.pre[pos.expect("every ranked job is alive")].1;
                 (job.id(), job.weight())
@@ -124,7 +126,6 @@ struct Recorder {
     inner: SrptMsC,
     widest: Capture,
     busiest: Capture,
-    awaiting_post: bool,
 }
 
 impl Scheduler for Recorder {
@@ -143,16 +144,6 @@ impl Scheduler for Recorder {
     }
 
     fn schedule_into(&mut self, state: &ClusterState<'_>, actions: &mut Vec<Action>) {
-        if self.awaiting_post {
-            let mut launched = self.busiest.launches.clone();
-            launched.sort_unstable();
-            launched.dedup();
-            self.busiest.post = launched
-                .into_iter()
-                .map(|idx| (idx, state.job_at(idx).clone()))
-                .collect();
-            self.awaiting_post = false;
-        }
         let before = actions.len();
         self.inner.schedule_into(state, actions);
         if actions.len() == before {
@@ -171,7 +162,6 @@ impl Scheduler for Recorder {
         let busiest = (self.busiest.launched_jobs, self.busiest.launches.len());
         if (jobs.len(), launches.len()) > busiest {
             self.busiest = Capture::record(state, launches.clone(), jobs.len());
-            self.awaiting_post = true;
         }
         if state.ranked_prefix_consumed() > self.widest.prefix {
             self.widest = Capture::record(state, launches, jobs.len());
@@ -200,29 +190,28 @@ fn bench_decision_hot(c: &mut Criterion) {
         inner: SrptMsC::new(EPSILON, R),
         widest: Capture::default(),
         busiest: Capture::default(),
-        awaiting_post: false,
     };
     Simulation::from_source(scenario.sim_config(seed), scenario.job_source(seed))
         .run(&mut recorder)
         .expect("the recorded run completes");
-    let (widest, busiest) = (recorder.widest, recorder.busiest);
-    assert!(
-        !busiest.post.is_empty(),
-        "no later instant re-read the launched jobs"
-    );
+    let (mut widest, mut busiest) = (recorder.widest, recorder.busiest);
     let walk_base = widest.rebuild();
     let rekey_base = busiest.rebuild();
 
-    // One post-decision job state per recorded first launch.
-    let launch_posts: Vec<(usize, &JobState)> = busiest
+    // The launched jobs as the rebuilt index left them, and the position in
+    // that list of every recorded first launch's job.
+    let launched: Vec<(usize, JobState)> = busiest
+        .pre
+        .iter()
+        .filter(|(idx, _)| busiest.launches.contains(idx))
+        .cloned()
+        .collect();
+    let launch_order: Vec<usize> = busiest
         .launches
         .iter()
         .map(|&idx| {
-            let pos = busiest.post.binary_search_by_key(&idx, |(i, _)| *i);
-            (
-                idx,
-                &busiest.post[pos.expect("every launched job was re-read")].1,
-            )
+            let pos = launched.binary_search_by_key(&idx, |(i, _)| *i);
+            pos.expect("every launched job was alive")
         })
         .collect();
 
@@ -260,11 +249,12 @@ fn bench_decision_hot(c: &mut Criterion) {
     let mut group = c.benchmark_group("priority");
     group.bench_with_input(BenchmarkId::from_parameter("rekey"), &(), |b, _| {
         b.iter_with_setup(
-            || vec![rekey_base.clone(); REPS],
+            || vec![(rekey_base.clone(), launched.clone()); REPS],
             |mut copies| {
-                for alive in &mut copies {
-                    for &(idx, job) in &launch_posts {
-                        alive.note_first_launch(idx, job);
+                for (alive, jobs) in &mut copies {
+                    for &pos in &launch_order {
+                        let (idx, job) = &mut jobs[pos];
+                        alive.note_first_launch(*idx, job);
                     }
                     alive.flush_priority();
                 }
@@ -280,7 +270,7 @@ fn bench_decision_hot(c: &mut Criterion) {
                     .iter()
                     .map(|alive| {
                         let ranked = alive.ranked_by_priority().expect("enabled");
-                        (0..widest.prefix).map(|i| ranked.entry(i).1).sum::<usize>()
+                        (0..widest.prefix).map(|i| ranked.entry(i)).sum::<usize>()
                     })
                     .sum();
                 (copies, walked)

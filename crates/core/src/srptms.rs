@@ -264,7 +264,7 @@ impl Scheduler for SrptMsC {
         // order as a demand-gated view, so only the prefix the passes below
         // actually read is walked.
         let entries = state.ranked_entries();
-        let candidate = |i: usize| state.job_at(entries.entry(i).1);
+        let candidate = |i: usize| state.job_at(entries.entry(i));
         let num_candidates = entries.len();
         if num_candidates == 0 {
             return;
@@ -279,7 +279,7 @@ impl Scheduler for SrptMsC {
         // hence bit-identical to a ranked-order fold of the weights).
         let config = self.config;
         epsilon_fraction_shares_prefix_into(
-            entries.iter().map(|(_, idx)| {
+            entries.iter().map(|idx| {
                 let job = state.job_at(idx);
                 (job.id(), job.weight())
             }),

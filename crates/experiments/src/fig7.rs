@@ -9,7 +9,7 @@
 //! leaves siblings running, while single-copy strategies must restart the
 //! task from scratch and re-pay its whole duration.
 
-use crate::runner::{average_summary, run_scheduler_averaged, SchedulerKind};
+use crate::runner::{average_summary, run_lineup_averaged, SchedulerKind};
 use crate::scenario::Scenario;
 use mapreduce_metrics::FlowtimeSummary;
 use mapreduce_sim::{FaultClass, FaultPlan};
@@ -88,10 +88,11 @@ pub fn run_with(scenario: &Scenario, mtbfs: &[Option<f64>], kinds: &[SchedulerKi
                 Some(m) => scenario.with_fault(plan_for(scenario, m)),
                 None => scenario.clone(),
             };
+            // One fan-out per row: the whole line-up × seeds.
             let cells = kinds
                 .iter()
-                .map(|&kind| {
-                    let outcomes = run_scheduler_averaged(kind, &cell_scenario);
+                .zip(run_lineup_averaged(kinds, &cell_scenario))
+                .map(|(&kind, outcomes)| {
                     let n = outcomes.len() as f64;
                     let wasted_work =
                         outcomes.iter().map(|o| o.wasted_work as f64).sum::<f64>() / n;

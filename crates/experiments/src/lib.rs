@@ -53,7 +53,7 @@ pub use cache::{
     OutcomeCache, ResultCache,
 };
 pub use runner::{
-    resolve_cells, run_cell, run_cell_traced, run_cells, run_scheduler, run_scheduler_averaged,
-    ResolvedCells, SchedulerKind,
+    resolve_cells, run_cell, run_cell_traced, run_cells, run_lineup_averaged, run_scheduler,
+    run_scheduler_averaged, ResolvedCells, SchedulerKind,
 };
 pub use scenario::{Scenario, WorkloadSource};

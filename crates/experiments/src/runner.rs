@@ -325,12 +325,30 @@ pub fn run_cells(scenario: &Scenario, cells: &[(SchedulerKind, u64)]) -> Vec<Sim
 /// against streaming feeds (or a converted Google CSV) without touching the
 /// figure code.
 pub fn run_scheduler_averaged(kind: SchedulerKind, scenario: &Scenario) -> Vec<SimOutcome> {
-    let cells: Vec<(SchedulerKind, u64)> =
-        scenario.seeds.iter().map(|&seed| (kind, seed)).collect();
-    match crate::cache::global_cache() {
+    run_lineup_averaged(&[kind], scenario)
+        .pop()
+        .expect("one outcome list per scheduler")
+}
+
+/// [`run_scheduler_averaged`] for a whole line-up: every `(scheduler, seed)`
+/// cell in one fan-out, so the parallel map holds line-up × seeds cells
+/// rather than only the seeds. Returns one outcome list per scheduler, in
+/// line-up order, each in seed order; every outcome is bit-identical to
+/// the one-scheduler call.
+pub fn run_lineup_averaged(kinds: &[SchedulerKind], scenario: &Scenario) -> Vec<Vec<SimOutcome>> {
+    let cells: Vec<(SchedulerKind, u64)> = kinds
+        .iter()
+        .flat_map(|&kind| scenario.seeds.iter().map(move |&seed| (kind, seed)))
+        .collect();
+    let mut outcomes = match crate::cache::global_cache() {
         Some(cache) => resolve_cells(scenario, &cells, cache.as_ref()).outcomes,
         None => run_cells(scenario, &cells),
     }
+    .into_iter();
+    kinds
+        .iter()
+        .map(|_| outcomes.by_ref().take(scenario.seeds.len()).collect())
+        .collect()
 }
 
 /// What [`resolve_cells`] did with a batch of cells: per-cell entries in

@@ -615,8 +615,7 @@ impl Simulation {
                 let mut job = pending.take().expect("checked above");
                 debug_assert_eq!(job.arrival(), now);
                 let idx = self.jobs.admitted();
-                job.mark_arrived();
-                alive.insert(idx, &job);
+                alive.insert(idx, &mut job);
                 newly_arrived.push(job.id());
                 observer.on_job_arrived(now, job.id());
                 self.jobs.push(job);
@@ -655,7 +654,11 @@ impl Simulation {
                                 );
                                 // The job's unscheduled reduces just became
                                 // launchable; keep the O(1) aggregate exact.
-                                alive.note_map_phase_complete(job_idx, &self.jobs[job_idx]);
+                                let job = self
+                                    .jobs
+                                    .get_mut(job_idx)
+                                    .expect("a job whose map phase just completed is resident");
+                                alive.note_map_phase_complete(job_idx, job);
                             }
                             let job = self
                                 .jobs

@@ -289,7 +289,6 @@ impl IndexDemands {
 #[derive(Debug, Clone)]
 pub struct JobState {
     spec: JobSpec,
-    arrived: bool,
     map_tasks: Vec<TaskState>,
     reduce_tasks: Vec<TaskState>,
     map_index: PhaseIndex,
@@ -309,11 +308,32 @@ pub struct JobState {
     waiting_copies: usize,
     /// Which optional indices to keep current (see [`IndexDemands`]).
     track: IndexDemands,
+    /// What the [`AliveIndex`] holding this job last folded for it.
+    indexed: IndexedAs,
+}
+
+/// The two facts an [`AliveIndex`] remembers per job between updates, kept
+/// on the job so they are dropped with it when it retires.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct IndexedAs {
+    /// The [`JobState::launchable_unscheduled`] count folded into the
+    /// launchable aggregate.
+    launchable: usize,
+    /// The job's key in the priority order; `NaN` while it is not ranked.
+    rank_key: f64,
+}
+
+impl Default for IndexedAs {
+    fn default() -> Self {
+        IndexedAs {
+            launchable: 0,
+            rank_key: f64::NAN,
+        }
+    }
 }
 
 impl JobState {
-    /// Creates the initial (not yet arrived, nothing scheduled) runtime state
-    /// for a job.
+    /// Creates the initial (nothing scheduled) runtime state for a job.
     ///
     /// The engine builds these internally; the constructor is public so that
     /// scheduler crates can unit-test their priority and sharing logic against
@@ -332,7 +352,6 @@ impl JobState {
         let unfinished_map = map_tasks.len();
         let unfinished_reduce = reduce_tasks.len();
         JobState {
-            arrived: false,
             map_index: PhaseIndex::with_tasks(unfinished_map),
             reduce_index: PhaseIndex::with_tasks(unfinished_reduce),
             unfinished_map,
@@ -343,6 +362,7 @@ impl JobState {
             waiting_reduce: Vec::new(),
             waiting_copies: 0,
             track: IndexDemands::ALL,
+            indexed: IndexedAs::default(),
             map_tasks,
             reduce_tasks,
             spec,
@@ -389,19 +409,15 @@ impl JobState {
         &self.spec
     }
 
-    /// Whether the job has arrived at the cluster.
-    pub fn has_arrived(&self) -> bool {
-        self.arrived
-    }
-
     /// Whether every task of the job has finished.
     pub fn is_complete(&self) -> bool {
         self.completed_at.is_some()
     }
 
-    /// Whether the job has arrived and still has unfinished tasks.
+    /// Whether the job still has unfinished tasks. The engine holds only
+    /// admitted jobs, so this is "arrived and not complete".
     pub fn is_alive(&self) -> bool {
-        self.arrived && !self.is_complete()
+        !self.is_complete()
     }
 
     /// Slot at which the job completed, if it has.
@@ -578,10 +594,6 @@ impl JobState {
     }
 
     // ----- engine-internal mutation -----
-
-    pub(crate) fn mark_arrived(&mut self) {
-        self.arrived = true;
-    }
 
     pub(crate) fn task_mut(&mut self, phase: Phase, index: u32) -> Option<&mut TaskState> {
         match phase {
@@ -882,22 +894,22 @@ impl FromIterator<JobState> for JobTable {
 /// nothing is ever re-sorted.
 ///
 /// Invariants:
-/// * `key[idx]` is job `idx`'s current priority; `NaN` marks jobs that are
-///   not in the order (completed, or with every task already scheduled).
-/// * `set` holds `(sort_key(key[idx]), idx)` for exactly the live jobs,
-///   where [`PriorityIndex::sort_key`] maps `f64` bits to a `u64` whose
-///   natural ascending order is `total_cmp`-**descending** — so the set's
-///   iteration order is precisely the `(key desc, idx asc)` ranking, entry
-///   for entry identical to the full stable sort the eager implementation
+/// * a job's current priority is [`priority_key`] over
+///   [`JobState::remaining_effective_workload`], recomputed from the job at
+///   every change; the job carries the key it was last ranked under, `NaN`
+///   while it is not in the order (completed, or with every task already
+///   scheduled).
+/// * `set` holds `(sort_key(key), idx)` for exactly the ranked jobs, where
+///   [`PriorityIndex::sort_key`] maps `f64` bits to a `u64` whose natural
+///   ascending order is `total_cmp`-**descending** — so the set's iteration
+///   order is precisely the `(key desc, idx asc)` ranking, entry for entry
+///   identical to the full stable sort the eager implementation
 ///   materialised. Every key change removes the old pair and inserts the
 ///   new one immediately; the set never holds stale entries.
-/// * `eff[idx]` caches the per-phase `effective_task_workload(r)` of the
-///   job's spec, so re-keying a job after a launch is two multiply-adds and
-///   never recomputes the phase statistics.
-/// * `prefix` caches the entries walked this instant, so repeated reads and
-///   the random-access [`PriorityIndex::entry`] API cost array lookups; it
-///   is re-validated (cleared) by `flush` once mutations have occurred. The
-///   walk resumes after the last cached entry with one `O(log n)` range
+/// * `prefix` caches the set entries walked this instant, so repeated reads
+///   and the random-access [`PriorityIndex::entry`] API cost array lookups;
+///   it is re-validated (cleared) by `flush` once mutations have occurred.
+///   The walk resumes after the last cached entry with one `O(log n)` range
 ///   seek, extending geometrically so a sequential consumer pays
 ///   `O(log prefix)` seeks per instant, not one per entry.
 #[derive(Debug, Default, Clone)]
@@ -905,12 +917,10 @@ struct PriorityIndex {
     r: f64,
     /// The ranking itself: `(descending-order key bits, idx)`, always live.
     set: BTreeSet<(u64, u32)>,
-    /// Entries walked this instant, in ranking order; interior-mutable
-    /// because consumption happens on demand while the scheduler holds the
-    /// snapshot by shared reference.
-    prefix: std::cell::RefCell<Vec<(f64, u32)>>,
-    key: Vec<f64>,
-    eff: Vec<(f64, f64)>,
+    /// Entries of `set` walked this instant, in ranking order;
+    /// interior-mutable because consumption happens on demand while the
+    /// scheduler holds the snapshot by shared reference.
+    prefix: std::cell::RefCell<Vec<(u64, u32)>>,
     dirty: bool,
 }
 
@@ -930,78 +940,31 @@ impl PriorityIndex {
         !ascending
     }
 
-    fn ensure_slot(&mut self, idx: usize) {
-        if self.key.len() <= idx {
-            self.key.resize(idx + 1, f64::NAN);
-            self.eff.resize(idx + 1, (0.0, 0.0));
+    /// Moves job `idx` from key `old` to key `new` (`NaN`: not in the
+    /// order): one `O(log n)` removal plus one `O(log n)` insertion.
+    fn replace(&mut self, idx: usize, old: f64, new: f64) {
+        if !old.is_nan() {
+            self.set.remove(&(Self::sort_key(old), idx as u32));
+            self.dirty = true;
+        }
+        if !new.is_nan() {
+            self.set.insert((Self::sort_key(new), idx as u32));
+            self.dirty = true;
         }
     }
 
-    /// The online priority `w_i / U_i(l)` from the cached per-phase effective
-    /// task workloads; bit-identical to [`priority_key`] over
-    /// [`JobState::remaining_effective_workload`] computed from scratch.
-    fn key_for(&self, idx: usize, job: &JobState) -> f64 {
-        let (eff_map, eff_reduce) = self.eff[idx];
-        let u = job.num_unscheduled(Phase::Map) as f64 * eff_map
-            + job.num_unscheduled(Phase::Reduce) as f64 * eff_reduce;
-        priority_key(job.weight(), u)
-    }
-
-    fn insert(&mut self, idx: usize, job: &JobState) {
-        self.ensure_slot(idx);
-        self.eff[idx] = (
-            job.spec().map_stats.effective_task_workload(self.r),
-            job.spec().reduce_stats.effective_task_workload(self.r),
-        );
-        if job.total_unscheduled() == 0 {
-            self.key[idx] = f64::NAN;
-            return;
-        }
-        let key = self.key_for(idx, job);
-        self.key[idx] = key;
-        if key.is_nan() {
-            // A NaN priority (NaN weight) never enters the order; the eager
-            // implementation dropped such entries at the next flush, before
-            // any read could observe them.
-            return;
-        }
-        self.set.insert((Self::sort_key(key), idx as u32));
-        self.dirty = true;
-    }
-
-    fn remove(&mut self, idx: usize) {
-        if self.key.len() <= idx || self.key[idx].is_nan() {
-            return;
-        }
-        // `key[idx]` was live, so the set holds exactly this pair for the
-        // idx (every key change replaces the pair immediately).
-        self.set
-            .remove(&(Self::sort_key(self.key[idx]), idx as u32));
-        self.key[idx] = f64::NAN;
-        self.dirty = true;
-    }
-
-    /// Re-keys job `idx` after its unscheduled counts changed: one
-    /// `O(log n)` removal plus (while still live) one `O(log n)` insertion.
-    /// The job drops out of the order once nothing is left to schedule; a
-    /// machine fault that returns a task to the unscheduled pool re-enters
-    /// it through [`PriorityIndex::insert`].
-    fn update(&mut self, idx: usize, job: &JobState) {
-        if self.key.len() <= idx || self.key[idx].is_nan() {
-            return;
-        }
+    /// Re-keys job `idx` from its current unscheduled counts. The job drops
+    /// out of the order once nothing is left to schedule, and re-enters when
+    /// a machine fault returns a task to the unscheduled pool. A `NaN`
+    /// priority (`NaN` weight) never enters the order.
+    fn rekey(&mut self, idx: usize, job: &mut JobState) {
         let key = if job.total_unscheduled() == 0 {
             f64::NAN
         } else {
-            self.key_for(idx, job)
+            priority_key(job.weight(), job.remaining_effective_workload(self.r))
         };
-        self.set
-            .remove(&(Self::sort_key(self.key[idx]), idx as u32));
-        if !key.is_nan() {
-            self.set.insert((Self::sort_key(key), idx as u32));
-        }
-        self.key[idx] = key;
-        self.dirty = true;
+        self.replace(idx, job.indexed.rank_key, key);
+        job.indexed.rank_key = key;
     }
 
     /// Starts a fresh decision instant: drops the walked-prefix cache if any
@@ -1021,34 +984,26 @@ impl PriorityIndex {
         self.set.len()
     }
 
-    /// The `i`-th entry of the fully sorted live order, extending the
-    /// walked-prefix cache on demand: one range seek after the last cached
-    /// entry, then in-order steps (amortised `O(1)` each), geometrically
-    /// overshooting the requested index so sequential consumption performs
-    /// `O(log prefix)` seeks per instant. Callers guarantee
-    /// `i < live_len()`.
-    fn entry(&self, i: usize) -> (f64, usize) {
+    /// The job index of the `i`-th entry of the fully sorted live order,
+    /// extending the walked-prefix cache on demand: one range seek after the
+    /// last cached entry, then in-order steps (amortised `O(1)` each),
+    /// geometrically overshooting the requested index so sequential
+    /// consumption performs `O(log prefix)` seeks per instant. Callers
+    /// guarantee `i < live_len()`.
+    fn entry(&self, i: usize) -> usize {
         let mut prefix = self.prefix.borrow_mut();
         if i >= prefix.len() {
             let want = (i + 1).max(prefix.len() * 2).max(16);
-            let mut walk = match prefix.last() {
-                Some(&(key, idx)) => self.set.range((
-                    std::ops::Bound::Excluded((Self::sort_key(key), idx)),
-                    std::ops::Bound::Unbounded,
-                )),
+            let walk = match prefix.last() {
+                Some(&last) => self
+                    .set
+                    .range((std::ops::Bound::Excluded(last), std::ops::Bound::Unbounded)),
                 None => self.set.range(..),
             };
-            while prefix.len() < want {
-                let Some(&(sort_key, idx)) = walk.next() else {
-                    break;
-                };
-                let key = self.key[idx as usize];
-                debug_assert_eq!(Self::sort_key(key), sort_key);
-                prefix.push((key, idx));
-            }
+            let room = want - prefix.len();
+            prefix.extend(walk.take(room));
         }
-        let (key, idx) = prefix[i];
-        (key, idx as usize)
+        prefix[i].1 as usize
     }
 }
 
@@ -1069,9 +1024,9 @@ fn priority_key(weight: f64, u: f64) -> f64 {
     }
 }
 
-/// The `(priority, idx)` entries of the alive jobs that still have
-/// unscheduled tasks, in decreasing `w_i / U_i(l)` order (ties by ascending
-/// idx), as handed out by [`ClusterState::ranked_entries`].
+/// The indices of the alive jobs that still have unscheduled tasks, in
+/// decreasing `w_i / U_i(l)` order (ties by ascending idx), as handed out by
+/// [`ClusterState::ranked_entries`].
 ///
 /// The view reads the engine's maintained order lazily —
 /// [`RankedEntries::entry`] walks it only as far as is actually consumed,
@@ -1094,11 +1049,11 @@ impl<'a> RankedEntries<'a> {
         self.len() == 0
     }
 
-    /// The `i`-th `(priority, idx)` entry of the order.
+    /// The job index of the `i`-th entry of the order.
     ///
     /// # Panics
     /// Panics if `i >= self.len()`.
-    pub fn entry(&self, i: usize) -> (f64, usize) {
+    pub fn entry(&self, i: usize) -> usize {
         assert!(
             i < self.len(),
             "ranked entry {i} out of bounds (len {})",
@@ -1107,9 +1062,9 @@ impl<'a> RankedEntries<'a> {
         self.index.entry(i)
     }
 
-    /// Iterates the order front to back, extending the walked region as it
-    /// goes — stop early and the tail is never visited.
-    pub fn iter(&self) -> impl Iterator<Item = (f64, usize)> + '_ {
+    /// Iterates the job indices front to back, extending the walked region
+    /// as it goes — stop early and the tail is never visited.
+    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         (0..self.len()).map(move |i| self.entry(i))
     }
 }
@@ -1131,26 +1086,27 @@ impl<'a> RankedEntries<'a> {
 /// enabled via [`AliveIndex::enable_priority`] when the scheduler declares a
 /// pessimism factor through [`Scheduler::priority_r`]) consumed by SRPTMS+C,
 /// SCA and SRPT-noclone.
+///
+/// The index holds orders and sums only, nothing indexed by job id. The two
+/// facts it must remember per job between updates — the launchable count it
+/// last folded and the job's current priority key — live on the
+/// [`JobState`] itself, so the mutators take the job by `&mut` and the
+/// facts retire with the job. [`AliveIndex::insert`] forgets whatever a job
+/// carried from another index, so a cloned job can join a fresh one.
 #[derive(Debug, Default, Clone)]
 pub struct AliveIndex {
     /// Alive job indices, kept sorted ascending (job-id order).
     alive: Vec<usize>,
     /// Sum of the weights of the alive jobs that still have unscheduled
     /// tasks — `W(l)` over `ψ^s(l)`, the candidate set of the ε-fraction
-    /// rule. Maintained in `O(1)`: added on arrival, subtracted when the
-    /// job's last unscheduled task launches, re-added if a machine fault
-    /// returns one of its tasks to the unscheduled pool.
+    /// rule. Maintained in `O(1)` from the job's unscheduled count at each
+    /// transition: added on arrival, subtracted when the job's last
+    /// unscheduled task launches, re-added when a machine fault returns its
+    /// first task to the unscheduled pool.
     unscheduled_weight_sum: f64,
-    /// Whether job `idx`'s weight is currently counted in
-    /// `unscheduled_weight_sum`, so completion/launch can subtract at most
-    /// once per job.
-    weight_counted: Vec<bool>,
-    /// Per-job cached [`JobState::launchable_unscheduled`] counts, feeding
-    /// `launchable_sum` and `launchable_jobs`.
-    launchable: Vec<usize>,
     /// Total launchable unscheduled tasks across alive jobs.
     launchable_sum: usize,
-    /// The alive jobs whose cached launchable count is positive, in id
+    /// The alive jobs whose folded launchable count is positive, in id
     /// order (an order-preserving subsequence of `alive`). A job enters or
     /// leaves only when its count crosses zero.
     launchable_jobs: BTreeSet<usize>,
@@ -1174,18 +1130,15 @@ impl AliveIndex {
     }
 
     /// Records the arrival of job `idx`.
-    pub fn insert(&mut self, idx: usize, job: &JobState) {
+    pub fn insert(&mut self, idx: usize, job: &mut JobState) {
         if let Err(pos) = self.alive.binary_search(&idx) {
             self.alive.insert(pos, idx);
+            job.indexed = IndexedAs::default();
             if job.total_unscheduled() > 0 {
-                if self.weight_counted.len() <= idx {
-                    self.weight_counted.resize(idx + 1, false);
-                }
-                self.weight_counted[idx] = true;
                 self.unscheduled_weight_sum += job.weight();
             }
             if let Some(priority) = &mut self.priority {
-                priority.insert(idx, job);
+                priority.rekey(idx, job);
             }
             self.refresh_launchable(idx, job);
         }
@@ -1193,40 +1146,36 @@ impl AliveIndex {
 
     /// Records the completion of job `idx` (all of whose tasks have been
     /// scheduled and finished by then).
-    pub fn remove(&mut self, idx: usize, job: &JobState) {
+    pub fn remove(&mut self, idx: usize, job: &mut JobState) {
         if let Ok(pos) = self.alive.binary_search(&idx) {
             self.alive.remove(pos);
-            // Normally already uncounted by `note_first_launch` (a job only
-            // completes after every task launched), but hand-driven indices
-            // may remove a job that never launched.
-            if self.weight_counted.get(idx).copied().unwrap_or(false) {
-                self.weight_counted[idx] = false;
+            // The engine removes a job only once every task finished, but a
+            // hand-driven index may remove one that never launched.
+            if job.total_unscheduled() > 0 {
                 self.unscheduled_weight_sum -= job.weight();
             }
             if let Some(priority) = &mut self.priority {
-                priority.remove(idx);
+                priority.replace(idx, job.indexed.rank_key, f64::NAN);
             }
-            if let Some(cached) = self.launchable.get_mut(idx) {
-                if *cached > 0 {
-                    self.launchable_jobs.remove(&idx);
-                }
-                self.launchable_sum -= *cached;
-                *cached = 0;
+            if job.indexed.launchable > 0 {
+                self.launchable_jobs.remove(&idx);
             }
+            self.launchable_sum -= job.indexed.launchable;
+            job.indexed = IndexedAs::default();
         }
     }
 
     /// Records the first launch of one previously unscheduled task of job
-    /// `idx`; call *after* the job's own counters have been updated. `O(1)`
-    /// for the aggregates, one `O(log n)` re-key of the priority order.
-    pub fn note_first_launch(&mut self, idx: usize, job: &JobState) {
-        if job.total_unscheduled() == 0 && self.weight_counted.get(idx).copied().unwrap_or(false) {
-            // Last unscheduled task launched: the job leaves ψ^s(l) for good.
-            self.weight_counted[idx] = false;
+    /// `idx`; call *after* the job's own counters have been updated, once
+    /// per launched task. `O(1)` for the aggregates, one `O(log n)` re-key
+    /// of the priority order.
+    pub fn note_first_launch(&mut self, idx: usize, job: &mut JobState) {
+        if job.total_unscheduled() == 0 {
+            // Last unscheduled task launched: the job leaves ψ^s(l).
             self.unscheduled_weight_sum -= job.weight();
         }
         if let Some(priority) = &mut self.priority {
-            priority.update(idx, job);
+            priority.rekey(idx, job);
         }
         self.refresh_launchable(idx, job);
     }
@@ -1235,23 +1184,13 @@ impl AliveIndex {
     /// task of job `idx` to the unscheduled pool. Call *after*
     /// `JobState::note_task_unlaunched` updated the job's own counters.
     /// The job re-enters `ψ^s(l)` (the unscheduled-weight aggregate and, if
-    /// enabled, the priority order) if this was its first unscheduled task.
-    pub fn note_task_unlaunched(&mut self, idx: usize, job: &JobState) {
-        if job.total_unscheduled() > 0 && !self.weight_counted.get(idx).copied().unwrap_or(false) {
-            if self.weight_counted.len() <= idx {
-                self.weight_counted.resize(idx + 1, false);
-            }
-            self.weight_counted[idx] = true;
+    /// enabled, the priority order) if this is its only unscheduled task.
+    pub fn note_task_unlaunched(&mut self, idx: usize, job: &mut JobState) {
+        if job.total_unscheduled() == 1 {
             self.unscheduled_weight_sum += job.weight();
         }
         if let Some(priority) = &mut self.priority {
-            // A job whose every task had launched carries a NaN key (it left
-            // the order); re-enter through `insert`, otherwise re-key.
-            if priority.key.len() <= idx || priority.key[idx].is_nan() {
-                priority.insert(idx, job);
-            } else {
-                priority.update(idx, job);
-            }
+            priority.rekey(idx, job);
         }
         self.refresh_launchable(idx, job);
     }
@@ -1259,18 +1198,15 @@ impl AliveIndex {
     /// Records that job `idx`'s map phase just completed (its unscheduled
     /// reduce tasks became launchable); call from the engine's copy-finish
     /// path. `O(1)` and idempotent.
-    pub fn note_map_phase_complete(&mut self, idx: usize, job: &JobState) {
+    pub fn note_map_phase_complete(&mut self, idx: usize, job: &mut JobState) {
         self.refresh_launchable(idx, job);
     }
 
-    /// Re-caches job `idx`'s launchable-unscheduled count, folds the
-    /// difference into the aggregate, and moves the job into or out of the
-    /// launchable-job set when the count crosses zero.
-    fn refresh_launchable(&mut self, idx: usize, job: &JobState) {
-        if self.launchable.len() <= idx {
-            self.launchable.resize(idx + 1, 0);
-        }
-        let old = self.launchable[idx];
+    /// Folds the change in job `idx`'s launchable-unscheduled count into the
+    /// aggregate, and moves the job into or out of the launchable-job set
+    /// when the count crosses zero.
+    fn refresh_launchable(&mut self, idx: usize, job: &mut JobState) {
+        let old = job.indexed.launchable;
         let fresh = job.launchable_unscheduled();
         if old == 0 && fresh > 0 {
             self.launchable_jobs.insert(idx);
@@ -1278,7 +1214,7 @@ impl AliveIndex {
             self.launchable_jobs.remove(&idx);
         }
         self.launchable_sum = self.launchable_sum + fresh - old;
-        self.launchable[idx] = fresh;
+        job.indexed.launchable = fresh;
     }
 
     /// Re-establishes the priority order after a batch of events; the engine
@@ -1444,11 +1380,11 @@ impl<'a> ClusterState<'a> {
         })
     }
 
-    /// The `(priority, job index)` entries of the alive jobs that still have
-    /// unscheduled tasks, in decreasing `w_i / U_i(l)` priority order for
-    /// the pessimism factor `r` the scheduler declared through
-    /// [`Scheduler::priority_r`] (ties broken by job index). Indices are
-    /// resolved with [`ClusterState::job_at`].
+    /// The job indices of the alive jobs that still have unscheduled tasks,
+    /// in decreasing `w_i / U_i(l)` priority order for the pessimism factor
+    /// `r` the scheduler declared through [`Scheduler::priority_r`] (ties
+    /// broken by job index). Indices are resolved with
+    /// [`ClusterState::job_at`].
     ///
     /// The returned [`RankedEntries`] view is **demand-gated**: only the
     /// prefix actually read is walked, so a decision costs
@@ -1694,8 +1630,7 @@ mod tests {
     #[test]
     fn fresh_job_state_counters() {
         let js = job_state();
-        assert!(!js.has_arrived());
-        assert!(!js.is_alive());
+        assert!(js.is_alive());
         assert!(!js.is_complete());
         assert_eq!(js.num_unscheduled(Phase::Map), 2);
         assert_eq!(js.num_unscheduled(Phase::Reduce), 1);
@@ -1718,7 +1653,6 @@ mod tests {
     #[test]
     fn launch_and_finish_bookkeeping() {
         let mut js = job_state();
-        js.mark_arrived();
         assert!(js.is_alive());
 
         js.note_first_launch(Phase::Map, 0);
@@ -1750,7 +1684,6 @@ mod tests {
     #[test]
     fn running_by_finish_tracks_the_earliest_running_copy() {
         let mut js = job_state();
-        js.mark_arrived();
         let mut arena = CopyArena::new();
         let mut launch = |js: &mut JobState, index: u32, at: Slot, duration: Slot| {
             let task = TaskId::new(JobId::new(0), Phase::Map, index);
@@ -1813,7 +1746,6 @@ mod tests {
     #[test]
     fn waiting_copy_bookkeeping() {
         let mut js = job_state();
-        js.mark_arrived();
         assert_eq!(js.waiting_copies(), 0);
         for cid in [CopyId(0), CopyId(1)] {
             js.note_copy_launched();
@@ -1836,9 +1768,8 @@ mod tests {
     #[test]
     fn launchable_follows_map_reduce_precedence() {
         let mut js = job_state();
-        js.mark_arrived();
         let mut index = AliveIndex::new();
-        index.insert(0, &js);
+        index.insert(0, &mut js);
         let check = |js: &JobState, index: &AliveIndex, expect: Option<(Phase, &[u32])>| {
             assert_eq!(js.launchable(), expect);
             assert_eq!(js.launchable_unscheduled(), expect.map_or(0, |e| e.1.len()));
@@ -1847,26 +1778,26 @@ mod tests {
         };
         check(&js, &index, Some((Phase::Map, &[0, 1])));
         js.note_first_launch(Phase::Map, 0);
-        index.note_first_launch(0, &js);
+        index.note_first_launch(0, &mut js);
         check(&js, &index, Some((Phase::Map, &[1])));
         // Every map launched, none finished: the reduce stays gated.
         js.note_first_launch(Phase::Map, 1);
-        index.note_first_launch(0, &js);
+        index.note_first_launch(0, &mut js);
         check(&js, &index, None);
         // A fault returns map 1 to the pool, and it launches again.
         js.note_task_unlaunched(Phase::Map, 1);
-        index.note_task_unlaunched(0, &js);
+        index.note_task_unlaunched(0, &mut js);
         check(&js, &index, Some((Phase::Map, &[1])));
         js.note_first_launch(Phase::Map, 1);
-        index.note_first_launch(0, &js);
+        index.note_first_launch(0, &mut js);
         for t in 0..2 {
             js.task_mut(Phase::Map, t).unwrap().mark_finished(9);
             js.note_task_finished(Phase::Map, t, 4);
         }
         // The Map phase completed: the reduce opens once the index is told.
-        index.note_map_phase_complete(0, &js);
+        index.note_map_phase_complete(0, &mut js);
         check(&js, &index, Some((Phase::Reduce, &[0])));
-        index.remove(0, &js);
+        index.remove(0, &mut js);
         assert_eq!(index.launchable_jobs().count(), 0);
         assert_eq!(index.total_launchable(), 0);
     }
@@ -1874,17 +1805,15 @@ mod tests {
     #[test]
     fn cluster_state_accessors() {
         let mut j0 = job_state();
-        j0.mark_arrived();
         let spec1 = JobSpecBuilder::new(JobId::new(1))
             .weight(5.0)
             .map_tasks_from_workloads(&[1.0])
             .build();
         let mut j1 = JobState::new(spec1);
-        j1.mark_arrived();
-        let jobs: JobTable = [j0, j1].into_iter().collect();
         let mut index = AliveIndex::new();
-        index.insert(0, &jobs[0]);
-        index.insert(1, &jobs[1]);
+        index.insert(0, &mut j0);
+        index.insert(1, &mut j1);
+        let jobs: JobTable = [j0, j1].into_iter().collect();
         let copies = CopyArena::new();
         let state = ClusterState::new(7, 10, 4, &jobs, &copies, &index, 0);
         assert_eq!(state.now(), 7);
@@ -1946,7 +1875,7 @@ mod tests {
         assert_eq!(c, back);
     }
 
-    /// Builds a bank of simple arrived jobs for AliveIndex tests: job `i` has
+    /// Builds a bank of simple jobs for AliveIndex tests: job `i` has
     /// `maps[i]` unit map tasks, weight `weights[i]`, arrival `arrivals[i]`.
     fn job_bank(maps: &[usize], weights: &[f64], arrivals: &[Slot]) -> Vec<JobState> {
         maps.iter()
@@ -1960,9 +1889,7 @@ mod tests {
                     .map_tasks_from_workloads(&vec![10.0; m])
                     .map_stats(PhaseStats::new(10.0, 0.0))
                     .build();
-                let mut js = JobState::new(spec);
-                js.mark_arrived();
-                js
+                JobState::new(spec)
             })
             .collect()
     }
@@ -1972,19 +1899,19 @@ mod tests {
         let mut jobs = job_bank(&[2, 2, 4, 4], &[1.0, 1.0, 2.0, 2.0], &[0, 9, 5, 5]);
         let mut index = AliveIndex::new();
         assert!(index.is_empty());
-        index.insert(3, &jobs[3]);
-        index.insert(1, &jobs[1]);
-        index.insert(3, &jobs[3]); // duplicate insert is a no-op
+        index.insert(3, &mut jobs[3]);
+        index.insert(1, &mut jobs[1]);
+        index.insert(3, &mut jobs[3]); // duplicate insert is a no-op
         assert_eq!(index.alive(), &[1, 3]);
         assert_eq!(index.len(), 2);
         assert_eq!(index.total_launchable(), 6);
 
         jobs[3].note_first_launch(Phase::Map, 0);
-        index.note_first_launch(3, &jobs[3]);
+        index.note_first_launch(3, &mut jobs[3]);
         assert_eq!(index.total_launchable(), 5);
 
-        index.remove(1, &jobs[1]);
-        index.remove(1, &jobs[1]); // duplicate remove is a no-op
+        index.remove(1, &mut jobs[1]);
+        index.remove(1, &mut jobs[1]); // duplicate remove is a no-op
         assert_eq!(index.alive(), &[3]);
         assert_eq!(index.total_launchable(), 3);
     }
@@ -1994,58 +1921,55 @@ mod tests {
         // w/U with r = 0: job0 = 1/20, job1 = 1/20, job2 = 2/40, job3 = 2/40:
         // all ties → id order. After launching a task of job 2 its priority
         // rises to 2/30 and it moves to the front.
-        let bank = job_bank(&[2, 2, 4, 4], &[1.0, 1.0, 2.0, 2.0], &[0, 0, 0, 0]);
+        let mut jobs = job_bank(&[2, 2, 4, 4], &[1.0, 1.0, 2.0, 2.0], &[0, 0, 0, 0]);
         let mut index = AliveIndex::new();
         index.enable_priority(0.0);
-        for (i, job) in bank.iter().enumerate() {
+        for (i, job) in jobs.iter_mut().enumerate() {
             index.insert(i, job);
         }
-        let mut jobs: JobTable = bank.into_iter().collect();
-        index.flush_priority();
-        let ranked = index.ranked_by_priority().unwrap();
-        let order: Vec<usize> = ranked.iter().map(|(_, i)| i).collect();
-        assert_eq!(order, vec![0, 1, 2, 3]);
+        let order = |index: &mut AliveIndex| -> Vec<usize> {
+            index.flush_priority();
+            index.ranked_by_priority().unwrap().iter().collect()
+        };
+        assert_eq!(order(&mut index), vec![0, 1, 2, 3]);
 
-        jobs.get_mut(2).unwrap().note_first_launch(Phase::Map, 0);
-        index.note_first_launch(2, &jobs[2]);
-        index.flush_priority();
-        // The snapshot hands out the same order, and every key is the
-        // online priority w / U computed from scratch.
+        jobs[2].note_first_launch(Phase::Map, 0);
+        index.note_first_launch(2, &mut jobs[2]);
+        assert_eq!(order(&mut index), vec![2, 0, 1, 3]);
+        // The snapshot hands out the same order, and every job carries the
+        // online priority w / U computed from scratch as its key.
+        let table: JobTable = jobs.iter().cloned().collect();
         let copies = CopyArena::new();
-        let state = ClusterState::new(0, 8, 8, &jobs, &copies, &index, 0);
-        let ranked: Vec<(f64, usize)> = state.ranked_entries().iter().collect();
-        let order: Vec<usize> = ranked.iter().map(|&(_, i)| i).collect();
-        assert_eq!(order, vec![2, 0, 1, 3]);
-        for (key, idx) in ranked {
-            assert_eq!(
-                key,
-                jobs[idx].weight() / jobs[idx].remaining_effective_workload(0.0)
-            );
+        let state = ClusterState::new(0, 8, 8, &table, &copies, &index, 0);
+        assert!(state.ranked_entries().iter().eq([2, 0, 1, 3]));
+        for job in &jobs {
+            let key = job.weight() / job.remaining_effective_workload(0.0);
+            assert_eq!(job.indexed.rank_key, key);
         }
 
         // Launching everything drops the job from the priority order.
         for t in 1..4 {
-            jobs.get_mut(2).unwrap().note_first_launch(Phase::Map, t);
-            index.note_first_launch(2, &jobs[2]);
+            jobs[2].note_first_launch(Phase::Map, t);
+            index.note_first_launch(2, &mut jobs[2]);
         }
-        index.flush_priority();
-        let ranked = index.ranked_by_priority().unwrap();
-        let order: Vec<usize> = ranked.iter().map(|(_, i)| i).collect();
-        assert_eq!(order, vec![0, 1, 3]);
+        assert_eq!(order(&mut index), vec![0, 1, 3]);
+        assert!(jobs[2].indexed.rank_key.is_nan());
 
-        index.remove(0, &jobs[0]);
-        index.flush_priority();
-        let ranked = index.ranked_by_priority().unwrap();
-        let order: Vec<usize> = ranked.iter().map(|(_, i)| i).collect();
-        assert_eq!(order, vec![1, 3]);
+        // A fault returning a task re-ranks the job; removal drops it.
+        jobs[2].note_task_unlaunched(Phase::Map, 3);
+        index.note_task_unlaunched(2, &mut jobs[2]);
+        assert_eq!(order(&mut index), vec![2, 0, 1, 3]);
+        index.remove(0, &mut jobs[0]);
+        assert_eq!(order(&mut index), vec![2, 1, 3]);
     }
 
     #[test]
     #[should_panic(expected = "Scheduler::priority_r")]
     fn ranked_entries_without_a_declared_priority_panics() {
-        let jobs: JobTable = job_bank(&[1], &[1.0], &[0]).into_iter().collect();
+        let mut job = job_bank(&[1], &[1.0], &[0]).remove(0);
         let mut index = AliveIndex::new();
-        index.insert(0, &jobs[0]);
+        index.insert(0, &mut job);
+        let jobs: JobTable = [job].into_iter().collect();
         let copies = CopyArena::new();
         let state = ClusterState::new(0, 8, 8, &jobs, &copies, &index, 0);
         let _ = state.ranked_entries();
@@ -2078,51 +2002,50 @@ mod tests {
             .reduce_stats(PhaseStats::new(20.0, 0.0))
             .build();
         jobs[2] = JobState::new(reduce_spec);
-        jobs[2].mark_arrived();
 
         let mut index = AliveIndex::new();
         assert_eq!(index.total_unscheduled_weight(), 0.0);
 
-        for (i, job) in jobs.iter().enumerate() {
-            index.insert(i, job);
+        for i in 0..jobs.len() {
+            index.insert(i, &mut jobs[i]);
             assert_eq!(index.total_unscheduled_weight(), scan(&index, &jobs));
         }
         assert_eq!(index.total_unscheduled_weight(), 20.0);
-        index.insert(1, &jobs[1]); // duplicate insert must not double-count
+        index.insert(1, &mut jobs[1]); // duplicate insert must not double-count
         assert_eq!(index.total_unscheduled_weight(), 20.0);
 
         // Launch job 0's only task: weight 1 leaves ψ^s immediately.
         jobs[0].note_first_launch(Phase::Map, 0);
-        index.note_first_launch(0, &jobs[0]);
+        index.note_first_launch(0, &mut jobs[0]);
         assert_eq!(index.total_unscheduled_weight(), 19.0);
         assert_eq!(index.total_unscheduled_weight(), scan(&index, &jobs));
 
         // Launch job 1's tasks one at a time: counted until the last one.
         jobs[1].note_first_launch(Phase::Map, 0);
-        index.note_first_launch(1, &jobs[1]);
+        index.note_first_launch(1, &mut jobs[1]);
         assert_eq!(index.total_unscheduled_weight(), 19.0);
         jobs[1].note_first_launch(Phase::Map, 1);
-        index.note_first_launch(1, &jobs[1]);
+        index.note_first_launch(1, &mut jobs[1]);
         assert_eq!(index.total_unscheduled_weight(), 17.0);
         assert_eq!(index.total_unscheduled_weight(), scan(&index, &jobs));
 
         // Drain job 2's map phase: its reduce task keeps it counted.
         for t in 0..2 {
             jobs[2].note_first_launch(Phase::Map, t);
-            index.note_first_launch(2, &jobs[2]);
+            index.note_first_launch(2, &mut jobs[2]);
         }
         assert_eq!(index.total_unscheduled_weight(), 17.0);
         assert_eq!(index.total_unscheduled_weight(), scan(&index, &jobs));
         // The reduce launch (post phase transition) finally uncounts it.
         jobs[2].note_first_launch(Phase::Reduce, 0);
-        index.note_first_launch(2, &jobs[2]);
+        index.note_first_launch(2, &mut jobs[2]);
         assert_eq!(index.total_unscheduled_weight(), 12.0);
 
         // Completion of an already-uncounted job must not double-subtract;
         // removing a never-launched job must uncount it.
-        index.remove(0, &jobs[0]);
+        index.remove(0, &mut jobs[0]);
         assert_eq!(index.total_unscheduled_weight(), 12.0);
-        index.remove(3, &jobs[3]);
+        index.remove(3, &mut jobs[3]);
         assert_eq!(index.total_unscheduled_weight(), 0.0);
         assert_eq!(index.total_unscheduled_weight(), scan(&index, &jobs));
     }
@@ -2160,19 +2083,18 @@ mod tests {
         };
 
         // Job 0: two maps and a gated reduce; job 1: one map.
-        let mut j0 = job_state();
-        j0.mark_arrived();
+        let j0 = job_state();
         let j1 = job_bank(&[1, 1], &[1.0, 5.0], &[0, 3]).remove(1);
         let mut jobs: JobTable = [j0, j1].into_iter().collect();
         let mut index = AliveIndex::new();
-        index.insert(0, &jobs[0]);
+        index.insert(0, jobs.get_mut(0).unwrap());
         assert_eq!(scans(&jobs, &index), (2.0, 2));
-        index.insert(1, &jobs[1]);
+        index.insert(1, jobs.get_mut(1).unwrap());
         assert_eq!(scans(&jobs, &index), (7.0, 3));
 
         for t in 0..2 {
             jobs.get_mut(0).unwrap().note_first_launch(Phase::Map, t);
-            index.note_first_launch(0, &jobs[0]);
+            index.note_first_launch(0, jobs.get_mut(0).unwrap());
         }
         assert_eq!(scans(&jobs, &index), (7.0, 1));
         for t in 0..2 {
@@ -2185,12 +2107,12 @@ mod tests {
                 .unwrap()
                 .note_task_finished(Phase::Map, t, 4);
         }
-        index.note_map_phase_complete(0, &jobs[0]);
+        index.note_map_phase_complete(0, jobs.get_mut(0).unwrap());
         assert_eq!(scans(&jobs, &index), (7.0, 2));
 
         jobs.get_mut(1).unwrap().note_first_launch(Phase::Map, 0);
-        index.note_first_launch(1, &jobs[1]);
-        index.remove(1, &jobs[1]);
+        index.note_first_launch(1, jobs.get_mut(1).unwrap());
+        index.remove(1, jobs.get_mut(1).unwrap());
         assert_eq!(scans(&jobs, &index), (2.0, 1));
 
         let copies = CopyArena::new();
@@ -2201,37 +2123,14 @@ mod tests {
         assert_eq!(state.ranked_prefix_consumed(), 3);
     }
 
-    /// The eager oracle the demand-gated prefix is pinned against: live
-    /// entries, stably sorted by `(key desc, idx asc)` — exactly the order
-    /// the pre-lazy implementation materialised at every flush.
-    fn full_sort_oracle(keys: &[f64]) -> Vec<(f64, usize)> {
-        let mut order: Vec<(f64, usize)> = keys
-            .iter()
-            .enumerate()
-            .filter(|(_, k)| !k.is_nan())
-            .map(|(idx, &k)| (k, idx))
-            .collect();
-        order.sort_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
+    /// The eager oracle the demand-gated prefix is pinned against: the
+    /// indices of the live keys, stably sorted by `(key desc, idx asc)` —
+    /// exactly the order the pre-lazy implementation materialised at every
+    /// flush.
+    fn full_sort_oracle(keys: &[f64]) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..keys.len()).filter(|&i| !keys[i].is_nan()).collect();
+        order.sort_by(|&a, &b| keys[b].total_cmp(&keys[a]).then_with(|| a.cmp(&b)));
         order
-    }
-
-    /// Builds a [`PriorityIndex`] holding the given live keys directly
-    /// (`NaN` = never entered the order), mirroring what a sequence of
-    /// `insert` calls establishes without needing full job specs.
-    fn raw_priority_index(keys: &[f64]) -> PriorityIndex {
-        let mut index = PriorityIndex {
-            r: 1.0,
-            ..Default::default()
-        };
-        for (idx, &k) in keys.iter().enumerate() {
-            index.key.push(k);
-            index.eff.push((0.0, 0.0));
-            if !k.is_nan() {
-                index.set.insert((PriorityIndex::sort_key(k), idx as u32));
-                index.dirty = true;
-            }
-        }
-        index
     }
 
     /// Decodes a small integer into a key drawn from a 5-value pool (plus
@@ -2256,8 +2155,12 @@ mod tests {
             rekeys in mapreduce_support::proptest::collection::vec(0u32..300, 0..16),
             takes in mapreduce_support::proptest::collection::vec(0u32..64, 3..4),
         ) {
-            let keys: Vec<f64> = seeds.iter().map(|&v| tie_heavy_key(v)).collect();
-            let mut index = raw_priority_index(&keys);
+            // `keys` plays the jobs' carried keys (`NaN` = never ranked).
+            let mut keys: Vec<f64> = seeds.iter().map(|&v| tie_heavy_key(v)).collect();
+            let mut index = PriorityIndex::default();
+            for (idx, &k) in keys.iter().enumerate() {
+                index.replace(idx, f64::NAN, k);
+            }
 
             // Three decision instants: pristine, after completions (kills),
             // after re-keys — each consumes a random-length prefix and must
@@ -2265,39 +2168,29 @@ mod tests {
             for (round, &take_seed) in takes.iter().enumerate() {
                 match round {
                     1 => {
+                        // What `remove` and a terminal re-key do.
                         for &k in &kills {
                             let idx = k as usize % keys.len();
-                            if !index.key[idx].is_nan() {
-                                // What `remove`/terminal `update` do.
-                                index
-                                    .set
-                                    .remove(&(PriorityIndex::sort_key(index.key[idx]), idx as u32));
-                                index.key[idx] = f64::NAN;
-                                index.dirty = true;
-                            }
+                            index.replace(idx, keys[idx], f64::NAN);
+                            keys[idx] = f64::NAN;
                         }
                     }
                     2 => {
+                        // What a live re-key does: the old pair leaves the
+                        // set, the new key's pair replaces it.
                         for &r in &rekeys {
                             let idx = (r as usize / 6) % keys.len();
-                            if !index.key[idx].is_nan() {
-                                // What a live re-key in `update` does: the
-                                // old pair leaves the set, the new key's
-                                // pair replaces it.
+                            if !keys[idx].is_nan() {
                                 let nk = f64::from(r % 6) * 0.25 + 0.125;
-                                index
-                                    .set
-                                    .remove(&(PriorityIndex::sort_key(index.key[idx]), idx as u32));
-                                index.set.insert((PriorityIndex::sort_key(nk), idx as u32));
-                                index.key[idx] = nk;
-                                index.dirty = true;
+                                index.replace(idx, keys[idx], nk);
+                                keys[idx] = nk;
                             }
                         }
                     }
                     _ => {}
                 }
                 index.flush();
-                let oracle = full_sort_oracle(&index.key);
+                let oracle = full_sort_oracle(&keys);
                 prop_assert_eq!(index.live_len(), oracle.len());
                 let take = take_seed as usize % (oracle.len() + 1);
                 for (i, &expect) in oracle.iter().take(take).enumerate() {

@@ -1,7 +1,7 @@
 //! The engine's `AliveIndex` against scans of the alive set it indexes.
 //!
 //! Every `ClusterState` reads its alive set and aggregates from the index,
-//! so three things must hold at every decision instant:
+//! so these must hold at every decision instant:
 //!
 //! * `alive_jobs()` (job-id order) yields arrivals in non-decreasing order —
 //!   the premise that lets FIFO serve job-id order as arrival order;
@@ -14,9 +14,12 @@
 //! * `job(id)` resolves exactly the alive jobs plus those that completed at
 //!   this instant (which the completion hooks just read): every job that
 //!   completed at an earlier instant is retired from the job table, and no
-//!   id past the last arrival resolves.
+//!   id past the last arrival resolves;
+//! * when the scheduler declares `priority_r`, `ranked_entries()` is exactly
+//!   the alive jobs with an unscheduled task, freshly sorted by
+//!   `w / U(r)` descending (`total_cmp`), ties by ascending id.
 //!
-//! A forwarding wrapper checks all four before each decision, over random
+//! A forwarding wrapper checks all five before each decision, over random
 //! golden-equivalence traces for FIFO, Mantri and SRPTMS+C, with and without
 //! a random fault plan (faults return tasks to the unscheduled pool, the one
 //! event that grows `W(l)` and the launchable count after arrival).
@@ -85,6 +88,21 @@ impl ScanChecked {
             .filter_map(|j| j.launchable().map(|(phase, tasks)| (j.id(), phase, tasks)))
             .collect();
         assert_eq!(indexed, scanned, "slot {at}: launchable_jobs");
+        if let Some(r) = self.inner.priority_r() {
+            // `U > 0` for every job with an unscheduled task, so the key is
+            // the plain ratio.
+            let mut sorted: Vec<(f64, usize)> = alive()
+                .filter(|j| j.total_unscheduled() > 0)
+                .map(|j| {
+                    let key = j.weight() / j.remaining_effective_workload(r);
+                    (key, j.id().as_usize())
+                })
+                .collect();
+            sorted.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+            let ranked: Vec<usize> = state.ranked_entries().iter().collect();
+            let sorted: Vec<usize> = sorted.into_iter().map(|(_, idx)| idx).collect();
+            assert_eq!(ranked, sorted, "slot {at}: ranked_entries");
+        }
         let alive_ids: BTreeSet<usize> = alive().map(|j| j.id().as_usize()).collect();
         for id in 0..=self.arrived {
             let expect = alive_ids.contains(&id) || self.completed_now.contains(&id);

@@ -20,13 +20,14 @@ use integration_tests::oracles::{
     ReferenceSrptMsC,
 };
 use mapreduce_baselines::{FairScheduler, Fifo, Late, Mantri, Restart, Sca, SrptNoClone};
+use mapreduce_experiments::WorkloadSource;
 use mapreduce_metrics::FlowtimeSummary;
 use mapreduce_sched::SrptMsC;
 use mapreduce_sim::{
     Action, ClusterState, FaultClass, FaultPlan, Scheduler, SimConfig, SimOutcome, Simulation,
 };
 use mapreduce_support::proptest::prelude::*;
-use mapreduce_workload::{Phase, Trace};
+use mapreduce_workload::{GoogleTraceProfile, Phase, Trace};
 
 /// The sort-based SRPT-noclone policy as it was before it read the engine's
 /// ranked order: collect the alive jobs with unscheduled tasks, sort them by
@@ -422,5 +423,45 @@ fn golden_bench_scenario_matches_reference() {
             .unwrap();
         assert_eq!(a, b, "{} diverges on the bench scenario", a.scheduler);
         assert_summary_matches_oracle(&a).unwrap();
+    }
+}
+
+/// The optimized SRPTMS+C and FIFO against their references on a benchmarked
+/// scenario: perfbench's stream construction (10 000 streamed jobs on 1 000
+/// machines, the arrival window stretched to keep the paper's offered load),
+/// seed 2015. Ignored by default because the re-sorting references make it
+/// a release-build test; run it with
+/// `cargo test --release -p integration-tests --test golden_equivalence -- --ignored`.
+#[test]
+#[ignore = "slow: run in release with --ignored"]
+fn golden_stream_scenario_matches_reference() {
+    const JOBS: usize = 10_000;
+    let machines = JOBS / 10;
+    let window = 35_032u64 * (JOBS as u64) * 12_000 / (6_064 * machines as u64);
+    let scenario = mapreduce_experiments::Scenario {
+        profile: GoogleTraceProfile::scaled(JOBS).with_arrival_window(window),
+        machines,
+        seeds: vec![2015],
+        source: WorkloadSource::Streaming,
+        fault: FaultPlan::none(),
+    };
+    let seed = scenario.seeds[0];
+    let pairs: [(Box<dyn Scheduler>, Box<dyn Scheduler>); 2] = [
+        (
+            Box::new(SrptMsC::new(0.6, 3.0)),
+            Box::new(ReferenceSrptMsC::new(0.6, 3.0)),
+        ),
+        (Box::new(Fifo::new()), Box::new(ReferenceFifo::new())),
+    ];
+    for (mut optimized, mut reference) in pairs {
+        let run = |scheduler: &mut dyn Scheduler| {
+            Simulation::from_source(scenario.sim_config(seed), scenario.job_source(seed))
+                .run(scheduler)
+                .unwrap()
+        };
+        let a = run(optimized.as_mut());
+        let b = run(reference.as_mut());
+        assert_eq!(a.records().len(), JOBS);
+        assert_eq!(a, b, "{} diverges on the stream scenario", a.scheduler);
     }
 }
