@@ -23,7 +23,6 @@ use mapreduce_sim::{CopyId, Event, EventQueue};
 use mapreduce_support::criterion::{BenchmarkId, Criterion};
 use mapreduce_support::rng::{Rng, SimRng};
 use mapreduce_support::{criterion_group, criterion_main};
-use mapreduce_workload::{JobId, Phase, TaskId};
 use std::hint::black_box;
 
 /// Events per measured iteration.
@@ -34,7 +33,6 @@ fn finish_event(at: u64, copy: u64) -> Event {
     Event::CopyFinish {
         at,
         copy: CopyId(copy),
-        task: TaskId::new(JobId::new(copy % 1024), Phase::Map, (copy % 64) as u32),
         seq: copy,
     }
 }

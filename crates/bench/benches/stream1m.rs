@@ -15,7 +15,9 @@
 //!   the alive set a decision actually touches).
 //!
 //! [`mapreduce_bench::bench_stream_tier`] runs both and records the report
-//! extras: peak-resident counters (jobs, copy slots) and the process's peak
+//! extras: peak-resident counters (jobs, copy slots), the event-queue work
+//! counters (events queued, stale finishes delivered, overflow-heap pushes,
+//! peak queued events) and the process's peak
 //! RSS (`stream1m_peak_rss_kb`, the `VmHWM` high-water mark after both
 //! runs), which the CI bench-guard's memory check enforces alongside the
 //! timings, plus the wall-clock layer split measured from outside

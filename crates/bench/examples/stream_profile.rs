@@ -16,8 +16,10 @@
 //! ```
 //!
 //! Arguments: `[jobs] [fifo|srptmsc]` (defaults: `200000 srptmsc`). The run
-//! panics unless every job completed and the engine's own share of the wall
-//! clock is non-zero, so CI runs it as a smoke test.
+//! panics unless every job completed, the engine's own share of the wall
+//! clock is non-zero and at most 1 % of the queued events went through the
+//! event queue's overflow heap (the default ring width must hold this
+//! regime), so CI runs it as a smoke test.
 
 use mapreduce_baselines::Fifo;
 use mapreduce_bench::timed::run_timed;
@@ -73,11 +75,22 @@ fn main() {
         "layers: {split}; peak_rss_kb {}",
         mapreduce_bench::peak_rss_kb().unwrap_or(0)
     );
+    let t = outcome.telemetry;
     println!(
         "counters: {} copies, {} decision instants, peak resident {}, ranked prefix max {}",
         outcome.total_copies,
-        outcome.telemetry.decision_instants,
+        t.decision_instants,
         outcome.peak_resident_jobs,
-        outcome.telemetry.ranked_prefix_len_max
+        t.ranked_prefix_len_max
+    );
+    println!(
+        "event queue: {} queued, {} stale, {} overflow, peak queued {}",
+        t.events_queued, t.stale_events, t.overflow_events, t.peak_queued_events
+    );
+    assert!(
+        t.overflow_events * 100 <= t.events_queued,
+        "{} of {} events overflowed the ring: widen DEFAULT_RING_BITS",
+        t.overflow_events,
+        t.events_queued
     );
 }

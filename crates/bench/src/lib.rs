@@ -48,9 +48,10 @@ pub fn run_reference(
 /// in the [`timed`] delegates, and merges one report entry named `tier`.
 ///
 /// Per scheduler the entry records the alive-window peaks, copies, decision
-/// counters and flowtime sketch p50/p95/p99 (under `<tier>_…` for FIFO and
-/// `<tier>_srptmsc_…` for SRPTMS+C, the names the tiers always used), the
-/// mean flowtime and the last sample's layer split under
+/// and event-queue counters and flowtime sketch p50/p95/p99 (under
+/// `<tier>_…` for FIFO and `<tier>_srptmsc_…` for SRPTMS+C, the names the
+/// tiers always used), the mean flowtime and the last sample's layer split
+/// under
 /// `<tier>_<sched>_{mean_flowtime,source_ns,schedule_ns,hook_ns,engine_self_ns}`,
 /// and once the process's peak RSS as `<tier>_peak_rss_kb`.
 ///
@@ -89,15 +90,17 @@ pub fn bench_stream_tier(c: &mut Criterion, tier: &str, scenario: &Scenario) {
                     .iter()
                     .for_each(|r| sketch.record(r.flowtime()));
                 let quantile = |q| sketch.quantile(q).expect("the tier completed jobs");
+                let t = outcome.telemetry;
                 let counters = [
                     ("peak_resident_jobs", outcome.peak_resident_jobs as u64),
                     ("peak_copy_slots", outcome.peak_copy_slots as u64),
                     ("total_copies", outcome.total_copies as u64),
-                    ("decision_instants", outcome.telemetry.decision_instants),
-                    (
-                        "ranked_prefix_len_max",
-                        outcome.telemetry.ranked_prefix_len_max as u64,
-                    ),
+                    ("decision_instants", t.decision_instants),
+                    ("ranked_prefix_len_max", t.ranked_prefix_len_max as u64),
+                    ("events_queued", t.events_queued),
+                    ("stale_events", t.stale_events),
+                    ("overflow_events", t.overflow_events),
+                    ("peak_queued_events", t.peak_queued_events),
                     ("sketch_p50", quantile(0.50)),
                     ("sketch_p95", quantile(0.95)),
                     ("sketch_p99", quantile(0.99)),
@@ -404,6 +407,7 @@ pub fn merge_bench_report_at(
             let mut fields: Vec<(&'static str, JsonValue)> = vec![
                 ("id", r.id.to_json()),
                 ("mean_ns", r.mean_ns.to_json()),
+                ("median_ns", r.median_ns.to_json()),
                 ("min_ns", r.min_ns.to_json()),
                 ("max_ns", r.max_ns.to_json()),
                 ("samples", r.samples.to_json()),
@@ -486,6 +490,7 @@ mod tests {
         BenchResult {
             id: id.to_string(),
             mean_ns: mean,
+            median_ns: mean * 0.95,
             min_ns: mean * 0.9,
             max_ns: mean * 1.1,
             samples: 3,
@@ -533,6 +538,7 @@ mod tests {
         let smoke = entry(&report, "smoke");
         let results = smoke.get("results").unwrap().as_array().unwrap();
         assert_eq!(results[0].get("mean_ns").unwrap().as_f64(), Some(40.0));
+        assert_eq!(results[0].get("median_ns").unwrap().as_f64(), Some(38.0));
         assert_eq!(
             results[0].get("prev_mean_ns").unwrap().as_f64(),
             Some(100.0)

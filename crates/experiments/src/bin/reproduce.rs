@@ -40,10 +40,7 @@ fn export_trace(scenario: &Scenario, path: &str) {
     let seed = scenario.seeds.first().copied().unwrap_or(2015);
     let baseline = run_cell(kind, scenario, seed);
     let (outcome, registry, recorder) = run_cell_traced(kind, scenario, seed, TRACE_EVENT_CAP);
-    if outcome != baseline
-        || outcome.telemetry.decision_instants != baseline.telemetry.decision_instants
-        || outcome.telemetry.ranked_prefix_len_max != baseline.telemetry.ranked_prefix_len_max
-    {
+    if outcome != baseline || outcome.telemetry != baseline.telemetry {
         eprintln!("--trace-out: observed run diverged from the unobserved run");
         std::process::exit(1);
     }

@@ -7,8 +7,9 @@
 //!
 //! * [`cell_fingerprint`] — the canonical [`Fingerprint`] of a cell: the
 //!   FNV-1a-128 hash of a canonical JSON document covering the
-//!   [`SimConfig`](mapreduce_sim::SimConfig) the runner builds (machines,
-//!   seed, speed, straggler model, …), the workload description
+//!   [`SimConfig`] the runner builds (machines, seed, speed, straggler
+//!   model, …; the event-ring width is written as a constant), the workload
+//!   description
 //!   ([`GoogleTraceProfile`](mapreduce_workload::GoogleTraceProfile) +
 //!   [`WorkloadSource`]) and the scheduler id with its parameters. Two cells
 //!   agree on their fingerprint iff they agree on everything that can
@@ -29,7 +30,7 @@
 
 use crate::runner::SchedulerKind;
 use crate::scenario::{Scenario, WorkloadSource};
-use mapreduce_sim::SimOutcome;
+use mapreduce_sim::{SimConfig, SimOutcome};
 use mapreduce_support::fs::write_atomically;
 use mapreduce_support::hash::{Fingerprint, Fnv1a128};
 use mapreduce_support::json::{FromJson, JsonValue, ToJson};
@@ -58,7 +59,12 @@ pub fn cell_fingerprint(kind: SchedulerKind, scenario: &Scenario, seed: u64) -> 
     // reaches the engine (machine count, fault plan) reaches the hash; an
     // empty fault plan serialises to nothing, keeping pre-fault fingerprints
     // (and every persisted cache keyed by them) valid.
-    let config = scenario.sim_config(seed);
+    config_fingerprint(&scenario.sim_config(seed), kind, scenario)
+}
+
+/// The fingerprint of [`cell_fingerprint`]'s document for an explicit
+/// engine `config`.
+fn config_fingerprint(config: &SimConfig, kind: SchedulerKind, scenario: &Scenario) -> Fingerprint {
     let mut workload = vec![
         ("profile", scenario.profile.to_json()),
         ("source", scenario.source.to_json()),
@@ -534,6 +540,22 @@ mod tests {
             7,
         );
         assert_eq!(fp.to_hex(), "4a9515d66d593172c2841fbc72d1231a");
+    }
+
+    #[test]
+    fn ring_width_is_not_part_of_the_key() {
+        // The calendar ring width never changes an outcome, so configs that
+        // differ only in it share one cell (and every persisted entry).
+        let scenario = Scenario::scaled(50, 1);
+        let kind = SchedulerKind::paper_default();
+        let config = scenario.sim_config(2015);
+        for bits in [4, 11, 20] {
+            assert_eq!(
+                config_fingerprint(&config.clone().with_event_ring_bits(bits), kind, &scenario),
+                cell_fingerprint(kind, &scenario, 2015),
+                "ring bits {bits} moved the fingerprint"
+            );
+        }
     }
 
     #[test]

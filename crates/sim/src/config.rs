@@ -280,7 +280,10 @@ pub struct SimConfig {
     /// Width exponent of the engine's calendar event queue: the ring holds
     /// `2^event_ring_bits` slot-granular buckets; events further out go to
     /// the overflow heap. A pure performance knob — any width produces the
-    /// bit-identical trajectory. See [`crate::events::EventQueue`].
+    /// bit-identical trajectory — so it is not part of the cache key: the
+    /// serialised config carries a constant in its place, and configs that
+    /// differ only in this width share one cell fingerprint. See
+    /// [`crate::events::EventQueue`].
     pub event_ring_bits: u8,
     /// Machine crash/recovery and brown-out dynamics. The default (empty)
     /// plan injects nothing and is bit-identical to a run without fault
@@ -374,12 +377,13 @@ impl ToJson for SimConfig {
             ("straggler", self.straggler.to_json()),
             // Removed knobs, now engine constants (clones always resample;
             // the copy cap is `MAX_COPIES_PER_TASK`) or gone (the global
-            // wakeup). Their constant values keep every persisted cache
-            // fingerprint valid.
+            // wakeup), and the ring width, which never changes an outcome.
+            // Their constant values keep every persisted cache fingerprint
+            // valid.
             ("resample_clone_workloads", true.to_json()),
             ("max_copies_per_task", MAX_COPIES_PER_TASK.to_json()),
             ("periodic_wakeup", JsonValue::Null),
-            ("event_ring_bits", (self.event_ring_bits as u64).to_json()),
+            ("event_ring_bits", 11u64.to_json()),
         ];
         // The empty plan is the semantic default and bit-identical to runs
         // predating fault injection: emitting it only when non-empty keeps

@@ -33,16 +33,18 @@
 //! # Event path
 //!
 //! Copy completions and machine transitions go through [`crate::events`]: a
-//! slot-granular calendar queue with `O(1)` amortized push. Each decision instant is
+//! slot-granular calendar queue with `O(1)` push. Each decision instant is
 //! delivered as one **batch** ([`EventQueue::drain_due`]) — the instant's
 //! bucket is sorted once and handed over wholesale instead of a heap pop per
 //! event, and a task whose clones tie at one slot is finalized exactly once
 //! (the first completion in `(kind, allocation-sequence)` order wins; its
 //! siblings fail the `O(1)` liveness check). Copy records live in a
 //! run-level [`CopyArena`] indexed by [`CopyId`], so resolving a completion
-//! is a single slice index. A cancelled or killed copy's finish event stays
-//! queued: it fires its instant and fails the same liveness check, so
-//! cancellation costs nothing in the queue. Completed jobs hand their copy
+//! is a single slice index, and the event carries no task: a live copy's
+//! record names it. A cancelled or killed copy's finish event stays
+//! queued: it fires its instant and fails the same liveness check on the
+//! copy's hot record, so cancellation costs the queue one node until that
+//! instant. Completed jobs hand their copy
 //! slots back to the arena's free-list, so — like the job table — copy
 //! memory is bounded by the peak alive window
 //! ([`SimOutcome::peak_copy_slots`]) rather than the run's total copy count.
@@ -127,6 +129,8 @@ struct RunStats {
     decision_instants: u64,
     /// Largest ranked-candidate prefix any decision materialised.
     ranked_prefix_len_max: usize,
+    /// Delivered copy-finish events rejected as stale.
+    stale_events: u64,
 }
 
 /// Per-run mutable context: stats, the copy arena and reusable scratch
@@ -637,16 +641,11 @@ impl Simulation {
             queue.drain_due(now, &mut due);
             for &event in &due {
                 match event {
-                    Event::CopyFinish {
-                        at,
-                        copy,
-                        task,
-                        seq,
-                    } => {
-                        if let Some(finished) =
-                            self.handle_copy_finish(task, copy, seq, at, &mut ctx, observer)
+                    Event::CopyFinish { at, copy, seq } => {
+                        if let Some(task) =
+                            self.handle_copy_finish(copy, seq, at, &mut ctx, observer)
                         {
-                            newly_finished.push(finished);
+                            newly_finished.push(task);
                             let job_idx = task.job.as_usize();
                             if task.phase == Phase::Map && self.jobs[job_idx].map_phase_complete() {
                                 self.activate_waiting_reduce_copies(
@@ -826,6 +825,10 @@ impl Simulation {
         outcome.telemetry = RunTelemetry {
             decision_instants: ctx.stats.decision_instants,
             ranked_prefix_len_max: ctx.stats.ranked_prefix_len_max,
+            events_queued: queue.pushed(),
+            stale_events: ctx.stats.stale_events,
+            overflow_events: queue.overflow_pushes(),
+            peak_queued_events: queue.peak_len() as u64,
         };
         if let Some(pool) = &ctx.pool {
             outcome.wasted_work = pool.wasted_work;
@@ -842,31 +845,35 @@ impl Simulation {
     /// retired jobs.
     fn handle_copy_finish<O: SimObserver>(
         &mut self,
-        task_id: TaskId,
         copy_id: CopyId,
         seq: u64,
         slot: Slot,
         ctx: &mut RunCtx,
         observer: &mut O,
     ) -> Option<TaskId> {
-        let job = self.jobs.get_mut(task_id.job.as_usize())?;
-        let task = job.task_mut(task_id.phase, task_id.index)?;
-        if task.is_finished() {
-            // A sibling that tied at this slot already finalized the task.
-            return None;
-        }
-        {
+        let task_id = {
             let copy = ctx.arena.get(copy_id);
-            // The sequence check rejects events whose copy slot was freed
-            // and reallocated since the event was queued (only possible for
-            // stale entries of completed jobs — caught by the task lookup
-            // above too — but cheap enough to keep as a second line).
+            // The hot record alone rejects a stale entry: the sequence
+            // check catches a copy slot freed and reallocated since the
+            // event was queued, the phase and finish-slot checks a copy
+            // that was cancelled or killed. Only a live event reads the
+            // cold record for its task.
             if copy.seq() != seq
                 || copy.phase() != CopyPhase::Running
                 || copy.finish_slot() != Some(slot)
             {
+                ctx.stats.stale_events += 1;
                 return None;
             }
+            copy.task()
+        };
+        // Second line: a live copy belongs to a resident job and an
+        // unfinished task (a sibling that tied at this slot and finalized
+        // the task first cancelled this copy above).
+        let job = self.jobs.get_mut(task_id.job.as_usize())?;
+        let task = job.task_mut(task_id.phase, task_id.index)?;
+        if task.is_finished() {
+            return None;
         }
         // First-copy-wins: the winner finishes; every sibling still holding a
         // machine is cancelled. A running sibling's finish event stays queued
@@ -1057,9 +1064,9 @@ impl Simulation {
         } = ctx;
         job.take_waiting_reduce(waiting_scratch);
         for &(index, cid) in waiting_scratch.iter() {
-            let (phase, task, copy_seq) = {
+            let (phase, copy_seq) = {
                 let copy = arena.get(cid);
-                (copy.phase(), copy.task(), copy.seq())
+                (copy.phase(), copy.seq())
             };
             if phase != CopyPhase::WaitingForMapPhase {
                 // Cancelled while waiting; its list entry went stale.
@@ -1069,7 +1076,6 @@ impl Simulation {
             queue.push(Event::CopyFinish {
                 at: finish,
                 copy: cid,
-                task,
                 seq: copy_seq,
             });
             job.note_copy_running(Phase::Reduce, index, finish);
@@ -1206,7 +1212,6 @@ impl Simulation {
                 queue.push(Event::CopyFinish {
                     at: finish,
                     copy: copy_id,
-                    task: task_id,
                     seq,
                 });
                 (copy_id, Some(finish))
@@ -1516,6 +1521,35 @@ mod tests {
             .unwrap();
             assert_eq!(outcome, reference, "ring bits {bits} diverged");
         }
+    }
+
+    #[test]
+    fn queue_counters_count_stale_finishes() {
+        // Job 0's clone (10 slots) beats its original (50 slots); job 1
+        // then runs two 100-slot copies that tie at slot 110. Two finish
+        // events are delivered stale: the original's at 50 (its slot was
+        // freed with job 0 and reused by job 1, so the sequence check
+        // rejects it) and the losing tie at 110 (cancelled by the winner
+        // in the same batch).
+        use mapreduce_workload::DurationDistribution;
+        let cloned = JobSpecBuilder::new(JobId::new(0))
+            .map_tasks_from_workloads(&[50.0])
+            .map_distribution(DurationDistribution::Deterministic { value: 10.0 })
+            .build();
+        let long = JobSpecBuilder::new(JobId::new(1))
+            .arrival(1)
+            .map_tasks_from_workloads(&[100.0])
+            .build();
+        let trace = Trace::new(vec![cloned, long]).unwrap();
+        let outcome = Simulation::new(SimConfig::new(2).with_seed(1), &trace)
+            .run(&mut MaxCloneScheduler::new(2))
+            .unwrap();
+        assert_eq!(outcome.makespan, 110);
+        let t = outcome.telemetry;
+        assert_eq!(t.events_queued, 4);
+        assert_eq!(t.stale_events, 2);
+        assert_eq!(t.overflow_events, 0);
+        assert_eq!(t.peak_queued_events, 3);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!   a slot.
 //! * [`EventQueue`] is a slot-granular **calendar queue**: a ring of per-slot
 //!   buckets plus a flat overflow heap for far-future slots, with `O(1)`
-//!   amortized push and one sort per drained instant. It delivers events in
+//!   push and one sort per drained instant. It delivers events in
 //!   the same total, deterministic order as a binary heap over
 //!   `(slot, kind, sequence)` would: earlier slots first, copy completions
 //!   before machine recoveries before machine failures at the same slot,
@@ -20,6 +20,18 @@
 //!   the `event_path` benchmark; it lives with the tests
 //!   (`integration_tests::oracles::HeapEventQueue`) and spells out its own
 //!   key, so it shares no ordering code with this module.
+//!
+//! # Storage
+//!
+//! A ring bucket is a `u32` head of a singly linked list through one node
+//! slab shared by every bucket. Drained nodes go on a free list and are
+//! reused LIFO before the slab grows, so the slab holds at most as many
+//! nodes as events were ever queued at once ([`EventQueue::peak_len`]),
+//! however the events spread over the ring. Per-slot `Vec` buckets, which
+//! this replaced, each kept the capacity of their busiest instant for the
+//! rest of the run. At 4 bytes a bucket, the default ring is `2^14` slots
+//! wide, and the overflow heap sees only the rare far tail (on the paper's
+//! traces well under 1 % of pushes, [`EventQueue::overflow_pushes`]).
 //!
 //! # Stale events
 //!
@@ -33,11 +45,12 @@
 //! more than skipping it and would still have to leave its instant firing,
 //! because the decision-instant sequence is part of the trajectory. So the
 //! calendar queue and the heap oracle deliver the same raw sequence, stale
-//! entries included.
+//! entries included. While it is queued, a stale entry costs one slab node
+//! (or one overflow-heap entry); the node is reused as soon as its slot is
+//! drained.
 
 use crate::copy::CopyId;
 use crate::state::Slot;
-use mapreduce_workload::TaskId;
 use std::collections::BinaryHeap;
 
 /// Something the engine schedules to happen at a later simulation slot.
@@ -48,14 +61,13 @@ pub enum Event {
     /// A running copy reaches its finish slot. May be stale by the time it is
     /// popped (sibling finished first, the copy was cancelled, or its slot
     /// was recycled after the owning job completed); the engine validates
-    /// against live task state and the copy's allocation sequence.
+    /// against the copy's arena record before anything else. The owning
+    /// task is not carried: the arena's record of the copy holds it.
     CopyFinish {
         /// Slot of the (scheduled) completion.
         at: Slot,
         /// The arena slot of the copy that finishes.
         copy: CopyId,
-        /// The task the copy belongs to.
-        task: TaskId,
         /// The copy's run-unique allocation sequence
         /// ([`crate::copy::CopyRef::seq`]). Orders same-slot completions
         /// deterministically (copy slots are recycled; sequences never are)
@@ -117,12 +129,24 @@ impl Event {
     }
 }
 
-/// Default ring width exponent: `2^11 = 2048` slot-granular buckets. Copy
-/// durations overwhelmingly land within a couple of thousand slots of the
+/// Default ring width exponent: `2^14 = 16384` slot-granular buckets. Copy
+/// durations overwhelmingly land within a few thousand slots of the
 /// current instant in the paper's traces, so the ring absorbs nearly all
 /// pushes; anything further out (heavy-tail durations, machine epochs) goes
-/// to the overflow heap and is pulled in as the window slides.
-pub const DEFAULT_RING_BITS: u8 = 11;
+/// to the overflow heap and is pulled in as the window slides. An empty
+/// bucket costs 4 bytes and no node, so the width costs 64 KiB of heads.
+pub const DEFAULT_RING_BITS: u8 = 14;
+
+/// End of a bucket list or of the free list.
+const NIL: u32 = u32::MAX;
+
+/// One slab node: a queued event and the next node of its list (a ring
+/// bucket while queued, the free list once drained).
+#[derive(Debug)]
+struct Node {
+    event: Event,
+    next: u32,
+}
 
 /// An overflow entry: an [`Event`] ordered by its `(slot, kind, sequence)`
 /// key, smallest first.
@@ -146,19 +170,28 @@ impl Ord for ByKey {
 ///
 /// The queue is a ring of `2^ring_bits` per-slot buckets anchored at the
 /// drained position plus one flat min-heap for slots beyond the ring window.
-/// `push` is `O(1)` into the ring (far-future events pay one heap push and
-/// one heap pop as the window slides over them), and draining an instant
-/// costs one sort of that slot's (typically tiny) bucket instead of a heap
-/// pop per event.
+/// Each bucket is an unsorted linked list through a shared node slab (see
+/// the module docs). `push` is `O(1)` into the ring (far-future events pay
+/// one heap push and one heap pop as the window slides over them), and
+/// draining an instant costs one sort of that slot's (typically tiny)
+/// bucket instead of a heap pop per event.
 ///
 /// Events must not be scheduled at slots the queue has already drained past
 /// ([`EventQueue::drained_to`]); the engine never does (a copy's duration is
 /// at least one slot), and the constraint is asserted in `push`.
+///
+/// The queue also counts its own work: events pushed, pushes that went to
+/// the overflow heap, and the most events ever queued at once.
 #[derive(Debug)]
 pub struct EventQueue {
-    /// One bucket per ring slot: the pending events of that slot, unsorted
-    /// until the slot is drained.
-    ring: Box<[Vec<Event>]>,
+    /// One list head per ring slot: the pending events of that slot,
+    /// unsorted until the slot is drained. [`NIL`] when empty.
+    heads: Box<[u32]>,
+    /// Node storage of every bucket list, grown only when the free list is
+    /// empty.
+    nodes: Vec<Node>,
+    /// Head of the list of drained nodes, reused LIFO.
+    free: u32,
     /// Occupancy bitmap over ring indices, one bit per bucket.
     occupancy: Box<[u64]>,
     mask: u64,
@@ -171,6 +204,12 @@ pub struct EventQueue {
     overflow: BinaryHeap<ByKey>,
     /// Stored (not yet drained) events, stale ones included.
     len: usize,
+    /// High-water mark of `len`.
+    peak_len: usize,
+    /// Events ever pushed.
+    pushed: u64,
+    /// Pushes that landed beyond the ring window, in the overflow heap.
+    overflowed: u64,
 }
 
 impl Default for EventQueue {
@@ -196,13 +235,18 @@ impl EventQueue {
         );
         let ring_len = 1usize << ring_bits;
         EventQueue {
-            ring: (0..ring_len).map(|_| Vec::new()).collect(),
+            heads: vec![NIL; ring_len].into_boxed_slice(),
+            nodes: Vec::new(),
+            free: NIL,
             occupancy: vec![0u64; ring_len.div_ceil(64)].into_boxed_slice(),
             mask: (ring_len - 1) as u64,
             base: 0,
             ring_occupied: 0,
             overflow: BinaryHeap::new(),
             len: 0,
+            peak_len: 0,
+            pushed: 0,
+            overflowed: 0,
         }
     }
 
@@ -218,6 +262,22 @@ impl EventQueue {
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// The most events ever pending at once, stale ones included.
+    pub fn peak_len(&self) -> usize {
+        self.peak_len
+    }
+
+    /// Events ever pushed.
+    pub fn pushed(&self) -> u64 {
+        self.pushed
+    }
+
+    /// Pushes that landed beyond the ring window and went through the
+    /// overflow heap.
+    pub fn overflow_pushes(&self) -> u64 {
+        self.overflowed
     }
 
     /// The slot before which everything has been drained. Pushes must target
@@ -272,6 +332,27 @@ impl EventQueue {
         None
     }
 
+    /// Links `event` into ring bucket `idx`, reusing a drained node if one
+    /// is free.
+    fn link(&mut self, idx: usize, event: Event) {
+        let node = Node {
+            event,
+            next: self.heads[idx],
+        };
+        let id = if self.free != NIL {
+            let id = self.free;
+            self.free = self.nodes[id as usize].next;
+            self.nodes[id as usize] = node;
+            id
+        } else {
+            let id = u32::try_from(self.nodes.len()).expect("fewer than 2^32 queued events");
+            self.nodes.push(node);
+            id
+        };
+        self.heads[idx] = id;
+        self.occ_set(idx);
+    }
+
     /// Schedules an event.
     ///
     /// # Panics
@@ -284,11 +365,12 @@ impl EventQueue {
             self.base
         );
         self.len += 1;
+        self.peak_len = self.peak_len.max(self.len);
+        self.pushed += 1;
         if slot.wrapping_sub(self.base) < self.ring_len() {
-            let idx = (slot & self.mask) as usize;
-            self.ring[idx].push(event);
-            self.occ_set(idx);
+            self.link((slot & self.mask) as usize, event);
         } else {
+            self.overflowed += 1;
             self.overflow.push(ByKey(event));
         }
     }
@@ -321,9 +403,10 @@ impl EventQueue {
             }
             self.overflow.pop();
             let idx = (at & self.mask) as usize;
-            debug_assert!(self.ring[idx].iter().all(|e| e.at() == at));
-            self.ring[idx].push(event);
-            self.occ_set(idx);
+            debug_assert!(
+                self.heads[idx] == NIL || self.nodes[self.heads[idx] as usize].event.at() == at
+            );
+            self.link(idx, event);
         }
     }
 
@@ -338,10 +421,17 @@ impl EventQueue {
             }
             self.advance_to(slot);
             let idx = (slot & self.mask) as usize;
-            let bucket = &mut self.ring[idx];
-            bucket.sort_unstable_by_key(Event::bucket_key);
-            self.len -= bucket.len();
-            out.append(bucket);
+            let start = out.len();
+            let mut id = std::mem::replace(&mut self.heads[idx], NIL);
+            while id != NIL {
+                let node = &mut self.nodes[id as usize];
+                out.push(node.event);
+                let next = std::mem::replace(&mut node.next, self.free);
+                self.free = id;
+                id = next;
+            }
+            self.len -= out.len() - start;
+            out[start..].sort_unstable_by_key(Event::bucket_key);
             self.occ_clear(idx);
         }
         // Anchor the window at the delivered instant so far-future pushes
@@ -355,15 +445,10 @@ mod tests {
     use super::*;
     use mapreduce_workload::{JobId, Phase};
 
-    fn task(job: u64, phase: Phase, index: u32) -> TaskId {
-        TaskId::new(JobId::new(job), phase, index)
-    }
-
     fn finish(at: Slot, copy: u64) -> Event {
         Event::CopyFinish {
             at,
             copy: CopyId(copy),
-            task: task(0, Phase::Map, copy as u32),
             seq: copy,
         }
     }
@@ -391,7 +476,6 @@ mod tests {
         q.push(Event::CopyFinish {
             at: 30,
             copy: CopyId(2),
-            task: task(0, Phase::Map, 0),
             seq: 2,
         });
         q.push(Event::MachineUp {
@@ -402,7 +486,6 @@ mod tests {
         q.push(Event::CopyFinish {
             at: 20,
             copy: CopyId(1),
-            task: task(0, Phase::Map, 1),
             seq: 1,
         });
         assert_eq!(q.len(), 3);
@@ -442,7 +525,6 @@ mod tests {
             q.push(Event::CopyFinish {
                 at: 7,
                 copy: CopyId(copy),
-                task: task(0, Phase::Reduce, copy as u32),
                 seq: copy,
             });
         }
@@ -588,6 +670,58 @@ mod tests {
         assert_eq!(q.drained_to(), 4);
         assert_eq!(drain(&mut q, 100).len(), 1);
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn node_slab_never_outgrows_the_peak_queue() {
+        // Long push/drain cycles over a 16-slot ring: same-slot bursts,
+        // many wraps, and far-future events that come back in from the
+        // overflow heap all share one slab, which reuses drained nodes
+        // before it grows.
+        let mut q = EventQueue::with_ring_bits(4);
+        let mut now = 0;
+        let mut copy = 0;
+        for round in 0..2_000u64 {
+            let burst = 1 + round % 9;
+            for i in 0..burst {
+                let offset = match (round + i) % 7 {
+                    0 => 1, // a same-slot tie next instant
+                    1..=4 => 1 + (round * 3 + i) % 14,
+                    5 => 16 + (round + i) % 40, // just past the window
+                    _ => 5_000 + round,         // far future
+                };
+                q.push(finish(now + offset, copy));
+                copy += 1;
+                assert!(q.nodes.len() <= q.peak_len());
+            }
+            now = q.peek_slot().unwrap() + round % 3;
+            drain(&mut q, now);
+            assert!(q.nodes.len() <= q.peak_len());
+        }
+        let live = q.len();
+        let mut delivered = 0;
+        while let Some(next) = q.peek_slot() {
+            delivered += drain(&mut q, next).len();
+        }
+        assert_eq!(delivered, live);
+        assert!(q.is_empty());
+        assert!(q.nodes.len() <= q.peak_len());
+        assert!(
+            (q.nodes.len() as u64) * 20 < copy,
+            "slab grew to {} nodes for {copy} pushes",
+            q.nodes.len()
+        );
+        assert_eq!(q.pushed(), copy);
+        assert!(q.overflow_pushes() > 0 && q.overflow_pushes() < copy);
+
+        // A drained queue refills from its free list without growing.
+        let slab = q.nodes.len();
+        let base = q.drained_to();
+        for c in 0..slab as u64 {
+            q.push(finish(base + 1 + c % 5, copy + c));
+        }
+        assert_eq!(q.nodes.len(), slab);
+        assert_eq!(drain(&mut q, Slot::MAX).len(), slab);
     }
 
     #[test]

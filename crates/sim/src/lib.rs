@@ -26,10 +26,11 @@
 //! arrival instant, ahead of that instant's queued events. Copy completions
 //! and machine transitions are delivered by a slot-granular **calendar
 //! queue** ([`events::EventQueue`]): a ring of
-//! `2^`[`SimConfig::event_ring_bits`] per-slot buckets (default 2048) with
-//! a flat min-heap overflow for far-future slots, giving `O(1)` amortized
-//! push while reproducing the `(slot, kind, sequence)` heap order
-//! bit-for-bit. Each decision instant is
+//! `2^`[`SimConfig::event_ring_bits`] per-slot buckets (default 16384),
+//! each a linked list through one node slab that holds no more nodes than
+//! events were ever queued at once, with a flat min-heap overflow for
+//! far-future slots, giving `O(1)` push while reproducing the
+//! `(slot, kind, sequence)` heap order bit-for-bit. Each decision instant is
 //! drained as one batch (the bucket is sorted once), copy records live in a
 //! run-level [`CopyArena`] indexed by [`CopyId`] so completions resolve in
 //! `O(1)`, and stale entries are deleted lazily: a cancelled or killed

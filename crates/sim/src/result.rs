@@ -74,20 +74,22 @@ impl FromJson for JobRecord {
     }
 }
 
-/// Run instrumentation: decision-path work counters.
+/// Run instrumentation: decision-path and event-queue work counters.
 ///
 /// These fields are deterministic, but they describe how much work the
-/// *scheduler implementation* did, not the trajectory — the
-/// golden-equivalence suite compares optimized schedulers against frozen
-/// references that do strictly more work per decision. They are therefore
-/// carved out of [`SimOutcome`]'s equality in one place: `SimOutcome ==
-/// SimOutcome` compares every field *except* [`SimOutcome::telemetry`].
+/// *implementation* did, not the trajectory — the golden-equivalence suite
+/// compares optimized schedulers against frozen references that do strictly
+/// more work per decision, and the overflow count depends on the queue's
+/// ring width. They are therefore carved out of [`SimOutcome`]'s equality in
+/// one place: `SimOutcome == SimOutcome` compares every field *except*
+/// [`SimOutcome::telemetry`].
 ///
 /// Serialisation stays flat for back-compat: the fields are emitted as
 /// top-level keys of the outcome JSON (`decision_instants`,
-/// `ranked_prefix_len_max`), exactly where pre-consolidation documents
-/// carried them, and absent keys parse as 0. Keys of retired fields (the
-/// old wall-clock `stage_*_ns` timings) are ignored on read.
+/// `ranked_prefix_len_max`, `events_queued`, …), exactly where
+/// pre-consolidation documents carried them, and absent keys parse as 0, so
+/// cache lines written before a counter existed still load. Keys of retired
+/// fields (the old wall-clock `stage_*_ns` timings) are ignored on read.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunTelemetry {
     /// Number of decision instants the engine processed (event batches that
@@ -98,38 +100,58 @@ pub struct RunTelemetry {
     /// [`crate::ClusterState::note_ranked_prefix`]; 0 for schedulers that
     /// never consume the ranked order).
     pub ranked_prefix_len_max: usize,
+    /// Events pushed onto the engine's event queue (copy finishes and
+    /// machine transitions).
+    pub events_queued: u64,
+    /// Delivered copy-finish events the engine rejected as stale: the
+    /// finishes of copies that lost to a sibling, were cancelled or were
+    /// killed by a crash while their event stayed queued.
+    pub stale_events: u64,
+    /// Pushes that landed beyond the calendar ring's window and went
+    /// through its overflow heap.
+    pub overflow_events: u64,
+    /// The most events queued at once, stale ones included.
+    pub peak_queued_events: u64,
 }
 
 impl RunTelemetry {
     /// The flat JSON keys of the telemetry fields, in emission order.
-    const KEYS: [&'static str; 2] = ["decision_instants", "ranked_prefix_len_max"];
+    const KEYS: [&'static str; 6] = [
+        "decision_instants",
+        "ranked_prefix_len_max",
+        "events_queued",
+        "stale_events",
+        "overflow_events",
+        "peak_queued_events",
+    ];
 
     /// The telemetry as flat `(key, value)` JSON fields — the same top-level
     /// keys outcomes carried before the consolidation.
-    fn json_fields(&self) -> [(&'static str, JsonValue); 2] {
+    fn json_fields(&self) -> [(&'static str, JsonValue); 6] {
         let values = [
-            self.decision_instants.to_json(),
-            self.ranked_prefix_len_max.to_json(),
+            self.decision_instants,
+            self.ranked_prefix_len_max as u64,
+            self.events_queued,
+            self.stale_events,
+            self.overflow_events,
+            self.peak_queued_events,
         ];
-        let mut iter = Self::KEYS.iter().zip(values);
-        std::array::from_fn(|_| {
-            let (key, value) = iter.next().expect("KEYS and values have equal length");
-            (*key, value)
-        })
+        std::array::from_fn(|i| (Self::KEYS[i], values[i].to_json()))
     }
 
     /// Reads the flat keys back; any absent key (documents serialised before
     /// the corresponding instrumentation existed) parses as 0.
     fn from_flat_json(value: &JsonValue) -> Result<Self, JsonError> {
+        fn flat<T: FromJson + Default>(value: &JsonValue, key: &str) -> Result<T, JsonError> {
+            value.get(key).map_or(Ok(T::default()), T::from_json)
+        }
         Ok(RunTelemetry {
-            decision_instants: match value.get("decision_instants") {
-                Some(v) => u64::from_json(v)?,
-                None => 0,
-            },
-            ranked_prefix_len_max: match value.get("ranked_prefix_len_max") {
-                Some(v) => usize::from_json(v)?,
-                None => 0,
-            },
+            decision_instants: flat(value, "decision_instants")?,
+            ranked_prefix_len_max: flat(value, "ranked_prefix_len_max")?,
+            events_queued: flat(value, "events_queued")?,
+            stale_events: flat(value, "stale_events")?,
+            overflow_events: flat(value, "overflow_events")?,
+            peak_queued_events: flat(value, "peak_queued_events")?,
         })
     }
 }
@@ -457,6 +479,10 @@ mod tests {
         b.telemetry = RunTelemetry {
             decision_instants: 9_999,
             ranked_prefix_len_max: 1_234,
+            events_queued: 5,
+            stale_events: 4,
+            overflow_events: 3,
+            peak_queued_events: 2,
         };
         assert_eq!(a, b, "instrumentation must not affect equality");
         b.makespan += 1;
@@ -502,6 +528,10 @@ mod tests {
         o.telemetry = RunTelemetry {
             decision_instants: 11,
             ranked_prefix_len_max: 22,
+            events_queued: 33,
+            stale_events: 44,
+            overflow_events: 55,
+            peak_queued_events: 66,
         };
         let json = o.to_json().to_compact_string();
         let back = SimOutcome::from_json(&JsonValue::parse(&json).unwrap()).unwrap();
@@ -526,6 +556,26 @@ mod tests {
             assert!(rewritten.get(key).is_none(), "{key} re-emitted");
         }
         assert_eq!(rewritten.to_compact_string(), json);
+
+        // Cache lines written before the event-queue counters existed lack
+        // their four keys: they parse, with those counters at 0 and the
+        // older ones intact.
+        let mut before_queue_counters = o.to_json();
+        if let JsonValue::Object(map) = &mut before_queue_counters {
+            for key in &RunTelemetry::KEYS[2..] {
+                map.remove(*key);
+            }
+        }
+        let back = SimOutcome::from_json(&before_queue_counters).unwrap();
+        assert_eq!(back, o);
+        assert_eq!(
+            back.telemetry,
+            RunTelemetry {
+                decision_instants: 11,
+                ranked_prefix_len_max: 22,
+                ..RunTelemetry::default()
+            }
+        );
 
         // Outcomes serialised before the corresponding instrumentation
         // existed parse as 0 — the keys stay flat, so pre-consolidation

@@ -5,8 +5,8 @@
 //! [`Criterion`], benchmark groups, [`BenchmarkId`], `Bencher::iter`, and the
 //! [`criterion_group!`](crate::criterion_group)/[`criterion_main!`](crate::criterion_main) macros. Each benchmark runs a
 //! short warm-up followed by `sample_size` timed iterations and prints
-//! `name … mean [min .. max]`. Results are retained on the [`Criterion`]
-//! value so benches can export them (e.g. `BENCH_engine.json`).
+//! `name … mean (median) [min .. max]`. Results are retained on the
+//! [`Criterion`] value so benches can export them (e.g. `BENCH_engine.json`).
 
 use std::fmt::Display;
 use std::time::Instant;
@@ -18,6 +18,10 @@ pub struct BenchResult {
     pub id: String,
     /// Mean wall-clock nanoseconds per iteration.
     pub mean_ns: f64,
+    /// Median iteration (the mean of the middle two for an even count):
+    /// unlike the mean, not moved by a few outliers from other load on the
+    /// host.
+    pub median_ns: f64,
     /// Fastest observed iteration.
     pub min_ns: f64,
     /// Slowest observed iteration.
@@ -187,19 +191,22 @@ fn run_bench(id: &str, sample_size: usize, f: &mut dyn FnMut(&mut Bencher)) -> B
         rounds: sample_size,
     };
     f(&mut bencher);
-    let samples = &bencher.samples_ns;
-    let (mean, min, max) = if samples.is_empty() {
-        (0.0, 0.0, 0.0)
-    } else {
-        let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-        let min = samples.iter().copied().fold(f64::INFINITY, f64::min);
-        let max = samples.iter().copied().fold(0.0f64, f64::max);
-        (mean, min, max)
+    let samples = &mut bencher.samples_ns;
+    samples.sort_unstable_by(f64::total_cmp);
+    let (mean, median, min, max) = match samples.len() {
+        0 => (0.0, 0.0, 0.0, 0.0),
+        n => (
+            samples.iter().sum::<f64>() / n as f64,
+            (samples[(n - 1) / 2] + samples[n / 2]) / 2.0,
+            samples[0],
+            samples[n - 1],
+        ),
     };
     println!(
-        "bench {:<48} {:>12} [{} .. {}] ({} samples)",
+        "bench {:<48} {:>12} ({}) [{} .. {}] ({} samples)",
         id,
         human_time(mean),
+        human_time(median),
         human_time(min),
         human_time(max),
         samples.len()
@@ -207,6 +214,7 @@ fn run_bench(id: &str, sample_size: usize, f: &mut dyn FnMut(&mut Bencher)) -> B
     BenchResult {
         id: id.to_string(),
         mean_ns: mean,
+        median_ns: median,
         min_ns: min,
         max_ns: max,
         samples: samples.len(),
@@ -268,6 +276,25 @@ mod tests {
         assert_eq!(r.id, "smoke");
         assert_eq!(r.samples, 3);
         assert!(r.min_ns <= r.mean_ns && r.mean_ns <= r.max_ns);
+        assert!(r.min_ns <= r.median_ns && r.median_ns <= r.max_ns);
+    }
+
+    #[test]
+    fn median_ignores_an_outlier() {
+        // Odd and even sample counts; one sample a hundred times slower
+        // moves the mean, not the median.
+        for (samples, median) in [
+            (vec![3.0, 1_000.0, 2.0], 3.0),
+            (vec![4.0, 1.0, 900.0, 2.0], 3.0),
+        ] {
+            let mut queue = samples.clone().into_iter();
+            let result = run_bench("outlier", 0, &mut |b: &mut Bencher| {
+                b.samples_ns.extend(queue.by_ref());
+            });
+            assert_eq!(result.median_ns, median);
+            assert_eq!(result.samples, samples.len());
+            assert!(result.mean_ns > 100.0);
+        }
     }
 
     #[test]

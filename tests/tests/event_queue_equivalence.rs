@@ -20,10 +20,10 @@
 //! key is a divergence here rather than a bug both sides share.
 
 use integration_tests::oracles::HeapEventQueue;
+use mapreduce_sim::events::DEFAULT_RING_BITS;
 use mapreduce_sim::{CopyId, Event, EventQueue, Slot};
 use mapreduce_support::proptest::prelude::*;
 use mapreduce_support::rng::{Rng, SimRng};
-use mapreduce_workload::{JobId, Phase, TaskId};
 use std::collections::HashSet;
 
 fn finish_event(at: u64, copy: u64) -> Event {
@@ -33,7 +33,6 @@ fn finish_event(at: u64, copy: u64) -> Event {
     Event::CopyFinish {
         at,
         copy: CopyId(copy),
-        task: TaskId::new(JobId::new(copy % 7), Phase::Map, (copy % 13) as u32),
         seq: copy,
     }
 }
@@ -162,12 +161,84 @@ proptest! {
     fn calendar_queue_matches_heap_reference(
         seed in 0u64..1_000_000,
         ops in 50usize..400,
-        ring_sel in 0usize..3,
+        ring_sel in 0usize..4,
     ) {
-        // Exercise a tiny ring (constant wrap + overflow churn), a mid-size
-        // one, and the engine default.
-        let ring_bits = [4u8, 8, 11][ring_sel];
+        // Exercise a tiny ring (constant wrap + overflow churn), two
+        // mid-size ones, and the engine default.
+        let ring_bits = [4u8, 8, 11, DEFAULT_RING_BITS][ring_sel];
         drive(seed, ops, ring_bits)?;
+    }
+}
+
+/// Long push/drain cycles with a bounded number of queued events, so the
+/// calendar's node slab is drained and refilled many times over: same-slot
+/// bursts (including pushes at the instant just drained), events at the
+/// far edge of the ring window and just past it, and far-future events
+/// from the overflow heap all share the slab's recycled nodes. Delivery
+/// must match the heap oracle event for event.
+fn drive_slab_reuse(seed: u64, cycles: usize, ring_bits: u8) -> Result<(), String> {
+    const MAX_QUEUED: usize = 48;
+    let ring_len = 1u64 << ring_bits;
+    let mut rng = SimRng::seed_from_u64(seed);
+    let mut calendar = EventQueue::with_ring_bits(ring_bits);
+    let mut heap = HeapEventQueue::new();
+    let mut now: u64 = 0;
+    let mut next_copy: u64 = 0;
+    let mut delivered = 0usize;
+    for _ in 0..cycles {
+        while calendar.len() < MAX_QUEUED && rng.gen_range(0u32..8) != 0 {
+            let burst = rng.gen_range(1u64..6);
+            let offset = match rng.gen_range(0u32..10) {
+                0..=1 => 0,
+                2..=5 => rng.gen_range(1u64..16),
+                6 => ring_len - 1,
+                7 => ring_len + rng.gen_range(0u64..3),
+                8 => rng.gen_range(ring_len / 2..ring_len),
+                _ => rng.gen_range(2 * ring_len..20 * ring_len),
+            };
+            for _ in 0..burst {
+                let event = finish_event(now + offset, next_copy);
+                next_copy += 1;
+                calendar.push(event);
+                heap.push(event);
+            }
+        }
+        prop_assert_eq!(calendar.peek_slot(), heap.peek_slot());
+        let Some(next) = calendar.peek_slot() else {
+            continue;
+        };
+        now = next + rng.gen_range(0u64..3);
+        let drained = drain(&mut calendar, now);
+        let from_heap: Vec<Event> = std::iter::from_fn(|| heap.pop_due(now)).collect();
+        prop_assert_eq!(&drained, &from_heap);
+        prop_assert!(
+            calendar.len() < MAX_QUEUED + 5,
+            "{} events queued",
+            calendar.len()
+        );
+        delivered += drained.len();
+    }
+    let drained = drain(&mut calendar, u64::MAX);
+    let from_heap: Vec<Event> = std::iter::from_fn(|| heap.pop_due(u64::MAX)).collect();
+    prop_assert_eq!(&drained, &from_heap);
+    delivered += drained.len();
+    prop_assert_eq!(delivered as u64, next_copy);
+    prop_assert_eq!(calendar.pushed(), next_copy);
+    prop_assert!(calendar.peak_len() < MAX_QUEUED + 5);
+    prop_assert!(calendar.is_empty(), "calendar not empty after full drain");
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn slab_reuse_matches_heap_over_long_cycles(
+        seed in 0u64..1_000_000,
+        ring_sel in 0usize..2,
+    ) {
+        let ring_bits = [4u8, DEFAULT_RING_BITS][ring_sel];
+        drive_slab_reuse(seed, 3_000, ring_bits)?;
     }
 }
 
