@@ -10,7 +10,11 @@
 //! * `warm/sweep` — a pre-warmed server: every cell is a cache hit and the
 //!   response is assembled from stored outcomes. The bench asserts the warm
 //!   response **simulates zero cells** and reproduces the cold averages bit
-//!   for bit before any timing starts.
+//!   for bit before any timing starts;
+//! * `warm/serve_mix` — the cache hit of perfbench's `serve_mix` workload:
+//!   FIFO and SRPTMS+C over `Scenario::scaled(400, 0)` with two seeds and a
+//!   tenant tag, four cells of 400 jobs, on a pre-warmed server (also
+//!   checked to simulate nothing before timing).
 //!
 //! The cold/warm ratio in `BENCH_engine.json` is the headline number of the
 //! result cache: how much simulation work a repeated figure sweep avoids.
@@ -48,6 +52,23 @@ fn bench_server_cache(c: &mut Criterion) {
         request.scenario.seeds.len()
     );
 
+    // perfbench `serve_mix`'s sweep shape, warmed once.
+    let mut mix_scenario = Scenario::scaled(400, 0);
+    mix_scenario.seeds = vec![2015, 2016];
+    let mix_request = SweepRequest::new(
+        mix_scenario,
+        vec![SchedulerKind::Fifo, SchedulerKind::paper_default()],
+    )
+    .with_tenant("bench");
+    let mix_server = SweepServer::new(ResultCache::in_memory());
+    assert_eq!(mix_server.submit(&mix_request).simulated, 4);
+    let mix_warm = mix_server.submit(&mix_request);
+    assert_eq!(
+        mix_warm.simulated, 0,
+        "warm serve_mix sweep must not simulate"
+    );
+    assert_eq!(mix_warm.cache_hits, 4);
+
     let mut group = c.benchmark_group("server_cache");
     group.bench_with_input(BenchmarkId::from_parameter("cold/sweep"), &(), |b, ()| {
         b.iter(|| {
@@ -64,6 +85,17 @@ fn bench_server_cache(c: &mut Criterion) {
             black_box(response.cache_hits)
         })
     });
+    group.bench_with_input(
+        BenchmarkId::from_parameter("warm/serve_mix"),
+        &(),
+        |b, ()| {
+            b.iter(|| {
+                let response = mix_server.submit(black_box(&mix_request));
+                assert_eq!(response.simulated, 0);
+                black_box(response.cache_hits)
+            })
+        },
+    );
     group.finish();
 
     mapreduce_bench::merge_bench_report(

@@ -13,9 +13,11 @@
 //!   ([`GoogleTraceProfile`](mapreduce_workload::GoogleTraceProfile) +
 //!   [`WorkloadSource`]) and the scheduler id with its parameters. Two cells
 //!   agree on their fingerprint iff they agree on everything that can
-//!   influence the outcome. Golden tests pin concrete hashes so the
-//!   canonicalisation cannot drift silently (a drift would cold every
-//!   persisted cache);
+//!   influence the outcome. The document is streamed into the hasher, not
+//!   built: a request serialises its workload object once and each cell
+//!   adds only its config and scheduler around it. Golden tests pin concrete
+//!   hashes, CSV and fault branches included, so the canonicalisation
+//!   cannot drift silently (a drift would cold every persisted cache);
 //! * [`OutcomeCache`] — the trait the cell resolver
 //!   ([`crate::runner::resolve_cells`]) consults, and [`ResultCache`], its
 //!   one implementation: an in-memory index, optionally backed by an
@@ -54,30 +56,64 @@ use std::time::SystemTime;
 /// embeds the CSV **content hash** (length + FNV-1a-128 of the bytes), so
 /// editing the file colds its cells instead of silently serving outcomes of
 /// the old content.
+///
+/// The document is never built as one tree: the workload object is
+/// serialised once per scenario and each cell streams its config and
+/// scheduler around it into one hasher (keys sort as config < scheduler <
+/// workload, so the bytes are those of the whole document).
+/// [`crate::runner::resolve_cells`] keys a whole request through the same
+/// path, serialising the workload once per request instead of once per
+/// cell.
 pub fn cell_fingerprint(kind: SchedulerKind, scenario: &Scenario, seed: u64) -> Fingerprint {
-    // The same construction the runner uses, so every scenario knob that
-    // reaches the engine (machine count, fault plan) reaches the hash; an
-    // empty fault plan serialises to nothing, keeping pre-fault fingerprints
-    // (and every persisted cache keyed by them) valid.
-    config_fingerprint(&scenario.sim_config(seed), kind, scenario)
+    CellFingerprinter::new(scenario).fingerprint(kind, seed)
 }
 
-/// The fingerprint of [`cell_fingerprint`]'s document for an explicit
-/// engine `config`.
-fn config_fingerprint(config: &SimConfig, kind: SchedulerKind, scenario: &Scenario) -> Fingerprint {
-    let mut workload = vec![
-        ("profile", scenario.profile.to_json()),
-        ("source", scenario.source.to_json()),
-    ];
-    if let WorkloadSource::GoogleCsv { path } = &scenario.source {
-        workload.push(("csv", csv_content_token(path)));
+/// Fingerprints the cells of one scenario: [`cell_fingerprint`]'s document
+/// with its scenario-only half, the workload object, serialised once.
+pub(crate) struct CellFingerprinter<'a> {
+    scenario: &'a Scenario,
+    /// The compact `"workload"` object, CSV content token included.
+    workload: String,
+}
+
+impl<'a> CellFingerprinter<'a> {
+    /// Serialises `scenario`'s workload object (reading a CSV source's
+    /// content token once).
+    pub(crate) fn new(scenario: &'a Scenario) -> Self {
+        let mut workload = vec![
+            ("profile", scenario.profile.to_json()),
+            ("source", scenario.source.to_json()),
+        ];
+        if let WorkloadSource::GoogleCsv { path } = &scenario.source {
+            workload.push(("csv", csv_content_token(path)));
+        }
+        CellFingerprinter {
+            scenario,
+            workload: JsonValue::object(workload).to_compact_string(),
+        }
     }
-    let doc = JsonValue::object([
-        ("config", config.to_json()),
-        ("scheduler", kind.to_json()),
-        ("workload", JsonValue::object(workload)),
-    ]);
-    Fingerprint::of_json(&doc)
+
+    /// The fingerprint of the scenario's cell `(kind, seed)`.
+    pub(crate) fn fingerprint(&self, kind: SchedulerKind, seed: u64) -> Fingerprint {
+        // The same construction the runner uses, so every scenario knob that
+        // reaches the engine (machine count, fault plan) reaches the hash; an
+        // empty fault plan serialises to nothing, keeping pre-fault
+        // fingerprints (and every persisted cache keyed by them) valid.
+        self.with_config(&self.scenario.sim_config(seed), kind)
+    }
+
+    /// The fingerprint of the document for an explicit engine `config`.
+    fn with_config(&self, config: &SimConfig, kind: SchedulerKind) -> Fingerprint {
+        let mut hasher = Fnv1a128::new();
+        hasher.write(b"{\"config\":");
+        hasher.write(config.to_json().to_compact_string().as_bytes());
+        hasher.write(b",\"scheduler\":");
+        hasher.write(kind.to_json().to_compact_string().as_bytes());
+        hasher.write(b",\"workload\":");
+        hasher.write(self.workload.as_bytes());
+        hasher.write(b"}");
+        Fingerprint(hasher.finish())
+    }
 }
 
 /// Per-path memo entry: `(len, mtime, content hash)`.
@@ -543,6 +579,63 @@ mod tests {
     }
 
     #[test]
+    fn csv_and_fault_fingerprints_are_golden_stable() {
+        // The document's optional branches: the `csv` content token of a
+        // Google CSV workload and the `fault_plan` of a faulty config. The
+        // path is relative and the content fixed, so the hash is the same
+        // wherever the test runs.
+        let path = PathBuf::from("fingerprint_golden_cell.csv");
+        std::fs::write(&path, "1000000,,1,0,m,0,u,c,3\n2000000,,2,0,m,0,u,c,3\n").unwrap();
+        let csv =
+            Scenario::scaled(10, 1).with_source(WorkloadSource::GoogleCsv { path: path.clone() });
+        let readable = [
+            cell_fingerprint(SchedulerKind::Fifo, &csv, 1),
+            cell_fingerprint(SchedulerKind::paper_default(), &csv, 2015),
+        ];
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(readable[0].to_hex(), "6d9628be5cfe52d646eae924e45f0938");
+        assert_eq!(readable[1].to_hex(), "60ec50d1a7620d061a4b8aa9b9657a94");
+        // The file is gone: the `{"unreadable":true}` token.
+        let fp = cell_fingerprint(SchedulerKind::Fifo, &csv, 1);
+        assert_eq!(fp.to_hex(), "64981b9f1f90f217e793c9da1e66e909");
+
+        use mapreduce_sim::{FaultClass, FaultPlan};
+        let faulty = Scenario::scaled(50, 1).with_fault(FaultPlan::new(vec![
+            FaultClass::crashes(8, 400.0, 50.0),
+            FaultClass::brownouts(4, 300.0, 40.0, 2.5),
+        ]));
+        let fp = cell_fingerprint(SchedulerKind::paper_default(), &faulty, 2015);
+        assert_eq!(fp.to_hex(), "573fe2b36695aa8f3552048123cf7d05");
+        let fp = cell_fingerprint(SchedulerKind::Mantri, &faulty, 7);
+        assert_eq!(fp.to_hex(), "51695cec0d402de08b93358c74894730");
+    }
+
+    #[test]
+    fn resolve_cells_keys_every_cell_by_its_cell_fingerprint() {
+        let mut scenario = Scenario::scaled(12, 1);
+        scenario.seeds = vec![3, 4, 5];
+        let kinds = [
+            SchedulerKind::Fifo,
+            SchedulerKind::paper_default(),
+            SchedulerKind::Mantri,
+        ];
+        let cells: Vec<(SchedulerKind, u64)> = kinds
+            .iter()
+            .flat_map(|&kind| scenario.seeds.iter().map(move |&seed| (kind, seed)))
+            .collect();
+        let resolved = crate::runner::resolve_cells(&scenario, &cells, &ResultCache::in_memory());
+        assert_eq!(resolved.fingerprints.len(), 9);
+        for (&(kind, seed), &fingerprint) in cells.iter().zip(&resolved.fingerprints) {
+            assert_eq!(
+                fingerprint,
+                cell_fingerprint(kind, &scenario, seed),
+                "{} seed {seed}",
+                kind.label()
+            );
+        }
+    }
+
+    #[test]
     fn ring_width_is_not_part_of_the_key() {
         // The calendar ring width never changes an outcome, so configs that
         // differ only in it share one cell (and every persisted entry).
@@ -551,7 +644,8 @@ mod tests {
         let config = scenario.sim_config(2015);
         for bits in [4, 11, 20] {
             assert_eq!(
-                config_fingerprint(&config.clone().with_event_ring_bits(bits), kind, &scenario),
+                CellFingerprinter::new(&scenario)
+                    .with_config(&config.clone().with_event_ring_bits(bits), kind),
                 cell_fingerprint(kind, &scenario, 2015),
                 "ring bits {bits} moved the fingerprint"
             );

@@ -11,7 +11,7 @@
 //! bit-identical to fresh runs (the simulator is deterministic and outcomes
 //! roundtrip JSON exactly), which the `server_cache` proptests pin.
 
-use crate::cache::{cell_fingerprint, OutcomeCache};
+use crate::cache::{CellFingerprinter, OutcomeCache};
 use crate::scenario::{Scenario, WorkloadSource};
 use mapreduce_baselines::{FairScheduler, Fifo, Late, Mantri, Restart, Sca, SrptNoClone};
 use mapreduce_metrics::{FlowtimeSummary, MetricsRegistry, SimTelemetry, TraceRecorder};
@@ -373,7 +373,9 @@ pub struct ResolvedCells {
 /// lookup → simulate → store path of the figures and the experiment
 /// service.
 ///
-/// Every cell is fingerprinted once and looked up once, in cell order.
+/// Every cell is fingerprinted once and looked up once, in cell order; the
+/// scenario's workload half of the fingerprint document is serialised once
+/// for the whole batch.
 /// Misses are deduplicated by fingerprint; the first miss of each
 /// fingerprint is simulated, all of them in one [`run_cells`] fan-out, and
 /// stored once, in cell order. Later misses of the same fingerprint reuse
@@ -384,9 +386,10 @@ pub fn resolve_cells(
     cells: &[(SchedulerKind, u64)],
     cache: &dyn OutcomeCache,
 ) -> ResolvedCells {
+    let keys = CellFingerprinter::new(scenario);
     let fingerprints: Vec<Fingerprint> = cells
         .iter()
-        .map(|&(kind, seed)| cell_fingerprint(kind, scenario, seed))
+        .map(|&(kind, seed)| keys.fingerprint(kind, seed))
         .collect();
     let mut slots: Vec<Option<SimOutcome>> =
         fingerprints.iter().map(|&fp| cache.lookup(fp)).collect();
@@ -426,11 +429,25 @@ pub fn resolve_cells(
 }
 
 /// Averages the headline metrics of several outcomes (one per seed) into a
-/// single [`FlowtimeSummary`]-shaped row labelled with the scheduler's name.
+/// single [`FlowtimeSummary`]-shaped row labelled with the scheduler's name:
+/// [`average_summaries`] of each outcome's [`FlowtimeSummary::from_outcome`].
 pub fn average_summary(kind: SchedulerKind, outcomes: &[SimOutcome]) -> FlowtimeSummary {
-    assert!(!outcomes.is_empty(), "need at least one outcome to average");
     let summaries: Vec<FlowtimeSummary> =
         outcomes.iter().map(FlowtimeSummary::from_outcome).collect();
+    average_summaries(kind, &summaries)
+}
+
+/// Averages per-seed summaries into one row labelled with the scheduler's
+/// name: every float field is the mean over the seeds, `jobs` the integer
+/// mean.
+///
+/// # Panics
+/// Panics if `summaries` is empty.
+pub fn average_summaries(kind: SchedulerKind, summaries: &[FlowtimeSummary]) -> FlowtimeSummary {
+    assert!(
+        !summaries.is_empty(),
+        "need at least one outcome to average"
+    );
     let n = summaries.len() as f64;
     let avg = |f: fn(&FlowtimeSummary) -> f64| summaries.iter().map(f).sum::<f64>() / n;
     FlowtimeSummary {

@@ -70,9 +70,7 @@ impl Ecdf {
         if self.sorted.is_empty() {
             return None;
         }
-        let q = q.clamp(0.0, 1.0);
-        let idx = ((self.sorted.len() as f64 - 1.0) * q).round() as usize;
-        Some(self.sorted[idx.min(self.sorted.len() - 1)])
+        Some(self.sorted[quantile_rank(self.sorted.len(), q)])
     }
 
     /// Evaluates the CDF at evenly spaced points in `[lo, hi]`, returning
@@ -98,6 +96,14 @@ impl Ecdf {
             })
             .collect()
     }
+}
+
+/// The 0-based rank of the `q`-quantile among `len > 0` sorted samples:
+/// `round((len − 1)·q)` with `q` clamped to `[0, 1]`. [`Ecdf::quantile`] and
+/// [`crate::FlowtimeSummary::from_outcome`] both read this rank.
+pub(crate) fn quantile_rank(len: usize, q: f64) -> usize {
+    let idx = ((len as f64 - 1.0) * q.clamp(0.0, 1.0)).round() as usize;
+    idx.min(len - 1)
 }
 
 #[cfg(test)]

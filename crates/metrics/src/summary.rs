@@ -1,6 +1,6 @@
 //! Flowtime summary statistics.
 
-use crate::Ecdf;
+use crate::cdf::quantile_rank;
 use mapreduce_sim::SimOutcome;
 use mapreduce_support::json::{FromJson, JsonError, JsonValue, ToJson};
 
@@ -52,23 +52,46 @@ pub struct FlowtimeSummary {
 impl FlowtimeSummary {
     /// Summarises a simulation outcome. The moments are
     /// [`SimOutcome`]'s own; `median`, `p95` and `max` are
-    /// [`Ecdf::quantile`] at 0.5, 0.95 and 1 (rank `round((n−1)·q)`).
-    /// An outcome with no jobs summarises to zeros.
+    /// [`Ecdf::quantile`](crate::Ecdf::quantile) at 0.5, 0.95 and 1 (rank
+    /// `round((n−1)·q)`). An outcome with no jobs summarises to zeros.
+    ///
+    /// The three quantiles are order statistics of the integer flowtimes,
+    /// selected without a full sort. `u64 → f64` keeps the order, so they
+    /// are bit-identical to the sorted [`Ecdf`](crate::Ecdf)'s.
     pub fn from_outcome(outcome: &SimOutcome) -> Self {
-        let cdf = Ecdf::from_outcome(outcome);
-        let quantile = |q: f64| cdf.quantile(q).unwrap_or(0.0);
+        let mut flowtimes: Vec<u64> = outcome.records().iter().map(|r| r.flowtime()).collect();
+        let (median, p95, max) = median_p95_max(&mut flowtimes);
         FlowtimeSummary {
             scheduler: outcome.scheduler.clone(),
             jobs: outcome.records().len(),
             mean: outcome.mean_flowtime(),
             weighted_mean: outcome.weighted_mean_flowtime(),
             weighted_sum: outcome.weighted_sum_flowtime(),
-            median: quantile(0.5),
-            p95: quantile(0.95),
-            max: quantile(1.0),
+            median,
+            p95,
+            max,
             mean_copies_per_task: outcome.mean_copies_per_task(),
         }
     }
+}
+
+/// The order statistics at [`quantile_rank`] 0.5, 0.95 and 1 of
+/// `flowtimes` (reordered in place), as `f64`; zeros when empty. One
+/// selection places the p95: the median lies below it, the max above.
+fn median_p95_max(flowtimes: &mut [u64]) -> (f64, f64, f64) {
+    let n = flowtimes.len();
+    if n == 0 {
+        return (0.0, 0.0, 0.0);
+    }
+    let (below, &mut p95, above) = flowtimes.select_nth_unstable(quantile_rank(n, 0.95));
+    let max = above.iter().copied().max().unwrap_or(p95);
+    let median_rank = quantile_rank(n, 0.5);
+    let median = if median_rank == below.len() {
+        p95
+    } else {
+        *below.select_nth_unstable(median_rank).1
+    };
+    (median as f64, p95 as f64, max as f64)
 }
 
 impl ToJson for FlowtimeSummary {
@@ -106,6 +129,7 @@ impl FromJson for FlowtimeSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Ecdf;
     use mapreduce_sim::JobRecord;
     use mapreduce_workload::JobId;
 
@@ -178,6 +202,106 @@ mod tests {
         let back = FlowtimeSummary::from_json(&JsonValue::parse(&json).unwrap()).unwrap();
         assert_eq!(back, summary);
         assert!(FlowtimeSummary::from_json(&JsonValue::Null).is_err());
+    }
+
+    /// The summary as the sorted [`Ecdf`] and [`SimOutcome`]'s own moments
+    /// give it.
+    fn reference_summary(o: &SimOutcome) -> FlowtimeSummary {
+        let cdf = Ecdf::from_outcome(o);
+        let quantile = |q: f64| cdf.quantile(q).unwrap_or(0.0);
+        FlowtimeSummary {
+            scheduler: o.scheduler.clone(),
+            jobs: o.records().len(),
+            mean: o.mean_flowtime(),
+            weighted_mean: o.weighted_mean_flowtime(),
+            weighted_sum: o.weighted_sum_flowtime(),
+            median: quantile(0.5),
+            p95: quantile(0.95),
+            max: quantile(1.0),
+            mean_copies_per_task: o.mean_copies_per_task(),
+        }
+    }
+
+    /// Every float field's bits, so `-0.0` vs `0.0` or a NaN would show.
+    fn bits(s: &FlowtimeSummary) -> (String, usize, [u64; 7]) {
+        let floats = [
+            s.mean,
+            s.weighted_mean,
+            s.weighted_sum,
+            s.median,
+            s.p95,
+            s.max,
+            s.mean_copies_per_task,
+        ];
+        (s.scheduler.clone(), s.jobs, floats.map(f64::to_bits))
+    }
+
+    /// `n` flowtimes of one of four shapes: spread out, all equal, heavy
+    /// ties, or at and above 2^53 (where `u64 → f64` starts to round).
+    fn flowtimes(shape: u64, n: usize, seed: u64) -> Vec<u64> {
+        use mapreduce_support::rng::{Rng, SimRng};
+        let mut rng = SimRng::seed_from_u64(seed);
+        (0..n)
+            .map(|_| match shape {
+                0 => rng.gen_range(0..1_000_000u64),
+                1 => 777,
+                2 => rng.gen_range(0..3u64),
+                _ => (1u64 << 53) + rng.gen_range(0..64u64),
+            })
+            .collect()
+    }
+
+    mod properties {
+        use super::*;
+        use mapreduce_support::proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(400))]
+
+            #[test]
+            fn summary_matches_the_sorted_reference(
+                shape in 0u64..4,
+                n in 0usize..60,
+                seed in 0u64..1_000_000,
+            ) {
+                let records = flowtimes(shape, n, seed)
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, f)| record(i as u64, 1.0 + (i % 3) as f64, f))
+                    .collect();
+                let o = outcome(records);
+                let got = FlowtimeSummary::from_outcome(&o);
+                prop_assert_eq!(bits(&got), bits(&reference_summary(&o)));
+            }
+        }
+    }
+
+    #[test]
+    fn summary_matches_the_reference_on_tiny_and_huge_samples() {
+        let cases: [&[u64]; 7] = [
+            &[],
+            &[5],
+            &[9, 2],
+            &[4, 4, 4, 4],
+            &[u64::MAX, 0, u64::MAX - 1],
+            &[(1 << 53) + 1, 1 << 53, (1 << 53) + 3, (1 << 53) + 2],
+            &[
+                3, 1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2,
+            ],
+        ];
+        for flowtimes in cases {
+            let records = flowtimes
+                .iter()
+                .enumerate()
+                .map(|(i, &f)| record(i as u64, 2.0, f))
+                .collect();
+            let o = outcome(records);
+            assert_eq!(
+                bits(&FlowtimeSummary::from_outcome(&o)),
+                bits(&reference_summary(&o)),
+                "{flowtimes:?}"
+            );
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! exactly how the acceptance tests verify that a warm figure rerun
 //! performs zero cell simulations.
 
-use mapreduce_experiments::runner::{average_summary, resolve_cells};
+use mapreduce_experiments::runner::{average_summaries, resolve_cells};
 use mapreduce_experiments::{ResultCache, Scenario, SchedulerKind};
 use mapreduce_metrics::{
     fold_run_telemetry, FlowtimeSketches, FlowtimeSummary, MetricsRegistry, QuantileSketch,
@@ -513,6 +513,13 @@ impl SweepServer {
     /// cache, then assembles the per-cell summaries, the per-scheduler
     /// averages and the optional CDF series, and accounts the request.
     ///
+    /// Each cell's outcome is summarised once
+    /// ([`FlowtimeSummary::from_outcome`]); the per-scheduler averages are
+    /// [`average_summaries`] of those same summaries, bit-identical to
+    /// [`mapreduce_experiments::runner::average_summary`] of the outcomes.
+    /// A fully warm request therefore costs one fingerprint, one lookup and
+    /// one summary per cell.
+    ///
     /// # Panics
     /// Panics if a cell's simulation fails (stalled scheduler, horizon
     /// exceeded) — like the experiment harness, the service treats that as a
@@ -543,24 +550,28 @@ impl SweepServer {
             }
         }
 
-        // Assemble per-cell summaries and per-scheduler averages.
-        let cell_results: Vec<CellResult> = cells
-            .iter()
-            .enumerate()
-            .map(|(i, &(scheduler, seed))| CellResult {
-                scheduler,
-                seed,
-                fingerprint: resolved.fingerprints[i],
-                from_cache: resolved.hits[i],
-                summary: FlowtimeSummary::from_outcome(&outcomes[i]),
-            })
-            .collect();
+        // Summarise each cell once; the per-scheduler averages fold those
+        // same summaries.
+        let summaries: Vec<FlowtimeSummary> =
+            outcomes.iter().map(FlowtimeSummary::from_outcome).collect();
         let seeds = request.scenario.seeds.len();
         let averages: Vec<FlowtimeSummary> = request
             .schedulers
             .iter()
             .enumerate()
-            .map(|(s, &kind)| average_summary(kind, &outcomes[s * seeds..(s + 1) * seeds]))
+            .map(|(s, &kind)| average_summaries(kind, &summaries[s * seeds..(s + 1) * seeds]))
+            .collect();
+        let cell_results: Vec<CellResult> = cells
+            .iter()
+            .zip(summaries)
+            .enumerate()
+            .map(|(i, (&(scheduler, seed), summary))| CellResult {
+                scheduler,
+                seed,
+                fingerprint: resolved.fingerprints[i],
+                from_cache: resolved.hits[i],
+                summary,
+            })
             .collect();
 
         // Optional sketch-backed CDF series: one streaming sketch per

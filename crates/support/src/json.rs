@@ -183,8 +183,8 @@ impl JsonValue {
             JsonValue::Null => out.push_str("null"),
             JsonValue::Bool(true) => out.push_str("true"),
             JsonValue::Bool(false) => out.push_str("false"),
-            JsonValue::Integer(i) => out.push_str(&i.to_string()),
-            JsonValue::Number(n) => out.push_str(&format_number(*n)),
+            JsonValue::Integer(i) => write_display(out, i),
+            JsonValue::Number(n) => write_number(out, *n),
             JsonValue::String(s) => write_escaped(out, s),
             JsonValue::Array(items) => {
                 if items.is_empty() {
@@ -242,23 +242,29 @@ fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
     }
 }
 
-/// Formats a number: integral values without a fractional part, everything
+/// Appends `value`'s `Display` form to `out` without an intermediate
+/// `String`.
+fn write_display(out: &mut String, value: impl fmt::Display) {
+    use fmt::Write;
+    write!(out, "{value}").expect("writing to a String cannot fail");
+}
+
+/// Writes a number: integral values without a fractional part, everything
 /// else through the shortest roundtrip representation Rust provides.
-fn format_number(n: f64) -> String {
+fn write_number(out: &mut String, n: f64) {
     if !n.is_finite() {
         // JSON has no Inf/NaN; fall back to null like serde_json does.
-        return "null".to_string();
-    }
-    if n.fract() == 0.0 && n.abs() < 9.0e15 {
-        format!("{}", n as i64)
+        out.push_str("null");
+    } else if n.fract() == 0.0 && n.abs() < 9.0e15 {
+        write_display(out, n as i64);
     } else {
-        let mut s = format!("{n}");
-        // `{}` on f64 always includes a decimal point or exponent for
-        // non-integral values, so the parse roundtrip is exact.
-        if !s.contains('.') && !s.contains('e') && !s.contains('E') {
-            s.push_str(".0");
+        let start = out.len();
+        write_display(out, n);
+        // `{}` on f64 prints integral values without a decimal point; add
+        // one so the value reparses as a float.
+        if !out[start..].contains(['.', 'e', 'E']) {
+            out.push_str(".0");
         }
-        s
     }
 }
 
@@ -688,6 +694,41 @@ mod tests {
             let back = JsonValue::parse(&text).unwrap();
             assert_eq!(back.as_f64(), Some(n), "failed for {text}");
         }
+    }
+
+    #[test]
+    fn numbers_write_exact_strings() {
+        // The exact bytes, not just a roundtrip: fingerprints and cache
+        // store lines hash and compare these strings.
+        let tiny = format!("0.{}5", "0".repeat(323));
+        let table: &[(f64, &str)] = &[
+            (0.0, "0"),
+            (-0.0, "0"),
+            (1.0, "1"),
+            (-2.5, "-2.5"),
+            (0.1 + 0.2, "0.30000000000000004"),
+            (1e-7, "0.0000001"),
+            // The integral cut: below 9e15 integral floats print as
+            // integers, from 9e15 on with a `.0`.
+            (8_999_999_999_999_999.0, "8999999999999999"),
+            (9.0e15, "9000000000000000.0"),
+            (-9.0e15, "-9000000000000000.0"),
+            (1e21, "1000000000000000000000.0"),
+            (5e-324, &tiny),
+            (f64::NAN, "null"),
+            (f64::INFINITY, "null"),
+            (f64::NEG_INFINITY, "null"),
+        ];
+        for &(n, text) in table {
+            assert_eq!(JsonValue::Number(n).to_compact_string(), text, "{n:e}");
+        }
+        for i in [0, -1, i128::MAX, i128::MIN, u64::MAX as i128] {
+            assert_eq!(JsonValue::Integer(i).to_compact_string(), i.to_string());
+        }
+        assert_eq!(
+            JsonValue::Integer(i128::MIN).to_compact_string(),
+            "-170141183460469231731687303715884105728"
+        );
     }
 
     #[test]
