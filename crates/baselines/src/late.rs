@@ -68,12 +68,6 @@ impl Scheduler for Late {
         }
     }
 
-    fn schedule(&mut self, state: &ClusterState<'_>) -> Vec<Action> {
-        let mut actions = Vec::new();
-        self.schedule_into(state, &mut actions);
-        actions
-    }
-
     fn schedule_into(&mut self, state: &ClusterState<'_>, actions: &mut Vec<Action>) {
         let mut budget = state.available_machines();
         if budget == 0 {

@@ -11,7 +11,8 @@
 //!   function.
 //! * [`FairScheduler`] — Hadoop's weighted fair scheduler, the `ε = 1`
 //!   degenerate case of SRPTMS+C; no speculation.
-//! * [`Fifo`] — plain FIFO job order without speculation.
+//! * [`Fifo`] — plain FIFO job order without speculation (the simulator
+//!   crate's [`mapreduce_sim::schedulers::Fifo`], re-exported).
 //! * [`SrptNoClone`] — SRPT by remaining effective workload without cloning,
 //!   the `ε → 0` limit of SRPTMS+C.
 //! * [`Late`] — the LATE heuristic (longest approximate time to end), an

@@ -213,12 +213,6 @@ impl Scheduler for Mantri {
         }
     }
 
-    fn schedule(&mut self, state: &ClusterState<'_>) -> Vec<Action> {
-        let mut actions = Vec::new();
-        self.schedule_into(state, &mut actions);
-        actions
-    }
-
     fn on_job_arrival(&mut self, job: JobId, _state: &ClusterState<'_>) {
         self.note_job_changed(job);
     }

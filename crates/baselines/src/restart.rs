@@ -102,12 +102,6 @@ impl Scheduler for Restart {
         }
     }
 
-    fn schedule(&mut self, state: &ClusterState<'_>) -> Vec<Action> {
-        let mut actions = Vec::new();
-        self.schedule_into(state, &mut actions);
-        actions
-    }
-
     fn schedule_into(&mut self, state: &ClusterState<'_>, actions: &mut Vec<Action>) {
         // 1. Regular work via equal-share fair scheduling, like the other
         //    detection-based baselines. Fill buffers are pooled in `self`.

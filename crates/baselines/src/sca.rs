@@ -91,12 +91,6 @@ impl Scheduler for Sca {
         Some(PRIORITY_R)
     }
 
-    fn schedule(&mut self, state: &ClusterState<'_>) -> Vec<Action> {
-        let mut actions = Vec::new();
-        self.schedule_into(state, &mut actions);
-        actions
-    }
-
     fn schedule_into(&mut self, state: &ClusterState<'_>, actions: &mut Vec<Action>) {
         let mut budget = state.available_machines();
         // Both passes grant machines only to launchable unscheduled tasks,

@@ -137,12 +137,6 @@ impl Scheduler for Recorder {
         self.inner.priority_r()
     }
 
-    fn schedule(&mut self, state: &ClusterState<'_>) -> Vec<Action> {
-        let mut actions = Vec::new();
-        self.schedule_into(state, &mut actions);
-        actions
-    }
-
     fn schedule_into(&mut self, state: &ClusterState<'_>, actions: &mut Vec<Action>) {
         let before = actions.len();
         self.inner.schedule_into(state, actions);

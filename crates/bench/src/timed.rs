@@ -8,8 +8,8 @@
 //! clock by construction:
 //!
 //! * `source_ns` — inside [`JobSource::next_job`] (workload synthesis);
-//! * `schedule_ns` — inside [`Scheduler::schedule`] /
-//!   [`Scheduler::schedule_into`] (the decision proper);
+//! * `schedule_ns` — inside [`Scheduler::schedule_into`] (the decision
+//!   proper);
 //! * `hook_ns` — inside the arrival, finish and unlaunch hooks;
 //! * `engine_self_ns` — everything else: event queue, action application,
 //!   index maintenance and record capture.
@@ -39,7 +39,7 @@ fn timed<T>(ns: &mut u64, f: impl FnOnce() -> T) -> T {
 /// calls and the event hooks.
 pub struct TimedScheduler<'a> {
     inner: &'a mut dyn Scheduler,
-    /// Wall time inside `schedule`/`schedule_into`.
+    /// Wall time inside `schedule_into`.
     pub schedule_ns: u64,
     /// Wall time inside the arrival, finish and unlaunch hooks.
     pub hook_ns: u64,
@@ -59,10 +59,6 @@ impl<'a> TimedScheduler<'a> {
 impl Scheduler for TimedScheduler<'_> {
     fn name(&self) -> &str {
         self.inner.name()
-    }
-
-    fn schedule(&mut self, state: &ClusterState<'_>) -> Vec<Action> {
-        timed(&mut self.schedule_ns, || self.inner.schedule(state))
     }
 
     fn schedule_into(&mut self, state: &ClusterState<'_>, actions: &mut Vec<Action>) {

@@ -238,12 +238,6 @@ impl Scheduler for SrptMsC {
         Some(self.config.r)
     }
 
-    fn schedule(&mut self, state: &ClusterState<'_>) -> Vec<Action> {
-        let mut actions = Vec::new();
-        self.schedule_into(state, &mut actions);
-        actions
-    }
-
     fn schedule_into(&mut self, state: &ClusterState<'_>, actions: &mut Vec<Action>) {
         let mut available = state.available_machines();
         if available == 0 {
@@ -423,6 +417,82 @@ mod tests {
         let cfg = SrptMsCConfig::new(0.6, 3.0).with_cloning(false);
         let outcome = run(&trace, 10, &mut SrptMsC::with_config(cfg));
         assert_eq!(outcome.total_copies, 2);
+    }
+
+    /// [`SrptMsC`] plus the widest `Launch` it ever requested.
+    struct WidestLaunch {
+        inner: SrptMsC,
+        widest: usize,
+    }
+
+    impl Scheduler for WidestLaunch {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+
+        fn priority_r(&self) -> Option<f64> {
+            self.inner.priority_r()
+        }
+
+        fn schedule_into(&mut self, state: &ClusterState<'_>, actions: &mut Vec<Action>) {
+            let start = actions.len();
+            self.inner.schedule_into(state, actions);
+            for action in &actions[start..] {
+                if let Action::Launch { copies, .. } = *action {
+                    self.widest = self.widest.max(copies);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn clone_cap_bounds_every_launch() {
+        // A lone two-task job on 64 machines: its share is the whole
+        // cluster, 32 machines per task, so only the cap limits the clones.
+        let job = JobSpecBuilder::new(JobId::new(0))
+            .weight(1.0)
+            .map_tasks_from_workloads(&[100.0, 100.0])
+            .build();
+        let trace = Trace::new(vec![job]).unwrap();
+        for cap in [1, 2, 8] {
+            let config = SrptMsCConfig::new(0.6, 3.0).with_max_copies_per_task(cap);
+            let mut scheduler = WidestLaunch {
+                inner: SrptMsC::with_config(config),
+                widest: 0,
+            };
+            let outcome = Simulation::new(SimConfig::new(64).with_seed(11), &trace)
+                .run(&mut scheduler)
+                .unwrap();
+            assert_eq!(scheduler.widest, cap, "cap {cap}");
+            assert_eq!(outcome.total_copies, 2 * cap, "cap {cap}");
+        }
+    }
+
+    #[test]
+    fn a_clone_cap_of_one_matches_disabled_cloning() {
+        // Both launch one copy per launchable task, so the action lists, and
+        // with them the trajectories, are identical.
+        let trace = WorkloadBuilder::new()
+            .num_jobs(30)
+            .map_tasks_per_job(2, 6)
+            .reduce_tasks_per_job(1, 2)
+            .build(8);
+        let capped = run(
+            &trace,
+            40,
+            &mut SrptMsC::with_config(SrptMsCConfig::new(0.6, 3.0).with_max_copies_per_task(1)),
+        );
+        let uncloned = run(
+            &trace,
+            40,
+            &mut SrptMsC::with_config(SrptMsCConfig::new(0.6, 3.0).with_cloning(false)),
+        );
+        assert_eq!(capped.records(), uncloned.records());
+        assert_eq!(capped.total_copies, uncloned.total_copies);
+        assert_eq!(capped.busy_machine_slots, uncloned.busy_machine_slots);
+        // Not vacuous: the default cap clones on this trace.
+        let cloned = run(&trace, 40, &mut SrptMsC::new(0.6, 3.0));
+        assert!(cloned.total_copies > capped.total_copies);
     }
 
     #[test]

@@ -42,7 +42,6 @@ use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
-use std::time::SystemTime;
 
 /// Computes the canonical fingerprint of one cell.
 ///
@@ -116,43 +115,22 @@ impl<'a> CellFingerprinter<'a> {
     }
 }
 
-/// Per-path memo entry: `(len, mtime, content hash)`.
-type CsvHashMemo = HashMap<PathBuf, (u64, Option<SystemTime>, u128)>;
-
-/// Content hashes of CSV workload files, memoized per path and revalidated
-/// by `(len, mtime)` so fingerprinting many cells of one sweep reads the
-/// file once, not once per cell.
-static CSV_HASHES: Mutex<Option<CsvHashMemo>> = Mutex::new(None);
-
 /// The content token of a CSV workload file: `{"len":…,"hash":"…"}`, or
 /// `{"unreadable":true}` when the file cannot be read (the sweep itself
 /// will fail at conversion time; the token just keeps the fingerprint
 /// well-defined).
+///
+/// The bytes are hashed on every call, never memoised by file metadata: a
+/// same-length rewrite that keeps the mtime (`cp -p`, `rsync -t`, `tar x`)
+/// must still change the fingerprint. [`CellFingerprinter::new`] calls this
+/// once per request, not once per cell.
 fn csv_content_token(path: &Path) -> JsonValue {
-    let meta = match std::fs::metadata(path) {
-        Ok(meta) => meta,
-        Err(_) => return JsonValue::object([("unreadable", true.to_json())]),
-    };
-    let len = meta.len();
-    let mtime = meta.modified().ok();
-    let mut memo = CSV_HASHES.lock().expect("csv hash memo poisoned");
-    let memo = memo.get_or_insert_with(HashMap::new);
-    if let Some(&(cached_len, cached_mtime, hash)) = memo.get(path) {
-        if cached_len == len && cached_mtime == mtime {
-            return JsonValue::object([
-                ("len", len.to_json()),
-                ("hash", Fingerprint(hash).to_json()),
-            ]);
-        }
-    }
     let Ok(bytes) = std::fs::read(path) else {
         return JsonValue::object([("unreadable", true.to_json())]);
     };
-    let hash = Fnv1a128::hash(&bytes);
-    memo.insert(path.to_path_buf(), (len, mtime, hash));
     JsonValue::object([
-        ("len", len.to_json()),
-        ("hash", Fingerprint(hash).to_json()),
+        ("len", (bytes.len() as u64).to_json()),
+        ("hash", Fingerprint(Fnv1a128::hash(&bytes)).to_json()),
     ])
 }
 
@@ -608,6 +586,30 @@ mod tests {
         assert_eq!(fp.to_hex(), "573fe2b36695aa8f3552048123cf7d05");
         let fp = cell_fingerprint(SchedulerKind::Mantri, &faulty, 7);
         assert_eq!(fp.to_hex(), "51695cec0d402de08b93358c74894730");
+    }
+
+    #[test]
+    fn csv_fingerprints_track_same_length_rewrites() {
+        // A rewrite that keeps the length and the mtime (as `cp -p`,
+        // `rsync -t` or `tar x` leave it) must still change the key.
+        let path =
+            std::env::temp_dir().join(format!("mapreduce_csv_rewrite_{}.csv", std::process::id()));
+        std::fs::write(&path, "1000000,,1,0,m,0,u,c,3\n").unwrap();
+        let csv =
+            Scenario::scaled(10, 1).with_source(WorkloadSource::GoogleCsv { path: path.clone() });
+        let before = cell_fingerprint(SchedulerKind::Fifo, &csv, 1);
+        let mtime = std::fs::metadata(&path).unwrap().modified().unwrap();
+        std::fs::write(&path, "2000000,,1,0,m,0,u,c,3\n").unwrap();
+        File::options()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_modified(mtime)
+            .unwrap();
+        assert_eq!(std::fs::metadata(&path).unwrap().modified().unwrap(), mtime);
+        let after = cell_fingerprint(SchedulerKind::Fifo, &csv, 1);
+        std::fs::remove_file(&path).unwrap();
+        assert_ne!(before, after);
     }
 
     #[test]

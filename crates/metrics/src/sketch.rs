@@ -128,17 +128,9 @@ impl QuantileSketch {
 
     /// Records one sample.
     pub fn record(&mut self, value: u64) {
-        self.record_n(value, 1);
-    }
-
-    /// Records `n` identical samples.
-    pub fn record_n(&mut self, value: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.buckets[Self::bucket_of(value)] += n;
-        self.count += n;
-        self.sum += value as u128 * n as u128;
+        self.buckets[Self::bucket_of(value)] += 1;
+        self.count += 1;
+        self.sum += value as u128;
         self.min = self.min.min(value);
         self.max = self.max.max(value);
     }

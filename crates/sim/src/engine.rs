@@ -753,8 +753,8 @@ impl Simulation {
                 for task in &newly_unlaunched {
                     scheduler.on_task_unlaunched(*task, &state);
                 }
-                // One run-level buffer, reused across decision instants: the
-                // per-`schedule` Vec<Action> allocation is gone.
+                // One run-level buffer, reused across decision instants, so
+                // no decision allocates a vector of its own.
                 scheduler.schedule_into(&state, &mut actions);
                 let consumed = state.ranked_prefix_consumed();
                 ctx.stats.ranked_prefix_len_max = ctx.stats.ranked_prefix_len_max.max(consumed);
@@ -1303,7 +1303,7 @@ impl Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedulers::{GreedyFifo, MaxCloneScheduler, NoopScheduler};
+    use crate::schedulers::{Fifo, MaxCloneScheduler, NoopScheduler};
     use mapreduce_workload::{JobId, JobSpecBuilder, Trace, WorkloadBuilder};
 
     fn two_job_trace() -> Trace {
@@ -1325,7 +1325,7 @@ mod tests {
     fn fifo_completes_all_jobs() {
         let trace = two_job_trace();
         let outcome = Simulation::new(SimConfig::new(4), &trace)
-            .run(&mut GreedyFifo::new())
+            .run(&mut Fifo::new())
             .unwrap();
         assert_eq!(outcome.records().len(), 2);
         for r in outcome.records() {
@@ -1350,8 +1350,7 @@ mod tests {
             fn name(&self) -> &str {
                 "ungated"
             }
-            fn schedule(&mut self, state: &ClusterState<'_>) -> Vec<Action> {
-                let mut actions = Vec::new();
+            fn schedule_into(&mut self, state: &ClusterState<'_>, actions: &mut Vec<Action>) {
                 for job in state.alive_jobs() {
                     for phase in Phase::ALL {
                         for task in job.unscheduled_tasks(phase) {
@@ -1360,7 +1359,6 @@ mod tests {
                         }
                     }
                 }
-                actions
             }
         }
         let trace = two_job_trace();
@@ -1385,7 +1383,7 @@ mod tests {
             .build()])
         .unwrap();
         let outcome = Simulation::new(SimConfig::new(1), &trace)
-            .run(&mut GreedyFifo::new())
+            .run(&mut Fifo::new())
             .unwrap();
         assert_eq!(outcome.record(JobId::new(0)).unwrap().completion, 25);
         // Utilisation must be 100%: one machine busy the whole time.
@@ -1405,7 +1403,7 @@ mod tests {
     fn horizon_is_enforced() {
         let trace = two_job_trace();
         let err = Simulation::new(SimConfig::new(1).with_max_slots(5), &trace)
-            .run(&mut GreedyFifo::new())
+            .run(&mut Fifo::new())
             .unwrap_err();
         assert!(matches!(err, SimError::HorizonExceeded { .. }));
     }
@@ -1422,7 +1420,7 @@ mod tests {
         let trace = Trace::new(vec![job]).unwrap();
 
         let no_clone = Simulation::new(SimConfig::new(4).with_seed(1), &trace)
-            .run(&mut GreedyFifo::new())
+            .run(&mut Fifo::new())
             .unwrap();
         assert_eq!(no_clone.record(JobId::new(0)).unwrap().completion, 1000);
 
@@ -1454,10 +1452,10 @@ mod tests {
             .build()])
         .unwrap();
         let unit = Simulation::new(SimConfig::new(1), &trace)
-            .run(&mut GreedyFifo::new())
+            .run(&mut Fifo::new())
             .unwrap();
         let fast = Simulation::new(SimConfig::new(1).with_machine_speed(2.0), &trace)
-            .run(&mut GreedyFifo::new())
+            .run(&mut Fifo::new())
             .unwrap();
         assert_eq!(unit.record(JobId::new(0)).unwrap().completion, 100);
         assert_eq!(fast.record(JobId::new(0)).unwrap().completion, 50);
@@ -1479,10 +1477,10 @@ mod tests {
                     factor: 3.0,
                 });
         let base = Simulation::new(base_cfg, &trace)
-            .run(&mut GreedyFifo::new())
+            .run(&mut Fifo::new())
             .unwrap();
         let slowed = Simulation::new(slow_cfg, &trace)
-            .run(&mut GreedyFifo::new())
+            .run(&mut Fifo::new())
             .unwrap();
         assert!(slowed.mean_flowtime() > base.mean_flowtime());
     }
@@ -1491,10 +1489,10 @@ mod tests {
     fn identical_seeds_give_identical_outcomes() {
         let trace = WorkloadBuilder::new().num_jobs(15).build(2);
         let a = Simulation::new(SimConfig::new(6).with_seed(9), &trace)
-            .run(&mut GreedyFifo::new())
+            .run(&mut Fifo::new())
             .unwrap();
         let b = Simulation::new(SimConfig::new(6).with_seed(9), &trace)
-            .run(&mut GreedyFifo::new())
+            .run(&mut Fifo::new())
             .unwrap();
         assert_eq!(a, b);
     }
@@ -1559,10 +1557,10 @@ mod tests {
             .map_tasks_per_job(4, 8)
             .build(4);
         let small = Simulation::new(SimConfig::new(4), &trace)
-            .run(&mut GreedyFifo::new())
+            .run(&mut Fifo::new())
             .unwrap();
         let large = Simulation::new(SimConfig::new(64), &trace)
-            .run(&mut GreedyFifo::new())
+            .run(&mut Fifo::new())
             .unwrap();
         assert!(large.mean_flowtime() <= small.mean_flowtime());
     }
@@ -1574,11 +1572,11 @@ mod tests {
             fn name(&self) -> &str {
                 "bogus"
             }
-            fn schedule(&mut self, _state: &ClusterState<'_>) -> Vec<Action> {
-                vec![Action::Launch {
+            fn schedule_into(&mut self, _state: &ClusterState<'_>, actions: &mut Vec<Action>) {
+                actions.push(Action::Launch {
                     task: TaskId::new(JobId::new(999), Phase::Map, 0),
                     copies: 1,
-                }]
+                });
             }
         }
         let trace = two_job_trace();
@@ -1604,23 +1602,21 @@ mod tests {
             fn wakeup_interval(&self) -> Option<Slot> {
                 Some(5)
             }
-            fn schedule(&mut self, state: &ClusterState<'_>) -> Vec<Action> {
+            fn schedule_into(&mut self, state: &ClusterState<'_>, actions: &mut Vec<Action>) {
                 let job = state.job(JobId::new(0)).unwrap();
                 let task = job.task(Phase::Map, 0).unwrap();
                 if task.is_unscheduled() {
-                    return vec![Action::Launch {
+                    actions.push(Action::Launch {
                         task: task.id(),
                         copies: 3,
-                    }];
-                }
-                if !self.cancelled && state.now() >= 5 && !task.is_finished() {
+                    });
+                } else if !self.cancelled && state.now() >= 5 && !task.is_finished() {
                     self.cancelled = true;
-                    return vec![Action::CancelCopies {
+                    actions.push(Action::CancelCopies {
                         task: task.id(),
                         keep: 1,
-                    }];
+                    });
                 }
-                Vec::new()
             }
         }
         let trace = Trace::new(vec![JobSpecBuilder::new(JobId::new(0))
@@ -1642,7 +1638,7 @@ mod tests {
     fn busy_slots_never_exceed_capacity() {
         let trace = WorkloadBuilder::new().num_jobs(25).build(6);
         let outcome = Simulation::new(SimConfig::new(5), &trace)
-            .run(&mut GreedyFifo::new())
+            .run(&mut Fifo::new())
             .unwrap();
         assert!(outcome.busy_machine_slots <= 5 * outcome.makespan);
         assert!(outcome.utilization() <= 1.0 + 1e-9);
@@ -1656,10 +1652,10 @@ mod tests {
         let faulty_cfg = SimConfig::new(8).with_seed(3).with_fault_plan(plan);
 
         let clean = Simulation::new(SimConfig::new(8).with_seed(3), &trace)
-            .run(&mut GreedyFifo::new())
+            .run(&mut Fifo::new())
             .unwrap();
         let faulty = Simulation::new(faulty_cfg.clone(), &trace)
-            .run(&mut GreedyFifo::new())
+            .run(&mut Fifo::new())
             .unwrap();
 
         // Work is lost, jobs are not: every job still completes.
@@ -1677,7 +1673,7 @@ mod tests {
 
         // Same seed, same plan → bit-identical trajectory.
         let again = Simulation::new(faulty_cfg, &trace)
-            .run(&mut GreedyFifo::new())
+            .run(&mut Fifo::new())
             .unwrap();
         assert_eq!(faulty, again);
     }
@@ -1695,10 +1691,10 @@ mod tests {
         .unwrap();
         let plan = FaultPlan::new(vec![FaultClass::brownouts(4, 1.0, 1e6, 3.0)]);
         let clean = Simulation::new(SimConfig::new(4).with_seed(5), &trace)
-            .run(&mut GreedyFifo::new())
+            .run(&mut Fifo::new())
             .unwrap();
         let browned = Simulation::new(SimConfig::new(4).with_seed(5).with_fault_plan(plan), &trace)
-            .run(&mut GreedyFifo::new())
+            .run(&mut Fifo::new())
             .unwrap();
         assert_eq!(browned.records().len(), 1);
         assert_eq!(browned.copies_killed_by_fault, 0);
@@ -1745,15 +1741,15 @@ mod tests {
             }
         }
         struct SeesArrival {
-            fifo: GreedyFifo,
+            fifo: Fifo,
             job1_alive_at_finish: Option<bool>,
         }
         impl Scheduler for SeesArrival {
             fn name(&self) -> &str {
                 "sees-arrival"
             }
-            fn schedule(&mut self, state: &ClusterState<'_>) -> Vec<Action> {
-                self.fifo.schedule(state)
+            fn schedule_into(&mut self, state: &ClusterState<'_>, actions: &mut Vec<Action>) {
+                self.fifo.schedule_into(state, actions);
             }
             fn on_task_finished(&mut self, task: TaskId, state: &ClusterState<'_>) {
                 if task.job == JobId::new(0) {
@@ -1770,7 +1766,7 @@ mod tests {
         };
         let trace = Trace::new(vec![spec(0, 0), spec(1, 5)]).unwrap();
         let mut scheduler = SeesArrival {
-            fifo: GreedyFifo::new(),
+            fifo: Fifo::new(),
             job1_alive_at_finish: None,
         };
         let mut log = Log::default();
@@ -1795,7 +1791,7 @@ mod tests {
     /// find it retired. The first decision that finds it retired issues
     /// `stale` ahead of FIFO's own launches.
     struct RetireProbe {
-        fifo: GreedyFifo,
+        fifo: Fifo,
         stale: Vec<Action>,
         completed_at: Option<Slot>,
         retired_seen_at: Option<Slot>,
@@ -1804,7 +1800,7 @@ mod tests {
     impl RetireProbe {
         fn new(stale: Vec<Action>) -> Self {
             RetireProbe {
-                fifo: GreedyFifo::new(),
+                fifo: Fifo::new(),
                 stale,
                 completed_at: None,
                 retired_seen_at: None,
@@ -1827,8 +1823,7 @@ mod tests {
             }
         }
 
-        fn schedule(&mut self, state: &ClusterState<'_>) -> Vec<Action> {
-            let mut actions = Vec::new();
+        fn schedule_into(&mut self, state: &ClusterState<'_>, actions: &mut Vec<Action>) {
             let job0 = state.job(JobId::new(0));
             match self.completed_at {
                 Some(at) if at == state.now() => assert!(job0.is_some_and(|j| j.is_complete())),
@@ -1841,8 +1836,7 @@ mod tests {
                 }
                 None => {}
             }
-            actions.extend(self.fifo.schedule(state));
-            actions
+            self.fifo.schedule_into(state, actions);
         }
     }
 
@@ -1888,7 +1882,7 @@ mod tests {
             .unwrap();
         assert_eq!(probe.retired_seen_at, Some(10));
         let plain = Simulation::new(SimConfig::new(2), &trace)
-            .run(&mut GreedyFifo::new())
+            .run(&mut Fifo::new())
             .unwrap();
         assert_eq!(outcome, plain);
     }
@@ -1950,7 +1944,7 @@ mod tests {
             specs: specs.into_iter(),
             declared,
         };
-        Simulation::from_source(SimConfig::new(2), Box::new(source)).run(&mut GreedyFifo::new())
+        Simulation::from_source(SimConfig::new(2), Box::new(source)).run(&mut Fifo::new())
     }
 
     /// Runs two valid jobs followed by `(id, arrival)` as the third.

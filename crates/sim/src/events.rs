@@ -795,8 +795,7 @@ mod tests {
             fn name(&self) -> &str {
                 "launch-everything"
             }
-            fn schedule(&mut self, state: &ClusterState<'_>) -> Vec<Action> {
-                let mut actions = Vec::new();
+            fn schedule_into(&mut self, state: &ClusterState<'_>, actions: &mut Vec<Action>) {
                 for job in state.alive_jobs() {
                     for phase in Phase::ALL {
                         for task in job.unscheduled_tasks(phase) {
@@ -807,7 +806,6 @@ mod tests {
                         }
                     }
                 }
-                actions
             }
         }
 

@@ -7,11 +7,13 @@
 //! finish wins and the siblings are cancelled.
 //!
 //! The seam between the substrate and the algorithms is the
-//! [`Scheduler`] trait: at every decision point the engine hands the
-//! scheduler a read-only [`ClusterState`] and collects its [`Action`]s into
-//! a run-level reusable buffer ([`Scheduler::schedule_into`]). The paper's
-//! algorithms (crate `mapreduce-sched`) and all the baselines (crate
-//! `mapreduce-baselines`) are implementations of this trait.
+//! [`Scheduler`] trait: at every decision point the engine calls the
+//! scheduler's one decision method, [`Scheduler::schedule_into`], with a
+//! read-only [`ClusterState`], and the scheduler appends its [`Action`]s to
+//! a run-level reusable buffer. The paper's algorithms (crate
+//! `mapreduce-sched`) and all the baselines (crate `mapreduce-baselines`,
+//! whose FIFO is this crate's [`schedulers::Fifo`]) are implementations of
+//! this trait.
 //!
 //! The seam on the workload side is [`mapreduce_workload::JobSource`]: the
 //! engine pulls jobs in arrival order ([`Simulation::from_source`]) and
@@ -86,12 +88,12 @@
 //! # Quick example
 //!
 //! ```
-//! use mapreduce_sim::{SimConfig, Simulation, schedulers::GreedyFifo};
+//! use mapreduce_sim::{SimConfig, Simulation, schedulers::Fifo};
 //! use mapreduce_workload::WorkloadBuilder;
 //!
 //! let trace = WorkloadBuilder::new().num_jobs(5).build(1);
 //! let config = SimConfig::new(8).with_seed(7);
-//! let outcome = Simulation::new(config, &trace).run(&mut GreedyFifo::new()).unwrap();
+//! let outcome = Simulation::new(config, &trace).run(&mut Fifo::new()).unwrap();
 //! assert_eq!(outcome.records().len(), 5);
 //! assert!(outcome.mean_flowtime() > 0.0);
 //! ```

@@ -545,13 +545,6 @@ impl JobState {
         &self.phase_index(phase).running_by_finish
     }
 
-    /// `(count, total_duration)` over the finished tasks of `phase`, where a
-    /// task's duration is the slots from its first launch to its completion.
-    pub fn completed_duration_stats(&self, phase: Phase) -> (usize, u64) {
-        let index = self.phase_index(phase);
-        (index.completed_count, index.completed_duration_sum)
-    }
-
     /// Mean observed duration (first launch to completion) of the finished
     /// tasks of `phase`, or `None` if nothing has finished yet. `O(1)`: the
     /// aggregate is maintained incrementally as tasks complete.
@@ -1527,34 +1520,35 @@ impl FromJson for Action {
 
 /// The interface every scheduling algorithm implements.
 ///
-/// The engine guarantees that `schedule` is called whenever the cluster state
-/// changed (job arrival, task completion) and, if
-/// [`Scheduler::wakeup_interval`] returns `Some(k)`, at least every `k` slots
-/// while any job is alive.
+/// A scheduler makes one decision per decision instant, in
+/// [`Scheduler::schedule_into`], the one method the engine calls for it.
+/// The engine calls it whenever the cluster state changed (job arrival,
+/// task completion) and, if [`Scheduler::wakeup_interval`] returns
+/// `Some(k)`, at least every `k` slots while any job is alive.
 pub trait Scheduler {
     /// Human-readable name used in reports and benchmark labels.
     fn name(&self) -> &str;
 
-    /// Makes scheduling decisions for the current state.
-    ///
-    /// Returned [`Action::Launch`] actions are applied in order until the
-    /// cluster runs out of available machines; the engine clips the copy
-    /// count of the action that crosses the limit and ignores the rest.
-    fn schedule(&mut self, state: &ClusterState<'_>) -> Vec<Action>;
-
-    /// Allocation-free variant of [`Scheduler::schedule`]: appends the
-    /// decisions to a caller-owned buffer instead of returning a fresh
-    /// vector.
+    /// Makes the scheduling decisions for the current state, appending them
+    /// to `actions`.
     ///
     /// The engine hands every scheduler one buffer that it clears and reuses
-    /// across all decision instants of a run, so the per-`schedule`
-    /// `Vec<Action>` allocation disappears from the hot loop. The default
-    /// forwards to [`Scheduler::schedule`]; hot schedulers override it (and
-    /// implement `schedule` as a thin collecting wrapper). Implementations
-    /// must only append — the buffer may already hold actions — and must not
-    /// assume it starts empty.
-    fn schedule_into(&mut self, state: &ClusterState<'_>, actions: &mut Vec<Action>) {
-        actions.extend(self.schedule(state));
+    /// across all decision instants of a run, so no decision allocates a
+    /// vector of its own. Implementations must only append — the buffer may
+    /// already hold actions — and must not assume it starts empty.
+    ///
+    /// Appended [`Action::Launch`] actions are applied in order until the
+    /// cluster runs out of available machines; the engine clips the copy
+    /// count of the action that crosses the limit and ignores the rest.
+    fn schedule_into(&mut self, state: &ClusterState<'_>, actions: &mut Vec<Action>);
+
+    /// Collects [`Scheduler::schedule_into`]'s decisions into a fresh
+    /// vector. The engine never calls it; it is a convenience for callers
+    /// outside a run.
+    fn schedule(&mut self, state: &ClusterState<'_>) -> Vec<Action> {
+        let mut actions = Vec::new();
+        self.schedule_into(state, &mut actions);
+        actions
     }
 
     /// Optional periodic wakeup interval in slots. Detection-based schedulers
@@ -1589,14 +1583,14 @@ pub trait Scheduler {
         None
     }
 
-    /// Hook invoked after a job arrives (before the next `schedule` call).
+    /// Hook invoked after a job arrives (before the next `schedule_into` call).
     fn on_job_arrival(&mut self, _job: JobId, _state: &ClusterState<'_>) {}
 
-    /// Hook invoked after a task finishes (before the next `schedule` call).
+    /// Hook invoked after a task finishes (before the next `schedule_into` call).
     fn on_task_finished(&mut self, _task: TaskId, _state: &ClusterState<'_>) {}
 
     /// Hook invoked when a fault kills a task's last copy and the task falls
-    /// back to the unscheduled pool (before the next `schedule` call).
+    /// back to the unscheduled pool (before the next `schedule_into` call).
     ///
     /// The engine's indices already re-admit the task — it is back in its
     /// job's [`JobState::launchable`] free-list, and the job is back in
@@ -1674,7 +1668,6 @@ mod tests {
         assert_eq!(js.active_copies(), 0);
         assert_eq!(js.task(Phase::Map, 0).unwrap().active_copies(), 0);
         assert!(js.running_by_finish(Phase::Map).is_empty());
-        assert_eq!(js.completed_duration_stats(Phase::Map), (1, 10));
         assert_eq!(js.mean_completed_duration(Phase::Map), Some(10.0));
         assert_eq!(js.mean_completed_duration(Phase::Reduce), None);
         assert!(!js.all_tasks_finished());

@@ -62,11 +62,6 @@ impl Fnv1a128 {
         self.state = state;
     }
 
-    /// Folds a `u64` in little-endian byte order.
-    pub fn write_u64(&mut self, value: u64) {
-        self.write(&value.to_le_bytes());
-    }
-
     /// The current hash value.
     pub fn finish(&self) -> u128 {
         self.state
@@ -165,7 +160,7 @@ mod tests {
     fn incremental_writes_match_one_shot() {
         let mut h = Fnv1a128::new();
         h.write(b"scenario:");
-        h.write_u64(2015);
+        h.write(&2015u64.to_le_bytes());
         h.write(b"/fifo");
         let mut flat = b"scenario:".to_vec();
         flat.extend_from_slice(&2015u64.to_le_bytes());

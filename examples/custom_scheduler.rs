@@ -2,7 +2,9 @@
 //!
 //! The example implements a "shortest job first with a fixed clone budget"
 //! policy from scratch — about thirty lines — and benchmarks it against the
-//! paper's SRPTMS+C on the same workload. Use this as the template for
+//! paper's SRPTMS+C on the same workload. A policy is one method,
+//! `Scheduler::schedule_into`, which appends the decisions of one decision
+//! instant to the engine's action buffer. Use this as the template for
 //! experimenting with your own policies.
 //!
 //! ```text
@@ -25,9 +27,8 @@ impl Scheduler for SjfWithClones {
         "sjf-with-clones"
     }
 
-    fn schedule(&mut self, state: &ClusterState<'_>) -> Vec<Action> {
+    fn schedule_into(&mut self, state: &ClusterState<'_>, actions: &mut Vec<Action>) {
         let mut budget = state.available_machines();
-        let mut actions = Vec::new();
         let mut jobs: Vec<_> = state
             .alive_jobs()
             .filter(|j| j.total_unscheduled() > 0)
@@ -45,7 +46,7 @@ impl Scheduler for SjfWithClones {
             };
             for &index in unscheduled {
                 if budget == 0 {
-                    return actions;
+                    return;
                 }
                 let n = copies.min(budget);
                 actions.push(Action::Launch {
@@ -55,7 +56,6 @@ impl Scheduler for SjfWithClones {
                 budget -= n;
             }
         }
-        actions
     }
 }
 

@@ -133,9 +133,9 @@ impl Scheduler for ReferenceFair {
         "fair"
     }
 
-    fn schedule(&mut self, state: &ClusterState<'_>) -> Vec<Action> {
+    fn schedule_into(&mut self, state: &ClusterState<'_>, actions: &mut Vec<Action>) {
         let jobs: Vec<&JobState> = state.alive_jobs().collect();
-        reference_fill(&jobs, state.available_machines(), true)
+        actions.extend(reference_fill(&jobs, state.available_machines(), true));
     }
 }
 
@@ -158,11 +158,10 @@ impl Scheduler for ReferenceFifo {
         "fifo"
     }
 
-    fn schedule(&mut self, state: &ClusterState<'_>) -> Vec<Action> {
+    fn schedule_into(&mut self, state: &ClusterState<'_>, actions: &mut Vec<Action>) {
         let mut budget = state.available_machines();
-        let mut actions = Vec::new();
         if budget == 0 {
-            return actions;
+            return;
         }
         let mut jobs: Vec<_> = state.alive_jobs().collect();
         jobs.sort_by_key(|j| (j.arrival(), j.id()));
@@ -173,7 +172,7 @@ impl Scheduler for ReferenceFifo {
                 }
                 for task in scan_unscheduled(job, phase) {
                     if budget == 0 {
-                        return actions;
+                        return;
                     }
                     actions.push(Action::Launch {
                         task: task.id(),
@@ -183,7 +182,6 @@ impl Scheduler for ReferenceFifo {
                 }
             }
         }
-        actions
     }
 }
 
@@ -265,17 +263,18 @@ impl Scheduler for ReferenceMantri {
         Some(DETECTION_INTERVAL)
     }
 
-    fn schedule(&mut self, state: &ClusterState<'_>) -> Vec<Action> {
+    fn schedule_into(&mut self, state: &ClusterState<'_>, actions: &mut Vec<Action>) {
         let mut budget = state.available_machines();
         if budget == 0 {
-            return Vec::new();
+            return;
         }
         let jobs: Vec<&JobState> = state.alive_jobs().collect();
-        let mut actions = reference_fill(&jobs, budget, false);
-        let launched = actions.len();
+        let start = actions.len();
+        actions.extend(reference_fill(&jobs, budget, false));
+        let launched = actions.len() - start;
         budget -= launched.min(budget);
         if budget == 0 {
-            return actions;
+            return;
         }
 
         let mut candidates: Vec<(Slot, Action)> = Vec::new();
@@ -286,7 +285,6 @@ impl Scheduler for ReferenceMantri {
         for (_, action) in candidates.into_iter().take(budget) {
             actions.push(action);
         }
-        actions
     }
 }
 
@@ -313,17 +311,18 @@ impl Scheduler for ReferenceLate {
         Some(DETECTION_INTERVAL)
     }
 
-    fn schedule(&mut self, state: &ClusterState<'_>) -> Vec<Action> {
+    fn schedule_into(&mut self, state: &ClusterState<'_>, actions: &mut Vec<Action>) {
         let mut budget = state.available_machines();
         if budget == 0 {
-            return Vec::new();
+            return;
         }
         let jobs: Vec<&JobState> = state.alive_jobs().collect();
 
-        let mut actions = reference_fill(&jobs, budget, false);
-        budget -= actions.len().min(budget);
+        let start = actions.len();
+        actions.extend(reference_fill(&jobs, budget, false));
+        budget -= (actions.len() - start).min(budget);
         if budget == 0 {
-            return actions;
+            return;
         }
 
         let now = state.now();
@@ -360,7 +359,7 @@ impl Scheduler for ReferenceLate {
             }
         }
         if candidates.is_empty() {
-            return actions;
+            return;
         }
 
         let mut rates: Vec<f64> = candidates.iter().map(|(rate, _, _)| *rate).collect();
@@ -382,7 +381,6 @@ impl Scheduler for ReferenceLate {
         for (_, action) in eligible.into_iter().take(allowance) {
             actions.push(action);
         }
-        actions
     }
 }
 
@@ -431,10 +429,10 @@ impl Scheduler for ReferenceRestart {
         Some(DETECTION_INTERVAL)
     }
 
-    fn schedule(&mut self, state: &ClusterState<'_>) -> Vec<Action> {
+    fn schedule_into(&mut self, state: &ClusterState<'_>, actions: &mut Vec<Action>) {
         let copies = state.copies();
         let jobs: Vec<&JobState> = state.alive_jobs().collect();
-        let mut actions = reference_fill(&jobs, state.available_machines(), false);
+        actions.extend(reference_fill(&jobs, state.available_machines(), false));
 
         let now = state.now();
         let mut candidates: Vec<(Slot, mapreduce_workload::TaskId)> = Vec::new();
@@ -467,7 +465,6 @@ impl Scheduler for ReferenceRestart {
             actions.push(Action::CancelCopies { task, keep: 0 });
             actions.push(Action::Launch { task, copies: 1 });
         }
-        actions
     }
 }
 
@@ -511,10 +508,10 @@ impl Scheduler for ReferenceSca {
         "sca"
     }
 
-    fn schedule(&mut self, state: &ClusterState<'_>) -> Vec<Action> {
+    fn schedule_into(&mut self, state: &ClusterState<'_>, actions: &mut Vec<Action>) {
         let mut budget = state.available_machines();
         if budget == 0 {
-            return Vec::new();
+            return;
         }
 
         let mut jobs: Vec<&JobState> = state
@@ -590,15 +587,12 @@ impl Scheduler for ReferenceSca {
             allocations[idx].copies_per_task += 1;
         }
 
-        allocations
-            .into_iter()
-            .flat_map(|alloc| {
-                alloc.tasks.into_iter().map(move |task| Action::Launch {
-                    task,
-                    copies: alloc.copies_per_task,
-                })
+        actions.extend(allocations.into_iter().flat_map(|alloc| {
+            alloc.tasks.into_iter().map(move |task| Action::Launch {
+                task,
+                copies: alloc.copies_per_task,
             })
-            .collect()
+        }));
     }
 }
 

@@ -216,10 +216,10 @@ impl Scheduler for ReferenceSrptMsC {
         &self.name
     }
 
-    fn schedule(&mut self, state: &ClusterState<'_>) -> Vec<Action> {
+    fn schedule_into(&mut self, state: &ClusterState<'_>, actions: &mut Vec<Action>) {
         let mut available = state.available_machines();
         if available == 0 {
-            return Vec::new();
+            return;
         }
 
         // ψ^s(l): alive jobs that still have unscheduled tasks, re-sorted on
@@ -229,7 +229,7 @@ impl Scheduler for ReferenceSrptMsC {
             .filter(|j| j.total_unscheduled() > 0)
             .collect();
         if candidates.is_empty() {
-            return Vec::new();
+            return;
         }
         candidates.sort_by(|a, b| {
             let pa = Self::online_priority(a, self.config.r);
@@ -243,7 +243,6 @@ impl Scheduler for ReferenceSrptMsC {
         let shares =
             reference_epsilon_fraction_shares(&ranked, state.total_machines(), self.config.epsilon);
 
-        let mut actions = Vec::new();
         let mut launched: std::collections::HashSet<mapreduce_workload::TaskId> =
             std::collections::HashSet::new();
         for (job, share) in candidates.iter().zip(shares.iter()) {
@@ -296,7 +295,6 @@ impl Scheduler for ReferenceSrptMsC {
                 }
             }
         }
-        actions
     }
 }
 

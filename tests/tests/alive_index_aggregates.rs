@@ -22,14 +22,16 @@
 //! A forwarding wrapper checks all five before each decision, over random
 //! golden-equivalence traces for FIFO, Mantri and SRPTMS+C, with and without
 //! a random fault plan (faults return tasks to the unscheduled pool, the one
-//! event that grows `W(l)` and the launchable count after arrival).
+//! event that grows `W(l)` and the launchable count after arrival). Each
+//! wrapped run must also equal the bare scheduler's run outcome for outcome,
+//! so a hook or declaration the wrapper fails to forward cannot hide.
 
 use integration_tests::helpers::{random_fault_plan, random_trace, run_with_plan};
 use mapreduce_baselines::{Fifo, Mantri};
 use mapreduce_sched::SrptMsC;
 use mapreduce_sim::{Action, ClusterState, FaultPlan, IndexDemands, Scheduler, Slot};
 use mapreduce_support::proptest::prelude::*;
-use mapreduce_workload::{JobId, TaskId};
+use mapreduce_workload::{JobId, TaskId, Trace};
 use std::collections::BTreeSet;
 
 /// Forwards every trait method to `inner` and checks the snapshot's order,
@@ -121,11 +123,6 @@ impl Scheduler for ScanChecked {
         self.inner.name()
     }
 
-    fn schedule(&mut self, state: &ClusterState<'_>) -> Vec<Action> {
-        self.check(state);
-        self.inner.schedule(state)
-    }
-
     fn schedule_into(&mut self, state: &ClusterState<'_>, actions: &mut Vec<Action>) {
         self.check(state);
         self.inner.schedule_into(state, actions);
@@ -167,14 +164,33 @@ impl Scheduler for ScanChecked {
 }
 
 /// FIFO (no priority order), Mantri (no priority order, periodic wakeups)
-/// and SRPTMS+C (priority order enabled).
-fn checked_schedulers() -> Vec<ScanChecked> {
-    let schedulers: Vec<Box<dyn Scheduler>> = vec![
+/// and SRPTMS+C (priority order enabled), fresh.
+fn lineup() -> Vec<Box<dyn Scheduler>> {
+    vec![
         Box::new(Fifo::new()),
         Box::new(Mantri::new()),
         Box::new(SrptMsC::new(0.6, 3.0)),
-    ];
-    schedulers.into_iter().map(ScanChecked::new).collect()
+    ]
+}
+
+/// Runs each scheduler of the line-up wrapped and bare on one trace and
+/// plan: the wrapped run must decide, complete every job and match the bare
+/// run's outcome exactly, which it does only if [`ScanChecked`] forwards
+/// every hook and declaration.
+fn check_lineup(trace: &Trace, machines: usize, seed: u64, plan: &FaultPlan) -> Result<(), String> {
+    for (mut bare, inner) in lineup().into_iter().zip(lineup()) {
+        let mut checked = ScanChecked::new(inner);
+        let outcome = run_with_plan(&mut checked, trace, machines, seed, plan.clone());
+        prop_assert_eq!(outcome.records().len(), trace.len());
+        prop_assert!(checked.decisions > 0, "{} never decided", outcome.scheduler);
+        let bare_outcome = run_with_plan(bare.as_mut(), trace, machines, seed, plan.clone());
+        prop_assert!(
+            outcome == bare_outcome,
+            "{}: the wrapped run's outcome differs from the bare run's",
+            outcome.scheduler
+        );
+    }
+    Ok(())
 }
 
 proptest! {
@@ -188,11 +204,7 @@ proptest! {
         interarrival in 5.0f64..40.0,
     ) {
         let trace = random_trace(jobs, seed, interarrival, 60.0);
-        for mut checked in checked_schedulers() {
-            let outcome = run_with_plan(&mut checked, &trace, machines, seed, FaultPlan::none());
-            prop_assert_eq!(outcome.records().len(), jobs);
-            prop_assert!(checked.decisions > 0, "{} never decided", outcome.scheduler);
-        }
+        check_lineup(&trace, machines, seed, &FaultPlan::none())?;
     }
 
     #[test]
@@ -207,10 +219,6 @@ proptest! {
     ) {
         let trace = random_trace(jobs, seed, 20.0, 60.0);
         let plan = random_fault_plan(machines, crash_fraction, mean_up, down_fraction, brownouts == 1);
-        for mut checked in checked_schedulers() {
-            let outcome = run_with_plan(&mut checked, &trace, machines, seed, plan.clone());
-            prop_assert_eq!(outcome.records().len(), jobs);
-            prop_assert!(checked.decisions > 0, "{} never decided", outcome.scheduler);
-        }
+        check_lineup(&trace, machines, seed, &plan)?;
     }
 }

@@ -52,11 +52,10 @@ impl Scheduler for FrozenSrptNoClone {
         &self.name
     }
 
-    fn schedule(&mut self, state: &ClusterState<'_>) -> Vec<Action> {
-        let mut actions = Vec::new();
+    fn schedule_into(&mut self, state: &ClusterState<'_>, actions: &mut Vec<Action>) {
         let mut budget = state.available_machines();
         if budget == 0 {
-            return actions;
+            return;
         }
         let mut jobs: Vec<_> = state
             .alive_jobs()
@@ -78,7 +77,7 @@ impl Scheduler for FrozenSrptNoClone {
                 }
                 for task in job.unscheduled_tasks(phase) {
                     if budget == 0 {
-                        return actions;
+                        return;
                     }
                     actions.push(Action::Launch {
                         task: task.id(),
@@ -88,7 +87,6 @@ impl Scheduler for FrozenSrptNoClone {
                 }
             }
         }
-        actions
     }
 }
 
